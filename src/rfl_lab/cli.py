@@ -316,7 +316,7 @@ def cmd_tile(args) -> int:
     if args.boxes:
         try:
             boxes = read_detections_jsonl(args.boxes)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot read boxes: {exc}", file=sys.stderr)
             return 2
 
@@ -377,7 +377,7 @@ def cmd_fuse(args) -> int:
     for i, path in enumerate(args.inputs):
         try:
             dets = read_detections_jsonl(path)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 2
         try:
@@ -431,7 +431,7 @@ def cmd_eval(args) -> int:
     try:
         dets = read_detections_jsonl(args.dets)
         gts = read_groundtruths_jsonl(args.gts)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,17 +1,20 @@
 """Vote-based fusion of detections from multiple models or TTA passes.
 
-The algorithm, per class: visit detections in descending score order
-(ties by source tag, then input index) and greedily attach each one to
-the first existing cluster whose current fused box overlaps it with IoU
-at or above the threshold, otherwise open a new cluster.  A cluster's
-fused box is the score-weighted average of its members' corners,
-recomputed as members join, and its fused score follows the configured
-mode.  Clusters supported by fewer than ``min_votes`` distinct source
-tags are discarded.
+The algorithm, per (image, class): visit detections in descending score
+order (ties by source tag, then input index) and greedily attach each
+one to the first existing cluster whose current fused box overlaps it
+with IoU at or above the threshold, otherwise open a new cluster.  A
+cluster's fused box is the score-weighted average of its members'
+corners, recomputed as members join, and its fused score follows the
+configured mode.  Clusters supported by fewer than ``min_votes``
+distinct source tags are discarded.  Detections of different images or
+classes never share a cluster.
 
 The fused detection keeps the member sources joined with '+' in
 first-seen order, so a single-member cluster reproduces its detection
-exactly and fusing disjoint single-source input is a fixpoint.
+exactly and fusing disjoint single-source input is a fixpoint.  Output
+is ordered by class id, then image id, then cluster creation order; for
+input from a single image that is class id, then creation order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .geometry import SceneDims, TtaTransform, invert_tta
 from .metrics import Box, Detection, iou
@@ -91,31 +96,49 @@ class _Cluster:
         )
 
 
-def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
-    """Cluster and fuse detections per class; see the module docstring.
+def _clusters(
+    entries: list[tuple[int, Detection]], iou_thresh: float
+) -> list[_Cluster]:
+    """Greedy clustering of one (image, class) group; see the module docstring."""
+    entries = sorted(entries, key=lambda e: (-e[1].score, e[1].source, e[0]))
+    # IoU >= iou_thresh > 0 needs a positive overlap on both axes, which
+    # implies cluster x1 < box x2 and box x1 < cluster x2 (and so on for y).
+    # Row k of `bounds` holds cluster k's (x1, y1, -x2, -y2) and `keys` each
+    # box's (x2, y2, -x1, -y1), so one comparison finds the candidates; they
+    # are then checked in creation order with the scalar iou().
+    keys = np.array([(d.box.x2, d.box.y2, -d.box.x1, -d.box.y1) for _, d in entries])
+    bounds = np.empty((len(entries), 4))
+    clusters: list[_Cluster] = []
+    for (_, det), key in zip(entries, keys):
+        near = (bounds[: len(clusters)] < key).all(axis=1).nonzero()[0]
+        for k in near.tolist():
+            cluster = clusters[k]
+            if iou(det.box, cluster.fused) >= iou_thresh:
+                cluster.add(det)
+                f = cluster.fused
+                bounds[k] = (f.x1, f.y1, -f.x2, -f.y2)
+                break
+        else:
+            b = det.box
+            bounds[len(clusters)] = (b.x1, b.y1, -b.x2, -b.y2)
+            clusters.append(_Cluster(det))
+    return clusters
 
-    All detections must already share one scene frame.  Output is
-    ordered by class id, then by cluster creation (score-descending)
-    order within the class.
+
+def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
+    """Cluster and fuse detections per (image, class); see the module docstring.
+
+    The detections of each image must share one frame.  Output is
+    ordered by class id, then image id, then cluster creation
+    (score-descending) order.
     """
-    by_class: dict[int, list[tuple[int, Detection]]] = {}
+    groups: dict[tuple[int, str], list[tuple[int, Detection]]] = {}
     for idx, det in enumerate(dets):
-        by_class.setdefault(det.class_id, []).append((idx, det))
+        groups.setdefault((det.class_id, det.image_id), []).append((idx, det))
 
     out: list[Detection] = []
-    for cls in sorted(by_class):
-        entries = sorted(
-            by_class[cls], key=lambda e: (-e[1].score, e[1].source, e[0])
-        )
-        clusters: list[_Cluster] = []
-        for _, det in entries:
-            for cluster in clusters:
-                if iou(det.box, cluster.fused) >= cfg.iou_thresh:
-                    cluster.add(det)
-                    break
-            else:
-                clusters.append(_Cluster(det))
-        for cluster in clusters:
+    for key in sorted(groups):
+        for cluster in _clusters(groups[key], cfg.iou_thresh):
             if len({m.source for m in cluster.members}) >= cfg.min_votes:
                 out.append(cluster.fused_detection(cfg))
     return out

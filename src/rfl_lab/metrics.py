@@ -22,10 +22,14 @@ themselves) and therefore never match.
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,92 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row box of ``a`` (n, 4) against every row box of ``b``.
+
+    The operations and their order are those of :func:`iou`, so each
+    entry equals the scalar result bitwise.  The one exception is corners
+    so large that the areas overflow: :func:`iou` then returns nan and
+    this returns 0, and neither matches anything.
+    """
+    a, b = a[:, None, :], b[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = ix * iy
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = area_a + area_b - inter
+        valid = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
+        out = np.zeros(inter.shape)
+        np.divide(inter, union, out=out, where=valid)
+    return out
+
+
+def _corners(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
+    return np.array(
+        [(it.box.x1, it.box.y1, it.box.x2, it.box.y2) for it in items], dtype=float
+    ).reshape(-1, 4)
+
+
+def _best_unmatched(
+    ious: np.ndarray, unmatched: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the lowest-index unmatched column of highest positive IoU
+    (-1 when there is none) and that IoU (0.0 when there is none)."""
+    masked = np.where(unmatched, ious, 0.0)
+    best_g = masked.argmax(axis=1)
+    best_v = masked[np.arange(len(best_g)), best_g]
+    best_g[best_v <= 0.0] = -1
+    return best_g, best_v
+
+
+def _match_image(
+    scores: np.ndarray, ious: np.ndarray, iou_thresh: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching within one image: (IoU at pick, TP flag) per row.
+
+    Rows are visited in descending score order; inside a tied group the
+    row with the highest IoU against a still-unmatched ground truth goes
+    first, then the lower row index.  A claim only lowers the best IoU of
+    rows whose cached best ground truth it took, so only those are
+    recomputed.
+    """
+    n = len(scores)
+    unmatched = np.ones(ious.shape[1], dtype=bool)
+    best_g, best_v = _best_unmatched(ious, unmatched)
+    picked_v = np.zeros(n)
+    flags = np.zeros(n, dtype=bool)
+    done = np.zeros(n, dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    cuts = [0, *(np.diff(scores[order]).nonzero()[0] + 1).tolist(), n]
+    for start, stop in zip(cuts, cuts[1:]):
+        group = order[start:stop]
+        score = scores[group[0]]
+        heap = [(-v, i) for v, i in zip(best_v[group].tolist(), group.tolist())]
+        heapq.heapify(heap)
+        while heap:
+            neg_v, i = heapq.heappop(heap)
+            if done[i] or -neg_v != best_v[i]:
+                continue  # picked already, or a stale key
+            done[i] = True
+            g, v = int(best_g[i]), -neg_v
+            picked_v[i] = v
+            if g < 0 or v < iou_thresh:
+                continue
+            flags[i] = True
+            unmatched[g] = False
+            hit = ((best_g == g) & ~done).nonzero()[0]
+            if not len(hit):
+                continue
+            before = best_v[hit].tolist()
+            best_g[hit], best_v[hit] = _best_unmatched(ious[hit], unmatched)
+            for j, old_v, new_v in zip(hit.tolist(), before, best_v[hit].tolist()):
+                if new_v != old_v and scores[j] == score:
+                    heapq.heappush(heap, (-new_v, j))
+    return picked_v, flags
+
+
 def _match_class(
     dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_thresh: float
 ) -> list[bool]:
@@ -87,41 +177,32 @@ def _match_class(
     unmatched ground truth goes first (then input order).  Each
     processed detection claims its best unmatched same-image ground
     truth when that IoU reaches the threshold.
+
+    Matching never crosses images, so it runs per image on that image's
+    IoU matrix.  Within an image the picks come in ascending order of
+    (score desc, IoU at pick desc, input index); the global order is the
+    merge of the per-image sequences, which is one sort on that key.
     """
-    unmatched: set[int] = set(range(len(gts)))
+    gts_by_image: dict[str, list[int]] = {}
+    for g, gt in enumerate(gts):
+        gts_by_image.setdefault(gt.image_id, []).append(g)
+    dets_by_image: dict[str, list[int]] = {}
+    for d, det in enumerate(dets):
+        dets_by_image.setdefault(det.image_id, []).append(d)
 
-    def best_unmatched(idx: int) -> tuple[int, float]:
-        best_g, best_v = -1, 0.0
-        for g in unmatched:
-            if gts[g].image_id != dets[idx].image_id:
-                continue
-            v = iou(dets[idx].box, gts[g].box)
-            if v > best_v:
-                best_g, best_v = g, v
-        return best_g, best_v
-
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    flags: list[bool] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and dets[order[j]].score == dets[order[i]].score:
-            j += 1
-        group = list(order[i:j])
-        while group:
-            if len(group) == 1:
-                pick = group.pop()
-            else:
-                pick = min(group, key=lambda idx: (-best_unmatched(idx)[1], idx))
-                group.remove(pick)
-            best_g, best_v = best_unmatched(pick)
-            if best_g >= 0 and best_v >= iou_thresh:
-                unmatched.discard(best_g)
-                flags.append(True)
-            else:
-                flags.append(False)
-        i = j
-    return flags
+    scores = np.array([det.score for det in dets], dtype=float)
+    picked_v = np.zeros(len(dets))
+    flags = np.zeros(len(dets), dtype=bool)
+    for image, rows in dets_by_image.items():
+        cols = gts_by_image.get(image)
+        if cols is None:
+            continue  # no ground truth in this image: every pick is a miss at IoU 0
+        ious = _iou_matrix(
+            _corners([dets[d] for d in rows]), _corners([gts[g] for g in cols])
+        )
+        picked_v[rows], flags[rows] = _match_image(scores[rows], ious, iou_thresh)
+    ranked = np.lexsort((np.arange(len(dets)), -picked_v, -scores))
+    return flags[ranked].tolist()
 
 
 def average_precision(
@@ -221,7 +302,8 @@ def map_and_mrecall(
 
 # ---------------------------------------------------------------------------
 # JSONL io: one object per line with fields box [x1,y1,x2,y2], class_id,
-# score (detections only), image_id and source optional.
+# score (detections only), image_id and source optional.  Both readers
+# share one record parser; a malformed line raises ValueError naming it.
 # ---------------------------------------------------------------------------
 
 
@@ -244,25 +326,6 @@ def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:
             fh.write(json.dumps(detection_to_json(det), sort_keys=True) + "\n")
 
 
-def read_detections_jsonl(path: str | Path) -> list[Detection]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(
-                Detection(
-                    box=Box(*rec["box"]),
-                    class_id=int(rec["class_id"]),
-                    score=float(rec.get("score", 1.0)),
-                    source=rec.get("source", ""),
-                    image_id=rec.get("image_id", ""),
-                )
-            )
-    return out
-
-
 def write_groundtruths_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> None:
     with open(path, "w") as fh:
         for gt in gts:
@@ -275,18 +338,72 @@ def write_groundtruths_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> No
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_groundtruths_jsonl(path: str | Path) -> list[GroundTruth]:
+def _finite(values: list, what: str) -> list[float]:
+    """JSON numbers as floats; ValueError for anything else or non-finite."""
+    if not all(type(v) is float or type(v) is int for v in values):
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+    try:
+        out = [float(v) for v in values]
+        finite = all(map(math.isfinite, out))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be finite, got {values!r}")
+    return out
+
+
+def _string(rec: dict, key: str) -> str:
+    value = rec.get(key, "")
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _parse_record(line: str, scored: bool) -> Detection | GroundTruth:
+    """One JSONL line as a detection (``scored``) or a ground truth.
+
+    Raises ValueError for anything but an object with a ``box`` of four
+    finite numbers in corner order and an integer ``class_id``; a
+    detection's ``score`` defaults to 1 and must lie in [0, 1].
+    """
+    try:
+        rec = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if type(rec) is not dict:
+        raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
+    box = rec.get("box")
+    if type(box) is not list or len(box) != 4:
+        raise ValueError(f"box must be a list of 4 numbers, got {box!r}")
+    corners = Box(*_finite(box, "box coordinates"))
+    class_id = rec.get("class_id")
+    if type(class_id) is float and class_id.is_integer():
+        class_id = int(class_id)
+    if type(class_id) is not int:
+        raise ValueError(f"class_id must be an integer, got {class_id!r}")
+    image_id = _string(rec, "image_id")
+    if not scored:
+        return GroundTruth(corners, class_id, image_id)
+    (score,) = _finite([rec.get("score", 1.0)], "score")
+    return Detection(corners, class_id, score, _string(rec, "source"), image_id)
+
+
+def _read_jsonl(path: str | Path, scored: bool) -> list:
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            out.append(
-                GroundTruth(
-                    box=Box(*rec["box"]),
-                    class_id=int(rec["class_id"]),
-                    image_id=rec.get("image_id", ""),
-                )
-            )
+            try:
+                out.append(_parse_record(line, scored))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
     return out
+
+
+def read_detections_jsonl(path: str | Path) -> list[Detection]:
+    return _read_jsonl(path, scored=True)
+
+
+def read_groundtruths_jsonl(path: str | Path) -> list[GroundTruth]:
+    return _read_jsonl(path, scored=False)

@@ -1,8 +1,14 @@
 """CLI tests driven through main(); outputs land in tmp_path."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfl_lab.cli import main
 from rfl_lab.metrics import (
@@ -362,3 +368,90 @@ class TestEval:
         gpath.write_text("")
         code, _, _ = run(capsys, "eval", "--dets", str(dpath), "--gts", str(gpath))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"box": [0, 0, 10], "class_id": 0}',       # 3-element box
+            '[0, 0, 10, 10]',                           # not an object
+            '{"box": [0, NaN, 10, 10], "class_id": 0}',  # non-finite
+        ],
+    )
+    def test_malformed_record_exit_2(self, tmp_path, capsys, bad):
+        good = '{"box": [0, 0, 10, 10], "class_id": 0}\n'
+        for dets_text, gts_text in ((bad, good), (good, bad)):
+            dpath, gpath = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
+            dpath.write_text(dets_text + "\n")
+            gpath.write_text(gts_text + "\n")
+            code, out, err = run(capsys, "eval", "--dets", str(dpath),
+                                 "--gts", str(gpath))
+            assert code == 2
+            assert "line 1" in err and out == ""
+
+
+# A file of valid records with at most one line that may be malformed: a
+# near-miss record, another JSON value, or arbitrary text.
+_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=True),
+    st.text(max_size=3), st.lists(st.integers(0, 9), max_size=5),
+)
+_BOX = st.lists(st.floats(0, 20), min_size=4, max_size=4).map(sorted)
+_GOOD = st.fixed_dictionaries(
+    {"box": _BOX, "class_id": st.integers(0, 2)},
+    optional={"score": st.floats(0, 1), "image_id": st.sampled_from(["a", "b"]),
+              "source": st.sampled_from(["m", "n"])},
+).map(json.dumps)
+_NEAR_MISS = st.fixed_dictionaries(
+    {"box": st.one_of(_BOX, st.lists(_VALUE, max_size=5), _VALUE)},
+    optional={"class_id": st.one_of(st.integers(0, 2), _VALUE),
+              "score": st.one_of(st.floats(0, 1), _VALUE),
+              "image_id": _VALUE, "source": _VALUE},
+).map(json.dumps)
+_BAD = st.one_of(
+    _NEAR_MISS,
+    st.lists(_VALUE).map(json.dumps),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40),
+)
+_FILE = st.builds(
+    lambda good, bad, at: "\n".join(good[:at] + [bad] + good[at:]) + "\n",
+    st.lists(_GOOD, max_size=6), st.one_of(st.just(""), _BAD), st.integers(0, 6),
+)
+
+
+class TestMalformedInputFuzz:
+    """Any input file: exit 0 or 2, never an uncaught exception."""
+
+    @staticmethod
+    def _main(*argv) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(list(argv))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_FILE, _FILE)
+    def test_eval(self, dets_text, gts_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            d, g = Path(tmp, "d.jsonl"), Path(tmp, "g.jsonl")
+            d.write_text(dets_text)
+            g.write_text(gts_text)
+            assert self._main("eval", "--dets", str(d), "--gts", str(g)) in (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_FILE, _FILE)
+    def test_fuse(self, text_a, text_b):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
+            a.write_text(text_a)
+            b.write_text(text_b)
+            assert self._main("fuse", str(a), str(b), "--min-votes", "1",
+                              "--out", str(Path(tmp, "f.jsonl"))) in (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_FILE)
+    def test_tile(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            boxes = Path(tmp, "boxes.jsonl")
+            boxes.write_text(text)
+            assert self._main("tile", "--scene", "100x100", "--tile", "60",
+                              "--overlap", "10", "--boxes", str(boxes),
+                              "--out-dir", str(Path(tmp, "tiles"))) in (0, 2)

@@ -1,11 +1,23 @@
-"""Fusion tests: spec fixtures, idempotence, hull containment, TTA passes."""
+"""Fusion tests: spec fixtures, idempotence, hull containment, TTA passes,
+and hypothesis properties against a plain-loop reference."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfl_lab.ensemble import FusionConfig, ScoreMode, TtaPass, ensemble_pipeline, fuse
+from rfl_lab.ensemble import (
+    FusionConfig,
+    ScoreMode,
+    TtaPass,
+    _Cluster,
+    ensemble_pipeline,
+    fuse,
+)
 from rfl_lab.geometry import SceneDims, TtaTransform, apply_tta
-from rfl_lab.metrics import Box, Detection
+from rfl_lab.metrics import Box, Detection, iou
 
 
 def det(x1, y1, x2, y2, score=0.5, cls=0, source="m", image_id=""):
@@ -79,6 +91,38 @@ class TestFuse:
         out = fuse(dets, FusionConfig())
         assert len(out) == 2
         assert {d.class_id for d in out} == {0, 1}
+
+    def test_images_never_mix(self):
+        dets = [
+            det(0, 0, 10, 10, 0.9, source="a", image_id="img1"),
+            det(0, 0, 10, 10, 0.8, source="b", image_id="img2"),
+        ]
+        assert fuse(dets, FusionConfig(min_votes=2)) == []
+        out = fuse(dets, FusionConfig(min_votes=1))
+        assert out == dets
+
+    def test_join_follows_the_moving_fused_box(self):
+        # b moves the fused box to (4, 0, 14, 10); c touches a's box only at
+        # x = 10 but overlaps the fused box with IoU 0.25.
+        dets = [
+            det(0, 0, 10, 10, 0.5, source="a"),
+            det(8, 0, 18, 10, 0.5, source="b"),
+            det(10, 0, 20, 10, 0.4, source="c"),
+        ]
+        (out,) = fuse(dets, FusionConfig(iou_thresh=0.1))
+        assert out.source == "a+b+c"
+
+    def test_multi_image_output_order(self):
+        # Class id, then image id, then cluster creation (score) order.
+        dets = [
+            det(0, 0, 10, 10, 0.3, cls=1, image_id="b"),
+            det(50, 50, 60, 60, 0.9, cls=1, image_id="a"),
+            det(0, 0, 10, 10, 0.5, cls=0, image_id="b"),
+            det(0, 0, 10, 10, 0.2, cls=1, image_id="a"),
+            det(50, 50, 60, 60, 0.7, cls=0, image_id="a"),
+        ]
+        out = fuse(dets, FusionConfig())
+        assert out == [dets[4], dets[2], dets[1], dets[3], dets[0]]
 
     def test_output_never_larger_than_input(self):
         rng = np.random.default_rng(0)
@@ -172,6 +216,88 @@ def random_dets(rng, n_sources=3, unique_sources=False):
                 )
             )
     return dets
+
+
+def _dets_strategy(sources: tuple[str, ...]):
+    """Crowded boxes on a coarse grid over two images and two classes."""
+    coord = st.integers(0, 12).map(float)
+    one = st.builds(
+        lambda x, y, w, h, score, cls, image, source: det(
+            x, y, x + w, y + h, score, cls, source, image
+        ),
+        coord, coord, st.integers(1, 6).map(float), st.integers(1, 6).map(float),
+        st.integers(0, 20).map(lambda k: k / 20), st.integers(0, 1),
+        st.sampled_from(["img1", "img2"]), st.sampled_from(sources),
+    )
+    return st.lists(one, max_size=30)
+
+
+def reference_fuse(dets, cfg):
+    """The plain loop: each detection tests every cluster of its group."""
+    groups = {}
+    for idx, d in enumerate(dets):
+        groups.setdefault((d.class_id, d.image_id), []).append((idx, d))
+    out = []
+    for key in sorted(groups):
+        entries = sorted(groups[key], key=lambda e: (-e[1].score, e[1].source, e[0]))
+        clusters = []
+        for _, d in entries:
+            for cluster in clusters:
+                if iou(d.box, cluster.fused) >= cfg.iou_thresh:
+                    cluster.add(d)
+                    break
+            else:
+                clusters.append(_Cluster(d))
+        out += [c.fused_detection(cfg) for c in clusters
+                if len({m.source for m in c.members}) >= cfg.min_votes]
+    return out
+
+
+class TestFuseProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_dets_strategy(("a", "b", "c")), st.integers(1, 3),
+           st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    def test_equals_reference_loop(self, dets, min_votes, thr):
+        cfg = FusionConfig(iou_thresh=thr, min_votes=min_votes)
+        assert fuse(dets, cfg) == reference_fuse(dets, cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dets_strategy(("a", "b", "c")), st.integers(1, 4),
+           st.sampled_from([0.3, 0.5, 0.8]))
+    def test_count_and_min_votes(self, dets, min_votes, thr):
+        out = fuse(dets, FusionConfig(iou_thresh=thr, min_votes=min_votes))
+        assert len(out) <= len(dets)
+        for fused in out:
+            assert len(set(fused.source.split("+"))) >= min_votes
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dets_strategy(("m",)), st.sampled_from([0.3, 0.5, 0.8]))
+    def test_clusters_never_mix_image_or_class(self, dets, thr):
+        # Unique source tags make each cluster's members recoverable.
+        dets = [
+            Detection(d.box, d.class_id, d.score, f"m{i}", d.image_id)
+            for i, d in enumerate(dets)
+        ]
+        by_tag = {d.source: d for d in dets}
+        for fused in fuse(dets, FusionConfig(iou_thresh=thr)):
+            members = [by_tag[tag] for tag in fused.source.split("+")]
+            assert {(m.image_id, m.class_id) for m in members} == {
+                (fused.image_id, fused.class_id)
+            }
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dets_strategy(("a", "b")), st.randoms(use_true_random=False),
+           st.integers(1, 2))
+    def test_distinct_scores_make_input_order_irrelevant(self, dets, rnd, min_votes):
+        n = len(dets)
+        dets = [
+            Detection(d.box, d.class_id, (i + 1) / (n + 1), d.source, d.image_id)
+            for i, d in enumerate(dets)
+        ]
+        shuffled = list(dets)
+        rnd.shuffle(shuffled)
+        cfg = FusionConfig(min_votes=min_votes)
+        assert Counter(fuse(shuffled, cfg)) == Counter(fuse(dets, cfg))
 
 
 class TestEnsemblePipeline:

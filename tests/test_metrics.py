@@ -14,6 +14,7 @@ from rfl_lab.metrics import (
     Box,
     Detection,
     GroundTruth,
+    _iou_matrix,
     average_precision,
     iou,
     map_and_mrecall,
@@ -136,6 +137,17 @@ class TestIoU:
     def test_corner_validation(self):
         with pytest.raises(ValueError):
             Box(5, 0, 1, 10)
+
+    def test_matrix_equals_scalar_bitwise(self):
+        rng = np.random.default_rng(5)
+        # Integer corners give exact touching edges and zero-area boxes too.
+        c = np.sort(rng.integers(0, 12, size=(40, 2, 2)).astype(float), axis=1)
+        c = np.concatenate([c, np.sort(rng.uniform(0, 12, size=(40, 2, 2)), axis=1)])
+        boxes = [b(x1, y1, x2, y2) for (x1, y1), (x2, y2) in c]
+        arr = np.array([(bb.x1, bb.y1, bb.x2, bb.y2) for bb in boxes])
+        got = _iou_matrix(arr[:50], arr[30:])
+        want = [[iou(p, q) for q in boxes[30:]] for p in boxes[:50]]
+        assert got.tolist() == want
 
 
 class TestAveragePrecision:
@@ -284,6 +296,53 @@ class TestMapAndMrecall:
         with pytest.raises(ValueError):
             map_and_mrecall([], [])
 
+    def test_matches_oracle_on_dense_multi_image_fixtures(self):
+        # Large tie groups spread over several images: the ranked order of
+        # TP flags inside a group must interleave the images exactly as the
+        # oracle's global pick order does.
+        rng = np.random.default_rng(77)
+        for trial in range(40):
+            gts, dets = dense_fixture(rng, classes=1 + trial % 2)
+            s = map_and_mrecall(dets, gts, 0.5)
+            for cls in sorted({g.class_id for g in gts}):
+                cls_gts = [g for g in gts if g.class_id == cls]
+                cls_dets = [d for d in dets if d.class_id == cls]
+                od, og = to_oracle(cls_dets, cls_gts)
+                want = float(oracle_ap(od, og, 0.5))
+                assert abs(s.per_class[cls].ap - want) < 1e-12
+                assert abs(average_precision(cls_dets, cls_gts, 0.5) - want) < 1e-12
+
+
+def dense_fixture(rng, classes):
+    """30-60 boxes over 3-4 images, crowded, scores quantized to 0.1."""
+    images = [f"img{k}" for k in range(int(rng.integers(3, 5)))]
+    n_boxes = int(rng.integers(30, 61))
+    n_gt = int(rng.integers(8, n_boxes // 2))
+    gts = []
+    for _ in range(n_gt):
+        x, y = rng.uniform(0, 25, size=2)
+        w, h = rng.uniform(4, 10, size=2)
+        gts.append(
+            GroundTruth(b(x, y, x + w, y + h), int(rng.integers(classes)),
+                        image_id=str(rng.choice(images)))
+        )
+    dets = []
+    for _ in range(n_boxes - n_gt):
+        if rng.random() < 0.8:
+            base = gts[int(rng.integers(len(gts)))]
+            dx, dy = rng.uniform(-2, 2, size=2)
+            bb = b(base.box.x1 + dx, base.box.y1 + dy,
+                   base.box.x2 + dx, base.box.y2 + dy)
+            cls, img = base.class_id, base.image_id
+        else:
+            x, y = rng.uniform(0, 25, size=2)
+            w, h = rng.uniform(4, 10, size=2)
+            bb = b(x, y, x + w, y + h)
+            cls, img = int(rng.integers(classes)), str(rng.choice(images))
+        score = round(float(rng.uniform(0.5, 1.0)), 1)
+        dets.append(Detection(bb, cls, score, image_id=img))
+    return gts, dets
+
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
@@ -301,3 +360,43 @@ class TestJsonl:
         write_detections_jsonl(dets, p1)
         write_detections_jsonl(dets, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '[1, 2, 3, 4]',                                        # not an object
+            '"box"',
+            '{"box": [0, 0, 10], "class_id": 0}',                  # 3 coordinates
+            '{"box": [0, 0, 10, 10, 5], "class_id": 0}',
+            '{"box": "0 0 10 10", "class_id": 0}',
+            '{"box": [0, 0, "10", 10], "class_id": 0}',
+            '{"box": [0, 0, true, 10], "class_id": 0}',
+            '{"box": [0, NaN, 10, 10], "class_id": 0}',            # non-finite
+            '{"box": [0, 0, Infinity, 10], "class_id": 0}',
+            '{"box": [0, 0, 1' + '0' * 400 + ', 10], "class_id": 0}',
+            '{"box": [0, 0, 10, 10]}',                             # no class
+            '{"box": [0, 0, 10, 10], "class_id": 1.5}',
+            '{"box": [0, 0, 10, 10], "class_id": "1"}',
+            '{"box": [0, 0, 10, 10], "class_id": 0, "image_id": 7}',
+            '{"box": [0, 0, 10, 10], "class_id": 0, "score": NaN}',
+            '{"box": [0, 0, 10, 10], "class_id": 0, "score": [0.5]}',
+            '{"box": [0, 0, 10, 10], "class_id": 0, "source": null}',
+            '{"box": [10, 0, 0, 10], "class_id": 0}',              # corner order
+            '[' * 100000,
+        ],
+    )
+    def test_malformed_record_is_value_error(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"box": [0, 0, 1, 1], "class_id": 0}\n' + line + "\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_detections_jsonl(path)
+        if '"score"' not in line and '"source"' not in line:
+            with pytest.raises(ValueError, match="line 2"):
+                read_groundtruths_jsonl(path)
+
+    def test_integral_float_class_id_and_default_score(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        path.write_text('{"box": [0, 0, 1, 2.5], "class_id": 3.0}\n\n')
+        (d,) = read_detections_jsonl(path)
+        assert d == Detection(b(0, 0, 1, 2.5), 3, 1.0)
+        assert type(d.class_id) is int
