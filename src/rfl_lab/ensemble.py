@@ -48,8 +48,10 @@ class FusionConfig:
         if self.min_votes < 1:
             raise ValueError(f"min_votes must be >= 1, got {self.min_votes}")
         for tag, w in self.source_weights.items():
-            if w <= 0:
-                raise ValueError(f"weight for source {tag!r} must be positive")
+            if not (np.isfinite(w) and w > 0):
+                raise ValueError(
+                    f"weight for source {tag!r} must be finite and positive, got {w}"
+                )
 
 
 class _Cluster:

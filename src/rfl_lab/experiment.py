@@ -2,8 +2,9 @@
 
 An experiment config describes one dataset (or scene set), one training
 recipe, and a list of arms that vary the loss and optionally add an
-undersampling policy.  Every arm runs once per seed with shared seed
-derivations:
+undersampling policy.  Each seed's data is built once; its arms train in
+lockstep (classifier arms grouped by undersample policy), each bitwise as
+if alone.  Every arm runs once per seed with shared seed derivations:
 
     dataset seed            = seed
     balanced eval set seed  = seed + 1000
@@ -238,6 +239,8 @@ def validate_config(config: dict) -> None:
                 "undersampling applies to classifier experiments only",
                 f"$.arms[{i}].undersample",
             )
+        if kind == "classifier":
+            _arm_skip(arm, i, config["dataset"].get("class_counts"))
 
 
 def _loss_params(spec: dict) -> LossParams:
@@ -349,30 +352,48 @@ def _classifier_data(
     )
 
 
-def _run_classifier_arm(config: dict, arm: dict, seed: int, stride: int) -> dict:
-    train_data, eval_data, counts = _classifier_data(config, seed)
-
+def _arm_skip(arm: dict, i: int, counts: list[int] | None) -> dict[int, float]:
+    """The arm's skip probabilities; rejects skipping every class in ``counts``."""
     skip = {int(k): float(v) for k, v in
             arm.get("undersample", {}).get("skip_prob", {}).items()}
-    policy = (
-        UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
-    )
-    cfg = _train_config(
-        config["train"], _loss_params(arm["loss"]), seed,
-        _expected_examples(counts, skip), policy,
-    )
-    model, curve = train_classifier(train_data, cfg)
-    ev = evaluate_classifier(model, eval_data)
-    return {
-        "seed": seed,
-        "accuracy": ev.accuracy,
-        "m_recall": ev.m_recall,
-        "per_class_recall": dict(ev.per_class_recall),
-        "loss_curve": _thin_curve(curve, stride),
-    }
+    if counts is not None and _expected_examples(counts, skip) == 0:
+        raise ConfigError("undersampling skips every class", f"$.arms[{i}].undersample.skip_prob")
+    return skip
 
 
-def _run_two_stage_arm(config: dict, arm: dict, seed: int, stride: int) -> dict:
+def _classifier_rows(config: dict, seed: int, stride: int) -> dict[str, dict]:
+    """One seed of every arm; arms with one undersample policy train in lockstep."""
+    train_data, eval_data, counts = _classifier_data(config, seed)
+
+    groups: dict[frozenset, list[tuple[str, TrainConfig]]] = {}
+    for i, arm in enumerate(config["arms"]):
+        skip = _arm_skip(arm, i, counts)
+        policy = (
+            UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
+        )
+        cfg = _train_config(
+            config["train"], _loss_params(arm["loss"]), seed,
+            _expected_examples(counts, skip), policy,
+        )
+        groups.setdefault(frozenset(skip.items()), []).append((arm["name"], cfg))
+
+    rows = {}
+    for group in groups.values():
+        trained = train_classifier(train_data, [cfg for _, cfg in group])
+        for (name, _), (model, curve) in zip(group, trained):
+            ev = evaluate_classifier(model, eval_data)
+            rows[name] = {
+                "seed": seed,
+                "accuracy": ev.accuracy,
+                "m_recall": ev.m_recall,
+                "per_class_recall": dict(ev.per_class_recall),
+                "loss_curve": _thin_curve(curve, stride),
+            }
+    return rows
+
+
+def _two_stage_rows(config: dict, seed: int, stride: int) -> dict[str, dict]:
+    """One seed of every arm: the arms' stage 1 trains in lockstep, stage 2 once."""
     sc = config["scenes"]
     scenes = generate_scenes(SceneSetSpec(
         num_scenes=sc["num_scenes"],
@@ -386,28 +407,28 @@ def _run_two_stage_arm(config: dict, arm: dict, seed: int, stride: int) -> dict:
     ))
     ts = config["two_stage"]
     n_candidates = sc["num_scenes"] * (sc["fg_per_scene"] + sc["bg_per_scene"])
-    stage1 = _train_config(
-        config["train"], _loss_params(arm["loss"]), seed, n_candidates, None
-    )
     n_positives = sc["num_scenes"] * sc["fg_per_scene"]
     stage2_loss = _loss_params(ts.get("stage2_loss", {"kind": "CE"}))
     stage2 = _train_config(ts["stage2"], stage2_loss, seed + 1, n_positives, None)
-    cfg = TwoStageConfig(
-        stage1=stage1,
+    cfgs = [TwoStageConfig(
+        stage1=_train_config(config["train"], _loss_params(arm["loss"]), seed,
+                             n_candidates, None),
         proposal_budget=int(ts["proposal_budget"]),
         stage2=stage2,
         fg_bg_ratio=float(ts.get("fg_bg_ratio", 0.5)),
-    )
-    _, _, report = train_two_stage(scenes, cfg)
-    return {
-        "seed": seed,
-        "proposal_recall": report.proposal_recall,
-        "mean_class_proposal_recall": report.mean_class_proposal_recall,
-        "per_class_proposal_recall": dict(report.per_class_proposal_recall),
-        "stage2_m_recall": report.stage2_m_recall,
-        "stage2_per_class_recall": dict(report.stage2_per_class_recall),
-        "loss_curve": _thin_curve(report.stage1_curve, stride),
-    }
+    ) for arm in config["arms"]]
+    rows = {}
+    for arm, (_, _, report) in zip(config["arms"], train_two_stage(scenes, cfgs)):
+        rows[arm["name"]] = {
+            "seed": seed,
+            "proposal_recall": report.proposal_recall,
+            "mean_class_proposal_recall": report.mean_class_proposal_recall,
+            "per_class_proposal_recall": dict(report.per_class_proposal_recall),
+            "stage2_m_recall": report.stage2_m_recall,
+            "stage2_per_class_recall": dict(report.stage2_per_class_recall),
+            "loss_curve": _thin_curve(report.stage1_curve, stride),
+        }
+    return rows
 
 
 def run_experiment(config: dict, include_timing: bool = False) -> dict:
@@ -417,15 +438,12 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
     seeds = list(config.get("seeds", [0]))
     stride = int(config.get("loss_curve_stride", 50))
     kind = config["kind"]
+    seed_rows = _classifier_rows if kind == "classifier" else _two_stage_rows
+    by_seed = [seed_rows(config, seed, stride) for seed in seeds]
 
     arms_out: dict[str, Any] = {}
     for arm in config["arms"]:
-        rows = []
-        for seed in seeds:
-            if kind == "classifier":
-                rows.append(_run_classifier_arm(config, arm, seed, stride))
-            else:
-                rows.append(_run_two_stage_arm(config, arm, seed, stride))
+        rows = [seed_arms[arm["name"]] for seed_arms in by_seed]
         scalar_keys = [
             k for k in rows[0]
             if isinstance(rows[0][k], float) and k != "seed"

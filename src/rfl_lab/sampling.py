@@ -124,36 +124,29 @@ def generate_synthetic(spec: SynthDatasetSpec) -> list[LabeledExample]:
     return examples
 
 
+def undersample_mask(labels: np.ndarray, policy: UndersamplePolicy) -> np.ndarray:
+    """Keep-mask that drops each example with its class's skip probability.
+
+    One uniform draw is consumed per input example, in input order, from
+    a PCG64 stream seeded with ``policy.seed``.
+    """
+    classes, inverse = np.unique(labels, return_inverse=True)
+    skip = np.array([policy.skip_prob.get(int(c), 0.0) for c in classes])
+    u = np.random.default_rng(policy.seed).random(len(labels))
+    return u >= skip[inverse]
+
+
 def undersample(
     examples: Sequence[LabeledExample], policy: UndersamplePolicy
 ) -> list[LabeledExample]:
-    """Independently drop each example with its class's skip probability.
-
-    Order is preserved and examples are never modified.  One uniform
-    draw is consumed per input example, in input order, from a PCG64
-    stream seeded with ``policy.seed``.
-    """
-    if not policy.skip_prob:
-        return list(examples)
-    rng = np.random.default_rng(policy.seed)
-    u = rng.random(len(examples))
-    return [
-        ex
-        for ex, ui in zip(examples, u)
-        if ui >= policy.skip_prob.get(ex.label, 0.0)
-    ]
+    """The examples :func:`undersample_mask` keeps, in input order, unmodified."""
+    keep = undersample_mask(np.array([ex.label for ex in examples], dtype=np.int64), policy)
+    return [ex for ex, k in zip(examples, keep) if k]
 
 
 def class_frequencies(examples: Iterable[LabeledExample]) -> dict[int, int]:
     """Exact per-class instance counts."""
     return dict(Counter(ex.label for ex in examples))
-
-
-def stack_features(examples: Sequence[LabeledExample]) -> tuple[np.ndarray, np.ndarray]:
-    """(N, d) feature matrix and (N,) label vector for array-based training."""
-    X = np.stack([ex.features for ex in examples])
-    y = np.array([ex.label for ex in examples], dtype=np.int64)
-    return X, y
 
 
 # ---------------------------------------------------------------------------

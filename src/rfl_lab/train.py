@@ -15,12 +15,13 @@ numpy's PCG64.  The configured seed feeds two child streams (weight
 init and batch order); per-epoch undersampling derives its own sub-seed
 from the policy seed and the epoch index, so enabling an undersample
 policy never perturbs the batch stream, and an all-zero-skip policy
-reproduces the unconfigured trajectory bitwise.
+reproduces the unconfigured trajectory bitwise.  Runs that share those
+streams and differ only in loss and lr schedule train in lockstep, one
+batch draw for all, and each ends bitwise where it would alone.
 
 The batch loss/gradient helpers are exact vectorized twins of
 ``softmax_loss_and_grad`` / ``binary_loss_and_grad`` (same expressions,
-same clamping), which keeps single-example and batched paths
-interchangeable in tests.
+same clamping); one kernel, ``_loss_and_dpt``, serves both.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .losses import PT_CLAMP_HI, PT_CLAMP_LO, LossKind, LossParams
-from .sampling import Candidate, LabeledExample, Scene, UndersamplePolicy, undersample
+from .sampling import Candidate, LabeledExample, Scene, UndersamplePolicy, undersample_mask
 
 LrSchedule = Sequence[tuple[float, float]]
 
@@ -74,9 +75,6 @@ class LinearModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.scores(X), axis=1)
 
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(), self.biases.copy())
-
 
 def lr_at(schedule: LrSchedule, iteration: int) -> float:
     """Rate of the first schedule threshold exceeding the iteration index."""
@@ -98,13 +96,13 @@ def init_model(num_classes: int, feature_dim: int, seed: int) -> LinearModel:
 # ---------------------------------------------------------------------------
 
 
-def _loss_and_dpt(pt: np.ndarray, params: LossParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample loss and d(loss)/d(pt) for clamped pt vectors."""
-    neg_log = -np.log(pt)
+def _loss_and_dpt(
+    pt: np.ndarray, neg_log: np.ndarray, one_minus: np.ndarray, params: LossParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample loss and d(loss)/d(pt) from clamped pt, -log(pt) and 1 - pt."""
     gamma, th = params.gamma, params.threshold
     if params.kind is LossKind.CE:
         return neg_log, -1.0 / pt
-    one_minus = 1.0 - pt
     fl = one_minus**gamma * neg_log
     if gamma == 0.0:
         dfl = -1.0 / pt
@@ -119,28 +117,42 @@ def _loss_and_dpt(pt: np.ndarray, params: LossParams) -> tuple[np.ndarray, np.nd
     return loss, dpt
 
 
+def softmax_step(
+    X: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarray,
+    params: Sequence[LossParams],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample losses (S, B) and batch-mean gradients (S, C, d), (S, C)
+    of S stacked models ``W`` (S, C, d), ``b`` (S, C) on one minibatch,
+    with one loss per model.  Each model's slice is bitwise what it
+    computes alone: matmul runs one gemm per slice, and each loss kernel
+    sees its own contiguous row."""
+    z = np.matmul(X, W.transpose(0, 2, 1)) + b[:, None, :]
+    z = z - z.max(axis=2, keepdims=True)
+    ez = np.exp(z)
+    p = ez / ez.sum(axis=2, keepdims=True)
+    n = X.shape[0]
+    rows = np.arange(n)
+    pt = np.clip(p[:, rows, y], PT_CLAMP_LO, PT_CLAMP_HI)
+
+    neg_log, one_minus = -np.log(pt), 1.0 - pt
+    losses, dpt = np.empty_like(pt), np.empty_like(pt)
+    for s, loss in enumerate(params):
+        losses[s], dpt[s] = _loss_and_dpt(pt[s], neg_log[s], one_minus[s], loss)
+    direction = -p
+    direction[:, rows, y] += 1.0
+    glogits = (dpt * pt)[:, :, None] * direction
+    dW = np.matmul(glogits.transpose(0, 2, 1), X) / n
+    db = glogits.mean(axis=1)
+    return losses, dW, db
+
+
 def softmax_batch(
     X: np.ndarray, y: np.ndarray, model: LinearModel, params: LossParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample losses and mean weight/bias gradients for one minibatch.
-
-    Returns ``(losses, dW, db)`` where dW and db are averaged over the
-    batch.
-    """
-    z = model.scores(X)
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    n = X.shape[0]
-    pt = np.clip(p[np.arange(n), y], PT_CLAMP_LO, PT_CLAMP_HI)
-
-    losses, dpt = _loss_and_dpt(pt, params)
-    direction = -p
-    direction[np.arange(n), y] += 1.0
-    glogits = (dpt * pt)[:, None] * direction
-    dW = glogits.T @ X / n
-    db = glogits.mean(axis=0)
-    return losses, dW, db
+    """:func:`softmax_step` for one model: ``(losses, dW, db)``, averaged
+    over the batch."""
+    losses, dW, db = softmax_step(X, y, model.weights[None], model.biases[None], [params])
+    return losses[0], dW[0], db[0]
 
 
 def binary_batch(
@@ -153,24 +165,7 @@ def binary_batch(
     neg_log_pt = np.minimum(-log_pt, -math.log(PT_CLAMP_LO))
     pt = np.clip(np.exp(log_pt), PT_CLAMP_LO, PT_CLAMP_HI)
     one_minus = np.clip(np.exp(-np.logaddexp(0.0, s)), PT_CLAMP_LO, PT_CLAMP_HI)
-
-    gamma, th = params.gamma, params.threshold
-    if params.kind is LossKind.CE:
-        loss = neg_log_pt
-        dpt = -1.0 / pt
-    else:
-        fl = one_minus**gamma * neg_log_pt
-        if gamma == 0.0:
-            dfl = -1.0 / pt
-        else:
-            dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - one_minus**gamma / pt
-        if params.kind is LossKind.FL:
-            loss, dpt = fl, dfl
-        else:
-            scale = th**gamma
-            flat = pt < th
-            loss = np.where(flat, neg_log_pt, fl / scale)
-            dpt = np.where(flat, -1.0 / pt, dfl / scale)
+    loss, dpt = _loss_and_dpt(pt, neg_log_pt, one_minus, params)
 
     sign = np.where(y == 1, 1.0, -1.0)
     gz = dpt * pt * one_minus * sign
@@ -178,14 +173,6 @@ def binary_batch(
     dw = gz @ X / n
     db = float(gz.mean())
     return loss, dw, db
-
-
-def batch_loss_and_grad(
-    model: LinearModel, X: np.ndarray, y: np.ndarray, params: LossParams
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean loss and full-model gradient for a frozen minibatch."""
-    losses, dW, db = softmax_batch(X, y, model, params)
-    return float(losses.mean()), dW, db
 
 
 # ---------------------------------------------------------------------------
@@ -198,49 +185,70 @@ def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
     return dataclasses.replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
 
 
+def _lockstep(config, shared: tuple[str, ...]) -> tuple[list, bool]:
+    """(runs, whether one bare config was given).  Runs in lockstep draw
+    one data and batch stream, so they must agree on the ``shared`` fields."""
+    single = not isinstance(config, Sequence)
+    runs = [config] if single else list(config)
+    for name in shared:
+        if any(getattr(r, name) != getattr(runs[0], name) for r in runs):
+            raise ValueError(f"runs trained in lockstep must share {name}")
+    return runs, single
+
+
 def train_classifier(
-    data: Sequence[LabeledExample], config: TrainConfig
-) -> tuple[LinearModel, list[float]]:
+    data: Sequence[LabeledExample], config: TrainConfig | Sequence[TrainConfig]
+):
     """Minibatch SGD on a linear softmax model; returns (model, loss curve).
 
     Each epoch optionally re-undersamples the data (fresh sub-seed per
     epoch), reshuffles, and walks the batches in order; the curve holds
     the pre-update mean batch loss of every iteration.
+
+    A sequence of configs that differ only in loss and lr schedule trains
+    in lockstep and returns one (model, curve) per config, each bitwise
+    what that config trains alone.
     """
+    runs, single = _lockstep(
+        config, ("epochs", "batch_size", "weight_init_seed", "undersample")
+    )
+    first = runs[0]
     if not data:
         raise ValueError("training data is empty")
     X_all = np.stack([ex.features for ex in data])
     y_all = np.array([ex.label for ex in data], dtype=np.int64)
-    num_classes = int(y_all.max()) + 1
-    if num_classes < 2:
-        num_classes = 2
+    num_classes = max(2, int(y_all.max()) + 1)
 
-    model = init_model(num_classes, X_all.shape[1], config.weight_init_seed)
+    init = init_model(num_classes, X_all.shape[1], first.weight_init_seed)
+    W = np.repeat(init.weights[None], len(runs), axis=0)
+    b = np.repeat(init.biases[None], len(runs), axis=0)
     batch_rng = np.random.default_rng(
-        np.random.SeedSequence(config.weight_init_seed).spawn(2)[1]
+        np.random.SeedSequence(first.weight_init_seed).spawn(2)[1]
     )
 
-    curve: list[float] = []
+    curves: list[list[float]] = [[] for _ in runs]
     iteration = 0
-    for epoch in range(config.epochs):
-        if config.undersample is not None:
-            epoch_data = undersample(data, _epoch_policy(config.undersample, epoch))
-            if not epoch_data:
+    for epoch in range(first.epochs):
+        Xe, ye = X_all, y_all
+        if first.undersample is not None:
+            keep = undersample_mask(y_all, _epoch_policy(first.undersample, epoch))
+            if not keep.any():
                 continue
-            Xe = np.stack([ex.features for ex in epoch_data])
-            ye = np.array([ex.label for ex in epoch_data], dtype=np.int64)
-        else:
-            Xe, ye = X_all, y_all
+            Xe, ye = X_all[keep], y_all[keep]
         perm = batch_rng.permutation(len(ye))
-        for start in range(0, len(ye), config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            losses, dW, db = softmax_batch(Xe[idx], ye[idx], model, config.loss)
-            rate = lr_at(config.lr_schedule, iteration)
-            model.weights -= rate * dW
-            model.biases -= rate * db
-            curve.append(float(losses.mean()))
+        for start in range(0, len(ye), first.batch_size):
+            idx = perm[start:start + first.batch_size]
+            losses, dW, db = softmax_step(Xe[idx], ye[idx], W, b, [r.loss for r in runs])
+            rates = np.array([lr_at(r.lr_schedule, iteration) for r in runs])
+            W -= rates[:, None, None] * dW
+            b -= rates[:, None] * db
+            for curve, row in zip(curves, losses):
+                curve.append(float(row.mean()))
             iteration += 1
-    return model, curve
+    if first.epochs and not iteration:
+        raise ValueError("no training iteration ran: undersampling emptied every epoch")
+    out = [(LinearModel(W[s], b[s]), curves[s]) for s in range(len(runs))]
+    return out[0] if single else out
 
 
 @dataclass
@@ -310,44 +318,53 @@ class TwoStageReport:
 
 
 def train_objectness(
-    X: np.ndarray, y: np.ndarray, config: TrainConfig, fg_bg_ratio: float
-) -> tuple[BinaryModel, list[float]]:
+    X: np.ndarray, y: np.ndarray, config: TrainConfig | Sequence[TrainConfig],
+    fg_bg_ratio: float,
+):
     """Binary scorer via SGD on stratified fg/bg minibatches.
 
     Each batch draws round(batch * r / (1 + r)) foreground samples (at
     least one) and fills the rest with background, sampling a stratum
     with replacement only when it is smaller than its quota.  One epoch
     is ceil(n / batch_size) batches.
+
+    A sequence of configs sharing epochs, batch size and seed trains in
+    lockstep on one init and batch stream, one (model, curve) per config.
     """
+    runs, single = _lockstep(config, ("epochs", "batch_size", "weight_init_seed"))
+    first = runs[0]
     rng_init, rng_batch = (
         np.random.default_rng(s)
-        for s in np.random.SeedSequence(config.weight_init_seed).spawn(2)
+        for s in np.random.SeedSequence(first.weight_init_seed).spawn(2)
     )
-    w = rng_init.uniform(-0.01, 0.01, size=X.shape[1])
-    b = 0.0
+    w_init = rng_init.uniform(-0.01, 0.01, size=X.shape[1])
+    models = [BinaryModel(w_init.copy(), 0.0) for _ in runs]
     fg_idx = np.flatnonzero(y == 1)
     bg_idx = np.flatnonzero(y == 0)
     if len(fg_idx) == 0 or len(bg_idx) == 0:
         raise ValueError("objectness training needs both labels present")
 
-    n_fg = max(1, round(config.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
-    n_bg = max(1, config.batch_size - n_fg)
-    batches_per_epoch = math.ceil(len(y) / config.batch_size)
+    n_fg = max(1, round(first.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
+    n_bg = max(1, first.batch_size - n_fg)
+    batches_per_epoch = math.ceil(len(y) / first.batch_size)
 
-    curve: list[float] = []
+    curves: list[list[float]] = [[] for _ in runs]
     iteration = 0
-    for _ in range(config.epochs):
+    for _ in range(first.epochs):
         for _ in range(batches_per_epoch):
             fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
             bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
             idx = np.concatenate([fg, bg])
-            losses, dw, db = binary_batch(X[idx], y[idx], w, b, config.loss)
-            rate = lr_at(config.lr_schedule, iteration)
-            w -= rate * dw
-            b -= rate * db
-            curve.append(float(losses.mean()))
+            Xb, yb = X[idx], y[idx]
+            for run, model, curve in zip(runs, models, curves):
+                losses, dw, db = binary_batch(Xb, yb, model.weights, model.bias, run.loss)
+                rate = lr_at(run.lr_schedule, iteration)
+                model.weights -= rate * dw
+                model.bias -= rate * db
+                curve.append(float(losses.mean()))
             iteration += 1
-    return BinaryModel(w, b), curve
+    out = list(zip(models, curves))
+    return out[0] if single else out
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -358,8 +375,8 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def train_two_stage(
-    scenes: Sequence[Scene], config: TwoStageConfig
-) -> tuple[BinaryModel, LinearModel, TwoStageReport]:
+    scenes: Sequence[Scene], config: TwoStageConfig | Sequence[TwoStageConfig]
+):
     """Train both stages on the scene pool and evaluate top-K pass-through.
 
     Stage 1 trains on every candidate and stage 2 on the labelled
@@ -368,61 +385,69 @@ def train_two_stage(
     candidates (clamped to the scene size), and counts the true objects
     that survive (label flips undone via ``true_class``); retained true
     objects are then classified by stage 2 against their true class.
+
+    A sequence of configs that differ only in stage 1 trains stage 1 in
+    lockstep and stage 2 once, one (scorer, classifier, report) per config.
     """
+    runs, single = _lockstep(config, ("proposal_budget", "stage2", "fg_bg_ratio"))
+    first = runs[0]
     pool: list[Candidate] = [c for sc in scenes for c in sc.candidates]
     if not pool:
         raise ValueError("scenes contain no candidates")
     X = np.stack([c.features for c in pool])
     y = np.array([1 if c.is_object else 0 for c in pool], dtype=np.int64)
 
-    scorer, s1_curve = train_objectness(X, y, config.stage1, config.fg_bg_ratio)
+    scorers = train_objectness(X, y, [r.stage1 for r in runs], first.fg_bg_ratio)
 
     positives = [
         LabeledExample(c.features, c.class_id) for c in pool if c.is_object
     ]
-    classifier, s2_curve = train_classifier(positives, config.stage2)
+    classifier, s2_curve = train_classifier(positives, first.stage2)
 
-    kept_total = 0
-    obj_total = 0
-    per_class_kept: dict[int, int] = {}
-    per_class_total: dict[int, int] = {}
-    retained: list[Candidate] = []
-    for sc in scenes:
-        Xs = np.stack([c.features for c in sc.candidates])
-        top = set(top_k_indices(scorer.scores(Xs), config.proposal_budget).tolist())
-        for i, c in enumerate(sc.candidates):
-            if not c.is_true_object:
-                continue
-            obj_total += 1
-            per_class_total[c.true_class] = per_class_total.get(c.true_class, 0) + 1
-            if i in top:
-                kept_total += 1
-                per_class_kept[c.true_class] = per_class_kept.get(c.true_class, 0) + 1
-                retained.append(c)
-    if obj_total == 0:
-        raise ValueError("scenes contain no labelled objects")
+    scene_X = [np.stack([c.features for c in sc.candidates]) for sc in scenes]
+    out = []
+    for scorer, s1_curve in scorers:
+        kept_total = 0
+        obj_total = 0
+        per_class_kept: dict[int, int] = {}
+        per_class_total: dict[int, int] = {}
+        retained: list[Candidate] = []
+        for sc, Xs in zip(scenes, scene_X):
+            top = set(top_k_indices(scorer.scores(Xs), first.proposal_budget).tolist())
+            for i, c in enumerate(sc.candidates):
+                if not c.is_true_object:
+                    continue
+                obj_total += 1
+                per_class_total[c.true_class] = per_class_total.get(c.true_class, 0) + 1
+                if i in top:
+                    kept_total += 1
+                    per_class_kept[c.true_class] = per_class_kept.get(c.true_class, 0) + 1
+                    retained.append(c)
+        if obj_total == 0:
+            raise ValueError("scenes contain no labelled objects")
 
-    per_class_recall = {
-        cls: per_class_kept.get(cls, 0) / per_class_total[cls]
-        for cls in sorted(per_class_total)
-    }
+        per_class_recall = {
+            cls: per_class_kept.get(cls, 0) / per_class_total[cls]
+            for cls in sorted(per_class_total)
+        }
 
-    stage2_recall: dict[int, float] = {}
-    if retained:
-        Xr = np.stack([c.features for c in retained])
-        yr = np.array([c.true_class for c in retained], dtype=np.int64)
-        pred = classifier.predict(Xr)
-        for cls in sorted(set(yr.tolist())):
-            mask = yr == cls
-            stage2_recall[cls] = float((pred[mask] == cls).mean())
+        stage2_recall: dict[int, float] = {}
+        if retained:
+            Xr = np.stack([c.features for c in retained])
+            yr = np.array([c.true_class for c in retained], dtype=np.int64)
+            pred = classifier.predict(Xr)
+            for cls in sorted(set(yr.tolist())):
+                mask = yr == cls
+                stage2_recall[cls] = float((pred[mask] == cls).mean())
 
-    report = TwoStageReport(
-        proposal_recall=kept_total / obj_total,
-        per_class_proposal_recall=per_class_recall,
-        mean_class_proposal_recall=float(np.mean(list(per_class_recall.values()))),
-        stage2_per_class_recall=stage2_recall,
-        stage2_m_recall=float(np.mean(list(stage2_recall.values()))) if stage2_recall else 0.0,
-        stage1_curve=s1_curve,
-        stage2_curve=s2_curve,
-    )
-    return scorer, classifier, report
+        report = TwoStageReport(
+            proposal_recall=kept_total / obj_total,
+            per_class_proposal_recall=per_class_recall,
+            mean_class_proposal_recall=float(np.mean(list(per_class_recall.values()))),
+            stage2_per_class_recall=stage2_recall,
+            stage2_m_recall=float(np.mean(list(stage2_recall.values()))) if stage2_recall else 0.0,
+            stage1_curve=s1_curve,
+            stage2_curve=s2_curve,
+        )
+        out.append((scorer, classifier, report))
+    return out[0] if single else out

@@ -12,6 +12,7 @@ from the README are the numbers checked here.
 """
 
 import functools
+import hashlib
 import json
 import math
 import time
@@ -239,3 +240,20 @@ def test_report_determinism(tmp_path):
         report = run_experiment(config)
         blobs.append(json.dumps(round_floats(report), sort_keys=True, indent=2))
     assert blobs[0] == blobs[1]
+
+
+# SHA-256 of the canonical 5-seed report text (what ``rfl-lab experiment
+# --out`` writes) of each shipped config.  Any change to the training math,
+# the random streams or the report layout moves these.
+CANONICAL_SHA256 = {
+    "longtail": "d43c69d2b80626627c89e274fb8f63edc7b983e6000b693e5a254401abf04881",
+    "two_stage": "61cbf6706aae0857cd2d63680147e752df3c0dca373966db7b2203c9deee0757",
+}
+
+
+@criterion("canonical reports: shipped configs reproduce the pinned SHA-256")
+def test_canonical_report_sha256(longtail_report, two_stage_report):
+    for name, report in (("longtail", longtail_report), ("two_stage", two_stage_report)):
+        report = {k: v for k, v in report.items() if k != "_elapsed"}
+        text = json.dumps(round_floats(report), sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[name], name

@@ -250,6 +250,31 @@ class TestExperiment:
         assert code == 2
         assert "$.arms[0].undersample" in err
 
+    @pytest.mark.parametrize("csv", [False, True])
+    @pytest.mark.parametrize("units", ["iteration", "fraction"])
+    def test_arm_skipping_every_class_exit_2(self, tmp_path, capsys, units, csv):
+        bad = json.loads(json.dumps(SMALL_CONFIG))
+        if csv:  # classes are known only once the file is read
+            import numpy as np
+
+            from rfl_lab.sampling import LabeledExample, write_dataset_csv
+
+            path = tmp_path / "d.csv"
+            write_dataset_csv([LabeledExample(np.full(2, c), c % 3) for c in range(9)], path)
+            bad["dataset"] = {"csv_path": str(path)}
+        bad["train"]["schedule_units"] = units
+        if units == "iteration":
+            bad["train"]["lr_schedule"] = [[50, 0.3], [100, 0.03]]
+        bad["arms"].append({"name": "empty", "loss": {"kind": "CE"},
+                            "undersample": {"skip_prob": {"0": 1, "1": 1, "2": 1}}})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "$.arms[2].undersample.skip_prob" in err
+        assert not out.exists()
+
     def test_csv_and_synthetic_spec_conflict(self, tmp_path, capsys):
         bad = dict(SMALL_CONFIG)
         bad["dataset"] = dict(bad["dataset"], csv_path="x.csv")
@@ -344,6 +369,15 @@ class TestFuse:
         bad.write_text("{not json\n")
         code, _, _ = run(capsys, "fuse", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_exit_2_names_the_weight(self, tmp_path, capsys, weight):
+        src = tmp_path / "d.jsonl"
+        write_detections_jsonl([Detection(Box(0, 0, 1, 1), 0, 0.5, source="a")], src)
+        code, _, err = run(capsys, "fuse", str(src), "--score-mode", "weighted_mean",
+                           "--weight", f"a={weight}")
+        assert code == 2
+        assert "weight for source 'a'" in err and "score" not in err
 
 
 class TestEval:

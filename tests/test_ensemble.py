@@ -189,6 +189,11 @@ class TestFuse:
         with pytest.raises(ValueError):
             FusionConfig(source_weights={"a": -1.0})
 
+    @pytest.mark.parametrize("weight", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_or_non_positive_weight_names_the_source(self, weight):
+        with pytest.raises(ValueError, match="source 'cam2'"):
+            FusionConfig(source_weights={"cam1": 1.0, "cam2": weight})
+
 
 def _any_cross_iou(dets, thr):
     from rfl_lab.metrics import iou as _iou

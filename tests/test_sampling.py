@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfl_lab.sampling import (
     LabeledExample,
@@ -14,6 +16,7 @@ from rfl_lab.sampling import (
     generate_synthetic,
     read_dataset_csv,
     undersample,
+    undersample_mask,
     write_dataset_csv,
 )
 
@@ -65,6 +68,27 @@ class TestUndersample:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             UndersamplePolicy({0: 1.5})
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.lists(st.integers(-2, 5), max_size=60),
+        skip=st.dictionaries(
+            st.integers(-3, 7),
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_mask_selects_what_the_list_filter_selects(self, labels, skip, seed):
+        # The per-example list filter: one draw per example, in input order.
+        u = np.random.default_rng(seed).random(len(labels))
+        want = [i for i, (lab, ui) in enumerate(zip(labels, u))
+                if not skip or ui >= skip.get(lab, 0.0)]
+        policy = UndersamplePolicy(skip, seed=seed)
+        mask = undersample_mask(np.array(labels, dtype=np.int64), policy)
+        assert mask.dtype == bool and np.flatnonzero(mask).tolist() == want
+        data = [LabeledExample(np.zeros(1), lab) for lab in labels]
+        assert undersample(data, policy) == [data[i] for i in want]
 
 
 class TestClassFrequencies:

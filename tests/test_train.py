@@ -24,14 +24,15 @@ from rfl_lab.train import (
     LinearModel,
     TrainConfig,
     TwoStageConfig,
-    batch_loss_and_grad,
     binary_batch,
     evaluate_classifier,
     init_model,
     lr_at,
     softmax_batch,
+    softmax_step,
     top_k_indices,
     train_classifier,
+    train_objectness,
     train_two_stage,
 )
 
@@ -182,39 +183,104 @@ class TestTrainClassifier:
         with pytest.raises(ValueError):
             train_classifier(bad, flat_config())
 
+    def test_undersampling_every_epoch_empty_rejected(self):
+        data = separable_two_class()
+        pol = UndersamplePolicy({0: 1.0, 1: 1.0}, seed=2)
+        with pytest.raises(ValueError, match="no training iteration"):
+            train_classifier(data, flat_config(epochs=3, undersample=pol))
+        _, curve = train_classifier(data, flat_config(epochs=0, undersample=pol))
+        assert curve == []
+
+
+LOCKSTEP_ARMS = (CE, FL2, LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25),
+                 LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0))
+
+
+class TestLockstep:
+    """Runs trained together equal the same runs trained alone, bit for bit."""
+
+    @pytest.mark.parametrize("policy", [None, UndersamplePolicy({0: 0.8, 1: 0.3}, seed=4)])
+    def test_classifier_runs_equal_solo_runs(self, policy):
+        data = generate_synthetic(SynthDatasetSpec(
+            class_counts=[300, 80, 20], feature_dim=5, label_noise_rate=0.05, seed=8))
+        configs = [
+            TrainConfig(loss, 5, 16, ((40, 0.5), (10**9, 0.05 * (k + 1))),
+                        weight_init_seed=3, undersample=policy)
+            for k, loss in enumerate(LOCKSTEP_ARMS)
+        ]
+        together = train_classifier(data, configs)
+        assert len(together) == len(configs)
+        for cfg, (model, curve) in zip(configs, together):
+            solo, solo_curve = train_classifier(data, cfg)
+            assert np.array_equal(model.weights, solo.weights)
+            assert np.array_equal(model.biases, solo.biases)
+            assert curve == solo_curve
+
+    def test_objectness_runs_equal_solo_runs(self):
+        pool = [c for sc in tiny_scenes(noise=0.05) for c in sc.candidates]
+        X = np.stack([c.features for c in pool])
+        y = np.array([int(c.is_object) for c in pool])
+        configs = [TrainConfig(CE, 3, 32, ((10**9, 0.3),), weight_init_seed=1),
+                   TrainConfig(FL2, 3, 32, ((20, 0.3), (10**9, 0.1)), weight_init_seed=1)]
+        together = train_objectness(X, y, configs, 0.5)
+        for cfg, (model, curve) in zip(configs, together):
+            solo, solo_curve = train_objectness(X, y, cfg, 0.5)
+            assert np.array_equal(model.weights, solo.weights)
+            assert model.bias == solo.bias
+            assert curve == solo_curve
+
+    def test_two_stage_reports_equal_solo_reports(self):
+        scenes = tiny_scenes(seed=2, noise=0.05)
+        configs = [two_stage_config(loss=CE), two_stage_config(loss=FL2)]
+        together = train_two_stage(scenes, configs)
+        for cfg, (_, _, report) in zip(configs, together):
+            assert report == train_two_stage(scenes, cfg)[2]
+
+    def test_runs_that_do_not_share_the_stream_rejected(self):
+        data = separable_two_class()
+        with pytest.raises(ValueError, match="weight_init_seed"):
+            train_classifier(data, [flat_config(seed=1), flat_config(seed=2)])
+        pol = UndersamplePolicy({0: 0.5}, seed=1)
+        with pytest.raises(ValueError, match="undersample"):
+            train_classifier(data, [flat_config(), flat_config(undersample=pol)])
+        with pytest.raises(ValueError, match="stage2"):
+            train_two_stage(tiny_scenes(), [two_stage_config(), two_stage_config(epochs=2)])
+
 
 class TestEndToEndGradient:
-    def test_full_model_gradient_matches_fd(self):
+    """Finite differences of each run's mean batch loss against the
+    gradients of the stacked step that training runs."""
+
+    @pytest.mark.parametrize("params", [[CE], [FL2], [RFL_HALF], [CE, FL2, RFL_HALF]])
+    def test_full_model_gradient_matches_fd(self, params):
         rng = np.random.default_rng(20)
         X = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
-        for params in (CE, FL2, RFL_HALF):
-            model = init_model(3, 4, seed=21)
-            model.weights += rng.normal(size=model.weights.shape) * 0.3
-            model.biases += rng.normal(size=3) * 0.1
-            _, dW, db = batch_loss_and_grad(model, X, y, params)
-            h = 1e-6
+        runs = len(params)
+        W = init_model(3, 4, seed=21).weights + rng.normal(size=(runs, 3, 4)) * 0.3
+        b = rng.normal(size=(runs, 3)) * 0.1
+        _, dW, db = softmax_step(X, y, W, b, params)
+        h = 1e-6
 
-            def loss_at(m):
-                return batch_loss_and_grad(m, X, y, params)[0]
+        def loss_at(W, b):
+            # One perturbation moves every run; each run's loss sees only its own.
+            return np.array([row.mean() for row in softmax_step(X, y, W, b, params)[0]])
 
-            for i in range(3):
-                for j in range(4):
-                    m = model.copy()
-                    m.weights[i, j] += h
-                    up = loss_at(m)
-                    m.weights[i, j] -= 2 * h
-                    down = loss_at(m)
-                    num = (up - down) / (2 * h)
-                    assert abs(dW[i, j] - num) / max(abs(num), 1e-8) < 1e-5
-            for i in range(3):
-                m = model.copy()
-                m.biases[i] += h
-                up = loss_at(m)
-                m.biases[i] -= 2 * h
-                down = loss_at(m)
-                num = (up - down) / (2 * h)
-                assert abs(db[i] - num) / max(abs(num), 1e-8) < 1e-5
+        def check(analytic, up, down):
+            num = (up - down) / (2 * h)
+            assert np.all(np.abs(analytic - num) / np.maximum(np.abs(num), 1e-8) < 1e-5)
+
+        for i in range(3):
+            for j in range(4):
+                Wp, Wm = W.copy(), W.copy()
+                Wp[:, i, j] += h
+                Wm[:, i, j] -= h
+                check(dW[:, i, j], loss_at(Wp, b), loss_at(Wm, b))
+        for i in range(3):
+            bp, bm = b.copy(), b.copy()
+            bp[:, i] += h
+            bm[:, i] -= h
+            check(db[:, i], loss_at(W, bp), loss_at(W, bm))
 
 
 class TestEvaluateClassifier:
