@@ -70,7 +70,7 @@ def _parse_scene(text: str) -> SceneDims:
         return SceneDims(float(w), float(h))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
-            f"scene must look like 1000x1000, got {text!r}"
+            f"scene must look like 1000x1000 with finite positive sides, got {text!r}"
         ) from exc
 
 

@@ -10,6 +10,14 @@ configured mode.  Clusters supported by fewer than ``min_votes``
 distinct source tags are discarded.  Detections of different images or
 classes never share a cluster.
 
+Candidate clusters come from a uniform grid whose cell side is the
+group's largest box side.  Boxes with IoU > 0 both contain the point
+(max x1, max y1), so they share its cell.  Each cell lists, in creation
+order, the clusters whose fused box has touched it, and a detection
+tests only those listed in its own (at most 2 x 2) cells: about linear
+cost at constant density.  A group with a non-finite corner or no
+positive side uses one cell, which is the full scan.
+
 The fused detection keeps the member sources joined with '+' in
 first-seen order, so a single-member cluster reproduces its detection
 exactly and fusing disjoint single-source input is a fixpoint.  Output
@@ -19,14 +27,17 @@ input from a single image that is class id, then creation order.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .geometry import SceneDims, TtaTransform, invert_tta
-from .metrics import Box, Detection, iou
+from .metrics import Box, Detection
 
 
 class ScoreMode(enum.Enum):
@@ -55,12 +66,19 @@ class FusionConfig:
 
 
 class _Cluster:
-    __slots__ = ("members", "weight_sum", "fused")
+    """A cluster's members and its running fused box, kept as four floats."""
+
+    __slots__ = ("members", "weight_sum", "corners")
 
     def __init__(self, det: Detection) -> None:
+        b = det.box
         self.members: list[Detection] = [det]
         self.weight_sum = det.score
-        self.fused = det.box  # single member reproduces its box exactly
+        self.corners = [b.x1, b.y1, b.x2, b.y2]  # one member: its box exactly
+
+    @property
+    def fused(self) -> Box:
+        return Box(*self.corners)
 
     def add(self, det: Detection) -> None:
         # Centered incremental weighted mean: no rounding when the new
@@ -69,13 +87,11 @@ class _Cluster:
         total = self.weight_sum + det.score
         if total > 0.0:
             f = det.score / total
-            b, d = self.fused, det.box
-            self.fused = Box(
-                b.x1 + f * (d.x1 - b.x1),
-                b.y1 + f * (d.y1 - b.y1),
-                b.x2 + f * (d.x2 - b.x2),
-                b.y2 + f * (d.y2 - b.y2),
-            )
+            c, d = self.corners, det.box
+            c[0] += f * (d.x1 - c[0])
+            c[1] += f * (d.y1 - c[1])
+            c[2] += f * (d.x2 - c[2])
+            c[3] += f * (d.y2 - c[3])
         # All-zero scores leave the first member's box in place.
         self.weight_sum = total
 
@@ -103,28 +119,58 @@ def _clusters(
 ) -> list[_Cluster]:
     """Greedy clustering of one (image, class) group; see the module docstring."""
     entries = sorted(entries, key=lambda e: (-e[1].score, e[1].source, e[0]))
-    # IoU >= iou_thresh > 0 needs a positive overlap on both axes, which
-    # implies cluster x1 < box x2 and box x1 < cluster x2 (and so on for y).
-    # Row k of `bounds` holds cluster k's (x1, y1, -x2, -y2) and `keys` each
-    # box's (x2, y2, -x1, -y1), so one comparison finds the candidates; they
-    # are then checked in creation order with the scalar iou().
-    keys = np.array([(d.box.x2, d.box.y2, -d.box.x1, -d.box.y1) for _, d in entries])
-    bounds = np.empty((len(entries), 4))
+    rows = [(b.x1, b.y1, b.x2, b.y2) for b in (d.box for _, d in entries)]
+    corners = np.array(rows).reshape(-1, 4)
+    side = float((corners[:, 2:] - corners[:, :2]).max(initial=0.0))
+    with np.errstate(all="ignore"):
+        index = np.floor(corners / side)
+    # A NaN or inf corner, a zero side or an index beyond float precision: one cell.
+    grid = side > 0.0 and bool((np.abs(index) < 2.0**52).all())
+    index = index.astype(np.int64) if grid else np.zeros((len(rows), 4), np.int64)
+    cells: defaultdict[tuple[int, int], list[int]] = defaultdict(list)  # ids, ascending
     clusters: list[_Cluster] = []
-    for (_, det), key in zip(entries, keys):
-        near = (bounds[: len(clusters)] < key).all(axis=1).nonzero()[0]
-        for k in near.tolist():
-            cluster = clusters[k]
-            if iou(det.box, cluster.fused) >= iou_thresh:
-                cluster.add(det)
-                f = cluster.fused
-                bounds[k] = (f.x1, f.y1, -f.x2, -f.y2)
-                break
-        else:
-            b = det.box
-            bounds[len(clusters)] = (b.x1, b.y1, -b.x2, -b.y2)
+    for (_, det), (x1, y1, x2, y2), span in zip(entries, rows, index.tolist()):
+        area = (x2 - x1) * (y2 - y1)
+        best = len(clusters)
+        near = _cells(*span)
+        for ids in map(cells.__getitem__, near):
+            for k in ids:
+                if k >= best:
+                    break
+                fx1, fy1, fx2, fy2 = clusters[k].corners
+                # The bounds precheck, then the arithmetic of iou(det.box, fused).
+                if not (fx1 < x2 and fy1 < y2 and x1 < fx2 and y1 < fy2):
+                    continue
+                ix = (fx2 if fx2 < x2 else x2) - (fx1 if fx1 > x1 else x1)
+                iy = (fy2 if fy2 < y2 else y2) - (fy1 if fy1 > y1 else y1)
+                if ix <= 0.0 or iy <= 0.0:
+                    continue
+                inter = ix * iy
+                union = area + (fx2 - fx1) * (fy2 - fy1) - inter
+                if union > 0.0 and inter / union >= iou_thresh:
+                    best = k
+                    break
+        if best == len(clusters):
+            for cell in near:
+                cells[cell].append(best)
             clusters.append(_Cluster(det))
+            continue
+        clusters[best].add(det)
+        if grid:  # list the moved box in its new cells; stale listings fail the precheck
+            c = clusters[best].corners
+            for cell in _cells(math.floor(c[0] / side), math.floor(c[1] / side),
+                               math.floor(c[2] / side), math.floor(c[3] / side)):
+                ids = cells[cell]
+                if best not in ids:
+                    bisect.insort(ids, best)
     return clusters
+
+
+def _cells(i1: int, j1: int, i2: int, j2: int) -> set[tuple[int, int]]:
+    """Cells (i1, j1) to (i2, j2); 2 x 2 unless rounding carries a corner over."""
+    if i2 - i1 > 1 or j2 - j1 > 1:
+        return {(i, j) for i in range(i1, i2 + 1) for j in range(j1, j2 + 1)}
+    return {(i1, j1), (i1, j2), (i2, j1), (i2, j2)}
 
 
 def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
@@ -166,11 +212,5 @@ def ensemble_pipeline(
     """
     pooled: list[Detection] = []
     for p in passes:
-        back = invert_tta(p.dets, scene, p.transform)
-        if p.source:
-            back = [
-                Detection(d.box, d.class_id, d.score, p.source, d.image_id)
-                for d in back
-            ]
-        pooled.extend(back)
+        pooled.extend(invert_tta(p.dets, scene, p.transform, p.source))
     return fuse(pooled, cfg)

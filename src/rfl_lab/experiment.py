@@ -263,14 +263,19 @@ def _build_schedule(
     if units == "iteration":
         return tuple(pairs)
     total = math.ceil(expected_n / train["batch_size"]) * train["epochs"]
-    out = []
-    for frac, rate in pairs:
+    out: list[tuple[float, float]] = []
+    for i, (frac, rate) in enumerate(pairs):
         if frac > 1.0:
             raise ConfigError(
                 "fractional schedule thresholds must be <= 1",
                 "$.train.lr_schedule",
             )
-        out.append((max(1.0, math.floor(total * frac)), rate))
+        threshold = max(1.0, math.floor(total * frac))
+        if out and threshold == out[-1][0]:  # rounded onto its predecessor:
+            if i < len(pairs) - 1:  # it covers no iteration, lr_at never picks it
+                continue
+            threshold = math.inf  # the last phase still covers the remainder
+        out.append((threshold, rate))
     # The last phase covers the remainder of training regardless.
     return tuple(out)
 

@@ -27,6 +27,7 @@ stay within a few ulp.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +40,8 @@ class SceneDims:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"scene dims must be positive, got {self}")
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError(f"scene dims must be finite and positive, got {self}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class TtaOp:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind is TtaKind.SCALE and self.factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {self.factor}")
+        if self.kind is TtaKind.SCALE and not (0.0 < self.factor < math.inf):
+            raise ValueError(f"scale factor must be finite and positive, got {self.factor}")
 
 
 _INVERSE = {
@@ -151,20 +152,6 @@ class TtaTransform:
         )
 
 
-def _apply_op_point(x: float, y: float, op: TtaOp, dims: SceneDims) -> tuple[float, float]:
-    if op.kind is TtaKind.IDENTITY:
-        return x, y
-    if op.kind is TtaKind.FLIP_H:
-        return dims.width - x, y
-    if op.kind is TtaKind.ROT90:
-        return dims.height - y, x
-    if op.kind is TtaKind.ROT180:
-        return dims.width - x, dims.height - y
-    if op.kind is TtaKind.ROT270:
-        return y, dims.width - x
-    return op.factor * x, op.factor * y
-
-
 def _op_dims(op: TtaOp, dims: SceneDims) -> SceneDims:
     if op.kind in (TtaKind.ROT90, TtaKind.ROT270):
         return SceneDims(dims.height, dims.width)
@@ -181,38 +168,61 @@ def transformed_dims(scene: SceneDims, t: TtaTransform) -> SceneDims:
     return dims
 
 
-def _apply_op_box(box: Box, op: TtaOp, dims: SceneDims) -> Box:
-    ax, ay = _apply_op_point(box.x1, box.y1, op, dims)
-    bx, by = _apply_op_point(box.x2, box.y2, op, dims)
-    return Box(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+def _apply_op(
+    corners: list[tuple[float, float, float, float]], op: TtaOp, w: float, h: float
+) -> list[tuple[float, float, float, float]]:
+    """Map (x1, y1, x2, y2) corners by one primitive in a (w, h) frame; hull."""
+    kind, s = op.kind, op.factor
+    pts = corners  # identity
+    if kind is TtaKind.FLIP_H:
+        pts = [(w - x1, y1, w - x2, y2) for x1, y1, x2, y2 in corners]
+    elif kind is TtaKind.ROT90:
+        pts = [(h - y1, x1, h - y2, x2) for x1, y1, x2, y2 in corners]
+    elif kind is TtaKind.ROT180:
+        pts = [(w - x1, h - y1, w - x2, h - y2) for x1, y1, x2, y2 in corners]
+    elif kind is TtaKind.ROT270:
+        pts = [(y1, w - x1, y2, w - x2) for x1, y1, x2, y2 in corners]
+    elif kind is TtaKind.SCALE:
+        pts = [(s * x1, s * y1, s * x2, s * y2) for x1, y1, x2, y2 in corners]
+    # min(a, b) is `b if b < a else a` and max(a, b) `b if b > a else a`, NaN too.
+    return [
+        (bx if bx < ax else ax, by if by < ay else ay,
+         bx if bx > ax else ax, by if by > ay else ay)
+        for ax, ay, bx, by in pts
+    ]
 
 
 def apply_tta(
-    boxes: Sequence[Detection], scene: SceneDims, t: TtaTransform
+    boxes: Sequence[Detection], scene: SceneDims, t: TtaTransform, source: str = ""
 ) -> list[Detection]:
-    """Map detections into the transformed frame (corner hull of the map)."""
+    """Map detections into the transformed frame (corner hull of the map).
+
+    A non-empty ``source`` replaces each detection's source tag.
+    """
+    if not t.ops and not source:
+        return list(boxes)
     dims = scene
-    out = list(boxes)
+    corners = [(b.x1, b.y1, b.x2, b.y2) for b in (d.box for d in boxes)]
     for op in t.ops:
-        out = [
-            Detection(_apply_op_box(d.box, op, dims), d.class_id, d.score,
-                      d.source, d.image_id)
-            for d in out
-        ]
+        corners = _apply_op(corners, op, dims.width, dims.height)
         dims = _op_dims(op, dims)
-    return out
+    return [
+        Detection(Box(*c), d.class_id, d.score, source or d.source, d.image_id)
+        for c, d in zip(corners, boxes)
+    ]
 
 
 def invert_tta(
-    boxes: Sequence[Detection], scene: SceneDims, t: TtaTransform
+    boxes: Sequence[Detection], scene: SceneDims, t: TtaTransform, source: str = ""
 ) -> list[Detection]:
     """Map detections from the transformed frame back to the original.
 
     ``scene`` is the original (untransformed) scene size; the transformed
     frame is derived from it.  Exact inverse of :func:`apply_tta` for the
     90-degree family; scale round trips are within floating-point error.
+    A non-empty ``source`` replaces each detection's source tag.
     """
-    return apply_tta(boxes, transformed_dims(scene, t), t.inverse())
+    return apply_tta(boxes, transformed_dims(scene, t), t.inverse(), source)
 
 
 def tile_grid(scene: SceneDims, tile: float, overlap: float) -> list[TileSpec]:
@@ -224,10 +234,10 @@ def tile_grid(scene: SceneDims, tile: float, overlap: float) -> list[TileSpec]:
     position 0 with the crop size clamped to the axis length.  Tiles are
     returned row-major (x fastest).
     """
-    if tile <= 0:
-        raise ValueError(f"tile size must be positive, got {tile}")
-    if overlap < 0:
-        raise ValueError(f"overlap must be nonnegative, got {overlap}")
+    if not (0.0 < tile < math.inf):
+        raise ValueError(f"tile size must be finite and positive, got {tile}")
+    if not (0.0 <= overlap < math.inf):
+        raise ValueError(f"overlap must be finite and nonnegative, got {overlap}")
     if overlap >= tile:
         raise ValueError(f"overlap {overlap} must be smaller than tile {tile}")
 
@@ -246,6 +256,8 @@ def _axis_positions(dim: float, tile: float, overlap: float) -> tuple[list[float
         positions.append(k * stride)
         k += 1
     last = dim - tile
+    while last + tile < dim:  # rounding can leave the far edge an ulp short
+        last = math.nextafter(last, math.inf)
     if last != positions[-1]:
         positions.append(last)
     return positions, tile
@@ -268,33 +280,34 @@ def clip_boxes_to_tile(
     """
     if not (0.0 < min_visibility <= 1.0):
         raise ValueError(f"min_visibility must be in (0, 1], got {min_visibility}")
+    ox, oy = tile.origin_x, tile.origin_y
+    ex, ey = ox + tile.tile_w, oy + tile.tile_h
     out = []
     for d in boxes:
-        x1 = max(d.box.x1, tile.origin_x)
-        y1 = max(d.box.y1, tile.origin_y)
-        x2 = min(d.box.x2, tile.origin_x + tile.tile_w)
-        y2 = min(d.box.y2, tile.origin_y + tile.tile_h)
+        b = d.box
+        # Outside the tile; a NaN corner fails these and meets the full tests.
+        if (b.x1 <= b.x2 <= ox or ex <= b.x1 <= b.x2
+                or b.y1 <= b.y2 <= oy or ey <= b.y1 <= b.y2):
+            continue
+        x1, y1, x2, y2 = max(b.x1, ox), max(b.y1, oy), min(b.x2, ex), min(b.y2, ey)
         if x2 <= x1 or y2 <= y1:
             continue
-        original = d.box.area
+        original = b.area
         if original <= 0.0:
             continue
         if (x2 - x1) * (y2 - y1) / original < min_visibility:
             continue
-        clipped = Box(
-            x1 - tile.origin_x, y1 - tile.origin_y,
-            x2 - tile.origin_x, y2 - tile.origin_y,
-        )
+        clipped = Box(x1 - ox, y1 - oy, x2 - ox, y2 - oy)
         out.append(Detection(clipped, d.class_id, d.score, d.source, d.image_id))
     return out
 
 
 def tile_to_scene(dets: Sequence[Detection], tile: TileSpec) -> list[Detection]:
     """Translate tile-local detections back into scene coordinates."""
+    ox, oy = tile.origin_x, tile.origin_y
     return [
         Detection(
-            Box(d.box.x1 + tile.origin_x, d.box.y1 + tile.origin_y,
-                d.box.x2 + tile.origin_x, d.box.y2 + tile.origin_y),
+            Box(d.box.x1 + ox, d.box.y1 + oy, d.box.x2 + ox, d.box.y2 + oy),
             d.class_id, d.score, d.source, d.image_id,
         )
         for d in dets

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -286,6 +290,22 @@ class TestExperiment:
         assert "$.dataset" in err
 
 
+    @pytest.mark.parametrize("epochs, class_counts", [(0, [300, 60, 12]), (1, [40, 15, 5])])
+    def test_fraction_schedule_on_a_short_run(self, tmp_path, capsys, epochs, class_counts):
+        # Each phase rounds to threshold 1: with 0 epochs, and with one
+        # epoch of 60 examples in batches of 64.
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG))
+        cfg_data["dataset"]["class_counts"] = class_counts
+        cfg_data["train"].update(epochs=epochs, batch_size=64,
+                                 lr_schedule=[[0.7, 0.3], [0.9, 0.06], [1.0, 0.012]])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 0, err
+        assert set(json.loads(out.read_text())["arms"]) == {"ce", "rfl"}
+
+
 class TestTile:
     def test_manifest_four_tiles(self, tmp_path, capsys):
         out_dir = tmp_path / "tiles"
@@ -320,6 +340,44 @@ class TestTile:
         code, _, err = run(capsys, "tile", "--scene", "100x100", "--tile", "50",
                            "--overlap", "50", "--out-dir", str(tmp_path / "t"))
         assert code == 2
+
+    def test_infinite_scene_exit_2_in_bounded_time(self, tmp_path):
+        # An infinite side used to make the tile positions grow without end,
+        # so run it in a child with a timeout and an address-space cap.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rfl_lab.cli", "tile", "--scene", "infx1000",
+             "--tile", "500", "--out-dir", str(tmp_path / "t")],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2
+        assert "'infx1000'" in proc.stderr
+        assert not (tmp_path / "t").exists()
+
+    def test_nan_scene_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "tile", "--scene", "nanx1000", "--tile", "500",
+                "--out-dir", str(tmp_path / "t"))
+        assert exc.value.code == 2
+        assert "'nanx1000'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--tile", "nan"), ("--tile", "inf"),
+                                             ("--overlap", "nan"), ("--overlap", "inf")])
+    def test_non_finite_tile_or_overlap_exit_2(self, tmp_path, capsys, flag, value):
+        argv = {"--tile": "500", "--overlap": "80", flag: value}
+        code, _, err = run(capsys, "tile", "--scene", "1000x1000",
+                           "--tile", argv["--tile"], "--overlap", argv["--overlap"],
+                           "--out-dir", str(tmp_path / "t"))
+        assert code == 2
+        assert f"{flag[2:]}" in err and f"got {value}" in err
+        assert not (tmp_path / "t" / "manifest.json").exists()
 
 
 class TestFuse:
@@ -378,6 +436,16 @@ class TestFuse:
                            "--weight", f"a={weight}")
         assert code == 2
         assert "weight for source 'a'" in err and "score" not in err
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+    def test_non_finite_scale_exit_2_names_the_factor(self, tmp_path, capsys, factor):
+        src = tmp_path / "b.jsonl"
+        write_detections_jsonl([Detection(Box(0, 0, 1, 1), 0, 0.5, source="a")], src)
+        code, out, err = run(capsys, "fuse", str(src), "--transform", f"scale:{factor}",
+                             "--scene", "1000x1000")
+        assert code == 2
+        assert f"scale factor must be finite and positive, got {factor}" in err
+        assert out == ""
 
 
 class TestEval:

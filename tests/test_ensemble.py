@@ -1,6 +1,7 @@
 """Fusion tests: spec fixtures, idempotence, hull containment, TTA passes,
 and hypothesis properties against a plain-loop reference."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -303,6 +304,94 @@ class TestFuseProperties:
         rnd.shuffle(shuffled)
         cfg = FusionConfig(min_votes=min_votes)
         assert Counter(fuse(shuffled, cfg)) == Counter(fuse(dets, cfg))
+
+
+def _dense_dets_strategy():
+    """Dense groups over a wide coordinate range: a unit from 1e-3 to 1e9
+    and an offset up to 1e12, fractional quarter-unit coordinates, sides
+    of 0 to 8 units (so corners often fall on cell boundaries), and at
+    times one huge box or two boxes with an infinite corner."""
+    unit = st.sampled_from([1e-3, 0.37, 1.0, 3.0, 1e3, 1e9])
+    offset = st.sampled_from([0.0, -1e6, 1e12])
+
+    def build(unit, offset, cells, extra):
+        dets = []
+        for qx, qy, qw, qh, score, cls, image, source in cells:
+            x1, y1 = offset + qx / 4 * unit, offset + qy / 4 * unit
+            dets.append(det(x1, y1, x1 + qw * unit, y1 + qh * unit,
+                            score, cls, source, image))
+        if extra == "huge":
+            dets.append(det(offset, offset, offset + 60 * unit, offset + 60 * unit,
+                            0.5, 0, "a", "img1"))
+        elif extra == "inf":  # two, so that an overlap can be infinite
+            dets.append(det(offset, offset, math.inf, offset + 4 * unit,
+                            0.5, 0, "b", "img1"))
+            dets.append(det(offset + unit, offset, math.inf, offset + 4 * unit,
+                            0.4, 0, "c", "img1"))
+        return dets
+
+    one = st.tuples(
+        st.integers(0, 48), st.integers(0, 48), st.integers(0, 8), st.integers(0, 8),
+        st.integers(0, 20).map(lambda k: k / 20), st.integers(0, 1),
+        st.sampled_from(["img1", "img2"]), st.sampled_from(["a", "b", "c"]),
+    )
+    return st.builds(build, unit, offset, st.lists(one, max_size=60),
+                     st.sampled_from([None, "huge", "inf"]))
+
+
+class TestGridFusion:
+    """The grid-indexed candidate search against the plain loop, by repr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dense_dets_strategy(), st.integers(1, 3), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    def test_equals_reference_loop_on_dense_wide_input(self, dets, min_votes, thr):
+        cfg = FusionConfig(iou_thresh=thr, min_votes=min_votes)
+        assert repr(fuse(dets, cfg)) == repr(reference_fuse(dets, cfg))
+
+    def test_join_across_a_cell_boundary(self):
+        # The largest side is 10, so x = 10 is a cell boundary: the first
+        # box spans cell columns 0 and 1, the second columns 1 and 2.
+        dets = [
+            det(4, 0, 14, 10, 0.9, source="a"),
+            det(10, 0, 20, 10, 0.8, source="b"),
+            det(100, 100, 105, 105, 0.7, source="a"),
+        ]
+        cfg = FusionConfig(iou_thresh=0.2)  # the first two overlap with IoU 0.25
+        out = fuse(dets, cfg)
+        assert repr(out) == repr(reference_fuse(dets, cfg))
+        assert [d.source for d in out] == ["a+b", "a"]
+
+    def test_join_through_a_cell_the_fused_box_moved_into(self):
+        # Cell side 10 (the far box).  The cluster opens in cell 0 only; the
+        # second member moves its fused box to x 3.5..12.5, into cell 1,
+        # where the third detection (cell 1 only) overlaps it by IoU 0.28.
+        dets = [
+            det(0, 0, 9, 9, 0.6, source="a"),
+            det(7, 0, 16, 9, 0.6, source="b"),
+            det(10, 0, 12.5, 9, 0.5, source="c"),
+            det(100, 100, 110, 110, 0.1, source="a"),
+        ]
+        cfg = FusionConfig(iou_thresh=0.1)
+        out = fuse(dets, cfg)
+        assert repr(out) == repr(reference_fuse(dets, cfg))
+        assert [d.source for d in out] == ["a+b+c", "a"]
+
+    def test_moved_cluster_keeps_creation_order_in_its_new_cell(self):
+        # Cell side 10 (the far box).  Cluster 0 (a) starts in column 0 and
+        # cluster 1 (b) in column 1; c joins 0 and moves it to x 3.06..12.06,
+        # into column 1.  d lies in column 1 only and passes both clusters
+        # (IoU 0.105 and 0.67): the earlier-created cluster 0 must win.
+        dets = [
+            det(0, 0, 9, 9, 0.9, source="a"),
+            det(12, 0, 19.5, 9, 0.8, source="b"),
+            det(7, 0, 16, 9, 0.7, source="c"),
+            det(10.5, 0, 18, 9, 0.6, source="d"),
+            det(100, 100, 110, 110, 0.1, source="e"),
+        ]
+        cfg = FusionConfig(iou_thresh=0.1)
+        out = fuse(dets, cfg)
+        assert repr(out) == repr(reference_fuse(dets, cfg))
+        assert [d.source for d in out] == ["a+c+d", "b", "e"]
 
 
 class TestEnsemblePipeline:

@@ -1,11 +1,17 @@
 """Geometry tests: tiling coverage, clipping, and TTA round trips."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfl_lab.geometry import (
     SceneDims,
     TileSpec,
+    TtaKind,
+    TtaOp,
     TtaTransform,
     apply_tta,
     clip_boxes_to_tile,
@@ -212,3 +218,153 @@ class TestTta:
             TtaTransform.parse("rot45")
         with pytest.raises(ValueError):
             TtaTransform.parse("scale")
+
+
+# ---------------------------------------------------------------------------
+# Properties.  Floats are compared by repr, so -0.0 and NaN count too.
+# ---------------------------------------------------------------------------
+
+_ANY = st.floats(allow_nan=True, allow_infinity=True)
+_SCORE = st.integers(0, 20).map(lambda k: k / 20)
+
+
+def _any_box_det(a, b, c, d, score):
+    # Box rejects only x2 < x1 or y2 < y1, a test NaN never fails, so a
+    # NaN may stand at either end of an axis.
+    def ends(p, q):
+        return (p, q) if math.isnan(p) or math.isnan(q) else (min(p, q), max(p, q))
+
+    (x1, x2), (y1, y2) = ends(a, b), ends(c, d)
+    return det(x1, y1, x2, y2, score=score, source="s")
+
+
+_ANY_DETS = st.lists(st.builds(_any_box_det, _ANY, _ANY, _ANY, _ANY, _SCORE), max_size=12)
+_OP = st.one_of(
+    st.sampled_from([TtaKind.IDENTITY, TtaKind.FLIP_H, TtaKind.ROT90,
+                     TtaKind.ROT180, TtaKind.ROT270]).map(TtaOp),
+    st.sampled_from([0.5, 1.25, 3.0, 1 / 3, 0.8]).map(
+        lambda f: TtaOp(TtaKind.SCALE, f)),
+)
+_TRANSFORM = st.lists(_OP, max_size=4).map(lambda ops: TtaTransform(tuple(ops)))
+_SIDE = st.floats(1e-3, 1e6)
+
+
+def reference_apply_tta(dets, scene, t):
+    """The plain loop: map both corners per op, point by point, and take
+    the hull with the builtin min and max."""
+    w, h = scene.width, scene.height
+    out = list(dets)
+    for op in t.ops:
+        def point(x, y):
+            return {
+                TtaKind.IDENTITY: (x, y), TtaKind.FLIP_H: (w - x, y),
+                TtaKind.ROT90: (h - y, x), TtaKind.ROT180: (w - x, h - y),
+                TtaKind.ROT270: (y, w - x),
+            }.get(op.kind) or (op.factor * x, op.factor * y)
+
+        mapped = []
+        for d in out:
+            (ax, ay), (bx, by) = point(d.box.x1, d.box.y1), point(d.box.x2, d.box.y2)
+            box = Box(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+            mapped.append(Detection(box, d.class_id, d.score, d.source, d.image_id))
+        out = mapped
+        if op.kind in (TtaKind.ROT90, TtaKind.ROT270):
+            w, h = h, w
+        elif op.kind is TtaKind.SCALE:
+            w, h = op.factor * w, op.factor * h
+    return out
+
+
+class TestTtaProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_DETS, _SIDE, _SIDE, _TRANSFORM)
+    def test_equals_reference_loop(self, dets, w, h, t):
+        scene = SceneDims(w, h)
+        assert repr(apply_tta(dets, scene, t)) == repr(reference_apply_tta(dets, scene, t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_DETS, _SIDE, _SIDE, _TRANSFORM, _TRANSFORM)
+    def test_then_equals_applying_in_turn(self, dets, w, h, t, u):
+        scene = SceneDims(w, h)
+        at_once = apply_tta(dets, scene, t.then(u))
+        in_turn = apply_tta(apply_tta(dets, scene, t), transformed_dims(scene, t), u)
+        assert repr(at_once) == repr(in_turn)
+
+
+def reference_clip(boxes, tile, min_visibility=1e-9):
+    """The plain loop: clip every box, then test what is left."""
+    out = []
+    for d in boxes:
+        x1 = max(d.box.x1, tile.origin_x)
+        y1 = max(d.box.y1, tile.origin_y)
+        x2 = min(d.box.x2, tile.origin_x + tile.tile_w)
+        y2 = min(d.box.y2, tile.origin_y + tile.tile_h)
+        if x2 <= x1 or y2 <= y1:
+            continue
+        original = d.box.area
+        if original <= 0.0:
+            continue
+        if (x2 - x1) * (y2 - y1) / original < min_visibility:
+            continue
+        clipped = Box(x1 - tile.origin_x, y1 - tile.origin_y,
+                      x2 - tile.origin_x, y2 - tile.origin_y)
+        out.append(Detection(clipped, d.class_id, d.score, d.source, d.image_id))
+    return out
+
+
+_COORD = st.one_of(st.integers(-5, 25).map(float), st.floats(-5, 25), st.just(math.nan))
+
+
+class TestClipProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(_any_box_det, _COORD, _COORD, _COORD, _COORD, _SCORE),
+                    max_size=20),
+           st.integers(0, 10).map(float), st.integers(0, 10).map(float),
+           st.integers(1, 12).map(float), st.integers(1, 12).map(float),
+           st.sampled_from([1e-9, 0.3, 0.5, 1.0]))
+    def test_equals_reference_loop(self, dets, ox, oy, tw, th, min_visibility):
+        tile = TileSpec(ox, oy, tw, th)
+        assert repr(clip_boxes_to_tile(dets, tile, min_visibility)) == repr(
+            reference_clip(dets, tile, min_visibility))
+
+    def test_nan_corner_outside_on_its_axis_is_kept_as_before(self):
+        # x2 is left of the tile, but the NaN x1 defeats the clipped-width
+        # test, so the box is kept with a NaN corner, as the plain loop does.
+        tile = TileSpec(100.0, 100.0, 50.0, 50.0)
+        boxes = [det(math.nan, 110, 20, 120), det(0, 110, 20, 120)]
+        out = clip_boxes_to_tile(boxes, tile)
+        assert repr(out) == repr(reference_clip(boxes, tile))
+        assert len(out) == 1 and math.isnan(out[0].box.x1)
+
+
+class TestTileCoverProperties:
+    def test_last_tile_reaches_a_rounded_far_edge(self):
+        # 1.1 * 6 rounds up to 6.6000000000000005, and (h - 1.1) + 1.1 falls
+        # one ulp short of it.
+        h = 1.1 * 6.0
+        tiles = tile_grid(SceneDims(1.1, h), 1.1, 0.0)
+        assert max(t.origin_y + t.tile_h for t in tiles) >= h
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.0, 1000.0), st.floats(0.05, 12.0), st.floats(0.05, 12.0),
+           st.floats(0.0, 0.75), st.data())
+    def test_tiles_cover_points_and_small_boxes(self, tile, rw, rh, frac, data):
+        w, h, overlap = tile * rw, tile * rh, tile * frac
+        tiles = tile_grid(SceneDims(w, h), tile, overlap)
+
+        def inside(t, x1, y1, x2, y2):
+            return (t.origin_x <= x1 and x2 <= t.origin_x + t.tile_w
+                    and t.origin_y <= y1 and y2 <= t.origin_y + t.tile_h)
+
+        for _ in range(5):
+            px = data.draw(st.one_of(st.just(0.0), st.just(w), st.floats(0.0, w)))
+            py = data.draw(st.one_of(st.just(0.0), st.just(h), st.floats(0.0, h)))
+            assert any(inside(t, px, py, px, py) for t in tiles), (px, py)
+        for _ in range(5):
+            bw = data.draw(st.floats(0.0, min(overlap, w)))
+            bh = data.draw(st.floats(0.0, min(overlap, h)))
+            x1 = data.draw(st.floats(0.0, w - bw))
+            y1 = data.draw(st.floats(0.0, h - bh))
+            x2, y2 = min(x1 + bw, w), min(y1 + bh, h)
+            assert any(inside(t, x1, y1, x2, y2) for t in tiles), (x1, y1, x2, y2)
