@@ -31,10 +31,10 @@ from .metrics import (  # noqa: F401
     map_and_mrecall,
 )
 from .sampling import (  # noqa: F401
-    LabeledExample,
+    Dataset,
+    SceneSet,
     SynthDatasetSpec,
     UndersamplePolicy,
-    class_frequencies,
     generate_synthetic,
-    undersample,
+    undersample_mask,
 )

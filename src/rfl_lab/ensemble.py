@@ -10,7 +10,7 @@ configured mode.  Clusters supported by fewer than ``min_votes``
 distinct source tags are discarded.  Detections of different images or
 classes never share a cluster.
 
-Candidate clusters come from a uniform grid whose cell side is the
+Clusters a detection may join come from a uniform grid whose cell side is the
 group's largest box side.  Boxes with IoU > 0 both contain the point
 (max x1, max y1), so they share its cell.  Each cell lists, in creation
 order, the clusters whose fused box has touched it, and a detection

@@ -34,10 +34,10 @@ import numpy as np
 from . import __version__
 from .losses import LossKind, LossParams
 from .sampling import (
+    Dataset,
     SceneSetSpec,
     SynthDatasetSpec,
     UndersamplePolicy,
-    class_frequencies,
     generate_scenes,
     generate_synthetic,
     read_dataset_csv,
@@ -203,6 +203,12 @@ def validate_config(config: dict) -> None:
     names = [arm["name"] for arm in config["arms"]]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate arm names", "$.arms")
+    for path, train in (("$.train", config["train"]),
+                        ("$.two_stage.stage2", config.get("two_stage", {}).get("stage2"))):
+        thresholds = [t for t, _ in train["lr_schedule"]] if train else []
+        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+            raise ConfigError("lr thresholds must be strictly increasing",
+                              f"{path}.lr_schedule")
 
     kind = config["kind"]
     if kind == "classifier":
@@ -318,9 +324,7 @@ def _mean_over_seeds(rows: list[dict], keys: list[str]) -> dict:
     return out
 
 
-def _classifier_data(
-    config: dict, seed: int
-) -> tuple[list, list, list[int]]:
+def _classifier_data(config: dict, seed: int) -> tuple[Dataset, Dataset, list[int]]:
     """(train set, eval set, class counts) for one seed.
 
     Synthetic specs draw a fresh long-tailed training set plus a
@@ -331,9 +335,7 @@ def _classifier_data(
     ds = config["dataset"]
     if "csv_path" in ds:
         data = read_dataset_csv(ds["csv_path"])
-        freq = class_frequencies(data)
-        counts = [freq.get(c, 0) for c in range(max(freq) + 1)]
-        return data, data, counts
+        return data, data, np.bincount(data.y).tolist()
 
     spec = SynthDatasetSpec(
         class_counts=list(ds["class_counts"]),

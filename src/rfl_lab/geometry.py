@@ -225,6 +225,11 @@ def invert_tta(
     return apply_tta(boxes, transformed_dims(scene, t), t.inverse(), source)
 
 
+# Denser grids are refused, not built: a tile costs ~115 bytes and ~2 us, and
+# the random coverage tests build grids of up to 1.9M tiles.
+MAX_TILES = 4_000_000
+
+
 def tile_grid(scene: SceneDims, tile: float, overlap: float) -> list[TileSpec]:
     """Cover the scene with tile x tile crops overlapping by >= ``overlap``.
 
@@ -232,18 +237,32 @@ def tile_grid(scene: SceneDims, tile: float, overlap: float) -> list[TileSpec]:
     stride = tile - overlap; the last position is clamped to dim - tile
     (deduplicated), and an axis shorter than the tile yields a single
     position 0 with the crop size clamped to the axis length.  Tiles are
-    returned row-major (x fastest).
+    returned row-major (x fastest).  Raises ValueError for a grid of more
+    than :data:`MAX_TILES` tiles, counted before any is built (exact to
+    within one row and one column).
     """
+    (xs, tw), (ys, th) = _grid_axes(scene, tile, overlap)
+    return [TileSpec(x, y, tw, th) for y in ys for x in xs]
+
+
+def _grid_axes(scene: SceneDims, tile: float, overlap: float):
     if not (0.0 < tile < math.inf):
         raise ValueError(f"tile size must be finite and positive, got {tile}")
     if not (0.0 <= overlap < math.inf):
         raise ValueError(f"overlap must be finite and nonnegative, got {overlap}")
     if overlap >= tile:
         raise ValueError(f"overlap {overlap} must be smaller than tile {tile}")
+    dims = (scene.width, scene.height)
+    if math.prod(_axis_count(d, tile, overlap) for d in dims) > MAX_TILES:
+        raise ValueError(f"a {dims[0]:g}x{dims[1]:g} scene in {tile:g} px tiles overlapping "
+                         f"by {overlap:g} needs more than {MAX_TILES} tiles")
+    return [_axis_positions(d, tile, overlap) for d in dims]
 
-    xs, tw = _axis_positions(scene.width, tile, overlap)
-    ys, th = _axis_positions(scene.height, tile, overlap)
-    return [TileSpec(x, y, tw, th) for y in ys for x in xs]
+
+def _axis_count(dim: float, tile: float, overlap: float) -> int:
+    """len(_axis_positions(...)) to within one (its loop test and last-position
+    dedupe round); capped so ``math.ceil`` never overflows."""
+    return 1 if dim <= tile else math.ceil(min((dim - tile) / (tile - overlap), MAX_TILES)) + 1
 
 
 def _axis_positions(dim: float, tile: float, overlap: float) -> tuple[list[float], float]:
@@ -265,8 +284,7 @@ def _axis_positions(dim: float, tile: float, overlap: float) -> tuple[list[float
 
 def tile_axis_counts(scene: SceneDims, tile: float, overlap: float) -> tuple[int, int]:
     """(columns, rows) of the grid produced by :func:`tile_grid`."""
-    xs, _ = _axis_positions(scene.width, tile, overlap)
-    ys, _ = _axis_positions(scene.height, tile, overlap)
+    (xs, _), (ys, _) = _grid_axes(scene, tile, overlap)
     return len(xs), len(ys)
 
 

@@ -19,10 +19,13 @@ is continuous at pt = th only for th = 0.5 (there (1-th)^g/th^g = 1); for
 other thresholds the formula has a jump at the boundary, which is kept
 as written rather than smoothed.
 
-Two composite forms wire the scalar losses to model outputs: a softmax
-multiclass head and a sigmoid binary head, both returning the analytic
-gradient with respect to the logits.  Scalar entry points reject
-pt outside the open interval (0, 1); the composites instead clamp pt to
+One kernel, :func:`loss_and_dpt`, evaluates these formulas and their
+derivative d(loss)/d(pt) on scalars or arrays; the scalar functions, the
+composites below and the batch trainers in ``train`` all call it.  Two
+composite forms wire the losses to model outputs: a softmax multiclass
+head and a sigmoid binary head, both returning the analytic gradient
+with respect to the logits.  Scalar entry points reject pt outside the
+open interval (0, 1); the composites instead clamp pt to
 [1e-12, 1 - 1e-12] so training survives saturated outputs.
 
 Everything here is a pure function of its arguments and safe to call
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,29 +71,45 @@ class LossParams:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
 
 
-def _check_pt(pt: float) -> None:
+def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
+    """Loss and d(loss)/d(pt) from pt, -log(pt) and 1 - pt, as scalars or
+    equal-shaped arrays: the one spelling of the piecewise formulas.  Each
+    caller clamps pt and supplies its own stable -log(pt).  At pt = th the
+    at-or-above branch applies to value and derivative alike."""
+    gamma, th = params.gamma, params.threshold
+    if params.kind is LossKind.CE:
+        return neg_log, -1.0 / pt
+    fl = one_minus**gamma * neg_log
+    # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt
+    if gamma == 0.0:
+        dfl = -1.0 / pt
+    else:
+        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - one_minus**gamma / pt
+    if params.kind is LossKind.FL:
+        return fl, dfl
+    scale = th**gamma
+    flat = pt < th
+    loss = np.where(flat, neg_log, fl / scale)
+    dpt = np.where(flat, -1.0 / pt, dfl / scale)
+    return loss, dpt
+
+
+def _scalar(pt: float, params: LossParams) -> tuple[float, float]:
+    """(loss, dloss/dpt) at a scalar pt strictly inside (0, 1)."""
     if not (0.0 < pt < 1.0):
         raise ValueError(f"pt must lie strictly inside (0, 1), got {pt}")
+    loss, dpt = loss_and_dpt(pt, -math.log(pt), 1.0 - pt, params)
+    return float(loss), float(dpt)
 
 
 def ce_loss(pt: float) -> float:
     """Cross entropy -log(pt) of the ground-truth-class probability."""
-    _check_pt(pt)
-    return -math.log(pt)
+    return _scalar(pt, LossParams(LossKind.CE))[0]
 
 
 def focal_loss(pt: float, params: LossParams) -> float:
     """(1-pt)^gamma * (-log pt); equals CE when gamma is 0."""
-    _check_pt(pt)
-    return (1.0 - pt) ** params.gamma * (-math.log(pt))
-
-
-def cutoff_factor(pt: float, params: LossParams) -> float:
-    """Piecewise focal weight: 1 below threshold, (1-pt)^g/th^g at or above."""
-    _check_pt(pt)
-    if pt < params.threshold:
-        return 1.0
-    return (1.0 - pt) ** params.gamma / params.threshold**params.gamma
+    return _scalar(pt, replace(params, kind=LossKind.FL))[0]
 
 
 def reduced_focal_loss(pt: float, params: LossParams) -> float:
@@ -101,26 +120,18 @@ def reduced_focal_loss(pt: float, params: LossParams) -> float:
     focal_loss / th^gamma so the scaling identity FL = th^g * RFL holds
     to within a couple of ulp.
     """
-    _check_pt(pt)
-    if pt < params.threshold:
-        return -math.log(pt)
-    return focal_loss(pt, params) / params.threshold**params.gamma
+    return _scalar(pt, replace(params, kind=LossKind.RFL))[0]
+
+
+def cutoff_factor(pt: float, params: LossParams) -> float:
+    """Piecewise focal weight RFL / CE: exactly 1 below threshold,
+    (1-pt)^g/th^g at or above."""
+    return reduced_focal_loss(pt, params) / -math.log(pt)
 
 
 def loss_value(pt: float, params: LossParams) -> float:
     """Selected loss at pt."""
-    if params.kind is LossKind.CE:
-        return ce_loss(pt)
-    if params.kind is LossKind.FL:
-        return focal_loss(pt, params)
-    return reduced_focal_loss(pt, params)
-
-
-def _focal_grad(pt: float, gamma: float) -> float:
-    # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt
-    if gamma == 0.0:
-        return -1.0 / pt
-    return gamma * (1.0 - pt) ** (gamma - 1.0) * math.log(pt) - (1.0 - pt) ** gamma / pt
+    return _scalar(pt, params)[0]
 
 
 def loss_grad_pt(pt: float, params: LossParams) -> float:
@@ -130,18 +141,7 @@ def loss_grad_pt(pt: float, params: LossParams) -> float:
     is not defined; this returns the at-or-above-threshold branch there,
     matching the branch assignment of the value formula.
     """
-    _check_pt(pt)
-    if params.kind is LossKind.CE:
-        return -1.0 / pt
-    if params.kind is LossKind.FL:
-        return _focal_grad(pt, params.gamma)
-    if pt < params.threshold:
-        return -1.0 / pt
-    return _focal_grad(pt, params.gamma) / params.threshold**params.gamma
-
-
-def _clamp_pt(pt: float) -> float:
-    return min(max(pt, PT_CLAMP_LO), PT_CLAMP_HI)
+    return _scalar(pt, params)[1]
 
 
 def softmax_loss_and_grad(
@@ -168,56 +168,41 @@ def softmax_loss_and_grad(
     shifted = z - z.max()
     ez = np.exp(shifted)
     p = ez / ez.sum()
-    pt = _clamp_pt(float(p[gt]))
+    pt = min(max(float(p[gt]), PT_CLAMP_LO), PT_CLAMP_HI)
 
-    loss = loss_value(pt, params)
-    dpt = loss_grad_pt(pt, params)
+    loss, dpt = _scalar(pt, params)
     direction = -p
     direction[gt] += 1.0
     grad = dpt * pt * direction
     return loss, grad
 
 
+def binary_pt(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped pt, -log(pt) and 1 - pt of a sigmoid head: pt = sigmoid(z)
+    for label 1, 1 - sigmoid(z) for label 0.  The log-sigmoid identity
+    log(sigmoid(s)) = -log(1 + exp(-s)) keeps large |z| from overflowing;
+    -log(pt) is capped at -log(1e-12), mirroring the clamp."""
+    s = np.where(y == 1, z, -z)
+    log_pt = -np.logaddexp(0.0, -s)
+    neg_log = np.minimum(-log_pt, -math.log(PT_CLAMP_LO))
+    pt = np.clip(np.exp(log_pt), PT_CLAMP_LO, PT_CLAMP_HI)
+    one_minus = np.clip(np.exp(-np.logaddexp(0.0, s)), PT_CLAMP_LO, PT_CLAMP_HI)
+    return pt, neg_log, one_minus
+
+
 def binary_loss_and_grad(
     logit: float, label: int, params: LossParams
 ) -> tuple[float, float]:
-    """Selected loss of a sigmoid binary head and its gradient wrt the logit.
-
-    pt = sigmoid(logit) for label 1 and 1 - sigmoid(logit) for label 0,
-    evaluated through the log-sigmoid identity log(sigmoid(z)) =
-    -log(1 + exp(-z)) so large |logit| never overflows.  The -log(pt)
-    term is capped at -log(1e-12), mirroring the composite clamp.
-
-    Returns:
-        (loss, dloss/dlogit).
-    """
+    """(loss, dloss/dlogit) of a sigmoid binary head: the one-sample case of
+    the batch path, :func:`binary_pt` then :func:`loss_and_dpt`, with
+    dpt/dlogit = +/- pt * (1 - pt)."""
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     if not math.isfinite(logit):
         raise ValueError("logit must be finite")
 
-    # Effective logit of the labelled class: pt = sigmoid(s).
-    s = logit if label == 1 else -logit
-    log_pt = -np.logaddexp(0.0, -s)  # log sigmoid(s), stable for all s
-    neg_log_pt = min(-log_pt, -math.log(PT_CLAMP_LO))
-    pt = _clamp_pt(math.exp(log_pt))
-    one_minus_pt = _clamp_pt(math.exp(-np.logaddexp(0.0, s)))  # sigmoid(-s)
-
-    if params.kind is LossKind.CE:
-        loss = neg_log_pt
-        dpt = -1.0 / pt
-    elif params.kind is LossKind.FL:
-        loss = one_minus_pt**params.gamma * neg_log_pt
-        dpt = _focal_grad(pt, params.gamma)
-    elif pt < params.threshold:
-        loss = neg_log_pt
-        dpt = -1.0 / pt
-    else:
-        scale = params.threshold**params.gamma
-        loss = one_minus_pt**params.gamma * neg_log_pt / scale
-        dpt = _focal_grad(pt, params.gamma) / scale
-
-    # dpt/dlogit = +/- sigmoid(s) * (1 - sigmoid(s))
-    sign = 1.0 if label == 1 else -1.0
-    grad = dpt * pt * one_minus_pt * sign
-    return float(loss), float(grad)
+    y = np.array([label])
+    pt, neg_log, one_minus = binary_pt(np.array([logit], dtype=np.float64), y)
+    loss, dpt = loss_and_dpt(pt, neg_log, one_minus, params)
+    grad = dpt * pt * one_minus * np.where(y == 1, 1.0, -1.0)
+    return float(loss[0]), float(grad[0])

@@ -1,40 +1,42 @@
 """Synthetic long-tailed datasets and random undersampling of frequent classes.
 
-Datasets are lists of :class:`LabeledExample` drawn from isotropic unit
-Gaussians whose class means sit on an integer lattice scaled by the
-requested separation, so pairwise mean distances are at least the
-separation by construction.  A chosen fraction of labels is then flipped
-uniformly to another class to emulate mislabeled data.
+A dataset is a :class:`Dataset` of arrays: features ``X`` (n, d), labels
+``y`` (n,) and mislabel flags ``noisy`` (n,).  Synthetic datasets are
+drawn from isotropic unit Gaussians whose class means sit on an integer
+lattice scaled by the requested separation, so pairwise mean distances
+are at least the separation by construction.  A chosen fraction of
+labels is then flipped uniformly to another class to emulate mislabeled
+data.
 
-Undersampling drops each example of class ``c`` independently with the
-class's skip probability, preserving input order.  All randomness comes
+Undersampling is a keep-mask that drops each example of class ``c``
+independently with the class's skip probability.  All randomness comes
 from numpy's PCG64 generator seeded explicitly (one draw per example, in
 input order), so identical inputs and seeds reproduce identical outputs
 across runs and platforms.
 
 Scene sets for the two-stage proposal experiment are generated here as
-well: each scene holds a heavily background-dominated pool of candidate
-feature vectors with binary objectness labels, plus class labels for the
-positives.
+well: a :class:`SceneSet` holds each scene's heavily background-dominated
+pool of candidate feature vectors as flat rows, scene by scene, with
+binary objectness labels plus class labels for the positives.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(eq=False)  # ndarray fields make generated __eq__ ambiguous
-class LabeledExample:
-    features: np.ndarray
-    label: int
-    noisy: bool = False
+class Dataset(NamedTuple):
+    """Labelled examples as arrays; row i of each field is example i."""
+
+    X: np.ndarray      # (n, d) float64 features
+    y: np.ndarray      # (n,) int64 labels
+    noisy: np.ndarray  # (n,) bool, label flipped by noise injection
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,11 @@ def class_means(num_classes: int, feature_dim: int, separation: float) -> np.nda
     side = max(2, math.ceil(num_classes ** (1.0 / feature_dim)))
     while side**feature_dim < num_classes:
         side += 1
-    means = np.zeros((num_classes, feature_dim))
-    for c in range(num_classes):
-        rem = c
-        for d in range(feature_dim):
-            means[c, d] = rem % side
-            rem //= side
-    return means * separation
+    digits = [[c // side**d % side for d in range(feature_dim)] for c in range(num_classes)]
+    return np.array(digits, dtype=np.float64).reshape(num_classes, feature_dim) * separation
 
 
-def generate_synthetic(spec: SynthDatasetSpec) -> list[LabeledExample]:
+def generate_synthetic(spec: SynthDatasetSpec) -> Dataset:
     """Draw the dataset described by ``spec``; deterministic per seed.
 
     Classes are emitted in blocks (class 0 first).  Exactly
@@ -107,21 +104,17 @@ def generate_synthetic(spec: SynthDatasetSpec) -> list[LabeledExample]:
     """
     rng = np.random.default_rng(spec.seed)
     means = class_means(spec.num_classes, spec.feature_dim, spec.cluster_separation)
-    examples: list[LabeledExample] = []
-    for c, count in enumerate(spec.class_counts):
-        feats = means[c] + rng.standard_normal((count, spec.feature_dim))
-        examples.extend(LabeledExample(f, c) for f in feats)
+    y = np.repeat(np.arange(spec.num_classes), spec.class_counts)
+    X = means[y] + rng.standard_normal((len(y), spec.feature_dim))
+    noisy = np.zeros(len(y), dtype=bool)
 
-    n_noisy = int(len(examples) * spec.label_noise_rate)
+    n_noisy = int(len(y) * spec.label_noise_rate)
     if n_noisy:
-        flip = rng.choice(len(examples), size=n_noisy, replace=False)
-        for idx in flip:
-            ex = examples[idx]
-            offset = rng.integers(1, spec.num_classes)
-            examples[idx] = LabeledExample(
-                ex.features, int((ex.label + offset) % spec.num_classes), noisy=True
-            )
-    return examples
+        flip = rng.choice(len(y), size=n_noisy, replace=False)
+        offset = rng.integers(1, spec.num_classes, size=n_noisy)
+        y[flip] = (y[flip] + offset) % spec.num_classes
+        noisy[flip] = True
+    return Dataset(X, y, noisy)
 
 
 def undersample_mask(labels: np.ndarray, policy: UndersamplePolicy) -> np.ndarray:
@@ -136,52 +129,57 @@ def undersample_mask(labels: np.ndarray, policy: UndersamplePolicy) -> np.ndarra
     return u >= skip[inverse]
 
 
-def undersample(
-    examples: Sequence[LabeledExample], policy: UndersamplePolicy
-) -> list[LabeledExample]:
-    """The examples :func:`undersample_mask` keeps, in input order, unmodified."""
-    keep = undersample_mask(np.array([ex.label for ex in examples], dtype=np.int64), policy)
-    return [ex for ex, k in zip(examples, keep) if k]
-
-
-def class_frequencies(examples: Iterable[LabeledExample]) -> dict[int, int]:
-    """Exact per-class instance counts."""
-    return dict(Counter(ex.label for ex in examples))
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization: feature_0..feature_{d-1}, label, noisy (noisy as 0/1).
 # ---------------------------------------------------------------------------
 
 
-def write_dataset_csv(examples: Sequence[LabeledExample], path: str | Path) -> None:
-    if not examples:
+def write_dataset_csv(data: Dataset, path: str | Path) -> None:
+    if not len(data.y):
         raise ValueError("cannot serialize an empty dataset")
-    dim = len(examples[0].features)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(dim)] + ["label", "noisy"])
-        for ex in examples:
-            writer.writerow(
-                [repr(float(v)) for v in ex.features] + [ex.label, int(ex.noisy)]
-            )
+        writer.writerow([f"feature_{i}" for i in range(data.X.shape[1])] + ["label", "noisy"])
+        for feats, label, noisy in zip(data.X.tolist(), data.y.tolist(), data.noisy.tolist()):
+            writer.writerow([repr(v) for v in feats] + [label, int(noisy)])
 
 
-def read_dataset_csv(path: str | Path) -> list[LabeledExample]:
+def read_dataset_csv(path: str | Path) -> Dataset:
+    """Read a dataset written by :func:`write_dataset_csv`.  ValueError names
+    the line of a bad header, a wrong field count, a non-finite feature, a
+    label that is not a non-negative integer or a noisy flag other than 0/1;
+    a file with no data rows is refused too."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-2:] != ["label", "noisy"]:
-            raise ValueError(f"unrecognized dataset header in {path}")
+        header = next(reader, None)
+        if header is None or header[-2:] != ["label", "noisy"]:
+            raise ValueError(f"{path} line 1: expected a header ending in label,noisy")
         dim = len(header) - 2
-        return [
-            LabeledExample(
-                np.array([float(v) for v in row[:dim]]),
-                int(row[dim]),
-                bool(int(row[dim + 1])),
-            )
-            for row in reader
-        ]
+        feats, labels, noisy = [], [], []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(row) != dim + 2:
+                raise ValueError(f"{where}: expected {dim + 2} fields, got {len(row)}")
+            try:
+                x = [float(v) for v in row[:dim]]
+            except ValueError:
+                x = [math.nan]
+            if not all(map(math.isfinite, x)):
+                raise ValueError(f"{where}: features must be finite numbers")
+            label, flag = row[dim:]
+            if not (label.isascii() and label.isdigit()) or flag not in ("0", "1"):
+                raise ValueError(f"{where}: label must be a non-negative integer and "
+                                 f"noisy 0 or 1, got {label!r} and {flag!r}")
+            feats.append(x)
+            labels.append(int(label))
+            noisy.append(flag == "1")
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    return Dataset(
+        np.array(feats, dtype=np.float64).reshape(len(labels), dim),
+        np.array(labels, dtype=np.int64),
+        np.array(noisy, dtype=bool),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,30 +187,23 @@ def read_dataset_csv(path: str | Path) -> list[LabeledExample]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class Candidate:
-    """One proposal candidate.
+class SceneSet(NamedTuple):
+    """Proposal pools of equal-sized scenes; scene ``s`` is rows
+    ``s * per_scene`` up to ``(s + 1) * per_scene`` of every array.
 
     ``is_object`` and ``class_id`` are the (possibly flipped) labels
-    training sees; ``true_class`` records the actual object class (-1
-    for actual background) so evaluation can count real objects after
-    noise injection.  ``noisy`` marks flipped objectness labels.
+    training sees (``class_id`` -1 for background); ``true_class``
+    records the actual object class (-1 for actual background) so
+    evaluation can count real objects after noise injection.  ``noisy``
+    marks flipped objectness labels.
     """
 
-    features: np.ndarray
-    is_object: bool
-    class_id: int = -1  # -1 for background
-    noisy: bool = False
-    true_class: int = -1
-
-    @property
-    def is_true_object(self) -> bool:
-        return self.true_class >= 0
-
-
-@dataclass
-class Scene:
-    candidates: list[Candidate] = field(default_factory=list)
+    X: np.ndarray  # (num_scenes * per_scene, d) float64
+    is_object: np.ndarray
+    class_id: np.ndarray
+    true_class: np.ndarray
+    noisy: np.ndarray
+    per_scene: int
 
 
 @dataclass(frozen=True)
@@ -237,8 +228,8 @@ class SceneSetSpec:
             raise ValueError("objectness_noise_rate must be in [0, 1)")
 
 
-def generate_scenes(spec: SceneSetSpec) -> list[Scene]:
-    """Scenes of fg/bg candidates; deterministic per seed.
+def generate_scenes(spec: SceneSetSpec) -> SceneSet:
+    """Scenes of fg/bg candidates (fg first in each); deterministic per seed.
 
     Background candidates are drawn around the origin; foreground class
     ``c`` around lattice point ``c + 1`` (skipping the origin), so every
@@ -246,36 +237,30 @@ def generate_scenes(spec: SceneSetSpec) -> list[Scene]:
     cluster.  Foreground class labels follow a 1/(c+1) long-tailed
     profile.  A fraction of candidates, chosen uniformly per scene, has
     its objectness label flipped (``noisy=True``); flipped background
-    keeps a uniformly drawn class label.
+    gets a uniformly drawn class label.
     """
     rng = np.random.default_rng(spec.seed)
     means = class_means(spec.num_classes + 1, spec.feature_dim, spec.separation)
-    fg_means = means[1:]
     weights = 1.0 / (1.0 + np.arange(spec.num_classes))
     weights /= weights.sum()
 
-    scenes = []
-    for _ in range(spec.num_scenes):
-        cands: list[Candidate] = []
-        classes = rng.choice(spec.num_classes, size=spec.fg_per_scene, p=weights)
-        for c in classes:
-            f = fg_means[c] + rng.standard_normal(spec.feature_dim)
-            cands.append(Candidate(f, True, int(c), true_class=int(c)))
-        bg = rng.standard_normal((spec.bg_per_scene, spec.feature_dim))
-        cands.extend(Candidate(f, False) for f in bg)
-
-        n_flip = int(len(cands) * spec.objectness_noise_rate)
+    fg, per_scene = spec.fg_per_scene, spec.fg_per_scene + spec.bg_per_scene
+    n_flip = int(per_scene * spec.objectness_noise_rate)
+    X = np.empty((spec.num_scenes, per_scene, spec.feature_dim))
+    true_class = np.full((spec.num_scenes, per_scene), -1, dtype=np.int64)
+    class_id = np.full((spec.num_scenes, per_scene), -1, dtype=np.int64)
+    for s in range(spec.num_scenes):
+        true_class[s, :fg] = rng.choice(spec.num_classes, size=fg, p=weights)
+        class_id[s, :fg] = true_class[s, :fg]
+        X[s] = rng.standard_normal((per_scene, spec.feature_dim))
+        X[s, :fg] += means[1:][true_class[s, :fg]]
         if n_flip:
-            for idx in rng.choice(len(cands), size=n_flip, replace=False):
-                c = cands[idx]
-                if c.is_object:
-                    cands[idx] = Candidate(
-                        c.features, False, -1, noisy=True, true_class=c.true_class
-                    )
-                else:
-                    cands[idx] = Candidate(
-                        c.features, True, int(rng.integers(spec.num_classes)),
-                        noisy=True, true_class=-1,
-                    )
-        scenes.append(Scene(cands))
-    return scenes
+            flip = rng.choice(per_scene, size=n_flip, replace=False)
+            to_bg, to_fg = flip[flip < fg], flip[flip >= fg]
+            class_id[s, to_bg] = -1
+            class_id[s, to_fg] = rng.integers(spec.num_classes, size=len(to_fg))
+    is_object, class_id, true_class = (class_id >= 0).ravel(), class_id.ravel(), true_class.ravel()
+    # A flip inverts observed objectness, so the flipped rows are where it
+    # disagrees with the truth.
+    return SceneSet(X.reshape(-1, spec.feature_dim), is_object, class_id, true_class,
+                    is_object != (true_class >= 0), per_scene)

@@ -19,9 +19,10 @@ reproduces the unconfigured trajectory bitwise.  Runs that share those
 streams and differ only in loss and lr schedule train in lockstep, one
 batch draw for all, and each ends bitwise where it would alone.
 
-The batch loss/gradient helpers are exact vectorized twins of
-``softmax_loss_and_grad`` / ``binary_loss_and_grad`` (same expressions,
-same clamping); one kernel, ``_loss_and_dpt``, serves both.
+Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
+all scenes are scored, ranked and counted at once).  The batch steps
+clamp as the scalar composites do and share their loss kernel,
+``losses.loss_and_dpt``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import PT_CLAMP_HI, PT_CLAMP_LO, LossKind, LossParams
-from .sampling import Candidate, LabeledExample, Scene, UndersamplePolicy, undersample_mask
+from .losses import PT_CLAMP_HI, PT_CLAMP_LO, LossParams, binary_pt, loss_and_dpt
+from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
 
 LrSchedule = Sequence[tuple[float, float]]
 
@@ -92,29 +93,8 @@ def init_model(num_classes: int, feature_dim: int, seed: int) -> LinearModel:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch losses (exact twins of the scalar composite ops).
+# Batch losses and gradients.
 # ---------------------------------------------------------------------------
-
-
-def _loss_and_dpt(
-    pt: np.ndarray, neg_log: np.ndarray, one_minus: np.ndarray, params: LossParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample loss and d(loss)/d(pt) from clamped pt, -log(pt) and 1 - pt."""
-    gamma, th = params.gamma, params.threshold
-    if params.kind is LossKind.CE:
-        return neg_log, -1.0 / pt
-    fl = one_minus**gamma * neg_log
-    if gamma == 0.0:
-        dfl = -1.0 / pt
-    else:
-        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - one_minus**gamma / pt
-    if params.kind is LossKind.FL:
-        return fl, dfl
-    scale = th**gamma
-    flat = pt < th
-    loss = np.where(flat, neg_log, fl / scale)
-    dpt = np.where(flat, -1.0 / pt, dfl / scale)
-    return loss, dpt
 
 
 def softmax_step(
@@ -137,7 +117,7 @@ def softmax_step(
     neg_log, one_minus = -np.log(pt), 1.0 - pt
     losses, dpt = np.empty_like(pt), np.empty_like(pt)
     for s, loss in enumerate(params):
-        losses[s], dpt[s] = _loss_and_dpt(pt[s], neg_log[s], one_minus[s], loss)
+        losses[s], dpt[s] = loss_and_dpt(pt[s], neg_log[s], one_minus[s], loss)
     direction = -p
     direction[:, rows, y] += 1.0
     glogits = (dpt * pt)[:, :, None] * direction
@@ -159,13 +139,8 @@ def binary_batch(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, params: LossParams
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-sample losses and mean gradients for a sigmoid binary scorer."""
-    z = X @ w + b
-    s = np.where(y == 1, z, -z)
-    log_pt = -np.logaddexp(0.0, -s)
-    neg_log_pt = np.minimum(-log_pt, -math.log(PT_CLAMP_LO))
-    pt = np.clip(np.exp(log_pt), PT_CLAMP_LO, PT_CLAMP_HI)
-    one_minus = np.clip(np.exp(-np.logaddexp(0.0, s)), PT_CLAMP_LO, PT_CLAMP_HI)
-    loss, dpt = _loss_and_dpt(pt, neg_log_pt, one_minus, params)
+    pt, neg_log, one_minus = binary_pt(X @ w + b, y)
+    loss, dpt = loss_and_dpt(pt, neg_log, one_minus, params)
 
     sign = np.where(y == 1, 1.0, -1.0)
     gz = dpt * pt * one_minus * sign
@@ -196,9 +171,7 @@ def _lockstep(config, shared: tuple[str, ...]) -> tuple[list, bool]:
     return runs, single
 
 
-def train_classifier(
-    data: Sequence[LabeledExample], config: TrainConfig | Sequence[TrainConfig]
-):
+def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig]):
     """Minibatch SGD on a linear softmax model; returns (model, loss curve).
 
     Each epoch optionally re-undersamples the data (fresh sub-seed per
@@ -213,10 +186,11 @@ def train_classifier(
         config, ("epochs", "batch_size", "weight_init_seed", "undersample")
     )
     first = runs[0]
-    if not data:
+    X_all, y_all = data.X, data.y
+    if not len(y_all):
         raise ValueError("training data is empty")
-    X_all = np.stack([ex.features for ex in data])
-    y_all = np.array([ex.label for ex in data], dtype=np.int64)
+    if X_all.ndim != 2 or len(X_all) != len(y_all):
+        raise ValueError("training data needs one feature row per label")
     num_classes = max(2, int(y_all.max()) + 1)
 
     init = init_model(num_classes, X_all.shape[1], first.weight_init_seed)
@@ -258,23 +232,24 @@ class ClassifierEval:
     accuracy: float
 
 
-def evaluate_classifier(
-    model: LinearModel, data: Sequence[LabeledExample]
-) -> ClassifierEval:
+def _recall_by_class(labels: np.ndarray, hit: np.ndarray) -> dict[int, float]:
+    """Per class present in ``labels``, in class order: the share of its rows
+    where ``hit`` holds."""
+    total = np.bincount(labels)
+    hits = np.bincount(labels[hit], minlength=len(total))
+    return {int(c): int(hits[c]) / int(total[c]) for c in np.flatnonzero(total)}
+
+
+def evaluate_classifier(model: LinearModel, data: Dataset) -> ClassifierEval:
     """Per-class recall over classes present in the data, mRecall, accuracy."""
-    if not data:
+    if not len(data.y):
         raise ValueError("evaluation data is empty")
-    X = np.stack([ex.features for ex in data])
-    y = np.array([ex.label for ex in data], dtype=np.int64)
-    pred = model.predict(X)
-    per_class: dict[int, float] = {}
-    for cls in sorted(set(y.tolist())):
-        mask = y == cls
-        per_class[cls] = float((pred[mask] == cls).mean())
+    correct = model.predict(data.X) == data.y
+    per_class = _recall_by_class(data.y, correct)
     return ClassifierEval(
         per_class_recall=per_class,
         m_recall=float(np.mean(list(per_class.values()))),
-        accuracy=float((pred == y).mean()),
+        accuracy=float(correct.mean()),
     )
 
 
@@ -368,15 +343,12 @@ def train_objectness(
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k highest scores, ties broken by lower index."""
-    k = min(k, len(scores))
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
+    """Indices of the k highest scores along the last axis, ties broken by
+    lower index; k is clamped to the axis length."""
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
-def train_two_stage(
-    scenes: Sequence[Scene], config: TwoStageConfig | Sequence[TwoStageConfig]
-):
+def train_two_stage(scenes: SceneSet, config: TwoStageConfig | Sequence[TwoStageConfig]):
     """Train both stages on the scene pool and evaluate top-K pass-through.
 
     Stage 1 trains on every candidate and stage 2 on the labelled
@@ -391,61 +363,39 @@ def train_two_stage(
     """
     runs, single = _lockstep(config, ("proposal_budget", "stage2", "fg_bg_ratio"))
     first = runs[0]
-    pool: list[Candidate] = [c for sc in scenes for c in sc.candidates]
-    if not pool:
-        raise ValueError("scenes contain no candidates")
-    X = np.stack([c.features for c in pool])
-    y = np.array([1 if c.is_object else 0 for c in pool], dtype=np.int64)
+    X, true_class = scenes.X, scenes.true_class
+    true = true_class >= 0
+    if not true.any():
+        raise ValueError("scenes contain no labelled objects")
 
-    scorers = train_objectness(X, y, [r.stage1 for r in runs], first.fg_bg_ratio)
+    pos = scenes.is_object
+    scorers = train_objectness(
+        X, pos.astype(np.int64), [r.stage1 for r in runs], first.fg_bg_ratio
+    )
+    classifier, s2_curve = train_classifier(
+        Dataset(X[pos], scenes.class_id[pos], scenes.noisy[pos]), first.stage2
+    )
 
-    positives = [
-        LabeledExample(c.features, c.class_id) for c in pool if c.is_object
-    ]
-    classifier, s2_curve = train_classifier(positives, first.stage2)
-
-    scene_X = [np.stack([c.features for c in sc.candidates]) for sc in scenes]
+    # (scenes, per_scene, d): matmul runs one gemv per scene, as scoring
+    # scene by scene does; the pooled X @ w rounds differently.
+    by_scene = X.reshape(-1, scenes.per_scene, X.shape[1])
     out = []
     for scorer, s1_curve in scorers:
-        kept_total = 0
-        obj_total = 0
-        per_class_kept: dict[int, int] = {}
-        per_class_total: dict[int, int] = {}
-        retained: list[Candidate] = []
-        for sc, Xs in zip(scenes, scene_X):
-            top = set(top_k_indices(scorer.scores(Xs), first.proposal_budget).tolist())
-            for i, c in enumerate(sc.candidates):
-                if not c.is_true_object:
-                    continue
-                obj_total += 1
-                per_class_total[c.true_class] = per_class_total.get(c.true_class, 0) + 1
-                if i in top:
-                    kept_total += 1
-                    per_class_kept[c.true_class] = per_class_kept.get(c.true_class, 0) + 1
-                    retained.append(c)
-        if obj_total == 0:
-            raise ValueError("scenes contain no labelled objects")
-
-        per_class_recall = {
-            cls: per_class_kept.get(cls, 0) / per_class_total[cls]
-            for cls in sorted(per_class_total)
-        }
-
-        stage2_recall: dict[int, float] = {}
-        if retained:
-            Xr = np.stack([c.features for c in retained])
-            yr = np.array([c.true_class for c in retained], dtype=np.int64)
-            pred = classifier.predict(Xr)
-            for cls in sorted(set(yr.tolist())):
-                mask = yr == cls
-                stage2_recall[cls] = float((pred[mask] == cls).mean())
-
+        top = top_k_indices(scorer.scores(by_scene), first.proposal_budget)
+        kept = np.zeros(by_scene.shape[:2], dtype=bool)
+        np.put_along_axis(kept, top, True, axis=1)
+        retained = true & kept.ravel()
+        n_kept = int(retained.sum())
+        per_class_recall = _recall_by_class(true_class[true], retained[true])
+        stage2 = evaluate_classifier(classifier, Dataset(
+            X[retained], true_class[retained], np.zeros(n_kept, dtype=bool)
+        )) if n_kept else ClassifierEval({}, 0.0, 0.0)
         report = TwoStageReport(
-            proposal_recall=kept_total / obj_total,
+            proposal_recall=n_kept / int(true.sum()),
             per_class_proposal_recall=per_class_recall,
             mean_class_proposal_recall=float(np.mean(list(per_class_recall.values()))),
-            stage2_per_class_recall=stage2_recall,
-            stage2_m_recall=float(np.mean(list(stage2_recall.values()))) if stage2_recall else 0.0,
+            stage2_per_class_recall=stage2.per_class_recall,
+            stage2_m_recall=stage2.m_recall,
             stage1_curve=s1_curve,
             stage2_curve=s2_curve,
         )

@@ -187,7 +187,7 @@ class TestExperiment:
                          "--dump-data", str(dump))
         assert code == 0
         data = read_dataset_csv(dump / "dataset_seed1.csv")
-        assert len(data) == 372  # 300 + 60 + 12
+        assert len(data.y) == 372  # 300 + 60 + 12
 
         # A csv_path dataset trains and is evaluated on itself.
         csv_cfg = {
@@ -261,10 +261,12 @@ class TestExperiment:
         if csv:  # classes are known only once the file is read
             import numpy as np
 
-            from rfl_lab.sampling import LabeledExample, write_dataset_csv
+            from rfl_lab.sampling import Dataset, write_dataset_csv
 
             path = tmp_path / "d.csv"
-            write_dataset_csv([LabeledExample(np.full(2, c), c % 3) for c in range(9)], path)
+            c = np.arange(9)
+            write_dataset_csv(Dataset(np.repeat(c[:, None], 2, axis=1).astype(float),
+                                      c % 3, np.zeros(9, dtype=bool)), path)
             bad["dataset"] = {"csv_path": str(path)}
         bad["train"]["schedule_units"] = units
         if units == "iteration":
@@ -305,6 +307,47 @@ class TestExperiment:
         assert code == 0, err
         assert set(json.loads(out.read_text())["arms"]) == {"ce", "rfl"}
 
+    @pytest.mark.parametrize("section", ["train", "stage2"])
+    def test_decreasing_lr_schedule_names_its_path(self, tmp_path, capsys, section):
+        cfg_data = {
+            "kind": "two_stage",
+            "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
+                       "num_classes": 2, "feature_dim": 3},
+            "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
+            "two_stage": {"proposal_budget": 5,
+                          "stage2": {"epochs": 1, "batch_size": 8,
+                                     "lr_schedule": [[100, 0.1]]}},
+            "arms": [{"name": "a", "loss": {"kind": "CE"}}],
+        }
+        target = cfg_data["train"] if section == "train" else cfg_data["two_stage"]["stage2"]
+        target["lr_schedule"] = [[100, 0.3], [50, 0.1]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        path = "$.train" if section == "train" else "$.two_stage.stage2"
+        assert f"{path}.lr_schedule: lr thresholds must be strictly increasing" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("feature_0,label,noisy\n1.5,0,0\n2.5\n", "line 3: expected 3 fields, got 1"),
+        ("", "line 1: expected a header"),
+        ("feature_0,label,noisy\n1.5,0,0\nnan,1,0\n", "line 3: features must be finite"),
+        ("feature_0,label,noisy\n1.5,0,0\n2.5,-1,0\n", "line 3: label must be a non-negative"),
+        ("feature_0,label,noisy\n", "no data rows"),
+    ])
+    def test_malformed_csv_dataset_exit_2(self, tmp_path, capsys, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG))
+        cfg_data["dataset"] = {"csv_path": str(data)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTile:
     def test_manifest_four_tiles(self, tmp_path, capsys):
@@ -341,23 +384,39 @@ class TestTile:
                            "--overlap", "50", "--out-dir", str(tmp_path / "t"))
         assert code == 2
 
-    def test_infinite_scene_exit_2_in_bounded_time(self, tmp_path):
-        # An infinite side used to make the tile positions grow without end,
-        # so run it in a child with a timeout and an address-space cap.
+    @staticmethod
+    def run_capped(*argv):
+        """The CLI in a child process with a timeout and an address-space cap,
+        for inputs that used to make the tile positions grow without end."""
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rfl_lab.cli", "tile", "--scene", "infx1000",
-             "--tile", "500", "--out-dir", str(tmp_path / "t")],
+        return subprocess.run(
+            [sys.executable, "-m", "rfl_lab.cli", *argv],
             env=env, capture_output=True, text=True, timeout=60,
             preexec_fn=cap_memory,
         )
+
+    def test_infinite_scene_exit_2_in_bounded_time(self, tmp_path):
+        proc = self.run_capped("tile", "--scene", "infx1000", "--tile", "500",
+                               "--out-dir", str(tmp_path / "t"))
         assert proc.returncode == 2
         assert "'infx1000'" in proc.stderr
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("scene, tile, overlap", [
+        ("10000x10000", "1", "0.99"),   # about 1e12 tiles
+        ("1e300x1", "1", "0.5"),        # one axis alone is unbounded
+        ("2001x2000", "1", "0"),        # one row past the limit
+    ])
+    def test_oversized_grid_exit_2(self, tmp_path, scene, tile, overlap):
+        proc = self.run_capped("tile", "--scene", scene, "--tile", tile,
+                               "--overlap", overlap, "--out-dir", str(tmp_path / "t"))
+        assert proc.returncode == 2
+        assert "more than 4000000 tiles" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "t").exists()
 
     def test_nan_scene_exit_2(self, tmp_path, capsys):

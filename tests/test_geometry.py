@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfl_lab.geometry import (
+    MAX_TILES,
     SceneDims,
     TileSpec,
     TtaKind,
@@ -20,6 +21,8 @@ from rfl_lab.geometry import (
     tile_grid,
     tile_to_scene,
     transformed_dims,
+    _axis_count,
+    _axis_positions,
 )
 from rfl_lab.metrics import Box, Detection
 
@@ -59,6 +62,29 @@ class TestTileGrid:
             tile_grid(SceneDims(100, 100), 50, -1)
         with pytest.raises(ValueError):
             tile_grid(SceneDims(100, 100), 0, 0)
+
+    def test_grid_size_limit(self):
+        assert MAX_TILES == 4_000_000
+        assert tile_axis_counts(SceneDims(2000, 2000), 1.0, 0.0) == (2000, 2000)
+        for scene, overlap in ((SceneDims(2001, 2000), 0.0), (SceneDims(1e4, 1e4), 0.99),
+                               (SceneDims(1e308, 1.0), 0.5)):
+            with pytest.raises(ValueError, match="more than 4000000 tiles"):
+                tile_grid(scene, 1.0, overlap)
+            with pytest.raises(ValueError, match="more than 4000000 tiles"):
+                tile_axis_counts(scene, 1.0, overlap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.1, 50.0), st.floats(0.0, 0.99), st.floats(0.01, 60.0),
+           st.sampled_from([None, 1, 2]))
+    def test_arithmetic_axis_count_within_one(self, tile, frac, rel, decimals):
+        # Rounded inputs hit the exact-multiple cases where the loop rounds.
+        dim, overlap = tile * rel, tile * frac
+        if decimals is not None:
+            tile, overlap, dim = (round(v, decimals) for v in (tile, overlap, dim))
+        if not (0.0 <= overlap < tile and dim > 0.0):
+            return
+        positions, _ = _axis_positions(dim, tile, overlap)
+        assert abs(_axis_count(dim, tile, overlap) - len(positions)) <= 1
 
     def test_coverage_and_overlap_random(self):
         rng = np.random.default_rng(99)

@@ -12,7 +12,7 @@ from rfl_lab.losses import (
     softmax_loss_and_grad,
 )
 from rfl_lab.sampling import (
-    LabeledExample,
+    Dataset,
     SceneSetSpec,
     SynthDatasetSpec,
     UndersamplePolicy,
@@ -105,19 +105,21 @@ class TestBatchTwins:
             gz = np.zeros(len(y))
             for i in range(len(y)):
                 li, gi = binary_loss_and_grad(float(z[i]), int(y[i]), params)
-                assert losses[i] == pytest.approx(li, rel=1e-12)
+                assert losses[i] == li
                 gz[i] = gi
             np.testing.assert_allclose(dw, gz @ X / len(y), rtol=1e-12, atol=1e-15)
-            assert db == pytest.approx(gz.mean(), rel=1e-12)
+            assert db == gz.mean()
+
+
+def dataset(X, y):
+    y = np.asarray(y, dtype=np.int64)
+    return Dataset(np.asarray(X, dtype=np.float64), y, np.zeros(len(y), dtype=bool))
 
 
 def separable_two_class(n=200, seed=1):
     rng = np.random.default_rng(seed)
-    data = []
-    for cls, center in ((0, -4.0), (1, 4.0)):
-        feats = center + rng.normal(size=(n // 2, 2))
-        data.extend(LabeledExample(f, cls) for f in feats)
-    return data
+    X = np.concatenate([center + rng.normal(size=(n // 2, 2)) for center in (-4.0, 4.0)])
+    return dataset(X, np.repeat([0, 1], n // 2))
 
 
 class TestTrainClassifier:
@@ -176,12 +178,11 @@ class TestTrainClassifier:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier([], flat_config())
+            train_classifier(dataset(np.zeros((0, 2)), []), flat_config())
 
     def test_dimension_mismatch_rejected(self):
-        bad = [LabeledExample(np.zeros(2), 0), LabeledExample(np.zeros(3), 1)]
         with pytest.raises(ValueError):
-            train_classifier(bad, flat_config())
+            train_classifier(dataset(np.zeros((2, 2)), [0, 1, 1]), flat_config())
 
     def test_undersampling_every_epoch_empty_rejected(self):
         data = separable_two_class()
@@ -217,9 +218,8 @@ class TestLockstep:
             assert curve == solo_curve
 
     def test_objectness_runs_equal_solo_runs(self):
-        pool = [c for sc in tiny_scenes(noise=0.05) for c in sc.candidates]
-        X = np.stack([c.features for c in pool])
-        y = np.array([int(c.is_object) for c in pool])
+        scenes = tiny_scenes(noise=0.05)
+        X, y = scenes.X, scenes.is_object.astype(np.int64)
         configs = [TrainConfig(CE, 3, 32, ((10**9, 0.3),), weight_init_seed=1),
                    TrainConfig(FL2, 3, 32, ((20, 0.3), (10**9, 0.1)), weight_init_seed=1)]
         together = train_objectness(X, y, configs, 0.5)
@@ -295,7 +295,7 @@ class TestEvaluateClassifier:
 
     def test_constant_predictor(self):
         model = LinearModel(np.zeros((3, 2)), np.array([0.0, 5.0, 0.0]))
-        data = [LabeledExample(np.ones(2), c) for c in (0, 1, 1, 2)]
+        data = dataset(np.ones((4, 2)), [0, 1, 1, 2])
         ev = evaluate_classifier(model, data)
         assert ev.per_class_recall == {0: 0.0, 1: 1.0, 2: 0.0}
         assert ev.m_recall == pytest.approx(1 / 3)
@@ -309,12 +309,8 @@ class TestEvaluateClassifier:
             [0.0, 0.0, 1.0],   # class-2 inputs -> predicted 2
         ]).T
         model = LinearModel(W, np.zeros(3))
-        data = []
-        for cls, n in ((0, 4), (1, 2), (2, 2)):
-            x = np.zeros(3)
-            x[cls] = 1.0
-            data.extend(LabeledExample(x.copy(), cls) for _ in range(n))
-        ev = evaluate_classifier(model, data)
+        y = np.repeat([0, 1, 2], [4, 2, 2])
+        ev = evaluate_classifier(model, dataset(np.eye(3)[y], y))
         assert ev.per_class_recall == {0: 1.0, 1: 0.0, 2: 1.0}
         assert ev.m_recall == pytest.approx(2 / 3)
         assert ev.accuracy == pytest.approx(6 / 8)
@@ -341,6 +337,16 @@ class TestTwoStage:
         assert top_k_indices(s, 2).tolist() == [1, 2]
         assert top_k_indices(s, 10).tolist() == [1, 2, 0, 3]
 
+    @pytest.mark.parametrize("k", [1, 7, 24, 25, 40])
+    def test_top_k_over_scenes_equals_scene_by_scene(self, k):
+        # Scores rounded to one decimal: many ties within each scene.
+        scores = np.round(np.random.default_rng(k).normal(size=(30, 25)), 1)
+        top = top_k_indices(scores, k)
+        assert top.shape == (30, min(k, 25))
+        for row, s in zip(top, scores):
+            assert row.tolist() == top_k_indices(s, k).tolist()
+            assert row.tolist() == sorted(range(25), key=lambda i: (-s[i], i))[:k]
+
     def test_budget_equal_to_pool_gives_full_recall(self):
         scenes = tiny_scenes()
         cfg = two_stage_config(budget=88)  # >= candidates per scene
@@ -352,20 +358,40 @@ class TestTwoStage:
         scenes = tiny_scenes()
         # Hand-build a scorer that separates fg lattice clusters from bg at
         # the origin: score by distance from origin along the mean fg axis.
-        pool = [c for sc in scenes for c in sc.candidates]
-        fg = np.stack([c.features for c in pool if c.is_object])
-        direction = fg.mean(axis=0)
+        direction = scenes.X[scenes.is_object].mean(axis=0)
         scorer = BinaryModel(direction, 0.0)
+        P = scenes.per_scene
         kept = 0
-        total = 0
-        for sc in scenes:
-            Xs = np.stack([c.features for c in sc.candidates])
-            top = set(top_k_indices(scorer.scores(Xs), 40).tolist())
-            for i, c in enumerate(sc.candidates):
-                if c.is_object:
-                    total += 1
-                    kept += i in top
-        assert kept / total >= 0.95
+        for s in range(len(scenes.X) // P):
+            top = top_k_indices(scorer.scores(scenes.X[s * P:(s + 1) * P]), 40)
+            kept += np.count_nonzero(scenes.is_object[s * P + top])
+        assert kept / np.count_nonzero(scenes.is_object) >= 0.95
+
+    @pytest.mark.parametrize("budget", [5, 20, 88, 100])
+    def test_report_equals_scene_by_scene_count(self, budget):
+        # The per-scene, per-candidate count the vectorised evaluation replaced.
+        scenes = tiny_scenes(seed=4, noise=0.1)
+        scorer, classifier, report = train_two_stage(scenes, two_stage_config(budget=budget))
+        P = scenes.per_scene
+        total, kept, retained = {}, {}, []
+        for start in range(0, len(scenes.X), P):
+            scores = scenes.X[start:start + P] @ scorer.weights + scorer.bias
+            top = set(top_k_indices(scores, budget).tolist())
+            for i in range(P):
+                cls = int(scenes.true_class[start + i])
+                if cls < 0:
+                    continue
+                total[cls] = total.get(cls, 0) + 1
+                if i in top:
+                    kept[cls] = kept.get(cls, 0) + 1
+                    retained.append(start + i)
+        assert report.proposal_recall == sum(kept.values()) / sum(total.values())
+        assert report.per_class_proposal_recall == {
+            c: kept.get(c, 0) / total[c] for c in sorted(total)}
+        pred = classifier.predict(scenes.X[retained])
+        truth = scenes.true_class[retained]
+        assert report.stage2_per_class_recall == {
+            c: float((pred[truth == c] == c).mean()) for c in sorted(set(truth.tolist()))}
 
     def test_trained_pipeline_reports(self):
         scenes = tiny_scenes()
