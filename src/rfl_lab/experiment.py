@@ -234,6 +234,13 @@ def validate_config(config: dict) -> None:
             raise ConfigError(
                 "two_stage experiments need a two_stage section", "$.two_stage"
             )
+        sc = config["scenes"]
+        if config["two_stage"]["proposal_budget"] >= sc["fg_per_scene"] + sc["bg_per_scene"]:
+            raise ConfigError(
+                "proposal_budget must be below the candidates per scene "
+                "(fg_per_scene + bg_per_scene), or every arm's recall is 1",
+                "$.two_stage.proposal_budget",
+            )
     for i, arm in enumerate(config["arms"]):
         loss = arm["loss"]
         if loss["kind"] == "RFL" and "threshold" not in loss:
@@ -324,17 +331,19 @@ def _mean_over_seeds(rows: list[dict], keys: list[str]) -> dict:
     return out
 
 
-def _classifier_data(config: dict, seed: int) -> tuple[Dataset, Dataset, list[int]]:
+def _classifier_data(
+    config: dict, seed: int, csv: Dataset | None = None
+) -> tuple[Dataset, Dataset, list[int]]:
     """(train set, eval set, class counts) for one seed.
 
     Synthetic specs draw a fresh long-tailed training set plus a
     balanced noise-free eval set from the same class means; a csv_path
     dataset is fixed across seeds (seeds still steer training) and is
-    evaluated on itself.
+    evaluated on itself.  ``csv`` is that dataset when already read.
     """
     ds = config["dataset"]
     if "csv_path" in ds:
-        data = read_dataset_csv(ds["csv_path"])
+        data = read_dataset_csv(ds["csv_path"]) if csv is None else csv
         return data, data, np.bincount(data.y).tolist()
 
     spec = SynthDatasetSpec(
@@ -368,9 +377,11 @@ def _arm_skip(arm: dict, i: int, counts: list[int] | None) -> dict[int, float]:
     return skip
 
 
-def _classifier_rows(config: dict, seed: int, stride: int) -> dict[str, dict]:
+def _classifier_rows(
+    config: dict, seed: int, stride: int, csv: Dataset | None = None
+) -> dict[str, dict]:
     """One seed of every arm; arms with one undersample policy train in lockstep."""
-    train_data, eval_data, counts = _classifier_data(config, seed)
+    train_data, eval_data, counts = _classifier_data(config, seed, csv)
 
     groups: dict[frozenset, list[tuple[str, TrainConfig]]] = {}
     for i, arm in enumerate(config["arms"]):
@@ -445,8 +456,12 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
     seeds = list(config.get("seeds", [0]))
     stride = int(config.get("loss_curve_stride", 50))
     kind = config["kind"]
-    seed_rows = _classifier_rows if kind == "classifier" else _two_stage_rows
-    by_seed = [seed_rows(config, seed, stride) for seed in seeds]
+    if kind == "classifier":
+        path = config["dataset"].get("csv_path")
+        csv = read_dataset_csv(path) if path is not None else None  # read once
+        by_seed = [_classifier_rows(config, seed, stride, csv) for seed in seeds]
+    else:
+        by_seed = [_two_stage_rows(config, seed, stride) for seed in seeds]
 
     arms_out: dict[str, Any] = {}
     for arm in config["arms"]:

@@ -27,6 +27,7 @@ stay within a few ulp.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -222,7 +223,13 @@ def invert_tta(
     90-degree family; scale round trips are within floating-point error.
     A non-empty ``source`` replaces each detection's source tag.
     """
-    return apply_tta(boxes, transformed_dims(scene, t), t.inverse(), source)
+    return apply_tta(boxes, *_inverse_frame(scene, t), source)
+
+
+@functools.lru_cache(maxsize=256)
+def _inverse_frame(scene: SceneDims, t: TtaTransform) -> tuple[SceneDims, TtaTransform]:
+    """The transformed frame of ``scene`` under ``t``, and ``t.inverse()``."""
+    return transformed_dims(scene, t), t.inverse()
 
 
 # Denser grids are refused, not built: a tile costs ~115 bytes and ~2 us, and

@@ -79,12 +79,13 @@ def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
     gamma, th = params.gamma, params.threshold
     if params.kind is LossKind.CE:
         return neg_log, -1.0 / pt
-    fl = one_minus**gamma * neg_log
+    weight = one_minus**gamma
+    fl = weight * neg_log
     # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt
     if gamma == 0.0:
         dfl = -1.0 / pt
     else:
-        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - one_minus**gamma / pt
+        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - weight / pt
     if params.kind is LossKind.FL:
         return fl, dfl
     scale = th**gamma
@@ -177,16 +178,17 @@ def softmax_loss_and_grad(
     return loss, grad
 
 
-def binary_pt(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clamped pt, -log(pt) and 1 - pt of a sigmoid head: pt = sigmoid(z)
-    for label 1, 1 - sigmoid(z) for label 0.  The log-sigmoid identity
-    log(sigmoid(s)) = -log(1 + exp(-s)) keeps large |z| from overflowing;
-    -log(pt) is capped at -log(1e-12), mirroring the clamp."""
-    s = np.where(y == 1, z, -z)
-    log_pt = -np.logaddexp(0.0, -s)
-    neg_log = np.minimum(-log_pt, -math.log(PT_CLAMP_LO))
-    pt = np.clip(np.exp(log_pt), PT_CLAMP_LO, PT_CLAMP_HI)
-    one_minus = np.clip(np.exp(-np.logaddexp(0.0, s)), PT_CLAMP_LO, PT_CLAMP_HI)
+def binary_pt(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamped pt, -log(pt) and 1 - pt of a sigmoid head, from the logit
+    signed toward the label (z for label 1, -z for label 0), so that
+    pt = sigmoid(s).  The log-sigmoid identity -log(sigmoid(s)) =
+    log(1 + exp(-s)) keeps large |s| from overflowing; -log(pt) is capped
+    at -log(1e-12), mirroring the clamp."""
+    softplus = np.logaddexp(0.0, -s)
+    neg_log = np.minimum(softplus, -math.log(PT_CLAMP_LO))
+    pt = np.minimum(np.maximum(np.exp(-softplus), PT_CLAMP_LO), PT_CLAMP_HI)
+    one_minus = np.exp(-np.logaddexp(0.0, s))
+    one_minus = np.minimum(np.maximum(one_minus, PT_CLAMP_LO), PT_CLAMP_HI)
     return pt, neg_log, one_minus
 
 
@@ -201,8 +203,8 @@ def binary_loss_and_grad(
     if not math.isfinite(logit):
         raise ValueError("logit must be finite")
 
-    y = np.array([label])
-    pt, neg_log, one_minus = binary_pt(np.array([logit], dtype=np.float64), y)
+    sign = 1.0 if label == 1 else -1.0
+    pt, neg_log, one_minus = binary_pt(np.array([logit * sign], dtype=np.float64))
     loss, dpt = loss_and_dpt(pt, neg_log, one_minus, params)
-    grad = dpt * pt * one_minus * np.where(y == 1, 1.0, -1.0)
+    grad = dpt * pt * one_minus * sign
     return float(loss[0]), float(grad[0])

@@ -20,25 +20,24 @@ streams and differ only in loss and lr schedule train in lockstep, one
 batch draw for all, and each ends bitwise where it would alone.
 
 Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
-all scenes are scored, ranked and counted at once).  The batch steps
-clamp as the scalar composites do and share their loss kernel,
-``losses.loss_and_dpt``.
+all scenes are scored, ranked and counted at once).  One SGD step is one
+set of numpy calls for every run in lockstep: ``softmax_step`` and
+``binary_step`` score the stacked models with one matmul, run the loss
+kernel ``losses.loss_and_dpt`` once per run, and clamp as the scalar
+composites do; the trainer writes the step's mean losses into one
+(iterations, runs) curve buffer, turned into lists once at the end.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .losses import PT_CLAMP_HI, PT_CLAMP_LO, LossParams, binary_pt, loss_and_dpt
 from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
-
-LrSchedule = Sequence[tuple[float, float]]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -77,7 +76,7 @@ class LinearModel:
         return np.argmax(self.scores(X), axis=1)
 
 
-def lr_at(schedule: LrSchedule, iteration: int) -> float:
+def lr_at(schedule: Sequence[tuple[float, float]], iteration: int) -> float:
     """Rate of the first schedule threshold exceeding the iteration index."""
     for threshold, rate in schedule:
         if iteration < threshold:
@@ -102,27 +101,30 @@ def softmax_step(
     params: Sequence[LossParams],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample losses (S, B) and batch-mean gradients (S, C, d), (S, C)
-    of S stacked models ``W`` (S, C, d), ``b`` (S, C) on one minibatch,
-    with one loss per model.  Each model's slice is bitwise what it
-    computes alone: matmul runs one gemm per slice, and each loss kernel
-    sees its own contiguous row."""
-    z = np.matmul(X, W.transpose(0, 2, 1)) + b[:, None, :]
-    z = z - z.max(axis=2, keepdims=True)
-    ez = np.exp(z)
-    p = ez / ez.sum(axis=2, keepdims=True)
-    n = X.shape[0]
-    rows = np.arange(n)
-    pt = np.clip(p[:, rows, y], PT_CLAMP_LO, PT_CLAMP_HI)
+    of S stacked models ``W`` (S, C, d), ``b`` (S, C) on one minibatch, one
+    loss per model.  Each slice is bitwise what that model computes alone
+    (matmul runs one gemm per slice); the losses are C-ordered, so a reduce
+    along axis 1 sums each row as ``row.mean()`` does."""
+    (S, C), n = W.shape[:2], X.shape[0]
+    z = np.matmul(X, W.transpose(0, 2, 1))
+    z += b[:, None, :]
+    # The max is exact in any order: reduce a (C, S*n) copy along its rows.
+    z -= np.maximum.reduce(z.reshape(-1, C).T.copy(), axis=0).reshape(S, n, 1)
+    p = np.exp(z, out=z)
+    p /= np.add.reduce(p, axis=2, keepdims=True)
+    at = np.arange(0, S * n * C, n * C)[:, None] + (np.arange(0, n * C, C) + y)
+    p_label = p.take(at)  # (S, n): each row's label entry, per model
+    pt = np.minimum(np.maximum(p_label, PT_CLAMP_LO), PT_CLAMP_HI)
 
     neg_log, one_minus = -np.log(pt), 1.0 - pt
-    losses, dpt = np.empty_like(pt), np.empty_like(pt)
+    losses, dpt = np.empty(pt.shape), np.empty(pt.shape)
     for s, loss in enumerate(params):
         losses[s], dpt[s] = loss_and_dpt(pt[s], neg_log[s], one_minus[s], loss)
-    direction = -p
-    direction[:, rows, y] += 1.0
+    direction = np.negative(p, out=p)
+    direction.put(at, 1.0 - p_label)
     glogits = (dpt * pt)[:, :, None] * direction
     dW = np.matmul(glogits.transpose(0, 2, 1), X) / n
-    db = glogits.mean(axis=1)
+    db = np.add.reduce(glogits, axis=1) / n
     return losses, dW, db
 
 
@@ -135,19 +137,34 @@ def softmax_batch(
     return losses[0], dW[0], db[0]
 
 
+def binary_step(
+    X: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarray,
+    params: Sequence[LossParams], sign: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sigmoid twin of :func:`softmax_step`: losses (A, B) and gradients
+    (A, d), (A,) of A stacked scorers ``W`` (A, d), ``b`` (A,).  ``sign``
+    (+1 for label 1, -1 for label 0) is derived from ``y`` unless given.
+    matmul broadcasts the batch over the scorers, one gemv per slice."""
+    sign = np.where(y == 1, 1.0, -1.0) if sign is None else sign
+    z = np.matmul(X, W[:, :, None])[:, :, 0]
+    z += b[:, None]
+    pt, neg_log, one_minus = binary_pt(z * sign)
+    losses, dpt = np.empty(pt.shape), np.empty(pt.shape)
+    for a, loss in enumerate(params):
+        losses[a], dpt[a] = loss_and_dpt(pt[a], neg_log[a], one_minus[a], loss)
+    gz = dpt * pt * one_minus * sign
+    dW = np.matmul(gz[:, None, :], X)[:, 0, :] / X.shape[0]
+    db = np.add.reduce(gz, axis=1) / X.shape[0]
+    return losses, dW, db
+
+
 def binary_batch(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, params: LossParams
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-sample losses and mean gradients for a sigmoid binary scorer."""
-    pt, neg_log, one_minus = binary_pt(X @ w + b, y)
-    loss, dpt = loss_and_dpt(pt, neg_log, one_minus, params)
-
-    sign = np.where(y == 1, 1.0, -1.0)
-    gz = dpt * pt * one_minus * sign
-    n = X.shape[0]
-    dw = gz @ X / n
-    db = float(gz.mean())
-    return loss, dw, db
+    """:func:`binary_step` for one scorer: ``(losses, dw, db)``, averaged
+    over the batch."""
+    losses, dW, db = binary_step(X, y, w[None], np.array([b], dtype=np.float64), [params])
+    return losses[0], dW[0], float(db[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +174,7 @@ def binary_batch(
 
 def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
     sub = np.random.SeedSequence(policy.seed, spawn_key=(epoch,))
-    return dataclasses.replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
+    return replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
 
 
 def _lockstep(config, shared: tuple[str, ...]) -> tuple[list, bool]:
@@ -171,6 +188,16 @@ def _lockstep(config, shared: tuple[str, ...]) -> tuple[list, bool]:
     return runs, single
 
 
+def _rate_table(runs: Sequence[TrainConfig], iterations: int) -> np.ndarray:
+    """(iterations, runs): each run's :func:`lr_at` rate at every iteration."""
+    table = np.empty((iterations, len(runs)))
+    for r, run in enumerate(runs):
+        thresholds, rates = np.array(run.lr_schedule, dtype=np.float64).T
+        at = np.searchsorted(thresholds, np.arange(iterations), side="right")
+        table[:, r] = rates[np.minimum(at, len(rates) - 1)]
+    return table
+
+
 def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig]):
     """Minibatch SGD on a linear softmax model; returns (model, loss curve).
 
@@ -182,9 +209,7 @@ def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig])
     in lockstep and returns one (model, curve) per config, each bitwise
     what that config trains alone.
     """
-    runs, single = _lockstep(
-        config, ("epochs", "batch_size", "weight_init_seed", "undersample")
-    )
+    runs, single = _lockstep(config, ("epochs", "batch_size", "weight_init_seed", "undersample"))
     first = runs[0]
     X_all, y_all = data.X, data.y
     if not len(y_all):
@@ -196,12 +221,11 @@ def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig])
     init = init_model(num_classes, X_all.shape[1], first.weight_init_seed)
     W = np.repeat(init.weights[None], len(runs), axis=0)
     b = np.repeat(init.biases[None], len(runs), axis=0)
-    batch_rng = np.random.default_rng(
-        np.random.SeedSequence(first.weight_init_seed).spawn(2)[1]
-    )
+    batch_rng = np.random.default_rng(np.random.SeedSequence(first.weight_init_seed).spawn(2)[1])
 
-    curves: list[list[float]] = [[] for _ in runs]
-    iteration = 0
+    params = [r.loss for r in runs]
+    curves = np.empty((first.epochs * math.ceil(len(y_all) / first.batch_size), len(runs)))
+    rates, iteration = _rate_table(runs, len(curves)), 0
     for epoch in range(first.epochs):
         Xe, ye = X_all, y_all
         if first.undersample is not None:
@@ -212,16 +236,14 @@ def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig])
         perm = batch_rng.permutation(len(ye))
         for start in range(0, len(ye), first.batch_size):
             idx = perm[start:start + first.batch_size]
-            losses, dW, db = softmax_step(Xe[idx], ye[idx], W, b, [r.loss for r in runs])
-            rates = np.array([lr_at(r.lr_schedule, iteration) for r in runs])
-            W -= rates[:, None, None] * dW
-            b -= rates[:, None] * db
-            for curve, row in zip(curves, losses):
-                curve.append(float(row.mean()))
+            losses, dW, db = softmax_step(Xe.take(idx, axis=0), ye.take(idx), W, b, params)
+            W -= rates[iteration, :, None, None] * dW
+            b -= rates[iteration, :, None] * db
+            curves[iteration] = np.add.reduce(losses, axis=1) / losses.shape[1]
             iteration += 1
     if first.epochs and not iteration:
         raise ValueError("no training iteration ran: undersampling emptied every epoch")
-    out = [(LinearModel(W[s], b[s]), curves[s]) for s in range(len(runs))]
+    out = [(LinearModel(W[s], b[s]), c) for s, c in enumerate(curves[:iteration].T.tolist())]
     return out[0] if single else out
 
 
@@ -246,11 +268,8 @@ def evaluate_classifier(model: LinearModel, data: Dataset) -> ClassifierEval:
         raise ValueError("evaluation data is empty")
     correct = model.predict(data.X) == data.y
     per_class = _recall_by_class(data.y, correct)
-    return ClassifierEval(
-        per_class_recall=per_class,
-        m_recall=float(np.mean(list(per_class.values()))),
-        accuracy=float(correct.mean()),
-    )
+    return ClassifierEval(per_class, float(np.mean(list(per_class.values()))),
+                          float(correct.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -308,37 +327,31 @@ def train_objectness(
     """
     runs, single = _lockstep(config, ("epochs", "batch_size", "weight_init_seed"))
     first = runs[0]
-    rng_init, rng_batch = (
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(first.weight_init_seed).spawn(2)
-    )
-    w_init = rng_init.uniform(-0.01, 0.01, size=X.shape[1])
-    models = [BinaryModel(w_init.copy(), 0.0) for _ in runs]
-    fg_idx = np.flatnonzero(y == 1)
-    bg_idx = np.flatnonzero(y == 0)
+    rng_init, rng_batch = (np.random.default_rng(s) for s in
+                           np.random.SeedSequence(first.weight_init_seed).spawn(2))
+    W = np.repeat(rng_init.uniform(-0.01, 0.01, size=(1, X.shape[1])), len(runs), axis=0)
+    b = np.zeros(len(runs))
+    fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if len(fg_idx) == 0 or len(bg_idx) == 0:
         raise ValueError("objectness training needs both labels present")
 
     n_fg = max(1, round(first.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
     n_bg = max(1, first.batch_size - n_fg)
-    batches_per_epoch = math.ceil(len(y) / first.batch_size)
+    # Every batch is n_fg foreground rows, then n_bg background rows.
+    yb, sign = np.repeat([1, 0], [n_fg, n_bg]), np.repeat([1.0, -1.0], [n_fg, n_bg])
+    params = [r.loss for r in runs]
 
-    curves: list[list[float]] = [[] for _ in runs]
-    iteration = 0
-    for _ in range(first.epochs):
-        for _ in range(batches_per_epoch):
-            fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
-            bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
-            idx = np.concatenate([fg, bg])
-            Xb, yb = X[idx], y[idx]
-            for run, model, curve in zip(runs, models, curves):
-                losses, dw, db = binary_batch(Xb, yb, model.weights, model.bias, run.loss)
-                rate = lr_at(run.lr_schedule, iteration)
-                model.weights -= rate * dw
-                model.bias -= rate * db
-                curve.append(float(losses.mean()))
-            iteration += 1
-    out = list(zip(models, curves))
+    curves = np.empty((first.epochs * math.ceil(len(y) / first.batch_size), len(runs)))
+    rates = _rate_table(runs, len(curves))
+    for iteration in range(len(curves)):
+        fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
+        bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
+        losses, dW, db = binary_step(X.take(np.concatenate([fg, bg]), axis=0), yb, W, b,
+                                     params, sign)
+        W -= rates[iteration, :, None] * dW
+        b -= rates[iteration] * db
+        curves[iteration] = np.add.reduce(losses, axis=1) / len(yb)
+    out = [(BinaryModel(W[a], float(b[a])), c) for a, c in enumerate(curves.T.tolist())]
     return out[0] if single else out
 
 

@@ -254,6 +254,62 @@ class TestExperiment:
         assert code == 2
         assert "$.arms[0].undersample" in err
 
+    @pytest.mark.parametrize("budget", [24, 25, 1000])
+    def test_two_stage_budget_covering_every_candidate_exit_2(self, tmp_path, capsys, budget):
+        # 4 + 20 candidates per scene: a budget of 24 or more keeps them all,
+        # so every arm's proposal recall would be 1.
+        cfg_data = {
+            "kind": "two_stage",
+            "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
+                       "num_classes": 2, "feature_dim": 3},
+            "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
+            "two_stage": {"proposal_budget": budget,
+                          "stage2": {"epochs": 1, "batch_size": 8,
+                                     "lr_schedule": [[100, 0.1]]}},
+            "arms": [{"name": "a", "loss": {"kind": "CE"}}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "$.two_stage.proposal_budget: proposal_budget must be below" in err
+        assert not out.exists()
+        cfg_data["two_stage"]["proposal_budget"] = 23
+        cfg.write_text(json.dumps(cfg_data))
+        assert run(capsys, "experiment", str(cfg), "--out", str(out))[0] == 0
+
+    def test_csv_dataset_read_once_per_experiment(self, tmp_path, monkeypatch):
+        from rfl_lab import experiment
+        from rfl_lab.sampling import SynthDatasetSpec, generate_synthetic, write_dataset_csv
+
+        path = tmp_path / "d.csv"
+        write_dataset_csv(generate_synthetic(SynthDatasetSpec(
+            class_counts=[120, 30, 10], feature_dim=4, label_noise_rate=0.05, seed=3)), path)
+        cfg = {
+            "kind": "classifier",
+            "seeds": [4, 7, 9],
+            "dataset": {"csv_path": str(path)},
+            "train": SMALL_CONFIG["train"],
+            "arms": SMALL_CONFIG["arms"],
+        }
+
+        def canonical(report):
+            return json.dumps(experiment.round_floats(report["arms"]), sort_keys=True)
+
+        solo = {seed: json.loads(canonical(experiment.run_experiment(dict(cfg, seeds=[seed]))))
+                for seed in cfg["seeds"]}
+        reads = []
+        read = experiment.read_dataset_csv
+        monkeypatch.setattr(experiment, "read_dataset_csv",
+                            lambda p: reads.append(p) or read(p))
+        report = json.loads(canonical(experiment.run_experiment(cfg)))
+        assert reads == [str(path)]
+        for name, arm in report.items():
+            for k, seed in enumerate(cfg["seeds"]):
+                assert (json.dumps(arm["per_seed"][k], sort_keys=True)
+                        == json.dumps(solo[seed][name]["per_seed"][0], sort_keys=True))
+
     @pytest.mark.parametrize("csv", [False, True])
     @pytest.mark.parametrize("units", ["iteration", "fraction"])
     def test_arm_skipping_every_class_exit_2(self, tmp_path, capsys, units, csv):

@@ -229,6 +229,20 @@ class TestTta:
         for orig, moved in zip(boxes, scaled):
             assert moved.box.area == pytest.approx(orig.box.area * 2.25, rel=1e-12)
 
+    def test_inverse_frame_derived_once_per_scene_and_transform(self, monkeypatch):
+        # Equal but distinct scene and transform objects share one entry.
+        calls = []
+        inverse = TtaTransform.inverse
+        monkeypatch.setattr(TtaTransform, "inverse",
+                            lambda t: calls.append(t) or inverse(t))
+        boxes = random_grid_boxes(np.random.default_rng(8), 20, 700, 500)
+        t = TtaTransform.parse("rot90+scale:0.7+fliph")
+        expected = apply_tta(boxes, transformed_dims(SceneDims(700, 500), t), inverse(t))
+        for _ in range(3):
+            back = invert_tta(boxes, SceneDims(700.0, 500.0), TtaTransform.parse(str(t)))
+            assert [d.box for d in back] == [d.box for d in expected]
+        assert len(calls) <= 1
+
     def test_inverse_of_identity(self):
         d = det(5, 5, 9, 9)
         assert invert_tta([d], SCENE, TtaTransform.identity())[0].box == d.box

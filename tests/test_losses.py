@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from rfl_lab.losses import (
+    PT_CLAMP_HI,
+    PT_CLAMP_LO,
     LossKind,
     LossParams,
     binary_loss_and_grad,
+    binary_pt,
     ce_loss,
     cutoff_factor,
     focal_loss,
@@ -273,3 +276,45 @@ class TestBinaryComposite:
             binary_loss_and_grad(float("inf"), 1, CE)
         with pytest.raises(ValueError):
             binary_loss_and_grad(0.0, 2, CE)
+
+
+def clip_binary_pt(z, y):
+    """The np.clip spelling of :func:`binary_pt`, on labels, as a reference."""
+    s = np.where(y == 1, z, -z)
+    log_pt = -np.logaddexp(0.0, -s)
+    neg_log = np.minimum(-log_pt, -math.log(PT_CLAMP_LO))
+    pt = np.clip(np.exp(log_pt), PT_CLAMP_LO, PT_CLAMP_HI)
+    one_minus = np.clip(np.exp(-np.logaddexp(0.0, s)), PT_CLAMP_LO, PT_CLAMP_HI)
+    return pt, neg_log, one_minus
+
+
+class TestClamp:
+    """The min/max clamp equals np.clip on every non-NaN value."""
+
+    EDGES = [PT_CLAMP_LO, PT_CLAMP_HI]
+    VALUES = np.array(
+        [-np.inf, np.inf, -1.0, 0.0, -0.0, 0.5, 1.0, 2.0]
+        + EDGES
+        + [np.nextafter(e, 0.5) for e in EDGES]    # just inside
+        + [np.nextafter(e, -1.0) for e in EDGES]   # just outside below
+        + [np.nextafter(e, 2.0) for e in EDGES]    # just above
+    )
+
+    def test_min_max_equals_clip(self):
+        ours = np.minimum(np.maximum(self.VALUES, PT_CLAMP_LO), PT_CLAMP_HI)
+        ref = np.clip(self.VALUES, PT_CLAMP_LO, PT_CLAMP_HI)
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_binary_pt_equals_clip_spelling(self):
+        # Logits from -inf to inf, including ones whose pt lands at or just
+        # inside either bound (|z| near -log(1e-12) = 27.63).
+        edge = -math.log(PT_CLAMP_LO)
+        z = np.array([-np.inf, np.inf, -800.0, 800.0, 0.0, -0.0, 1.5, -1.5]
+                     + [edge + k * 1e-3 for k in range(-5, 6)]
+                     + [-edge + k * 1e-3 for k in range(-5, 6)]
+                     + [36.0, 36.8, 37.0, -36.8])
+        for label in (0, 1):
+            y = np.full(len(z), label)
+            s = z if label == 1 else -z
+            for ours, ref in zip(binary_pt(s), clip_binary_pt(z, y)):
+                assert ours.tobytes() == ref.tobytes()

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfl_lab.losses import (
     LossKind,
     LossParams,
     binary_loss_and_grad,
+    loss_and_dpt,
     softmax_loss_and_grad,
 )
 from rfl_lab.sampling import (
@@ -25,6 +28,7 @@ from rfl_lab.train import (
     TrainConfig,
     TwoStageConfig,
     binary_batch,
+    binary_step,
     evaluate_classifier,
     init_model,
     lr_at,
@@ -236,6 +240,25 @@ class TestLockstep:
         for cfg, (_, _, report) in zip(configs, together):
             assert report == train_two_stage(scenes, cfg)[2]
 
+    @pytest.mark.parametrize("n_fg, batch", [(3, 32), (40, 1)])
+    def test_objectness_edge_batches_equal_solo_and_reference(self, n_fg, batch):
+        # 3 foreground rows for a quota of 11 draws with replacement;
+        # batch 1 still draws one row of each stratum.
+        rng = np.random.default_rng(n_fg)
+        X = rng.normal(size=(200, 4))
+        y = np.zeros(200, dtype=np.int64)
+        y[rng.choice(200, size=n_fg, replace=False)] = 1
+        configs = [TrainConfig(loss, 3, batch, ((7, 0.3), (10**9, 0.1)), weight_init_seed=5)
+                   for loss in LOCKSTEP_ARMS]
+        together = train_objectness(X, y, configs, 0.5)
+        for cfg, (model, curve) in zip(configs, together):
+            solo, solo_curve = train_objectness(X, y, cfg, 0.5)
+            ref_w, ref_b, ref_curve = reference_objectness(X, y, cfg, 0.5)
+            assert np.array_equal(model.weights, solo.weights)
+            assert np.array_equal(model.weights, ref_w)
+            assert model.bias == solo.bias == ref_b
+            assert curve == solo_curve == ref_curve
+
     def test_runs_that_do_not_share_the_stream_rejected(self):
         data = separable_two_class()
         with pytest.raises(ValueError, match="weight_init_seed"):
@@ -245,6 +268,106 @@ class TestLockstep:
             train_classifier(data, [flat_config(), flat_config(undersample=pol)])
         with pytest.raises(ValueError, match="stage2"):
             train_two_stage(tiny_scenes(), [two_stage_config(), two_stage_config(epochs=2)])
+
+
+def reference_binary_batch(X, y, w, b, params):
+    """One scorer's batch step as a gemv on the label-signed logits."""
+    s = np.where(y == 1, X @ w + b, -(X @ w + b))
+    log_pt = -np.logaddexp(0.0, -s)
+    neg_log = np.minimum(-log_pt, -math.log(1e-12))
+    pt = np.clip(np.exp(log_pt), 1e-12, 1.0 - 1e-12)
+    one_minus = np.clip(np.exp(-np.logaddexp(0.0, s)), 1e-12, 1.0 - 1e-12)
+    loss, dpt = loss_and_dpt(pt, neg_log, one_minus, params)
+    gz = dpt * pt * one_minus * np.where(y == 1, 1.0, -1.0)
+    return loss, gz @ X / len(y), float(gz.mean())
+
+
+def reference_objectness(X, y, cfg, ratio):
+    """One run of stratified objectness SGD, one batch and one scorer at a time."""
+    rng_init, rng_batch = (np.random.default_rng(s) for s in
+                           np.random.SeedSequence(cfg.weight_init_seed).spawn(2))
+    w, b = rng_init.uniform(-0.01, 0.01, size=X.shape[1]), 0.0
+    fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    n_fg = max(1, round(cfg.batch_size * ratio / (1.0 + ratio)))
+    n_bg = max(1, cfg.batch_size - n_fg)
+    curve = []
+    for it in range(cfg.epochs * math.ceil(len(y) / cfg.batch_size)):
+        fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
+        bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
+        idx = np.concatenate([fg, bg])
+        losses, dw, db = reference_binary_batch(X[idx], y[idx], w, b, cfg.loss)
+        rate = lr_at(cfg.lr_schedule, it)
+        w, b = w - rate * dw, b - rate * db
+        curve.append(float(losses.mean()))
+    return w, b, curve
+
+
+def reference_softmax_batch(X, y, w, b, params):
+    """One model's softmax batch step with fancy indexing, np.clip and .mean."""
+    z = X @ w.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    rows = np.arange(len(y))
+    pt = np.clip(p[rows, y], 1e-12, 1.0 - 1e-12)
+    loss, dpt = loss_and_dpt(pt, -np.log(pt), 1.0 - pt, params)
+    direction = -p
+    direction[rows, y] += 1.0
+    glogits = (dpt * pt)[:, None] * direction
+    return loss, glogits.T @ X / len(y), glogits.mean(axis=0)
+
+
+STEP_LOSSES = st.sampled_from([
+    CE, FL2, LossParams(kind=LossKind.FL, gamma=0.0),
+    LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25),
+    LossParams(kind=LossKind.RFL, gamma=0.0, threshold=0.5),
+    LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0),
+])
+
+
+class TestStackedSteps:
+    """Each slice of a stacked step is bitwise the step of that model
+    alone, and the trainers' curve reduce gives each row's mean."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(B=st.integers(1, 130), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           params=st.lists(STEP_LOSSES, min_size=1, max_size=4),
+           scale=st.sampled_from([0.1, 1.0, 30.0]))
+    def test_binary_step_slices(self, B, d, seed, params, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(B, d)) * scale
+        y = rng.integers(0, 2, size=B)
+        W = rng.normal(size=(len(params), d))
+        b = rng.normal(size=len(params))
+        losses, dW, db = binary_step(X, y, W, b, params)
+        rows = np.add.reduce(losses, axis=1) / B
+        for a, loss in enumerate(params):
+            solo = binary_batch(X, y, W[a].copy(), float(b[a]), loss)
+            ref = reference_binary_batch(X, y, W[a], float(b[a]), loss)
+            for got in (solo, ref):
+                assert np.array_equal(losses[a], got[0])
+                assert np.array_equal(dW[a], got[1])
+                assert db[a] == got[2]
+            assert rows[a] == float(losses[a].mean())
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 130), d=st.integers(1, 16), C=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1),
+           params=st.lists(STEP_LOSSES, min_size=1, max_size=4))
+    def test_softmax_step_slices(self, B, d, C, seed, params):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(B, d))
+        y = rng.integers(0, C, size=B)
+        W = rng.normal(size=(len(params), C, d))
+        b = rng.normal(size=(len(params), C))
+        losses, dW, db = softmax_step(X, y, W, b, params)
+        rows = np.add.reduce(losses, axis=1) / B
+        for s, loss in enumerate(params):
+            solo = softmax_batch(X, y, LinearModel(W[s].copy(), b[s].copy()), loss)
+            ref = reference_softmax_batch(X, y, W[s], b[s], loss)
+            for got in (solo, ref):
+                for mine, want in zip((losses[s], dW[s], db[s]), got):
+                    assert np.array_equal(mine, want)
+            assert rows[s] == float(losses[s].mean())
 
 
 class TestEndToEndGradient:
