@@ -258,6 +258,9 @@ def cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(config, dict):  # the schema's message, before any key is set
+        print(f"invalid config: $: {config!r} is not of type 'object'", file=sys.stderr)
+        return 2
 
     if args.seeds:
         try:
@@ -269,6 +272,9 @@ def cmd_experiment(args) -> int:
         config["seeds"] = seeds
     if "seeds" not in config and os.environ.get("RFL_LAB_SEED"):
         config["seeds"] = [int(os.environ["RFL_LAB_SEED"])]
+    if args.dump_data and config.get("kind") != "classifier":
+        print("--dump-data only applies to classifier experiments", file=sys.stderr)
+        return 2
 
     try:
         report = run_experiment(config, include_timing=args.timing)
@@ -287,10 +293,6 @@ def cmd_experiment(args) -> int:
         _write_plots(round_floats(report), Path(args.plots))
         print(f"plots written to {args.plots}")
     if args.dump_data:
-        if config["kind"] != "classifier":
-            print("--dump-data only applies to classifier experiments",
-                  file=sys.stderr)
-            return 2
         from .experiment import _classifier_data
         from .sampling import write_dataset_csv
 

@@ -10,13 +10,17 @@ configured mode.  Clusters supported by fewer than ``min_votes``
 distinct source tags are discarded.  Detections of different images or
 classes never share a cluster.
 
-Clusters a detection may join come from a uniform grid whose cell side is the
-group's largest box side.  Boxes with IoU > 0 both contain the point
-(max x1, max y1), so they share its cell.  Each cell lists, in creation
-order, the clusters whose fused box has touched it, and a detection
-tests only those listed in its own (at most 2 x 2) cells: about linear
-cost at constant density.  A group with a non-finite corner or no
-positive side uses one cell, which is the full scan.
+Each (image, class) group keeps flat per-cluster lists in creation
+order: members, running fused corners, score sums, and the cell span the
+cluster is listed for.  Candidates come from a uniform grid whose cell
+side is the group's largest box side.  Boxes with IoU > 0 both contain
+the point (max x1, max y1), so they share its cell.  Each cell lists, in
+creation order, the clusters whose fused box has touched it, and a
+detection tests only those in its own (at most 2 x 2) cells: about linear
+cost at constant density.  A cluster is listed again only when a join
+moves its box to a new cell span; the old listings fail the bounds
+precheck.  A group with a non-finite corner or no positive side uses one
+cell, which is the full scan.
 
 The fused detection keeps the member sources joined with '+' in
 first-seen order, so a single-member cluster reproduces its detection
@@ -30,8 +34,9 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,84 +65,40 @@ class FusionConfig:
             raise ValueError(f"min_votes must be >= 1, got {self.min_votes}")
         for tag, w in self.source_weights.items():
             if not (np.isfinite(w) and w > 0):
-                raise ValueError(
-                    f"weight for source {tag!r} must be finite and positive, got {w}"
-                )
-
-
-class _Cluster:
-    """A cluster's members and its running fused box, kept as four floats."""
-
-    __slots__ = ("members", "weight_sum", "corners")
-
-    def __init__(self, det: Detection) -> None:
-        b = det.box
-        self.members: list[Detection] = [det]
-        self.weight_sum = det.score
-        self.corners = [b.x1, b.y1, b.x2, b.y2]  # one member: its box exactly
-
-    @property
-    def fused(self) -> Box:
-        return Box(*self.corners)
-
-    def add(self, det: Detection) -> None:
-        # Centered incremental weighted mean: no rounding when the new
-        # member coincides with the running box, and no large partial sums.
-        self.members.append(det)
-        total = self.weight_sum + det.score
-        if total > 0.0:
-            f = det.score / total
-            c, d = self.corners, det.box
-            c[0] += f * (d.x1 - c[0])
-            c[1] += f * (d.y1 - c[1])
-            c[2] += f * (d.x2 - c[2])
-            c[3] += f * (d.y2 - c[3])
-        # All-zero scores leave the first member's box in place.
-        self.weight_sum = total
-
-    def fused_detection(self, cfg: FusionConfig) -> Detection:
-        scores = [m.score for m in self.members]
-        if cfg.score_mode is ScoreMode.MAX:
-            score = max(scores)
-        elif cfg.score_mode is ScoreMode.WEIGHTED_MEAN:
-            weights = [cfg.source_weights.get(m.source, 1.0) for m in self.members]
-            score = sum(w * s for w, s in zip(weights, scores)) / sum(weights)
-        else:
-            score = sum(scores) / len(scores)
-        sources: list[str] = []
-        for m in self.members:
-            if m.source not in sources:
-                sources.append(m.source)
-        first = self.members[0]
-        return Detection(
-            self.fused, first.class_id, score, "+".join(sources), first.image_id
-        )
+                raise ValueError(f"weight for source {tag!r} must be finite and positive, got {w}")
 
 
 def _clusters(
-    entries: list[tuple[int, Detection]], iou_thresh: float
-) -> list[_Cluster]:
-    """Greedy clustering of one (image, class) group; see the module docstring."""
-    entries = sorted(entries, key=lambda e: (-e[1].score, e[1].source, e[0]))
-    rows = [(b.x1, b.y1, b.x2, b.y2) for b in (d.box for _, d in entries)]
-    corners = np.array(rows).reshape(-1, 4)
+    dets: list[Detection], iou_thresh: float
+) -> tuple[list[list[Detection]], list[tuple[float, float, float, float]]]:
+    """Greedy clustering of one (image, class) group; see the module docstring.
+
+    Returns each cluster's members in joining order and its fused corners.
+    """
+    # Score descending, then source, then input order (both sorts are stable).
+    dets = sorted(sorted(dets, key=attrgetter("source")), key=attrgetter("score"), reverse=True)
+    rows = [d.box for d in dets]
+    corners = np.fromiter(chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
     side = float((corners[:, 2:] - corners[:, :2]).max(initial=0.0))
     with np.errstate(all="ignore"):
         index = np.floor(corners / side)
     # A NaN or inf corner, a zero side or an index beyond float precision: one cell.
     grid = side > 0.0 and bool((np.abs(index) < 2.0**52).all())
     index = index.astype(np.int64) if grid else np.zeros((len(rows), 4), np.int64)
-    cells: defaultdict[tuple[int, int], list[int]] = defaultdict(list)  # ids, ascending
-    clusters: list[_Cluster] = []
-    for (_, det), (x1, y1, x2, y2), span in zip(entries, rows, index.tolist()):
+    cells: dict[tuple[int, int], list[int]] = {}  # ids, ascending
+    members: list[list[Detection]] = []
+    fused: list[tuple[float, float, float, float]] = []  # running weighted mean
+    weights: list[float] = []  # running score sum
+    spans: list[list[int]] = []  # the cell span each cluster was last listed for
+    for det, (x1, y1, x2, y2), span in zip(dets, rows, index.tolist()):
         area = (x2 - x1) * (y2 - y1)
-        best = len(clusters)
+        best = new = len(fused)
         near = _cells(*span)
-        for ids in map(cells.__getitem__, near):
-            for k in ids:
+        for cell in near:
+            for k in cells.get(cell, ()):
                 if k >= best:
                     break
-                fx1, fy1, fx2, fy2 = clusters[k].corners
+                fx1, fy1, fx2, fy2 = fused[k]
                 # The bounds precheck, then the arithmetic of iou(det.box, fused).
                 if not (fx1 < x2 and fy1 < y2 and x1 < fx2 and y1 < fy2):
                     continue
@@ -150,27 +111,44 @@ def _clusters(
                 if union > 0.0 and inter / union >= iou_thresh:
                     best = k
                     break
-        if best == len(clusters):
+        if best == new:
             for cell in near:
-                cells[cell].append(best)
-            clusters.append(_Cluster(det))
+                cells.setdefault(cell, []).append(new)
+            members.append([det])
+            fused.append(det.box)  # one member: its box exactly
+            weights.append(det.score)
+            spans.append(span)
             continue
-        clusters[best].add(det)
-        if grid:  # list the moved box in its new cells; stale listings fail the precheck
-            c = clusters[best].corners
-            for cell in _cells(math.floor(c[0] / side), math.floor(c[1] / side),
-                               math.floor(c[2] / side), math.floor(c[3] / side)):
-                ids = cells[cell]
+        members[best].append(det)
+        total = weights[best] = weights[best] + det.score
+        if not total > 0.0:
+            continue  # all-zero scores leave the first member's box in place
+        # Centered incremental weighted mean: no rounding when the new
+        # member coincides with the running box, and no large partial sums.
+        f = det.score / total
+        cx1, cy1, cx2, cy2 = fused[best]
+        c = fused[best] = (cx1 + f * (x1 - cx1), cy1 + f * (y1 - cy1),
+                           cx2 + f * (x2 - cx2), cy2 + f * (y2 - cy2))
+        if not grid:
+            continue
+        span = [math.floor(c[0] / side), math.floor(c[1] / side),
+                math.floor(c[2] / side), math.floor(c[3] / side)]
+        if span != spans[best]:  # list the moved box in its new cells
+            spans[best] = span
+            for cell in _cells(*span):
+                ids = cells.setdefault(cell, [])
                 if best not in ids:
                     bisect.insort(ids, best)
-    return clusters
+    return members, fused
 
 
-def _cells(i1: int, j1: int, i2: int, j2: int) -> set[tuple[int, int]]:
-    """Cells (i1, j1) to (i2, j2); 2 x 2 unless rounding carries a corner over."""
+def _cells(i1: int, j1: int, i2: int, j2: int) -> Sequence[tuple[int, int]]:
+    """Cells (i1, j1) to (i2, j2), each once: at most 2 x 2 unless rounding carries over."""
     if i2 - i1 > 1 or j2 - j1 > 1:
-        return {(i, j) for i in range(i1, i2 + 1) for j in range(j1, j2 + 1)}
-    return {(i1, j1), (i1, j2), (i2, j1), (i2, j2)}
+        return [(i, j) for i in range(i1, i2 + 1) for j in range(j1, j2 + 1)]
+    if i1 == i2:
+        return ((i1, j1),) if j1 == j2 else ((i1, j1), (i1, j2))
+    return ((i1, j1), (i2, j1)) if j1 == j2 else ((i1, j1), (i1, j2), (i2, j1), (i2, j2))
 
 
 def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
@@ -180,15 +158,30 @@ def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
     ordered by class id, then image id, then cluster creation
     (score-descending) order.
     """
-    groups: dict[tuple[int, str], list[tuple[int, Detection]]] = {}
-    for idx, det in enumerate(dets):
-        groups.setdefault((det.class_id, det.image_id), []).append((idx, det))
+    groups: dict[tuple[int, str], list[Detection]] = {}
+    for det in dets:
+        groups.setdefault((det.class_id, det.image_id), []).append(det)
 
+    mode, weight = cfg.score_mode, cfg.source_weights.get
     out: list[Detection] = []
     for key in sorted(groups):
-        for cluster in _clusters(groups[key], cfg.iou_thresh):
-            if len({m.source for m in cluster.members}) >= cfg.min_votes:
-                out.append(cluster.fused_detection(cfg))
+        for cluster, corners in zip(*_clusters(groups[key], cfg.iou_thresh)):
+            if len(cluster) < cfg.min_votes:
+                continue  # too few members for the distinct sources needed
+            sources = list(dict.fromkeys([m.source for m in cluster]))  # first seen first
+            if len(sources) < cfg.min_votes:
+                continue
+            scores = [m.score for m in cluster]
+            if mode is ScoreMode.MAX:
+                score = max(scores)
+            elif mode is ScoreMode.WEIGHTED_MEAN:
+                weights = [weight(m.source, 1.0) for m in cluster]
+                score = sum(w * s for w, s in zip(weights, scores)) / sum(weights)
+            else:
+                score = sum(scores) / len(scores)
+            first = cluster[0]
+            out.append(Detection(Box(*corners), first.class_id, score, "+".join(sources),
+                                 first.image_id))
     return out
 
 

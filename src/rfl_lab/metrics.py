@@ -18,6 +18,12 @@ instances each class has.
 
 Degenerate zero-area boxes have IoU 0 against everything (including
 themselves) and therefore never match.
+
+The records ``Box``, ``Detection`` and ``GroundTruth`` are named tuples,
+cheap enough to build one per box per step: immutable, hashed and
+compared by value, so they equal a plain tuple of the same values.
+``Box`` and ``Detection`` check their values when built (by ``_make``
+and ``_replace`` too).
 """
 
 from __future__ import annotations
@@ -26,43 +32,66 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Box:
+_tuple_new = tuple.__new__
+# The records' _make, and so their _replace, runs the checks of __new__.
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+class _BoxFields(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        if self.x2 < self.x1 or self.y2 < self.y1:
+
+class Box(_BoxFields):
+    """Corners of an axis-aligned box; x2 >= x1 and y2 >= y1."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> "Box":
+        self = _tuple_new(cls, (x1, y1, x2, y2))
+        if x2 < x1 or y2 < y1:
             raise ValueError(f"box corners out of order: {self}")
+        return self
+
+    _make = _checked_make
 
     @property
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
 
 
-@dataclass(frozen=True)
-class Detection:
+class _DetectionFields(NamedTuple):
     box: Box
     class_id: int
     score: float
     source: str = ""
     image_id: str = ""
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+
+class Detection(_DetectionFields):
+    """A scored box; the score lies in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, box: Box, class_id: int, score: float, source: str = "",
+                image_id: str = "") -> "Detection":
+        if not (0.0 <= score <= 1.0):
+            raise ValueError(f"score must be in [0, 1], got {score}")
+        return _tuple_new(cls, (box, class_id, score, source, image_id))
+
+    _make = _checked_make
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     box: Box
     class_id: int
     image_id: str = ""
@@ -104,9 +133,8 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _corners(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
-    return np.array(
-        [(it.box.x1, it.box.y1, it.box.x2, it.box.y2) for it in items], dtype=float
-    ).reshape(-1, 4)
+    boxes = chain.from_iterable([it.box for it in items])
+    return np.fromiter(boxes, float, 4 * len(items)).reshape(-1, 4)
 
 
 def _best_unmatched(
@@ -222,24 +250,15 @@ def average_precision(
 
 
 def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
-    tp = 0
-    recalls, precisions = [], []
-    for k, flag in enumerate(flags, start=1):
-        tp += int(flag)
-        recalls.append(tp / n_gt)
-        precisions.append(tp / k)
-
+    tps = list(accumulate(map(int, flags)))
+    precisions = [tp / k for k, tp in enumerate(tps, start=1)]
     # Monotone precision envelope, integrated over recall increments.
-    envelope = [0.0] * len(precisions)
-    running_max = 0.0
-    for k in range(len(precisions) - 1, -1, -1):
-        running_max = max(running_max, precisions[k])
-        envelope[k] = running_max
-    ap = 0.0
-    prev_recall = 0.0
-    for k in range(len(recalls)):
-        ap += (recalls[k] - prev_recall) * envelope[k]
-        prev_recall = recalls[k]
+    envelope = list(accumulate(reversed(precisions), max))[::-1]
+    ap = prev_recall = 0.0
+    for tp, best in zip(tps, envelope):
+        recall = tp / n_gt
+        ap += (recall - prev_recall) * best
+        prev_recall = recall
     return ap
 
 
@@ -308,11 +327,7 @@ def map_and_mrecall(
 
 
 def detection_to_json(det: Detection) -> dict:
-    rec = {
-        "box": [det.box.x1, det.box.y1, det.box.x2, det.box.y2],
-        "class_id": det.class_id,
-        "score": det.score,
-    }
+    rec = {"box": list(det.box), "class_id": det.class_id, "score": det.score}
     if det.image_id:
         rec["image_id"] = det.image_id
     if det.source:
@@ -329,10 +344,7 @@ def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:
 def write_groundtruths_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> None:
     with open(path, "w") as fh:
         for gt in gts:
-            rec: dict = {
-                "box": [gt.box.x1, gt.box.y1, gt.box.x2, gt.box.y2],
-                "class_id": gt.class_id,
-            }
+            rec: dict = {"box": list(gt.box), "class_id": gt.class_id}
             if gt.image_id:
                 rec["image_id"] = gt.image_id
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -233,6 +233,42 @@ class TestExperiment:
             assert 0.0 <= arm["mean"]["proposal_recall"] <= 1.0
             assert "per_class_proposal_recall" in arm["mean"]
 
+    def test_dump_data_on_two_stage_exits_2_before_training(self, tmp_path, capsys,
+                                                             monkeypatch):
+        cfg_data = {
+            "kind": "two_stage",
+            "seeds": [3],
+            "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
+                       "num_classes": 2, "feature_dim": 3},
+            "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
+            "two_stage": {"proposal_budget": 5,
+                          "stage2": {"epochs": 1, "batch_size": 8,
+                                     "lr_schedule": [[100, 0.1]]}},
+            "arms": [{"name": "ce", "loss": {"kind": "CE"}}],
+        }
+        cfg = tmp_path / "ts.json"
+        cfg.write_text(json.dumps(cfg_data))
+        trained = []
+        monkeypatch.setattr("rfl_lab.cli.run_experiment",
+                            lambda *a, **k: trained.append(a) or {})
+        out, dump = tmp_path / "r.json", tmp_path / "data"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out),
+                           "--dump-data", str(dump))
+        assert code == 2
+        assert "--dump-data only applies to classifier experiments" in err
+        assert "Traceback" not in err
+        assert trained == [] and not out.exists() and not dump.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--seeds", "1"], ["--dump-data", "data"]])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RFL_LAB_SEED", "4")
+        (tmp_path / "list.json").write_text("[1, 2]")
+        code, _, err = run(capsys, "experiment", "list.json", "--out", "r.json", *extra)
+        assert code == 2
+        assert err == "invalid config: $: [1, 2] is not of type 'object'\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_two_stage_rejects_undersample_arms(self, tmp_path, capsys):
         cfg_data = {
             "kind": "two_stage",

@@ -1,6 +1,7 @@
 """Fusion tests: spec fixtures, idempotence, hull containment, TTA passes,
 and hypothesis properties against a plain-loop reference."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -13,7 +14,6 @@ from rfl_lab.ensemble import (
     FusionConfig,
     ScoreMode,
     TtaPass,
-    _Cluster,
     ensemble_pipeline,
     fuse,
 )
@@ -238,6 +238,49 @@ def _dets_strategy(sources: tuple[str, ...]):
     return st.lists(one, max_size=30)
 
 
+class _RefCluster:
+    """A cluster's members and its running score-weighted mean box."""
+
+    def __init__(self, d):
+        self.members = [d]
+        self.weight_sum = d.score
+        self.corners = [d.box.x1, d.box.y1, d.box.x2, d.box.y2]
+
+    @property
+    def fused(self):
+        return Box(*self.corners)
+
+    def add(self, d):
+        # Centered incremental weighted mean; all-zero scores keep the first box.
+        self.members.append(d)
+        total = self.weight_sum + d.score
+        if total > 0.0:
+            f = d.score / total
+            c = self.corners
+            c[0] += f * (d.box.x1 - c[0])
+            c[1] += f * (d.box.y1 - c[1])
+            c[2] += f * (d.box.x2 - c[2])
+            c[3] += f * (d.box.y2 - c[3])
+        self.weight_sum = total
+
+    def fused_detection(self, cfg):
+        scores = [m.score for m in self.members]
+        if cfg.score_mode is ScoreMode.MAX:
+            score = max(scores)
+        elif cfg.score_mode is ScoreMode.WEIGHTED_MEAN:
+            weights = [cfg.source_weights.get(m.source, 1.0) for m in self.members]
+            score = sum(w * s for w, s in zip(weights, scores)) / sum(weights)
+        else:
+            score = sum(scores) / len(scores)
+        sources = []
+        for m in self.members:
+            if m.source not in sources:
+                sources.append(m.source)
+        first = self.members[0]
+        return Detection(self.fused, first.class_id, score, "+".join(sources),
+                         first.image_id)
+
+
 def reference_fuse(dets, cfg):
     """The plain loop: each detection tests every cluster of its group."""
     groups = {}
@@ -253,7 +296,7 @@ def reference_fuse(dets, cfg):
                     cluster.add(d)
                     break
             else:
-                clusters.append(_Cluster(d))
+                clusters.append(_RefCluster(d))
         out += [c.fused_detection(cfg) for c in clusters
                 if len({m.source for m in c.members}) >= cfg.min_votes]
     return out
@@ -348,6 +391,14 @@ class TestGridFusion:
         cfg = FusionConfig(iou_thresh=thr, min_votes=min_votes)
         assert repr(fuse(dets, cfg)) == repr(reference_fuse(dets, cfg))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_dense_dets_strategy(), st.sampled_from(list(ScoreMode)), st.integers(1, 2),
+           st.sampled_from([0.1, 0.5]))
+    def test_score_modes_equal_reference_loop(self, dets, mode, min_votes, thr):
+        cfg = FusionConfig(iou_thresh=thr, min_votes=min_votes, score_mode=mode,
+                           source_weights={"a": 2.0, "c": 0.25})
+        assert repr(fuse(dets, cfg)) == repr(reference_fuse(dets, cfg))
+
     def test_join_across_a_cell_boundary(self):
         # The largest side is 10, so x = 10 is a cell boundary: the first
         # box spans cell columns 0 and 1, the second columns 1 and 2.
@@ -435,3 +486,52 @@ class TestEnsemblePipeline:
             FusionConfig(min_votes=3),
         )
         assert out == []
+
+
+def _golden_dets():
+    """About 3k detections: 750 objects on four images and three classes,
+    each seen by four sources with probability 0.8 and half-pixel jitter,
+    plus 600 strays; scores take 20 values, so ties are everywhere."""
+    rng = np.random.default_rng(1903)
+    objects = np.concatenate([
+        rng.integers(0, 400, size=(750, 2)) / 2,  # x1, y1
+        rng.integers(8, 60, size=(750, 2)) / 2,  # w, h
+        rng.integers(0, 3, size=(750, 1)),  # class
+        rng.integers(0, 4, size=(750, 1)),  # image
+    ], axis=1).tolist()
+    rows = []
+    for x, y, w, h, c, i in objects:
+        for k in range(4):
+            if rng.random() < 0.8:
+                j = (rng.integers(-3, 4, size=4) / 2).tolist()
+                rows.append((x + j[0], y + j[1], x + w + j[2], y + h + j[3], c, i, k))
+    for x, y, w, h, c, i, k in rng.integers(0, 200, size=(600, 7)).tolist():
+        rows.append((x, y, x + 4 + w % 30, y + 4 + h % 30, c % 3, i % 4, k % 4))
+    scores = (rng.integers(1, 21, size=len(rows)) / 20).tolist()
+    return [
+        det(float(x1), float(y1), float(x2), float(y2), s, int(c), f"m{k}", f"img{int(i)}")
+        for (x1, y1, x2, y2, c, i, k), s in zip(rows, scores)
+    ]
+
+
+# sha256 of repr(fuse(...)) for each score mode, computed with the
+# per-cluster-object implementation that preceded the flat cluster lists.
+GOLDEN_SHA256 = {
+    ScoreMode.MEAN: "33b59cc3a519727494fa17713dff26b2e23088d5d91814f673f7b75aea93311c",
+    ScoreMode.MAX: "e6c1e7199b20539cf55e56d9fd9a30d7c13a2e8993955eef1cd25029a2d9f32e",
+    ScoreMode.WEIGHTED_MEAN:
+        "46f4648a130d9508b9fe408081d0e1b07d2c2a1a356838133836f4f6e7e2880c",
+}
+
+
+class TestGoldenFusion:
+    @pytest.mark.parametrize("mode", list(ScoreMode))
+    def test_fused_output_is_pinned(self, mode):
+        dets = _golden_dets()
+        assert len(dets) == 2984
+        cfg = FusionConfig(iou_thresh=0.5, min_votes=2, score_mode=mode,
+                           source_weights={"m1": 2.0, "m3": 0.5})
+        out = fuse(dets, cfg)
+        assert len(out) == 701
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN_SHA256[mode]
+        assert repr(out) == repr(reference_fuse(dets, cfg))

@@ -5,11 +5,16 @@ area from scratch using ``fractions.Fraction``, sharing no code with the
 module under test, and serves as ground truth for randomized fixtures.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rfl_lab.geometry import TileSpec
 from rfl_lab.metrics import (
     Box,
     Detection,
@@ -400,3 +405,130 @@ class TestJsonl:
         (d,) = read_detections_jsonl(path)
         assert d == Detection(b(0, 0, 1, 2.5), 3, 1.0)
         assert type(d.class_id) is int
+
+
+# ---------------------------------------------------------------------------
+# Records: tuple records that behave as the frozen dataclasses they replaced.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _DataclassBox:
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self):
+        if self.x2 < self.x1 or self.y2 < self.y1:
+            raise ValueError(f"box corners out of order: {self}")
+
+
+@dataclass(frozen=True)
+class _DataclassDetection:
+    box: _DataclassBox
+    class_id: int
+    score: float
+    source: str = ""
+    image_id: str = ""
+
+    def __post_init__(self):
+        if not (0.0 <= self.score <= 1.0):
+            raise ValueError(f"score must be in [0, 1], got {self.score}")
+
+
+@dataclass(frozen=True)
+class _DataclassGroundTruth:
+    box: _DataclassBox
+    class_id: int
+    image_id: str = ""
+
+
+@dataclass(frozen=True)
+class _DataclassTileSpec:
+    origin_x: float
+    origin_y: float
+    tile_w: float
+    tile_h: float
+
+
+# The dataclass repr names the class by its qualified name.
+for _cls, _name in ((_DataclassBox, "Box"), (_DataclassDetection, "Detection"),
+                    (_DataclassGroundTruth, "GroundTruth"), (_DataclassTileSpec, "TileSpec")):
+    _cls.__qualname__ = _name
+
+_coord = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.integers(-10**6, 10**6), st.sampled_from([0.0, -0.0, 1.0, 1.5]))
+_score = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.floats(0.0, 1.0), st.sampled_from([0, 1, 0.0, -0.0, 1.0]))
+
+
+def _outcome(make, *args):
+    """The record, or the ValueError message."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRecords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(_coord, _coord, _coord, _coord))
+    def test_box_matches_the_dataclass(self, v):
+        got, want = _outcome(Box, *v), _outcome(_DataclassBox, *v)
+        if isinstance(want, str):  # out-of-order corners, today's message
+            assert got == want and want.startswith("box corners out of order: Box(x1=")
+            return
+        assert repr(got) == repr(want)
+        assert hash(got) == hash(want) == hash(Box(*v)) == hash(v)
+        assert got == Box(*v) == v and isinstance(got, tuple)
+        assert repr(got.area) == repr((v[2] - v[0]) * (v[3] - v[1]))
+        assert got._replace(x1=v[0]) == got and Box._make(v) == got
+
+    @settings(max_examples=300, deadline=None)
+    @given(_score, st.integers(-3, 3), st.text(max_size=4), st.text(max_size=4))
+    def test_detection_matches_the_dataclass(self, score, cls, source, image):
+        got = _outcome(Detection, Box(0.0, 1.0, 2.0, 3.0), cls, score, source, image)
+        want = _outcome(_DataclassDetection, _DataclassBox(0.0, 1.0, 2.0, 3.0), cls, score,
+                        source, image)
+        if isinstance(want, str):  # a score outside [0, 1] or NaN, today's message
+            assert got == want == f"score must be in [0, 1], got {score}"
+            return
+        assert repr(got) == repr(want)
+        assert hash(got) == hash(want)
+        assert got == Detection(Box(0.0, 1.0, 2.0, 3.0), cls, score, source, image)
+        assert got == ((0.0, 1.0, 2.0, 3.0), cls, score, source, image)
+
+    def test_defaults_and_plain_records(self):
+        box = Box(1.0, 2.0, 3.0, 5.0)
+        assert repr(Detection(box, 2, 0.5)) == repr(
+            _DataclassDetection(_DataclassBox(1.0, 2.0, 3.0, 5.0), 2, 0.5))
+        assert repr(GroundTruth(box, 4)) == repr(
+            _DataclassGroundTruth(_DataclassBox(1.0, 2.0, 3.0, 5.0), 4))
+        assert repr(TileSpec(0.0, 620.0, 700, 700)) == repr(
+            _DataclassTileSpec(0.0, 620.0, 700, 700))
+        assert GroundTruth(box, 4, "a") == (box, 4, "a")
+        assert hash(TileSpec(0.0, 1.0, 2.0, 3.0)) == hash((0.0, 1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("record", [
+        Box(0.0, 0.0, 1.0, 1.0),
+        Detection(Box(0.0, 0.0, 1.0, 1.0), 0, 0.5, "m", "img"),
+        GroundTruth(Box(0.0, 0.0, 1.0, 1.0), 0, "img"),
+        TileSpec(0.0, 0.0, 10.0, 10.0),
+    ])
+    def test_immutable(self, record):
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2.0)
+        assert not hasattr(record, "__dict__")
+
+    def test_replace_and_make_check_values(self):
+        box = Box(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="box corners out of order"):
+            box._replace(x2=-1.0)
+        with pytest.raises(ValueError, match="box corners out of order"):
+            Box._make([0.0, 2.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"score must be in \[0, 1\], got 1.5"):
+            Detection(box, 0, 0.5)._replace(score=1.5)
+        with pytest.raises(ValueError, match="got nan"):
+            Detection._make([box, 0, math.nan])
