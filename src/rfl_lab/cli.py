@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .ensemble import FusionConfig, ScoreMode, TtaPass, ensemble_pipeline
-from .experiment import ConfigError, round_floats, run_experiment
+from .experiment import (ConfigError, _classifier_data, round_floats, run_experiment,
+                         validate_config)
 from .geometry import (
     SceneDims,
     TtaTransform,
@@ -258,9 +259,6 @@ def cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(config, dict):  # the schema's message, before any key is set
-        print(f"invalid config: $: {config!r} is not of type 'object'", file=sys.stderr)
-        return 2
 
     if args.seeds:
         try:
@@ -269,19 +267,21 @@ def cmd_experiment(args) -> int:
             print(f"--seeds must be comma-separated integers, got {args.seeds!r}",
                   file=sys.stderr)
             return 2
-        config["seeds"] = seeds
-    if "seeds" not in config and os.environ.get("RFL_LAB_SEED"):
-        config["seeds"] = [int(os.environ["RFL_LAB_SEED"])]
-    if args.dump_data and config.get("kind") != "classifier":
-        print("--dump-data only applies to classifier experiments", file=sys.stderr)
-        return 2
-
+    if isinstance(config, dict):  # validate_config rejects anything else
+        if args.seeds:
+            config["seeds"] = seeds
+        if "seeds" not in config and os.environ.get("RFL_LAB_SEED"):
+            config["seeds"] = [int(os.environ["RFL_LAB_SEED"])]
     try:
+        spec = validate_config(config)
+        if args.dump_data and spec.kind != "classifier":
+            print("--dump-data only applies to classifier experiments", file=sys.stderr)
+            return 2
         report = run_experiment(config, include_timing=args.timing)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # a csv_path dataset
         print(f"cannot read dataset: {exc}", file=sys.stderr)
         return 2
 
@@ -293,13 +293,12 @@ def cmd_experiment(args) -> int:
         _write_plots(round_floats(report), Path(args.plots))
         print(f"plots written to {args.plots}")
     if args.dump_data:
-        from .experiment import _classifier_data
         from .sampling import write_dataset_csv
 
         dump_dir = Path(args.dump_data)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for seed in report["seeds"]:
-            train_data, _, _ = _classifier_data(config, seed)
+        for seed in spec.seeds:
+            train_data, _, _ = _classifier_data(spec, seed)
             write_dataset_csv(train_data, dump_dir / f"dataset_seed{seed}.csv")
         print(f"datasets written to {dump_dir}")
     return 0

@@ -2,9 +2,11 @@
 
 An experiment config describes one dataset (or scene set), one training
 recipe, and a list of arms that vary the loss and optionally add an
-undersampling policy.  Each seed's data is built once; its arms train in
+undersampling policy.  :func:`validate_config` checks the config once,
+against one table of rules, and parses it into the :class:`ExperimentSpec`
+the runner reads.  Each seed's data is built once; its arms train in
 lockstep (classifier arms grouped by undersample policy), each bitwise as
-if alone.  Every arm runs once per seed with shared seed derivations:
+if alone, with shared seed derivations:
 
     dataset seed            = seed
     balanced eval set seed  = seed + 1000
@@ -25,160 +27,24 @@ as it would break that reproducibility.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from typing import Any
+from dataclasses import replace
+from functools import partial
+from typing import Any, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .losses import LossKind, LossParams
-from .sampling import (
-    Dataset,
-    SceneSetSpec,
-    SynthDatasetSpec,
-    UndersamplePolicy,
-    generate_scenes,
-    generate_synthetic,
-    read_dataset_csv,
-)
-from .train import (
-    TrainConfig,
-    TwoStageConfig,
-    evaluate_classifier,
-    train_classifier,
-    train_two_stage,
-)
+from .sampling import (Dataset, SceneSetSpec, SynthDatasetSpec, UndersamplePolicy,
+                       generate_scenes, generate_synthetic, read_dataset_csv)
+from .train import (TrainConfig, TwoStageConfig, evaluate_classifier, train_classifier,
+                    train_two_stage)
 
 EVAL_SEED_OFFSET = 1000
+EVAL_PER_CLASS = 300
 UNDERSAMPLE_SEED_OFFSET = 500
-
-_LOSS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["CE", "FL", "RFL"]},
-        "gamma": {"type": "number", "minimum": 0},
-        "threshold": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_TRAIN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "epochs": {"type": "integer", "minimum": 0},
-        "batch_size": {"type": "integer", "minimum": 1},
-        "lr_schedule": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "prefixItems": [
-                    {"type": "number", "exclusiveMinimum": 0},
-                    {"type": "number", "exclusiveMinimum": 0},
-                ],
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "schedule_units": {"enum": ["iteration", "fraction"]},
-    },
-    "required": ["epochs", "batch_size", "lr_schedule"],
-    "additionalProperties": False,
-}
-
-_ARM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "loss": _LOSS_SCHEMA,
-        "undersample": {
-            "type": "object",
-            "properties": {
-                "skip_prob": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "number", "minimum": 0, "maximum": 1,
-                    },
-                },
-            },
-            "required": ["skip_prob"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["name", "loss"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["classifier", "two_stage"]},
-        "seeds": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
-        "loss_curve_stride": {"type": "integer", "minimum": 1},
-        "dataset": {
-            "type": "object",
-            "properties": {
-                "class_counts": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
-                "feature_dim": {"type": "integer", "minimum": 1},
-                "cluster_separation": {"type": "number", "exclusiveMinimum": 0},
-                "label_noise_rate": {
-                    "type": "number", "minimum": 0, "exclusiveMaximum": 1,
-                },
-                "csv_path": {"type": "string", "minLength": 1},
-            },
-            "additionalProperties": False,
-        },
-        "eval": {
-            "type": "object",
-            "properties": {"per_class": {"type": "integer", "minimum": 1}},
-            "additionalProperties": False,
-        },
-        "train": _TRAIN_SCHEMA,
-        "arms": {"type": "array", "items": _ARM_SCHEMA, "minItems": 1},
-        "scenes": {
-            "type": "object",
-            "properties": {
-                "num_scenes": {"type": "integer", "minimum": 1},
-                "fg_per_scene": {"type": "integer", "minimum": 1},
-                "bg_per_scene": {"type": "integer", "minimum": 1},
-                "num_classes": {"type": "integer", "minimum": 1},
-                "feature_dim": {"type": "integer", "minimum": 1},
-                "separation": {"type": "number", "exclusiveMinimum": 0},
-                "objectness_noise_rate": {
-                    "type": "number", "minimum": 0, "exclusiveMaximum": 1,
-                },
-            },
-            "required": ["num_scenes", "fg_per_scene", "bg_per_scene",
-                         "num_classes", "feature_dim"],
-            "additionalProperties": False,
-        },
-        "two_stage": {
-            "type": "object",
-            "properties": {
-                "proposal_budget": {"type": "integer", "minimum": 1},
-                "fg_bg_ratio": {
-                    "type": "number", "exclusiveMinimum": 0, "maximum": 1,
-                },
-                "stage2": _TRAIN_SCHEMA,
-                "stage2_loss": _LOSS_SCHEMA,
-            },
-            "required": ["proposal_budget", "stage2"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["kind", "arms", "train"],
-    "additionalProperties": False,
-}
 
 
 class ConfigError(ValueError):
@@ -189,151 +55,249 @@ class ConfigError(ValueError):
         self.location = location
 
 
-def validate_config(config: dict) -> None:
-    """Schema plus cross-field checks; raises :class:`ConfigError`."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
-    if errors:
-        err = errors[0]
-        raise ConfigError(err.message, err.json_path)
+class Train(NamedTuple):
+    """A train section: ``lr_schedule`` is [threshold, rate] pairs."""
 
-    seeds = config.get("seeds", [])
-    if len(set(seeds)) != len(seeds):
+    epochs: int
+    batch_size: int
+    lr_schedule: list[list[float]]
+    schedule_units: str = "iteration"
+
+    def config(self, loss: LossParams, seed: int, expected_n: float,
+               undersample: UndersamplePolicy | None = None) -> TrainConfig:
+        """One arm's run at ``seed``, over ``expected_n`` examples an epoch."""
+        pairs = [(t, r) for t, r in self.lr_schedule]
+        if self.schedule_units == "fraction":
+            total = math.ceil(expected_n / self.batch_size) * self.epochs
+            out: list[tuple[float, float]] = []
+            for i, (frac, rate) in enumerate(pairs):
+                threshold = max(1.0, math.floor(total * frac))
+                if out and threshold == out[-1][0]:  # rounded onto its predecessor:
+                    if i < len(pairs) - 1:  # it covers no iteration, lr_at never picks it
+                        continue
+                    threshold = math.inf  # the last phase still covers the remainder
+                out.append((threshold, rate))
+            pairs = out
+        return TrainConfig(loss, self.epochs, self.batch_size, tuple(pairs), seed, undersample)
+
+
+class Arm(NamedTuple):
+    name: str
+    loss: LossParams
+    undersample: dict[int, float] | None = None  # skip_prob by class
+
+
+class ExperimentSpec(NamedTuple):
+    """A checked config.  Datasets and scene sets are at seed 0."""
+
+    kind: str
+    arms: list[Arm]
+    train: Train
+    seeds: list[int] | tuple[int, ...] = (0,)
+    loss_curve_stride: int = 50
+    dataset: SynthDatasetSpec | str | None = None  # a synthetic spec or a csv path
+    eval: int = EVAL_PER_CLASS  # per-class size of the synthetic eval set
+    scenes: SceneSetSpec | None = None
+    # (stage-2 train section, stage-2 loss, proposal_budget/fg_bg_ratio keywords)
+    two_stage: tuple[Train, LossParams, dict[str, Any]] | None = None
+
+
+# The rules.  A rule checks a JSON value at its JSON path and returns it parsed.  As in JSON
+# Schema, a bad value is reported at its path, a missing or unknown key at its object's.
+
+_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "array": (list,),
+          "object": (dict,)}  # exact types: a bool is no number, 1.0 no integer
+
+
+def _expect(value: Any, kind: str, path: str) -> None:
+    if type(value) not in _TYPES[kind]:
+        raise ConfigError(f"{value!r} is not of type {kind!r}", path)
+
+
+def _number(kind: str, interval: str):
+    """An ``integer``, or a finite ``number``, in ``interval`` such as ``"(0, 1]"``."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    open_lo, open_hi = interval[0] == "(", interval[-1] == ")"
+    def check(value, path):
+        _expect(value, kind, path)
+        if kind == "number" and not abs(value) <= sys.float_info.max:  # NaN, +-inf, 1e999
+            raise ConfigError(f"{value!r} is not a finite number", path)
+        if value < lo or value > hi or (open_lo and value == lo) or (open_hi and value == hi):
+            raise ConfigError(f"{value!r} is not in {interval}", path)
+        return float(value) if kind == "number" else value
+    return check
+
+
+_int, _num = partial(_number, "integer"), partial(_number, "number")
+
+
+def _text(*choices: str):
+    """A non-empty string; one of ``choices`` if any are given."""
+    def check(value, path):
+        _expect(value, "string", path)
+        if not value or (choices and value not in choices):
+            raise ConfigError(f"{value!r} is not one of {list(choices)!r}" if choices
+                              else "'' should be non-empty", path)
+        return value
+    return check
+
+
+def _array(item, length: int | None = None):
+    """A non-empty array of ``item``; of exactly ``length`` items if given."""
+    def check(value, path):
+        _expect(value, "array", path)
+        if not value or (length and len(value) != length):
+            raise ConfigError(f"{value!r} should hold {length or 'some'} items", path)
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _class_map(item):
+    """An object from class indices ("0", "1", ...) to ``item``, keyed by int."""
+    def check(value, path):
+        _expect(value, "object", path)
+        for key in value:
+            if not (key.isdecimal() and str(int(key)) == key):
+                raise ConfigError(f"{key!r} is not a class index", path)
+        return {int(k): item(v, f"{path}['{k}']") for k, v in value.items()}
+    return check
+
+
+def _object(required: tuple[str, ...], build, **fields):
+    """An object of ``fields``, parsed into keywords of ``build``; a ValueError of
+    ``build``, such as a dataclass guard, is reported at the object's path."""
+    def check(value, path):
+        _expect(value, "object", path)
+        for key in required:
+            if key not in value:
+                raise ConfigError(f"{key!r} is a required property", path)
+        extra = [key for key in value if key not in fields]
+        if extra:
+            raise ConfigError(f"Additional properties are not allowed: {extra!r}", path)
+        parsed = {key: fields[key](value[key], f"{path}.{key}") for key in sorted(value)}
+        try:
+            return build(**parsed)
+        except ValueError as exc:
+            raise ConfigError(str(exc), path) from None
+    return check
+
+
+def _dataset(csv_path: str | None = None, **synthetic) -> SynthDatasetSpec | str:
+    if csv_path is not None:
+        if "class_counts" in synthetic or "feature_dim" in synthetic:
+            raise ValueError("give either csv_path or a synthetic spec, not both")
+        return csv_path
+    if not {"class_counts", "feature_dim"} <= synthetic.keys():
+        raise ValueError("dataset needs csv_path, or class_counts plus feature_dim")
+    return SynthDatasetSpec(**synthetic)
+
+
+_LOSS = _object(("kind",), lambda kind, **params: LossParams(LossKind(kind), **params),
+                kind=_text("CE", "FL", "RFL"), gamma=_num("[0, inf)"),
+                threshold=_num("(0, 1]"))
+_TRAIN = _object(("epochs", "batch_size", "lr_schedule"), Train,
+                 epochs=_int("[0, inf)"), batch_size=_int("[1, inf)"),
+                 lr_schedule=_array(_array(_num("(0, inf)"), length=2)),
+                 schedule_units=_text("iteration", "fraction"))
+_COUNT = _int("[1, inf)")
+_CONFIG = _object(
+    ("kind", "arms", "train"), ExperimentSpec,
+    kind=_text("classifier", "two_stage"), seeds=_array(_int("[0, inf)")),
+    loss_curve_stride=_COUNT, train=_TRAIN,
+    dataset=_object((), _dataset, class_counts=_array(_COUNT), feature_dim=_COUNT,
+                    cluster_separation=_num("(0, inf)"), label_noise_rate=_num("[0, 1)"),
+                    csv_path=_text()),
+    eval=_object((), lambda per_class=EVAL_PER_CLASS: per_class, per_class=_COUNT),
+    arms=_array(_object(
+        ("name", "loss"), Arm, name=_text(), loss=_LOSS,
+        undersample=_object(("skip_prob",), lambda skip_prob: skip_prob,
+                            skip_prob=_class_map(_num("[0, 1]"))))),
+    scenes=_object(("num_scenes", "fg_per_scene", "bg_per_scene", "num_classes", "feature_dim"),
+                   SceneSetSpec, num_scenes=_COUNT, fg_per_scene=_COUNT, bg_per_scene=_COUNT,
+                   num_classes=_COUNT, feature_dim=_COUNT, separation=_num("(0, inf)"),
+                   objectness_noise_rate=_num("[0, 1)")),
+    two_stage=_object(("proposal_budget", "stage2"),
+                      lambda stage2, stage2_loss=LossParams(LossKind.CE), **options:
+                      (stage2, stage2_loss, options), proposal_budget=_COUNT,
+                      fg_bg_ratio=_num("(0, 1]"), stage2=_TRAIN, stage2_loss=_LOSS),
+)
+
+
+def validate_config(config: dict) -> ExperimentSpec:
+    """Check ``config`` and parse it into a spec, or raise :class:`ConfigError`.
+
+    :func:`run_experiment` checks the skip_prob classes of a csv_path dataset."""
+    spec = _CONFIG(config, "$")
+    if len(set(spec.seeds)) != len(spec.seeds):
         raise ConfigError("duplicate seeds", "$.seeds")
-    names = [arm["name"] for arm in config["arms"]]
-    if len(set(names)) != len(names):
+    if len({arm.name for arm in spec.arms}) != len(spec.arms):
         raise ConfigError("duplicate arm names", "$.arms")
-    for path, train in (("$.train", config["train"]),
-                        ("$.two_stage.stage2", config.get("two_stage", {}).get("stage2"))):
-        thresholds = [t for t, _ in train["lr_schedule"]] if train else []
+    stage2 = spec.two_stage[0] if spec.two_stage else None
+    for path, train in (("$.train", spec.train), ("$.two_stage.stage2", stage2)):
+        thresholds = [t for t, _ in train.lr_schedule] if train else []
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ConfigError("lr thresholds must be strictly increasing",
-                              f"{path}.lr_schedule")
-
-    kind = config["kind"]
-    if kind == "classifier":
-        ds = config.get("dataset")
-        if ds is None:
-            raise ConfigError(
-                "classifier experiments need a dataset section", "$.dataset"
-            )
-        synthetic = "class_counts" in ds or "feature_dim" in ds
-        if "csv_path" in ds and synthetic:
-            raise ConfigError(
-                "give either csv_path or a synthetic spec, not both", "$.dataset"
-            )
-        if not ("csv_path" in ds or ("class_counts" in ds and "feature_dim" in ds)):
-            raise ConfigError(
-                "dataset needs csv_path, or class_counts plus feature_dim",
-                "$.dataset",
-            )
-    if kind == "two_stage":
-        if "scenes" not in config:
-            raise ConfigError("two_stage experiments need a scenes section", "$.scenes")
-        if "two_stage" not in config:
-            raise ConfigError(
-                "two_stage experiments need a two_stage section", "$.two_stage"
-            )
-        sc = config["scenes"]
-        if config["two_stage"]["proposal_budget"] >= sc["fg_per_scene"] + sc["bg_per_scene"]:
-            raise ConfigError(
-                "proposal_budget must be below the candidates per scene "
-                "(fg_per_scene + bg_per_scene), or every arm's recall is 1",
-                "$.two_stage.proposal_budget",
-            )
-    for i, arm in enumerate(config["arms"]):
-        loss = arm["loss"]
-        if loss["kind"] == "RFL" and "threshold" not in loss:
-            raise ConfigError(
-                "RFL arms must give a threshold", f"$.arms[{i}].loss.threshold"
-            )
-        if kind == "two_stage" and "undersample" in arm:
-            raise ConfigError(
-                "undersampling applies to classifier experiments only",
-                f"$.arms[{i}].undersample",
-            )
-        if kind == "classifier":
-            _arm_skip(arm, i, config["dataset"].get("class_counts"))
+            raise ConfigError("lr thresholds must be strictly increasing", f"{path}.lr_schedule")
+        if train and train.schedule_units == "fraction" and thresholds[-1] > 1.0:
+            raise ConfigError("fractional schedule thresholds must be <= 1", f"{path}.lr_schedule")
+    for key in ("dataset",) if spec.kind == "classifier" else ("scenes", "two_stage"):
+        if getattr(spec, key) is None:
+            raise ConfigError(f"{spec.kind} experiments need a {key} section", f"$.{key}")
+    if spec.kind == "two_stage":
+        sc = spec.scenes
+        if spec.two_stage[2]["proposal_budget"] >= sc.fg_per_scene + sc.bg_per_scene:
+            raise ConfigError("proposal_budget must be below the candidates per scene "
+                              "(fg_per_scene + bg_per_scene), or every arm's recall is 1",
+                              "$.two_stage.proposal_budget")
+    for i, arm in enumerate(spec.arms):
+        if arm.loss.kind is LossKind.RFL and "threshold" not in config["arms"][i]["loss"]:
+            raise ConfigError("RFL arms must give a threshold", f"$.arms[{i}].loss.threshold")
+        if spec.kind == "two_stage" and arm.undersample is not None:
+            raise ConfigError("undersampling applies to classifier experiments only",
+                              f"$.arms[{i}].undersample")
+    if isinstance(spec.dataset, SynthDatasetSpec):
+        _check_undersampling(spec.arms, list(spec.dataset.class_counts))
+    return spec
 
 
-def _loss_params(spec: dict) -> LossParams:
-    return LossParams(
-        kind=LossKind(spec["kind"]),
-        gamma=float(spec.get("gamma", 2.0)),
-        threshold=float(spec.get("threshold", 0.5)),
-    )
+def _check_undersampling(arms: list[Arm], counts: list[int]) -> None:
+    """Rejects a skip_prob key naming no class, and skipping every class."""
+    for i, arm in enumerate(arms):
+        skip = arm.undersample or {}
+        path = f"$.arms[{i}].undersample.skip_prob"
+        if any(c >= len(counts) for c in skip):
+            raise ConfigError(f"class {max(skip)} is not among the {len(counts)} classes", path)
+        if _expected_examples(counts, skip) == 0:
+            raise ConfigError("undersampling skips every class", path)
 
 
 def _expected_examples(counts: list[int], skip_prob: dict[int, float]) -> float:
     return sum(c * (1.0 - skip_prob.get(i, 0.0)) for i, c in enumerate(counts))
 
 
-def _build_schedule(
-    train: dict, expected_n: float
-) -> tuple[tuple[float, float], ...]:
-    units = train.get("schedule_units", "iteration")
-    pairs = [(float(t), float(r)) for t, r in train["lr_schedule"]]
-    if units == "iteration":
-        return tuple(pairs)
-    total = math.ceil(expected_n / train["batch_size"]) * train["epochs"]
-    out: list[tuple[float, float]] = []
-    for i, (frac, rate) in enumerate(pairs):
-        if frac > 1.0:
-            raise ConfigError(
-                "fractional schedule thresholds must be <= 1",
-                "$.train.lr_schedule",
-            )
-        threshold = max(1.0, math.floor(total * frac))
-        if out and threshold == out[-1][0]:  # rounded onto its predecessor:
-            if i < len(pairs) - 1:  # it covers no iteration, lr_at never picks it
-                continue
-            threshold = math.inf  # the last phase still covers the remainder
-        out.append((threshold, rate))
-    # The last phase covers the remainder of training regardless.
-    return tuple(out)
-
-
-def _train_config(
-    train: dict, loss: LossParams, seed: int,
-    expected_n: float, policy: UndersamplePolicy | None,
-) -> TrainConfig:
-    return TrainConfig(
-        loss=loss,
-        epochs=int(train["epochs"]),
-        batch_size=int(train["batch_size"]),
-        lr_schedule=_build_schedule(train, expected_n),
-        weight_init_seed=seed,
-        undersample=policy,
-    )
-
-
 def _thin_curve(curve: list[float], stride: int) -> list[float]:
-    if stride <= 1 or not curve:
-        return curve
+    """Every ``stride``-th loss, and the last."""
     thinned = curve[::stride]
-    if (len(curve) - 1) % stride:
+    if curve and (len(curve) - 1) % stride:
         thinned.append(curve[-1])
     return thinned
 
 
-def _mean_over_seeds(rows: list[dict], keys: list[str]) -> dict:
+def _mean_over_seeds(rows: list[dict]) -> dict:
+    """Each float metric over the seeds; per-class tables class-wise, over
+    the rows that hold the class."""
     out: dict[str, Any] = {}
-    for key in keys:
-        out[key] = float(np.mean([row[key] for row in rows]))
-    # Per-class tables: average class-wise over the rows containing them.
-    for key in rows[0]:
-        if key.startswith("per_class") or key.endswith("per_class_recall"):
+    for key, value in rows[0].items():
+        if isinstance(value, float):
+            out[key] = float(np.mean([row[key] for row in rows]))
+        elif isinstance(value, dict):
             classes = sorted({c for row in rows for c in row[key]})
-            out[key] = {
-                c: float(np.mean([row[key][c] for row in rows if c in row[key]]))
-                for c in classes
-            }
+            out[key] = {c: float(np.mean([row[key][c] for row in rows if c in row[key]]))
+                        for c in classes}
     return out
 
 
-def _classifier_data(
-    config: dict, seed: int, csv: Dataset | None = None
-) -> tuple[Dataset, Dataset, list[int]]:
+def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
+                     ) -> tuple[Dataset, Dataset, list[int]]:
     """(train set, eval set, class counts) for one seed.
 
     Synthetic specs draw a fresh long-tailed training set plus a
@@ -341,147 +305,85 @@ def _classifier_data(
     dataset is fixed across seeds (seeds still steer training) and is
     evaluated on itself.  ``csv`` is that dataset when already read.
     """
-    ds = config["dataset"]
-    if "csv_path" in ds:
-        data = read_dataset_csv(ds["csv_path"]) if csv is None else csv
+    if isinstance(spec.dataset, str):
+        data = read_dataset_csv(spec.dataset) if csv is None else csv
         return data, data, np.bincount(data.y).tolist()
 
-    spec = SynthDatasetSpec(
-        class_counts=list(ds["class_counts"]),
-        feature_dim=ds["feature_dim"],
-        cluster_separation=ds.get("cluster_separation", 3.0),
-        label_noise_rate=ds.get("label_noise_rate", 0.0),
-        seed=seed,
-    )
-    per_class = config.get("eval", {}).get("per_class", 300)
-    eval_spec = SynthDatasetSpec(
-        class_counts=[per_class] * spec.num_classes,
-        feature_dim=spec.feature_dim,
-        cluster_separation=spec.cluster_separation,
-        label_noise_rate=0.0,
-        seed=seed + EVAL_SEED_OFFSET,
-    )
-    return (
-        generate_synthetic(spec),
-        generate_synthetic(eval_spec),
-        list(ds["class_counts"]),
-    )
+    train_spec = replace(spec.dataset, seed=seed)
+    eval_spec = replace(train_spec, class_counts=[spec.eval] * train_spec.num_classes,
+                        label_noise_rate=0.0, seed=seed + EVAL_SEED_OFFSET)
+    counts = list(train_spec.class_counts)
+    return generate_synthetic(train_spec), generate_synthetic(eval_spec), counts
 
 
-def _arm_skip(arm: dict, i: int, counts: list[int] | None) -> dict[int, float]:
-    """The arm's skip probabilities; rejects skipping every class in ``counts``."""
-    skip = {int(k): float(v) for k, v in
-            arm.get("undersample", {}).get("skip_prob", {}).items()}
-    if counts is not None and _expected_examples(counts, skip) == 0:
-        raise ConfigError("undersampling skips every class", f"$.arms[{i}].undersample.skip_prob")
-    return skip
-
-
-def _classifier_rows(
-    config: dict, seed: int, stride: int, csv: Dataset | None = None
-) -> dict[str, dict]:
+def _classifier_rows(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
+                     ) -> dict[str, dict]:
     """One seed of every arm; arms with one undersample policy train in lockstep."""
-    train_data, eval_data, counts = _classifier_data(config, seed, csv)
+    train_data, eval_data, counts = _classifier_data(spec, seed, csv)
 
     groups: dict[frozenset, list[tuple[str, TrainConfig]]] = {}
-    for i, arm in enumerate(config["arms"]):
-        skip = _arm_skip(arm, i, counts)
-        policy = (
-            UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
-        )
-        cfg = _train_config(
-            config["train"], _loss_params(arm["loss"]), seed,
-            _expected_examples(counts, skip), policy,
-        )
-        groups.setdefault(frozenset(skip.items()), []).append((arm["name"], cfg))
+    for arm in spec.arms:
+        skip = arm.undersample or {}
+        policy = UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
+        cfg = spec.train.config(arm.loss, seed, _expected_examples(counts, skip), policy)
+        groups.setdefault(frozenset(skip.items()), []).append((arm.name, cfg))
 
     rows = {}
     for group in groups.values():
         trained = train_classifier(train_data, [cfg for _, cfg in group])
         for (name, _), (model, curve) in zip(group, trained):
             ev = evaluate_classifier(model, eval_data)
-            rows[name] = {
-                "seed": seed,
-                "accuracy": ev.accuracy,
-                "m_recall": ev.m_recall,
-                "per_class_recall": dict(ev.per_class_recall),
-                "loss_curve": _thin_curve(curve, stride),
-            }
+            rows[name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
+                          "per_class_recall": dict(ev.per_class_recall),
+                          "loss_curve": _thin_curve(curve, spec.loss_curve_stride)}
     return rows
 
 
-def _two_stage_rows(config: dict, seed: int, stride: int) -> dict[str, dict]:
+def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
     """One seed of every arm: the arms' stage 1 trains in lockstep, stage 2 once."""
-    sc = config["scenes"]
-    scenes = generate_scenes(SceneSetSpec(
-        num_scenes=sc["num_scenes"],
-        fg_per_scene=sc["fg_per_scene"],
-        bg_per_scene=sc["bg_per_scene"],
-        num_classes=sc["num_classes"],
-        feature_dim=sc["feature_dim"],
-        separation=sc.get("separation", 2.0),
-        objectness_noise_rate=sc.get("objectness_noise_rate", 0.0),
-        seed=seed,
-    ))
-    ts = config["two_stage"]
-    n_candidates = sc["num_scenes"] * (sc["fg_per_scene"] + sc["bg_per_scene"])
-    n_positives = sc["num_scenes"] * sc["fg_per_scene"]
-    stage2_loss = _loss_params(ts.get("stage2_loss", {"kind": "CE"}))
-    stage2 = _train_config(ts["stage2"], stage2_loss, seed + 1, n_positives, None)
-    cfgs = [TwoStageConfig(
-        stage1=_train_config(config["train"], _loss_params(arm["loss"]), seed,
-                             n_candidates, None),
-        proposal_budget=int(ts["proposal_budget"]),
-        stage2=stage2,
-        fg_bg_ratio=float(ts.get("fg_bg_ratio", 0.5)),
-    ) for arm in config["arms"]]
+    sc = spec.scenes
+    scenes = generate_scenes(replace(sc, seed=seed))
+    stage2, stage2_loss, options = spec.two_stage
+    n_candidates = sc.num_scenes * (sc.fg_per_scene + sc.bg_per_scene)
+    stage2_cfg = stage2.config(stage2_loss, seed + 1, sc.num_scenes * sc.fg_per_scene)
+    cfgs = [TwoStageConfig(stage1=spec.train.config(arm.loss, seed, n_candidates),
+                           stage2=stage2_cfg, **options) for arm in spec.arms]
     rows = {}
-    for arm, (_, _, report) in zip(config["arms"], train_two_stage(scenes, cfgs)):
-        rows[arm["name"]] = {
-            "seed": seed,
-            "proposal_recall": report.proposal_recall,
+    for arm, (_, _, report) in zip(spec.arms, train_two_stage(scenes, cfgs)):
+        rows[arm.name] = {
+            "seed": seed, "proposal_recall": report.proposal_recall,
             "mean_class_proposal_recall": report.mean_class_proposal_recall,
             "per_class_proposal_recall": dict(report.per_class_proposal_recall),
             "stage2_m_recall": report.stage2_m_recall,
             "stage2_per_class_recall": dict(report.stage2_per_class_recall),
-            "loss_curve": _thin_curve(report.stage1_curve, stride),
-        }
+            "loss_curve": _thin_curve(report.stage1_curve, spec.loss_curve_stride)}
     return rows
 
 
 def run_experiment(config: dict, include_timing: bool = False) -> dict:
-    """Run every arm over every seed and assemble the report dict."""
-    validate_config(config)
+    """Run every arm over every seed and assemble the report dict.
+
+    Raises :class:`ConfigError` for an invalid config, and ``OSError`` or
+    ``ValueError`` for a csv_path dataset that cannot be read.
+    """
+    spec = validate_config(config)
     started = time.perf_counter()
-    seeds = list(config.get("seeds", [0]))
-    stride = int(config.get("loss_curve_stride", 50))
-    kind = config["kind"]
-    if kind == "classifier":
-        path = config["dataset"].get("csv_path")
-        csv = read_dataset_csv(path) if path is not None else None  # read once
-        by_seed = [_classifier_rows(config, seed, stride, csv) for seed in seeds]
+    if spec.kind == "classifier":
+        csv = None
+        if isinstance(spec.dataset, str):
+            csv = read_dataset_csv(spec.dataset)  # read once
+            _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
+        by_seed = [_classifier_rows(spec, seed, csv) for seed in spec.seeds]
     else:
-        by_seed = [_two_stage_rows(config, seed, stride) for seed in seeds]
+        by_seed = [_two_stage_rows(spec, seed) for seed in spec.seeds]
 
     arms_out: dict[str, Any] = {}
-    for arm in config["arms"]:
-        rows = [seed_arms[arm["name"]] for seed_arms in by_seed]
-        scalar_keys = [
-            k for k in rows[0]
-            if isinstance(rows[0][k], float) and k != "seed"
-        ]
-        arms_out[arm["name"]] = {
-            "per_seed": rows,
-            "mean": _mean_over_seeds(rows, scalar_keys),
-        }
+    for arm in spec.arms:
+        rows = [seed_arms[arm.name] for seed_arms in by_seed]
+        arms_out[arm.name] = {"per_seed": rows, "mean": _mean_over_seeds(rows)}
 
-    report = {
-        "artifact_version": __version__,
-        "kind": kind,
-        "config": config,
-        "seeds": seeds,
-        "arms": arms_out,
-    }
+    report = {"artifact_version": __version__, "kind": spec.kind, "config": config,
+              "seeds": list(spec.seeds), "arms": arms_out}
     if include_timing:
         report["wall_clock_seconds"] = time.perf_counter() - started
     return report

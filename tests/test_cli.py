@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -259,14 +260,16 @@ class TestExperiment:
         assert "Traceback" not in err
         assert trained == [] and not out.exists() and not dump.exists()
 
+    @pytest.mark.parametrize("text, shown", [("[1, 2]", "[1, 2]"), ('"x"', "'x'"),
+                                             ("null", "None")])
     @pytest.mark.parametrize("extra", [[], ["--seeds", "1"], ["--dump-data", "data"]])
-    def test_non_object_config_exits_2(self, tmp_path, capsys, monkeypatch, extra):
+    def test_non_object_config_exits_2(self, tmp_path, capsys, monkeypatch, extra, text, shown):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("RFL_LAB_SEED", "4")
-        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "list.json").write_text(text)
         code, _, err = run(capsys, "experiment", "list.json", "--out", "r.json", *extra)
         assert code == 2
-        assert err == "invalid config: $: [1, 2] is not of type 'object'\n"
+        assert err == f"invalid config: $: {shown} is not of type 'object'\n"
         assert not (tmp_path / "r.json").exists()
 
     def test_two_stage_rejects_undersample_arms(self, tmp_path, capsys):
@@ -346,9 +349,17 @@ class TestExperiment:
                 assert (json.dumps(arm["per_seed"][k], sort_keys=True)
                         == json.dumps(solo[seed][name]["per_seed"][0], sort_keys=True))
 
+    @pytest.mark.parametrize("skip_prob, message", [
+        ({"0": 1, "1": 1, "2": 1}, "undersampling skips every class"),
+        ({"x": 0.5}, "'x' is not a class index"),
+        ({"-1": 0.5}, "'-1' is not a class index"),
+        ({"7": 0.5}, "class 7 is not among the 3 classes"),
+        ({"3": 0.5}, "class 3 is not among the 3 classes"),
+    ])
     @pytest.mark.parametrize("csv", [False, True])
     @pytest.mark.parametrize("units", ["iteration", "fraction"])
-    def test_arm_skipping_every_class_exit_2(self, tmp_path, capsys, units, csv):
+    def test_arm_skipping_every_class_exit_2(self, tmp_path, capsys, units, csv, skip_prob,
+                                             message):
         bad = json.loads(json.dumps(SMALL_CONFIG))
         if csv:  # classes are known only once the file is read
             import numpy as np
@@ -364,13 +375,13 @@ class TestExperiment:
         if units == "iteration":
             bad["train"]["lr_schedule"] = [[50, 0.3], [100, 0.03]]
         bad["arms"].append({"name": "empty", "loss": {"kind": "CE"},
-                            "undersample": {"skip_prob": {"0": 1, "1": 1, "2": 1}}})
+                            "undersample": {"skip_prob": skip_prob}})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
         out = tmp_path / "r.json"
         code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
         assert code == 2
-        assert "$.arms[2].undersample.skip_prob" in err
+        assert f"$.arms[2].undersample.skip_prob: {message}" in err
         assert not out.exists()
 
     def test_csv_and_synthetic_spec_conflict(self, tmp_path, capsys):
@@ -399,8 +410,16 @@ class TestExperiment:
         assert code == 0, err
         assert set(json.loads(out.read_text())["arms"]) == {"ce", "rfl"}
 
-    @pytest.mark.parametrize("section", ["train", "stage2"])
-    def test_decreasing_lr_schedule_names_its_path(self, tmp_path, capsys, section):
+    @pytest.mark.parametrize("section, schedule, units, message", [
+        ("train", [[100, 0.3], [50, 0.1]], "iteration",
+         "lr thresholds must be strictly increasing"),
+        ("stage2", [[100, 0.3], [50, 0.1]], "iteration",
+         "lr thresholds must be strictly increasing"),
+        ("stage2", [[0.5, 0.3], [1.5, 0.1]], "fraction",
+         "fractional schedule thresholds must be <= 1"),
+    ])
+    def test_decreasing_lr_schedule_names_its_path(self, tmp_path, capsys, section, schedule,
+                                                   units, message):
         cfg_data = {
             "kind": "two_stage",
             "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
@@ -412,13 +431,53 @@ class TestExperiment:
             "arms": [{"name": "a", "loss": {"kind": "CE"}}],
         }
         target = cfg_data["train"] if section == "train" else cfg_data["two_stage"]["stage2"]
-        target["lr_schedule"] = [[100, 0.3], [50, 0.1]]
+        target.update(lr_schedule=schedule, schedule_units=units)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(cfg_data))
         code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"))
         assert code == 2
         path = "$.train" if section == "train" else "$.two_stage.stage2"
-        assert f"{path}.lr_schedule: lr thresholds must be strictly increasing" in err
+        assert f"{path}.lr_schedule: {message}" in err
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("classifier", "train.lr_schedule[0][1]", math.nan, "nan is not a finite number"),
+        ("classifier", "train.lr_schedule[1][1]", math.inf, "inf is not a finite number"),
+        ("classifier", "dataset.cluster_separation", math.inf, "inf is not a finite number"),
+        ("classifier", "dataset.label_noise_rate", math.nan, "nan is not a finite number"),
+        ("classifier", "arms[1].loss.gamma", math.nan, "nan is not a finite number"),
+        ("classifier", "arms[1].loss.threshold", math.nan, "nan is not a finite number"),
+        ("two_stage", "scenes.separation", math.nan, "nan is not a finite number"),
+        ("two_stage", "two_stage.fg_bg_ratio", math.nan, "nan is not a finite number"),
+        ("classifier", "seeds[0]", 1.0, "1.0 is not of type 'integer'"),
+        ("classifier", "dataset.feature_dim", 3.0, "3.0 is not of type 'integer'"),
+        ("classifier", "train.batch_size", 16.0, "16.0 is not of type 'integer'"),
+        ("classifier", "train.epochs", True, "True is not of type 'integer'"),
+        ("two_stage", "scenes.feature_dim", 3.0, "3.0 is not of type 'integer'"),
+    ])
+    def test_non_finite_or_non_integer_value_exit_2_at_its_path(self, tmp_path, capsys, kind,
+                                                               path, value, message):
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG if kind == "classifier" else {
+            "kind": "two_stage",
+            "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
+                       "num_classes": 2, "feature_dim": 3},
+            "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
+            "two_stage": {"proposal_budget": 5, "stage2": {
+                "epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]}},
+            "arms": [{"name": "a", "loss": {"kind": "CE"}}],
+        }))
+        *keys, last = [int(k) if k.isdigit() else k
+                       for k in path.replace("[", ".").replace("]", "").split(".")]
+        target = cfg_data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))  # NaN and Infinity, as Python's json reads them
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert err == f"invalid config: $.{path}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("feature_0,label,noisy\n1.5,0,0\n2.5\n", "line 3: expected 3 fields, got 1"),
