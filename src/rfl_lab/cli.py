@@ -40,20 +40,23 @@ from .losses import (
     loss_grad_pt,
     loss_value,
     reduced_focal_loss,
-    softmax_loss_and_grad,
+    softmax_head,
 )
 from .metrics import (
+    detection_to_json,
     map_and_mrecall,
     read_detections_jsonl,
     read_groundtruths_jsonl,
     write_detections_jsonl,
 )
+from .sampling import write_dataset_csv
 from . import svg
 
 # Gradient-check grid shared with the test suite.
 PT_GRID = [0.01] + [k * 0.05 for k in range(1, 20)] + [0.99]
 GAMMA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
 TH_GRID = [0.25, 0.5, 0.9]
+FD_STEP = 1e-6  # central-difference step
 
 
 def _fmt(value: float) -> str:
@@ -110,7 +113,7 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(numeric), 1e-12)
 
 
-def _central(f, x: float, h: float = 1e-6) -> float:
+def _central(f, x: float, h: float = FD_STEP) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
@@ -131,6 +134,17 @@ def run_gradcheck(kink_band: float, negate: bool = False):
 
     rng = np.random.default_rng(12345)
     logit_vectors = [rng.normal(size=k) for k in (2, 5, 5, 8) for _ in range(4)]
+    # Logit vectors realizing each grid pt exactly (softmax[0] = pt), plus
+    # a few random ones for off-grid coverage.
+    grid_vectors = []
+    for pt in PT_GRID:
+        for k in (2, 5):
+            z = np.zeros(k)
+            z[0] = math.log(pt * (k - 1) / (1.0 - pt))
+            grid_vectors.append((pt, z))
+    for z in logit_vectors:  # pt as the head sees it: exp(-CE loss)
+        ce, _ = softmax_head(z[None, None].copy(), np.zeros(1, int), [LossParams(LossKind.CE)])
+        grid_vectors.append((math.exp(-ce[0, 0]), z))
 
     for kind in LossKind:
         for gamma in GAMMA_GRID:
@@ -150,42 +164,22 @@ def run_gradcheck(kink_band: float, negate: bool = False):
                         target = pt if y == 1 else 1.0 - pt
                         z = math.log(target / (1.0 - target))
                         _, g = binary_loss_and_grad(z, y, params)
-                        num = _central(
-                            lambda v: binary_loss_and_grad(v, y, params)[0], z
-                        )
+                        num = _central(lambda v: binary_loss_and_grad(v, y, params)[0], z)
                         record("binary", _rel_err(flip * g, num),
                                f"binary {label} pt={pt:g} label={y}", at_kink)
 
-    # Logit vectors realizing each grid pt exactly (softmax[0] = pt), plus
-    # a few random ones for off-grid coverage.
-    grid_vectors = []
-    for pt in PT_GRID:
-        for k in (2, 5):
-            z = np.zeros(k)
-            z[0] = math.log(pt * (k - 1) / (1.0 - pt))
-            grid_vectors.append((pt, z))
-    for z in logit_vectors:
-        zmax = z - z.max()
-        p = np.exp(zmax) / np.exp(zmax).sum()
-        grid_vectors.append((float(p[0]), z))
-
-    for kind in LossKind:
-        for gamma in GAMMA_GRID:
-            for th in TH_GRID:
-                params = LossParams(kind=kind, gamma=gamma, threshold=th)
-                label = f"{kind.value} gamma={gamma} th={th}"
                 for pt, z in grid_vectors:
                     at_kink = abs(pt - th) < 1e-12
                     if kink_band > 0 and abs(pt - th) < kink_band:
                         continue
-                    _, grad = softmax_loss_and_grad(z, 0, params)
-                    for j in range(len(z)):
-                        def f(v, j=j):
-                            zz = z.copy()
-                            zz[j] = v
-                            return softmax_loss_and_grad(zz, 0, params)[0]
-                        num = _central(f, float(z[j]))
-                        record("softmax", _rel_err(flip * grad[j], num),
+                    # One head call: row 0 is z, rows 2j+1 and 2j+2 move z_j by +h and -h.
+                    k, j = len(z), np.arange(len(z))
+                    rows = np.repeat(z[None], 2 * k + 1, axis=0)
+                    rows[2 * j + 1, j], rows[2 * j + 2, j] = z + FD_STEP, z - FD_STEP
+                    losses, grads = softmax_head(rows[None], np.zeros(2 * k + 1, int), [params])
+                    num = (losses[0, 1::2] - losses[0, 2::2]) / (2.0 * FD_STEP)
+                    for j in range(k):
+                        record("softmax", _rel_err(flip * grads[0, 0, j], num[j]),
                                f"softmax {label} pt={pt:g} component {j}", at_kink)
     return worst, sections
 
@@ -293,8 +287,6 @@ def cmd_experiment(args) -> int:
         _write_plots(round_floats(report), Path(args.plots))
         print(f"plots written to {args.plots}")
     if args.dump_data:
-        from .sampling import write_dataset_csv
-
         dump_dir = Path(args.dump_data)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for seed in spec.seeds:
@@ -416,8 +408,6 @@ def cmd_fuse(args) -> int:
         write_detections_jsonl(fused, args.out)
         print(f"{len(fused)} fused detections -> {args.out}")
     else:
-        from .metrics import detection_to_json
-
         for det in fused:
             sys.stdout.write(json.dumps(detection_to_json(det), sort_keys=True) + "\n")
     return 0

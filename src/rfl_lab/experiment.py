@@ -45,6 +45,9 @@ from .train import (TrainConfig, TwoStageConfig, evaluate_classifier, train_clas
 EVAL_SEED_OFFSET = 1000
 EVAL_PER_CLASS = 300
 UNDERSAMPLE_SEED_OFFSET = 500
+# Feature matrices and loss-curve buffers of more float64 values (2 GiB) are
+# refused before anything is built, rather than left to fail in numpy.
+MAX_VALUES = 2**28
 
 
 class ConfigError(ValueError):
@@ -63,12 +66,16 @@ class Train(NamedTuple):
     lr_schedule: list[list[float]]
     schedule_units: str = "iteration"
 
+    def iterations(self, n: float) -> int:
+        """SGD steps of a run over ``n`` examples an epoch."""
+        return math.ceil(n / self.batch_size) * self.epochs
+
     def config(self, loss: LossParams, seed: int, expected_n: float,
                undersample: UndersamplePolicy | None = None) -> TrainConfig:
         """One arm's run at ``seed``, over ``expected_n`` examples an epoch."""
         pairs = [(t, r) for t, r in self.lr_schedule]
         if self.schedule_units == "fraction":
-            total = math.ceil(expected_n / self.batch_size) * self.epochs
+            total = self.iterations(expected_n)
             out: list[tuple[float, float]] = []
             for i, (frac, rate) in enumerate(pairs):
                 threshold = max(1.0, math.floor(total * frac))
@@ -192,9 +199,19 @@ def _dataset(csv_path: str | None = None, **synthetic) -> SynthDatasetSpec | str
     return SynthDatasetSpec(**synthetic)
 
 
-_LOSS = _object(("kind",), lambda kind, **params: LossParams(LossKind(kind), **params),
-                kind=_text("CE", "FL", "RFL"), gamma=_num("[0, inf)"),
-                threshold=_num("(0, 1]"))
+_LOSS_FIELDS = _object(("kind",), lambda kind, **params: LossParams(LossKind(kind), **params),
+                       kind=_text("CE", "FL", "RFL"), gamma=_num("[0, inf)"),
+                       threshold=_num("(0, 1]"))
+
+
+def _loss(value, path: str) -> LossParams:
+    """A loss object; an RFL loss names its threshold rather than take a default."""
+    loss = _LOSS_FIELDS(value, path)
+    if loss.kind is LossKind.RFL and "threshold" not in value:
+        raise ConfigError("RFL losses must give a threshold", f"{path}.threshold")
+    return loss
+
+
 _TRAIN = _object(("epochs", "batch_size", "lr_schedule"), Train,
                  epochs=_int("[0, inf)"), batch_size=_int("[1, inf)"),
                  lr_schedule=_array(_array(_num("(0, inf)"), length=2)),
@@ -209,7 +226,7 @@ _CONFIG = _object(
                     csv_path=_text()),
     eval=_object((), lambda per_class=EVAL_PER_CLASS: per_class, per_class=_COUNT),
     arms=_array(_object(
-        ("name", "loss"), Arm, name=_text(), loss=_LOSS,
+        ("name", "loss"), Arm, name=_text(), loss=_loss,
         undersample=_object(("skip_prob",), lambda skip_prob: skip_prob,
                             skip_prob=_class_map(_num("[0, 1]"))))),
     scenes=_object(("num_scenes", "fg_per_scene", "bg_per_scene", "num_classes", "feature_dim"),
@@ -219,14 +236,15 @@ _CONFIG = _object(
     two_stage=_object(("proposal_budget", "stage2"),
                       lambda stage2, stage2_loss=LossParams(LossKind.CE), **options:
                       (stage2, stage2_loss, options), proposal_budget=_COUNT,
-                      fg_bg_ratio=_num("(0, 1]"), stage2=_TRAIN, stage2_loss=_LOSS),
+                      fg_bg_ratio=_num("(0, 1]"), stage2=_TRAIN, stage2_loss=_loss),
 )
 
 
 def validate_config(config: dict) -> ExperimentSpec:
     """Check ``config`` and parse it into a spec, or raise :class:`ConfigError`.
 
-    :func:`run_experiment` checks the skip_prob classes of a csv_path dataset."""
+    :func:`run_experiment` checks the skip_prob classes and the sizes of a
+    csv_path dataset once it is read."""
     spec = _CONFIG(config, "$")
     if len(set(spec.seeds)) != len(spec.seeds):
         raise ConfigError("duplicate seeds", "$.seeds")
@@ -249,14 +267,31 @@ def validate_config(config: dict) -> ExperimentSpec:
                               "(fg_per_scene + bg_per_scene), or every arm's recall is 1",
                               "$.two_stage.proposal_budget")
     for i, arm in enumerate(spec.arms):
-        if arm.loss.kind is LossKind.RFL and "threshold" not in config["arms"][i]["loss"]:
-            raise ConfigError("RFL arms must give a threshold", f"$.arms[{i}].loss.threshold")
         if spec.kind == "two_stage" and arm.undersample is not None:
             raise ConfigError("undersampling applies to classifier experiments only",
                               f"$.arms[{i}].undersample")
     if isinstance(spec.dataset, SynthDatasetSpec):
         _check_undersampling(spec.arms, list(spec.dataset.class_counts))
+        _check_sizes(spec, sum(spec.dataset.class_counts), spec.dataset.feature_dim)
+    elif spec.kind == "two_stage":
+        sc = spec.scenes
+        _check_sizes(spec, sc.num_scenes * (sc.fg_per_scene + sc.bg_per_scene), sc.feature_dim)
     return spec
+
+
+def _check_sizes(spec: ExperimentSpec, n: int, d: int) -> None:
+    """Rejects more than :data:`MAX_VALUES` values in the training features
+    (n rows of d), the eval set, or a trainer's (iterations, runs) loss-curve
+    buffer; stage 2 trains on the positives, at most every candidate."""
+    sizes = [("$.dataset" if spec.kind == "classifier" else "$.scenes", n * d),
+             ("$.train", spec.train.iterations(n) * len(spec.arms))]
+    if isinstance(spec.dataset, SynthDatasetSpec):
+        sizes.append(("$.eval", spec.eval * spec.dataset.num_classes * d))
+    if spec.two_stage:
+        sizes.append(("$.two_stage.stage2", spec.two_stage[0].iterations(n)))
+    for path, values in sizes:
+        if values > MAX_VALUES:
+            raise ConfigError(f"needs {values} float64 values, more than {MAX_VALUES}", path)
 
 
 def _check_undersampling(arms: list[Arm], counts: list[int]) -> None:
@@ -373,6 +408,7 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
         if isinstance(spec.dataset, str):
             csv = read_dataset_csv(spec.dataset)  # read once
             _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
+            _check_sizes(spec, *csv.X.shape)
         by_seed = [_classifier_rows(spec, seed, csv) for seed in spec.seeds]
     else:
         by_seed = [_two_stage_rows(spec, seed) for seed in spec.seeds]

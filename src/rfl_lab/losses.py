@@ -20,13 +20,16 @@ other thresholds the formula has a jump at the boundary, which is kept
 as written rather than smoothed.
 
 One kernel, :func:`loss_and_dpt`, evaluates these formulas and their
-derivative d(loss)/d(pt) on scalars or arrays; the scalar functions, the
-composites below and the batch trainers in ``train`` all call it.  Two
-composite forms wire the losses to model outputs: a softmax multiclass
-head and a sigmoid binary head, both returning the analytic gradient
-with respect to the logits.  Scalar entry points reject pt outside the
-open interval (0, 1); the composites instead clamp pt to
-[1e-12, 1 - 1e-12] so training survives saturated outputs.
+derivative d(loss)/d(pt) on scalars or arrays.  Two heads wire it to
+model outputs and return the analytic gradient with respect to the
+logits: :func:`softmax_head` (multiclass) and :func:`sigmoid_head`
+(binary), each on stacked logits, one loss per stacked model.  The
+trainers' SGD steps in ``train`` and the one-sample composites
+:func:`softmax_loss_and_grad` and :func:`binary_loss_and_grad` are
+calls of these heads, so ``rfl-lab gradcheck`` checks the gradient that
+trains.  Scalar entry points reject pt outside the open interval (0, 1);
+the heads instead clamp pt to [1e-12, 1 - 1e-12] so training survives
+saturated outputs.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
@@ -37,10 +40,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-# Clamp bounds applied to pt inside the softmax/binary composites.
+# Clamp bounds applied to pt inside the softmax/sigmoid heads.
 PT_CLAMP_LO = 1e-12
 PT_CLAMP_HI = 1.0 - 1e-12
 
@@ -57,7 +61,7 @@ class LossParams:
 
     ``gamma`` and ``threshold`` are ignored by the CE kind; ``threshold``
     is ignored by FL.  ``threshold`` may be 1.0, in which case RFL
-    degenerates to CE (the composites clamp pt strictly below 1).
+    degenerates to CE (the heads clamp pt strictly below 1).
     """
 
     kind: LossKind
@@ -114,13 +118,9 @@ def focal_loss(pt: float, params: LossParams) -> float:
 
 
 def reduced_focal_loss(pt: float, params: LossParams) -> float:
-    """cutoff_factor(pt) * (-log pt).
-
-    Below the threshold this evaluates the identical expression as
-    :func:`ce_loss` (bitwise-equal results); at or above it evaluates
-    focal_loss / th^gamma so the scaling identity FL = th^g * RFL holds
-    to within a couple of ulp.
-    """
+    """cutoff_factor(pt) * (-log pt).  Below the threshold this is bitwise
+    :func:`ce_loss`; at or above it is focal_loss / th^gamma, so the scaling
+    identity FL = th^g * RFL holds to within a couple of ulp."""
     return _scalar(pt, replace(params, kind=LossKind.RFL))[0]
 
 
@@ -136,46 +136,39 @@ def loss_value(pt: float, params: LossParams) -> float:
 
 
 def loss_grad_pt(pt: float, params: LossParams) -> float:
-    """d(loss)/d(pt) for the selected kind.
-
-    The losses have a kink at pt = threshold (RFL) where the derivative
-    is not defined; this returns the at-or-above-threshold branch there,
-    matching the branch assignment of the value formula.
-    """
+    """d(loss)/d(pt) for the selected kind.  At the RFL kink pt = threshold,
+    where the derivative is not defined, this returns the at-or-above branch,
+    as the value formula does."""
     return _scalar(pt, params)[1]
 
 
-def softmax_loss_and_grad(
-    logits: np.ndarray, gt: int, params: LossParams
-) -> tuple[float, np.ndarray]:
-    """Selected loss of softmax(logits)[gt] and its gradient wrt the logits.
+def _per_run(pt, neg_log, one_minus, params: Sequence[LossParams]):
+    """:func:`loss_and_dpt` of row r of (runs, n) arrays under ``params[r]``."""
+    losses, dpt = np.empty(pt.shape), np.empty(pt.shape)
+    for r, loss in enumerate(params):
+        losses[r], dpt[r] = loss_and_dpt(pt[r], neg_log[r], one_minus[r], loss)
+    return losses, dpt
 
-    Uses max-subtraction so logit magnitudes up to ~1e3 stay finite, and
-    clamps pt to [1e-12, 1 - 1e-12] before the loss so saturated softmax
-    outputs produce finite values and gradients.
 
-    Returns:
-        (loss, grad) with grad the same length as ``logits``:
-        d(loss)/d(logit_j) = loss_grad_pt * pt * (delta_{j,gt} - softmax_j).
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] < 2:
-        raise ValueError("logits must be a 1-D vector of length >= 2")
-    if not (0 <= gt < z.shape[0]):
-        raise ValueError(f"gt index {gt} out of range for {z.shape[0]} classes")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-
-    shifted = z - z.max()
-    ez = np.exp(shifted)
-    p = ez / ez.sum()
-    pt = min(max(float(p[gt]), PT_CLAMP_LO), PT_CLAMP_HI)
-
-    loss, dpt = _scalar(pt, params)
-    direction = -p
-    direction[gt] += 1.0
-    grad = dpt * pt * direction
-    return loss, grad
+def softmax_head(z: np.ndarray, y: np.ndarray,
+                 params: Sequence[LossParams]) -> tuple[np.ndarray, np.ndarray]:
+    """Losses (S, n) and logit gradients (S, n, C) of S stacked softmax heads on
+    the C-ordered logits ``z`` (S, n, C), which it overwrites; row i has label
+    ``y[i]``, head s the loss ``params[s]``.  Each row's max is subtracted so
+    logits up to ~1e3 stay finite; d(loss)/d(z_j) = dloss/dpt * pt *
+    (delta_{j,y} - softmax_j).  Each row is bitwise what it gives alone."""
+    S, n, C = z.shape
+    # The max is exact in any order: reduce a (C, S*n) copy along its rows.
+    z -= np.maximum.reduce(z.reshape(-1, C).T.copy(), axis=0).reshape(S, n, 1)
+    p = np.exp(z, out=z)
+    p /= np.add.reduce(p, axis=2, keepdims=True)
+    at = np.arange(0, S * n * C, n * C)[:, None] + (np.arange(0, n * C, C) + y)
+    p_label = p.take(at)  # (S, n): each row's label entry, per head
+    pt = np.minimum(np.maximum(p_label, PT_CLAMP_LO), PT_CLAMP_HI)
+    losses, dpt = _per_run(pt, -np.log(pt), 1.0 - pt, params)
+    direction = np.negative(p, out=p)
+    direction.put(at, 1.0 - p_label)
+    return losses, (dpt * pt)[:, :, None] * direction
 
 
 def binary_pt(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,19 +185,42 @@ def binary_pt(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pt, neg_log, one_minus
 
 
+def sigmoid_head(z: np.ndarray, sign: np.ndarray,
+                 params: Sequence[LossParams]) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and logit gradients (A, n) of A stacked sigmoid heads on the
+    logits ``z`` (A, n); ``sign[i]`` is +1 for label 1 and -1 for label 0,
+    and head a has the loss ``params[a]``.  pt comes from :func:`binary_pt`,
+    and dpt/dz = +/- pt * (1 - pt)."""
+    pt, neg_log, one_minus = binary_pt(z * sign)
+    losses, dpt = _per_run(pt, neg_log, one_minus, params)
+    return losses, dpt * pt * one_minus * sign
+
+
+def softmax_loss_and_grad(
+    logits: np.ndarray, gt: int, params: LossParams
+) -> tuple[float, np.ndarray]:
+    """Selected loss of softmax(logits)[gt] and its gradient wrt the logits:
+    one row of :func:`softmax_head`."""
+    z = np.array(logits, dtype=np.float64)
+    if z.ndim != 1 or z.shape[0] < 2:
+        raise ValueError("logits must be a 1-D vector of length >= 2")
+    if not (0 <= gt < z.shape[0]):
+        raise ValueError(f"gt index {gt} out of range for {z.shape[0]} classes")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    losses, grad = softmax_head(z[None, None], np.array([gt]), [params])
+    return float(losses[0, 0]), grad[0, 0]
+
+
 def binary_loss_and_grad(
     logit: float, label: int, params: LossParams
 ) -> tuple[float, float]:
-    """(loss, dloss/dlogit) of a sigmoid binary head: the one-sample case of
-    the batch path, :func:`binary_pt` then :func:`loss_and_dpt`, with
-    dpt/dlogit = +/- pt * (1 - pt)."""
+    """(loss, dloss/dlogit) of a sigmoid binary head: one row of
+    :func:`sigmoid_head`."""
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     if not math.isfinite(logit):
         raise ValueError("logit must be finite")
-
-    sign = 1.0 if label == 1 else -1.0
-    pt, neg_log, one_minus = binary_pt(np.array([logit * sign], dtype=np.float64))
-    loss, dpt = loss_and_dpt(pt, neg_log, one_minus, params)
-    grad = dpt * pt * one_minus * sign
-    return float(loss[0]), float(grad[0])
+    sign = np.array([1.0 if label == 1 else -1.0])
+    losses, grad = sigmoid_head(np.array([[logit]], dtype=np.float64), sign, [params])
+    return float(losses[0, 0]), float(grad[0, 0])

@@ -20,12 +20,13 @@ streams and differ only in loss and lr schedule train in lockstep, one
 batch draw for all, and each ends bitwise where it would alone.
 
 Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
-all scenes are scored, ranked and counted at once).  One SGD step is one
-set of numpy calls for every run in lockstep: ``softmax_step`` and
-``binary_step`` score the stacked models with one matmul, run the loss
-kernel ``losses.loss_and_dpt`` once per run, and clamp as the scalar
-composites do; the trainer writes the step's mean losses into one
-(iterations, runs) curve buffer, turned into lists once at the end.
+all scenes are scored, ranked and counted at once).  One SGD step of
+every run in lockstep is matmul, loss head, matmul: ``softmax_step`` and
+``binary_step`` score the stacked models, take losses and logit
+gradients from ``losses.softmax_head`` or ``losses.sigmoid_head`` (the
+heads ``rfl-lab gradcheck`` checks), and reduce the gradients over the
+batch; the trainer writes the step's mean losses into one (iterations,
+runs) curve buffer, turned into lists once at the end.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import PT_CLAMP_HI, PT_CLAMP_LO, LossParams, binary_pt, loss_and_dpt
+from .losses import LossParams, sigmoid_head, softmax_head
 from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
 
 @dataclass(frozen=True)
@@ -84,16 +85,18 @@ def lr_at(schedule: Sequence[tuple[float, float]], iteration: int) -> float:
     return schedule[-1][1]
 
 
+def _init(shape: tuple[int, ...], runs: int, seed: int):
+    """(weights (runs, *shape), batch stream): the seed's two child streams,
+    one drawing uniform weights in [-0.01, 0.01] that every run starts
+    from, the other the batch order."""
+    rng_init, rng_batch = (np.random.default_rng(s) for s in
+                           np.random.SeedSequence(seed).spawn(2))
+    return np.repeat(rng_init.uniform(-0.01, 0.01, size=(1, *shape)), runs, axis=0), rng_batch
+
+
 def init_model(num_classes: int, feature_dim: int, seed: int) -> LinearModel:
-    """Zero biases, uniform weights in [-0.01, 0.01] from the init stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    weights = rng.uniform(-0.01, 0.01, size=(num_classes, feature_dim))
-    return LinearModel(weights, np.zeros(num_classes))
-
-
-# ---------------------------------------------------------------------------
-# Batch losses and gradients.
-# ---------------------------------------------------------------------------
+    """Zero biases and the weights of :func:`_init`, for one run."""
+    return LinearModel(_init((num_classes, feature_dim), 1, seed)[0][0], np.zeros(num_classes))
 
 
 def softmax_step(
@@ -105,66 +108,28 @@ def softmax_step(
     loss per model.  Each slice is bitwise what that model computes alone
     (matmul runs one gemm per slice); the losses are C-ordered, so a reduce
     along axis 1 sums each row as ``row.mean()`` does."""
-    (S, C), n = W.shape[:2], X.shape[0]
     z = np.matmul(X, W.transpose(0, 2, 1))
     z += b[:, None, :]
-    # The max is exact in any order: reduce a (C, S*n) copy along its rows.
-    z -= np.maximum.reduce(z.reshape(-1, C).T.copy(), axis=0).reshape(S, n, 1)
-    p = np.exp(z, out=z)
-    p /= np.add.reduce(p, axis=2, keepdims=True)
-    at = np.arange(0, S * n * C, n * C)[:, None] + (np.arange(0, n * C, C) + y)
-    p_label = p.take(at)  # (S, n): each row's label entry, per model
-    pt = np.minimum(np.maximum(p_label, PT_CLAMP_LO), PT_CLAMP_HI)
-
-    neg_log, one_minus = -np.log(pt), 1.0 - pt
-    losses, dpt = np.empty(pt.shape), np.empty(pt.shape)
-    for s, loss in enumerate(params):
-        losses[s], dpt[s] = loss_and_dpt(pt[s], neg_log[s], one_minus[s], loss)
-    direction = np.negative(p, out=p)
-    direction.put(at, 1.0 - p_label)
-    glogits = (dpt * pt)[:, :, None] * direction
-    dW = np.matmul(glogits.transpose(0, 2, 1), X) / n
-    db = np.add.reduce(glogits, axis=1) / n
+    losses, glogits = softmax_head(z, y, params)
+    dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[0]
+    db = np.add.reduce(glogits, axis=1) / X.shape[0]
     return losses, dW, db
-
-
-def softmax_batch(
-    X: np.ndarray, y: np.ndarray, model: LinearModel, params: LossParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`softmax_step` for one model: ``(losses, dW, db)``, averaged
-    over the batch."""
-    losses, dW, db = softmax_step(X, y, model.weights[None], model.biases[None], [params])
-    return losses[0], dW[0], db[0]
 
 
 def binary_step(
-    X: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarray,
-    params: Sequence[LossParams], sign: np.ndarray | None = None,
+    X: np.ndarray, sign: np.ndarray, W: np.ndarray, b: np.ndarray,
+    params: Sequence[LossParams],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sigmoid twin of :func:`softmax_step`: losses (A, B) and gradients
-    (A, d), (A,) of A stacked scorers ``W`` (A, d), ``b`` (A,).  ``sign``
-    (+1 for label 1, -1 for label 0) is derived from ``y`` unless given.
-    matmul broadcasts the batch over the scorers, one gemv per slice."""
-    sign = np.where(y == 1, 1.0, -1.0) if sign is None else sign
+    (A, d), (A,) of A stacked scorers ``W`` (A, d), ``b`` (A,), with
+    ``sign`` +1 for label 1 and -1 for label 0.  matmul broadcasts the
+    batch over the scorers, one gemv per slice."""
     z = np.matmul(X, W[:, :, None])[:, :, 0]
     z += b[:, None]
-    pt, neg_log, one_minus = binary_pt(z * sign)
-    losses, dpt = np.empty(pt.shape), np.empty(pt.shape)
-    for a, loss in enumerate(params):
-        losses[a], dpt[a] = loss_and_dpt(pt[a], neg_log[a], one_minus[a], loss)
-    gz = dpt * pt * one_minus * sign
+    losses, gz = sigmoid_head(z, sign, params)
     dW = np.matmul(gz[:, None, :], X)[:, 0, :] / X.shape[0]
     db = np.add.reduce(gz, axis=1) / X.shape[0]
     return losses, dW, db
-
-
-def binary_batch(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, params: LossParams
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`binary_step` for one scorer: ``(losses, dw, db)``, averaged
-    over the batch."""
-    losses, dW, db = binary_step(X, y, w[None], np.array([b], dtype=np.float64), [params])
-    return losses[0], dW[0], float(db[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +153,17 @@ def _lockstep(config, shared: tuple[str, ...]) -> tuple[list, bool]:
     return runs, single
 
 
-def _rate_table(runs: Sequence[TrainConfig], iterations: int) -> np.ndarray:
-    """(iterations, runs): each run's :func:`lr_at` rate at every iteration."""
+def _run_tables(runs: Sequence[TrainConfig], n: int):
+    """(each run's loss, curve buffer, rate table) for ``runs`` of
+    ceil(n / batch_size) iterations an epoch; both tables are (iterations,
+    runs), the rates each run's :func:`lr_at` at every iteration."""
+    iterations = runs[0].epochs * math.ceil(n / runs[0].batch_size)
     table = np.empty((iterations, len(runs)))
     for r, run in enumerate(runs):
         thresholds, rates = np.array(run.lr_schedule, dtype=np.float64).T
         at = np.searchsorted(thresholds, np.arange(iterations), side="right")
         table[:, r] = rates[np.minimum(at, len(rates) - 1)]
-    return table
+    return [run.loss for run in runs], np.empty_like(table), table
 
 
 def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig]):
@@ -218,14 +186,9 @@ def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig])
         raise ValueError("training data needs one feature row per label")
     num_classes = max(2, int(y_all.max()) + 1)
 
-    init = init_model(num_classes, X_all.shape[1], first.weight_init_seed)
-    W = np.repeat(init.weights[None], len(runs), axis=0)
-    b = np.repeat(init.biases[None], len(runs), axis=0)
-    batch_rng = np.random.default_rng(np.random.SeedSequence(first.weight_init_seed).spawn(2)[1])
-
-    params = [r.loss for r in runs]
-    curves = np.empty((first.epochs * math.ceil(len(y_all) / first.batch_size), len(runs)))
-    rates, iteration = _rate_table(runs, len(curves)), 0
+    W, batch_rng = _init((num_classes, X_all.shape[1]), len(runs), first.weight_init_seed)
+    b, iteration = np.zeros((len(runs), num_classes)), 0
+    params, curves, rates = _run_tables(runs, len(y_all))
     for epoch in range(first.epochs):
         Xe, ye = X_all, y_all
         if first.undersample is not None:
@@ -327,9 +290,7 @@ def train_objectness(
     """
     runs, single = _lockstep(config, ("epochs", "batch_size", "weight_init_seed"))
     first = runs[0]
-    rng_init, rng_batch = (np.random.default_rng(s) for s in
-                           np.random.SeedSequence(first.weight_init_seed).spawn(2))
-    W = np.repeat(rng_init.uniform(-0.01, 0.01, size=(1, X.shape[1])), len(runs), axis=0)
+    W, rng_batch = _init((X.shape[1],), len(runs), first.weight_init_seed)
     b = np.zeros(len(runs))
     fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if len(fg_idx) == 0 or len(bg_idx) == 0:
@@ -337,20 +298,16 @@ def train_objectness(
 
     n_fg = max(1, round(first.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
     n_bg = max(1, first.batch_size - n_fg)
-    # Every batch is n_fg foreground rows, then n_bg background rows.
-    yb, sign = np.repeat([1, 0], [n_fg, n_bg]), np.repeat([1.0, -1.0], [n_fg, n_bg])
-    params = [r.loss for r in runs]
-
-    curves = np.empty((first.epochs * math.ceil(len(y) / first.batch_size), len(runs)))
-    rates = _rate_table(runs, len(curves))
+    # Every batch is n_fg foreground rows (sign +1), then n_bg background rows.
+    sign = np.repeat([1.0, -1.0], [n_fg, n_bg])
+    params, curves, rates = _run_tables(runs, len(y))
     for iteration in range(len(curves)):
         fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
         bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
-        losses, dW, db = binary_step(X.take(np.concatenate([fg, bg]), axis=0), yb, W, b,
-                                     params, sign)
+        losses, dW, db = binary_step(X.take(np.concatenate([fg, bg]), axis=0), sign, W, b, params)
         W -= rates[iteration, :, None] * dW
         b -= rates[iteration] * db
-        curves[iteration] = np.add.reduce(losses, axis=1) / len(yb)
+        curves[iteration] = np.add.reduce(losses, axis=1) / len(sign)
     out = [(BinaryModel(W[a], float(b[a])), c) for a, c in enumerate(curves.T.tolist())]
     return out[0] if single else out
 

@@ -32,6 +32,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_capped(*argv):
+    """The CLI in a child process with a timeout and a 1 GB address-space cap,
+    for inputs that would otherwise grow without end."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "rfl_lab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_memory,
+    )
+
+
 SMALL_CONFIG = {
     "kind": "classifier",
     "seeds": [1, 2],
@@ -52,6 +68,16 @@ SMALL_CONFIG = {
         {"name": "ce", "loss": {"kind": "CE"}},
         {"name": "rfl", "loss": {"kind": "RFL", "gamma": 2.0, "threshold": 0.25}},
     ],
+}
+
+TINY_TWO_STAGE = {
+    "kind": "two_stage",
+    "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
+               "num_classes": 2, "feature_dim": 3},
+    "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
+    "two_stage": {"proposal_budget": 5,
+                  "stage2": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]}},
+    "arms": [{"name": "a", "loss": {"kind": "CE"}}],
 }
 
 
@@ -93,6 +119,20 @@ class TestGradcheck:
         code, out, _ = run(capsys, "gradcheck")
         assert code == 0
         assert "gradcheck: PASS" in out
+
+    def test_printed_errors(self, capsys):
+        assert run(capsys, "gradcheck")[1] == (
+            "scalar   max rel err 3.346e-08  (tolerance 1e-06)  ok\n"
+            "binary   max rel err 3.467e-10  (tolerance 1e-05)  ok\n"
+            "softmax  max rel err 2.065e-08  (tolerance 1e-05)  ok\n"
+            "gradcheck: PASS\n")
+        assert run(capsys, "gradcheck", "--skip-kink-band", "0")[1:] == (
+            "scalar   max rel err 1.000e+00  (tolerance 1e-06)  FAIL\n"
+            "binary   max rel err 1.000e+00  (tolerance 1e-05)  FAIL\n"
+            "softmax  max rel err 1.000e+00  (tolerance 1e-05)  FAIL\n",
+            "worst offender: scalar RFL gamma=5.0 th=0.25 pt=0.25 rel_err=1.000e+00 "
+            "(at the pt = th kink; the loss is not differentiable there)\n"
+            "gradcheck: FAIL\n")
 
     def test_negative_control_fails(self, capsys):
         code, _, err = run(capsys, "gradcheck", "--negate-grad")
@@ -420,16 +460,7 @@ class TestExperiment:
     ])
     def test_decreasing_lr_schedule_names_its_path(self, tmp_path, capsys, section, schedule,
                                                    units, message):
-        cfg_data = {
-            "kind": "two_stage",
-            "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
-                       "num_classes": 2, "feature_dim": 3},
-            "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
-            "two_stage": {"proposal_budget": 5,
-                          "stage2": {"epochs": 1, "batch_size": 8,
-                                     "lr_schedule": [[100, 0.1]]}},
-            "arms": [{"name": "a", "loss": {"kind": "CE"}}],
-        }
+        cfg_data = json.loads(json.dumps(TINY_TWO_STAGE))
         target = cfg_data["train"] if section == "train" else cfg_data["two_stage"]["stage2"]
         target.update(lr_schedule=schedule, schedule_units=units)
         cfg = tmp_path / "cfg.json"
@@ -438,6 +469,40 @@ class TestExperiment:
         assert code == 2
         path = "$.train" if section == "train" else "$.two_stage.stage2"
         assert f"{path}.lr_schedule: {message}" in err
+
+    @pytest.mark.parametrize("section", ["arms", "two_stage"])
+    def test_rfl_loss_without_threshold_exit_2(self, tmp_path, capsys, section):
+        cfg_data = json.loads(json.dumps(TINY_TWO_STAGE))
+        rfl = {"kind": "RFL", "gamma": 2.0}
+        if section == "arms":
+            cfg_data["arms"][0]["loss"], path = rfl, "$.arms[0].loss"
+        else:
+            cfg_data["two_stage"]["stage2_loss"], path = rfl, "$.two_stage.stage2_loss"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"{path}.threshold: RFL losses must give a threshold" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("scenes", "num_scenes", 10_000_000, "$.scenes"),
+        ("train", "epochs", 10**12, "$.train"),
+    ])
+    def test_oversized_run_exit_2_under_a_memory_cap(self, tmp_path, section, key, value,
+                                                     path):
+        cfg_data = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                               "two_stage.json").read_text())
+        cfg_data[section][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        proc = run_capped("experiment", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"invalid config: {path}: needs " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind, path, value, message", [
         ("classifier", "train.lr_schedule[0][1]", math.nan, "nan is not a finite number"),
@@ -456,15 +521,8 @@ class TestExperiment:
     ])
     def test_non_finite_or_non_integer_value_exit_2_at_its_path(self, tmp_path, capsys, kind,
                                                                path, value, message):
-        cfg_data = json.loads(json.dumps(SMALL_CONFIG if kind == "classifier" else {
-            "kind": "two_stage",
-            "scenes": {"num_scenes": 2, "fg_per_scene": 4, "bg_per_scene": 20,
-                       "num_classes": 2, "feature_dim": 3},
-            "train": {"epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]},
-            "two_stage": {"proposal_budget": 5, "stage2": {
-                "epochs": 1, "batch_size": 8, "lr_schedule": [[100, 0.1]]}},
-            "arms": [{"name": "a", "loss": {"kind": "CE"}}],
-        }))
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG if kind == "classifier"
+                                         else TINY_TWO_STAGE))
         *keys, last = [int(k) if k.isdigit() else k
                        for k in path.replace("[", ".").replace("]", "").split(".")]
         target = cfg_data
@@ -535,24 +593,8 @@ class TestTile:
                            "--overlap", "50", "--out-dir", str(tmp_path / "t"))
         assert code == 2
 
-    @staticmethod
-    def run_capped(*argv):
-        """The CLI in a child process with a timeout and an address-space cap,
-        for inputs that used to make the tile positions grow without end."""
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run(
-            [sys.executable, "-m", "rfl_lab.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-            preexec_fn=cap_memory,
-        )
-
     def test_infinite_scene_exit_2_in_bounded_time(self, tmp_path):
-        proc = self.run_capped("tile", "--scene", "infx1000", "--tile", "500",
+        proc = run_capped("tile", "--scene", "infx1000", "--tile", "500",
                                "--out-dir", str(tmp_path / "t"))
         assert proc.returncode == 2
         assert "'infx1000'" in proc.stderr
@@ -564,7 +606,7 @@ class TestTile:
         ("2001x2000", "1", "0"),        # one row past the limit
     ])
     def test_oversized_grid_exit_2(self, tmp_path, scene, tile, overlap):
-        proc = self.run_capped("tile", "--scene", scene, "--tile", tile,
+        proc = run_capped("tile", "--scene", scene, "--tile", tile,
                                "--overlap", overlap, "--out-dir", str(tmp_path / "t"))
         assert proc.returncode == 2
         assert "more than 4000000 tiles" in proc.stderr and "Traceback" not in proc.stderr

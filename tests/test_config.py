@@ -17,11 +17,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfl_lab.experiment import ConfigError, validate_config
+from rfl_lab.experiment import MAX_VALUES, ConfigError, run_experiment, validate_config
+from rfl_lab.sampling import Dataset, write_dataset_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = {name: json.loads((ROOT / "configs" / f"{name}.json").read_text())
@@ -208,3 +210,50 @@ def test_cli_import_adds_no_third_party_module_but_numpy():
     top = {name.split(".")[0] for name in out}
     assert "rfl_lab" in top and "numpy" in top
     assert top - sys.stdlib_module_names - {"rfl_lab", "numpy"} == set()
+
+
+@pytest.mark.parametrize("name, section, key, value, path", [
+    ("longtail", "dataset", "feature_dim", 2**25, "$.dataset"),
+    ("longtail", "eval", "per_class", 2**25, "$.eval"),
+    ("longtail", "train", "epochs", 2**20, "$.train"),
+    ("two_stage", "scenes", "num_scenes", 10**6, "$.scenes"),
+    ("two_stage", "train", "epochs", 10**12, "$.train"),
+])
+def test_oversized_array_is_rejected_at_its_section(name, section, key, value, path):
+    config = copy.deepcopy(SHIPPED[name])
+    config[section][key] = value
+    with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
+        validate_config(config)
+    assert err.value.location == path
+
+
+def test_oversized_stage2_curve_is_rejected():
+    config = copy.deepcopy(SHIPPED["two_stage"])
+    config["two_stage"]["stage2"]["epochs"] = 10**9
+    with pytest.raises(ConfigError) as err:
+        validate_config(config)
+    assert err.value.location == "$.two_stage.stage2"
+
+
+def test_size_bound_is_inclusive():
+    config = copy.deepcopy(SHIPPED["longtail"])
+    config["arms"] = config["arms"][:1]
+    config["dataset"].update(class_counts=[2**19, 2**19], feature_dim=2**8)  # MAX_VALUES
+    validate_config(config)
+    config["dataset"]["feature_dim"] += 1
+    with pytest.raises(ConfigError) as err:
+        validate_config(config)
+    assert err.value.location == "$.dataset"
+
+
+def test_csv_dataset_sizes_are_checked_once_read(tmp_path):
+    path = tmp_path / "d.csv"
+    write_dataset_csv(Dataset(np.zeros((3, 2)), np.array([0, 1, 1]), np.zeros(3, bool)), path)
+    config = copy.deepcopy(SHIPPED["longtail"])
+    config["dataset"] = {"csv_path": str(path)}
+    config["arms"] = config["arms"][:1]
+    config["train"]["epochs"] = 10**12
+    validate_config(config)  # the row count is not known before the file is read
+    with pytest.raises(ConfigError) as err:
+        run_experiment(config)
+    assert err.value.location == "$.train"

@@ -27,12 +27,10 @@ from rfl_lab.train import (
     LinearModel,
     TrainConfig,
     TwoStageConfig,
-    binary_batch,
     binary_step,
     evaluate_classifier,
     init_model,
     lr_at,
-    softmax_batch,
     softmax_step,
     top_k_indices,
     train_classifier,
@@ -78,14 +76,15 @@ class TestLrSchedule:
 class TestBatchTwins:
     """The vectorized batch paths must reproduce the scalar composites."""
 
-    def test_softmax_batch_matches_scalar(self):
+    def test_softmax_step_matches_scalar(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(16, 4))
         y = rng.integers(0, 3, size=16)
         model = init_model(3, 4, seed=5)
         for params in (CE, FL2, RFL_HALF,
                        LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25)):
-            losses, dW, db = softmax_batch(X, y, model, params)
+            (losses,), (dW,), (db,) = softmax_step(X, y, model.weights[None],
+                                                   model.biases[None], [params])
             z = model.scores(X)
             gsum = np.zeros_like(model.weights)
             bsum = np.zeros_like(model.biases)
@@ -97,14 +96,14 @@ class TestBatchTwins:
             np.testing.assert_allclose(dW, gsum / len(y), rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(db, bsum / len(y), rtol=1e-12, atol=1e-15)
 
-    def test_binary_batch_matches_scalar(self):
+    def test_binary_step_matches_scalar(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(20, 3))
         y = rng.integers(0, 2, size=20)
         w = rng.normal(size=3) * 0.1
         b = 0.3
         for params in (CE, FL2, RFL_HALF):
-            losses, dw, db = binary_batch(X, y, w, b, params)
+            (losses,), (dw,), (db,) = binary_step(X, signs(y), w[None], np.array([b]), [params])
             z = X @ w + b
             gz = np.zeros(len(y))
             for i in range(len(y)):
@@ -113,6 +112,11 @@ class TestBatchTwins:
                 gz[i] = gi
             np.testing.assert_allclose(dw, gz @ X / len(y), rtol=1e-12, atol=1e-15)
             assert db == gz.mean()
+
+
+def signs(y):
+    """+1 for label 1, -1 for label 0: the labels as :func:`binary_step` takes them."""
+    return np.where(y == 1, 1.0, -1.0)
 
 
 def dataset(X, y):
@@ -316,12 +320,52 @@ def reference_softmax_batch(X, y, w, b, params):
     return loss, glogits.T @ X / len(y), glogits.mean(axis=0)
 
 
-STEP_LOSSES = st.sampled_from([
+STEP_LOSS_LIST = [
     CE, FL2, LossParams(kind=LossKind.FL, gamma=0.0),
     LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25),
     LossParams(kind=LossKind.RFL, gamma=0.0, threshold=0.5),
     LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0),
-])
+]
+STEP_LOSSES = st.sampled_from(STEP_LOSS_LIST)
+
+
+class TestCompositesAreStepRows:
+    """The one-sample composites are rows of the steps that train, bit for
+    bit, for every loss in ``STEP_LOSS_LIST`` (one stacked model each).
+    Identity features make model s's logits exactly its weights, and its
+    weight gradient exactly its logit gradients over the batch size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 40), C=st.integers(2, 11), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.1, 1000.0))
+    def test_softmax_loss_and_grad(self, B, C, seed, scale):
+        rng = np.random.default_rng(seed)
+        S = len(STEP_LOSS_LIST)
+        logits = rng.normal(size=(S, B, C)) * scale
+        y = rng.integers(0, C, size=B)
+        losses, dW, _ = softmax_step(np.eye(B), y, logits.transpose(0, 2, 1).copy(),
+                                     np.zeros((S, C)), STEP_LOSS_LIST)
+        for s, params in enumerate(STEP_LOSS_LIST):
+            for i in range(B):
+                loss, grad = softmax_loss_and_grad(logits[s, i], int(y[i]), params)
+                assert loss == losses[s, i]
+                assert np.array_equal(grad / B, dW[s, :, i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.1, 1000.0))
+    def test_binary_loss_and_grad(self, B, seed, scale):
+        rng = np.random.default_rng(seed)
+        S = len(STEP_LOSS_LIST)
+        logits = rng.normal(size=(S, B)) * scale
+        y = rng.integers(0, 2, size=B)
+        losses, dW, _ = binary_step(np.eye(B), signs(y), logits.copy(), np.zeros(S),
+                                    STEP_LOSS_LIST)
+        for a, params in enumerate(STEP_LOSS_LIST):
+            for i in range(B):
+                loss, grad = binary_loss_and_grad(float(logits[a, i]), int(y[i]), params)
+                assert loss == losses[a, i]
+                assert grad / B == dW[a, i]
 
 
 class TestStackedSteps:
@@ -338,10 +382,11 @@ class TestStackedSteps:
         y = rng.integers(0, 2, size=B)
         W = rng.normal(size=(len(params), d))
         b = rng.normal(size=len(params))
-        losses, dW, db = binary_step(X, y, W, b, params)
+        losses, dW, db = binary_step(X, signs(y), W, b, params)
         rows = np.add.reduce(losses, axis=1) / B
         for a, loss in enumerate(params):
-            solo = binary_batch(X, y, W[a].copy(), float(b[a]), loss)
+            solo = [out[0] for out in binary_step(X, signs(y), W[a:a + 1].copy(),
+                                                  b[a:a + 1].copy(), [loss])]
             ref = reference_binary_batch(X, y, W[a], float(b[a]), loss)
             for got in (solo, ref):
                 assert np.array_equal(losses[a], got[0])
@@ -362,7 +407,8 @@ class TestStackedSteps:
         losses, dW, db = softmax_step(X, y, W, b, params)
         rows = np.add.reduce(losses, axis=1) / B
         for s, loss in enumerate(params):
-            solo = softmax_batch(X, y, LinearModel(W[s].copy(), b[s].copy()), loss)
+            solo = [out[0] for out in softmax_step(X, y, W[s:s + 1].copy(),
+                                                   b[s:s + 1].copy(), [loss])]
             ref = reference_softmax_batch(X, y, W[s], b[s], loss)
             for got in (solo, ref):
                 for mine, want in zip((losses[s], dW[s], db[s]), got):
