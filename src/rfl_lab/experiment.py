@@ -45,8 +45,8 @@ from .train import (TrainConfig, TwoStageConfig, evaluate_classifier, train_clas
 EVAL_SEED_OFFSET = 1000
 EVAL_PER_CLASS = 300
 UNDERSAMPLE_SEED_OFFSET = 500
-# Feature matrices and loss-curve buffers of more float64 values (2 GiB) are
-# refused before anything is built, rather than left to fail in numpy.
+# Arrays of more float64 values (2 GiB) are refused before anything is
+# built, rather than left to fail in numpy.
 MAX_VALUES = 2**28
 
 
@@ -272,23 +272,41 @@ def validate_config(config: dict) -> ExperimentSpec:
                               f"$.arms[{i}].undersample")
     if isinstance(spec.dataset, SynthDatasetSpec):
         _check_undersampling(spec.arms, list(spec.dataset.class_counts))
-        _check_sizes(spec, sum(spec.dataset.class_counts), spec.dataset.feature_dim)
+        _check_sizes(spec, sum(spec.dataset.class_counts), spec.dataset.feature_dim,
+                     spec.dataset.num_classes)
     elif spec.kind == "two_stage":
         sc = spec.scenes
-        _check_sizes(spec, sc.num_scenes * (sc.fg_per_scene + sc.bg_per_scene), sc.feature_dim)
+        _check_sizes(spec, sc.num_scenes * (sc.fg_per_scene + sc.bg_per_scene), sc.feature_dim,
+                     sc.num_classes)
     return spec
 
 
-def _check_sizes(spec: ExperimentSpec, n: int, d: int) -> None:
+def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     """Rejects more than :data:`MAX_VALUES` values in the training features
-    (n rows of d), the eval set, or a trainer's (iterations, runs) loss-curve
-    buffer; stage 2 trains on the positives, at most every candidate."""
+    (n rows of d), a scene set's class-mean lattice, the eval set, or, per
+    train section, the (iterations, runs) loss-curve buffer or an array of
+    one SGD step: the batch's features (rows, d), the stacked logits (runs,
+    rows, K) or the weights (runs, K, d).  A classifier batch holds at most
+    n rows; objectness draws its batch size with replacement, K = 1.  Stage
+    2 trains one run on the positives, at most every candidate.  (A
+    synthetic dataset's lattice, classes x d, is within its n x d.)"""
+    def per_step(runs: int, rows: int, K: int) -> int:
+        return max(rows * d, runs * K * max(rows, d))
+
+    runs, K = len(spec.arms), max(2, classes)
     sizes = [("$.dataset" if spec.kind == "classifier" else "$.scenes", n * d),
-             ("$.train", spec.train.iterations(n) * len(spec.arms))]
+             ("$.train", spec.train.iterations(n) * runs)]
+    if spec.kind == "classifier":
+        sizes.append(("$.train", per_step(runs, min(spec.train.batch_size, n), K)))
+    else:
+        sizes += [("$.scenes", (classes + 1) * d),
+                  ("$.train", per_step(runs, spec.train.batch_size, 1))]
     if isinstance(spec.dataset, SynthDatasetSpec):
         sizes.append(("$.eval", spec.eval * spec.dataset.num_classes * d))
     if spec.two_stage:
-        sizes.append(("$.two_stage.stage2", spec.two_stage[0].iterations(n)))
+        stage2 = spec.two_stage[0]
+        sizes += [("$.two_stage.stage2", stage2.iterations(n)),
+                  ("$.two_stage.stage2", per_step(1, min(stage2.batch_size, n), K))]
     for path, values in sizes:
         if values > MAX_VALUES:
             raise ConfigError(f"needs {values} float64 values, more than {MAX_VALUES}", path)
@@ -407,8 +425,8 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
         csv = None
         if isinstance(spec.dataset, str):
             csv = read_dataset_csv(spec.dataset)  # read once
+            _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
             _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
-            _check_sizes(spec, *csv.X.shape)
         by_seed = [_classifier_rows(spec, seed, csv) for seed in spec.seeds]
     else:
         by_seed = [_two_stage_rows(spec, seed) for seed in spec.seeds]

@@ -22,12 +22,13 @@ as written rather than smoothed.
 One kernel, :func:`loss_and_dpt`, evaluates these formulas and their
 derivative d(loss)/d(pt) on scalars or arrays.  Two heads wire it to
 model outputs and return the analytic gradient with respect to the
-logits: :func:`softmax_head` (multiclass) and :func:`sigmoid_head`
-(binary), each on stacked logits, one loss per stacked model.  The
-trainers' SGD steps in ``train`` and the one-sample composites
-:func:`softmax_loss_and_grad` and :func:`binary_loss_and_grad` are
-calls of these heads, so ``rfl-lab gradcheck`` checks the gradient that
-trains.  Scalar entry points reject pt outside the open interval (0, 1);
+logits: :func:`softmax_head` (multiclass, K classes) and
+:func:`sigmoid_head` (binary, K = 1).  Both take stacked logits of shape
+(R, n, K), one loss per stacked model, and return losses (R, n) and
+logit gradients (R, n, K).  The SGD step ``train.step`` and the
+one-sample composites :func:`softmax_loss_and_grad` and
+:func:`binary_loss_and_grad` are calls of these heads, so ``rfl-lab
+gradcheck`` checks the gradient that trains.  Scalar entry points reject pt outside the open interval (0, 1);
 the heads instead clamp pt to [1e-12, 1 - 1e-12] so training survives
 saturated outputs.
 
@@ -187,13 +188,13 @@ def binary_pt(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sigmoid_head(z: np.ndarray, sign: np.ndarray,
                  params: Sequence[LossParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Losses and logit gradients (A, n) of A stacked sigmoid heads on the
-    logits ``z`` (A, n); ``sign[i]`` is +1 for label 1 and -1 for label 0,
-    and head a has the loss ``params[a]``.  pt comes from :func:`binary_pt`,
-    and dpt/dz = +/- pt * (1 - pt)."""
-    pt, neg_log, one_minus = binary_pt(z * sign)
+    """Losses (R, n) and logit gradients (R, n, 1) of R stacked sigmoid heads
+    on the logits ``z`` (R, n, 1); ``sign[i]`` is +1 for label 1 and -1 for
+    label 0, and head r has the loss ``params[r]``.  pt comes from
+    :func:`binary_pt`, and dpt/dz = +/- pt * (1 - pt)."""
+    pt, neg_log, one_minus = binary_pt(z[:, :, 0] * sign)
     losses, dpt = _per_run(pt, neg_log, one_minus, params)
-    return losses, dpt * pt * one_minus * sign
+    return losses, (dpt * pt * one_minus * sign)[:, :, None]
 
 
 def softmax_loss_and_grad(
@@ -222,5 +223,5 @@ def binary_loss_and_grad(
     if not math.isfinite(logit):
         raise ValueError("logit must be finite")
     sign = np.array([1.0 if label == 1 else -1.0])
-    losses, grad = sigmoid_head(np.array([[logit]], dtype=np.float64), sign, [params])
-    return float(losses[0, 0]), float(grad[0, 0])
+    losses, grad = sigmoid_head(np.array([[[logit]]], dtype=np.float64), sign, [params])
+    return float(losses[0, 0]), float(grad[0, 0, 0])

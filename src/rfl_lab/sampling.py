@@ -90,8 +90,12 @@ def class_means(num_classes: int, feature_dim: int, separation: float) -> np.nda
     side = max(2, math.ceil(num_classes ** (1.0 / feature_dim)))
     while side**feature_dim < num_classes:
         side += 1
-    digits = [[c // side**d % side for d in range(feature_dim)] for c in range(num_classes)]
-    return np.array(digits, dtype=np.float64).reshape(num_classes, feature_dim) * separation
+    c, digits = np.arange(num_classes), np.zeros((num_classes, feature_dim))
+    for d in range(feature_dim):
+        if side**d >= num_classes:  # every higher digit of every class is 0
+            break
+        digits[:, d] = c // side**d % side
+    return digits * separation
 
 
 def generate_synthetic(spec: SynthDatasetSpec) -> Dataset:

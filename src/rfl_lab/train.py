@@ -20,19 +20,23 @@ streams and differ only in loss and lr schedule train in lockstep, one
 batch draw for all, and each ends bitwise where it would alone.
 
 Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
-all scenes are scored, ranked and counted at once).  One SGD step of
-every run in lockstep is matmul, loss head, matmul: ``softmax_step`` and
-``binary_step`` score the stacked models, take losses and logit
-gradients from ``losses.softmax_head`` or ``losses.sigmoid_head`` (the
-heads ``rfl-lab gradcheck`` checks), and reduce the gradients over the
-batch; the trainer writes the step's mean losses into one (iterations,
-runs) curve buffer, turned into lists once at the end.
+all scenes are scored, ranked and counted at once).  A model is a
+``LinearModel`` of K rows: K classes for a classifier, K = 1 for an
+objectness scorer.  ``train_classifier`` and ``train_objectness`` run
+one SGD loop over R stacked models ``W`` (R, K, d), ``b`` (R, K), one per
+run in lockstep, and differ only in the batches they draw and the loss
+head they pass to :func:`step`: matmul, ``losses.softmax_head`` or
+``losses.sigmoid_head`` (the heads ``rfl-lab gradcheck`` checks),
+matmul.  The step's mean losses go into one (iterations, runs) curve
+buffer, turned into lists once at the end.  Every trainer takes a
+sequence of runs and returns one result per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -67,8 +71,8 @@ class TrainConfig:
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray  # (num_classes, feature_dim)
-    biases: np.ndarray   # (num_classes,)
+    weights: np.ndarray  # (K, feature_dim): K classes, or 1 for a scorer
+    biases: np.ndarray   # (K,)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.weights.T + self.biases
@@ -99,41 +103,27 @@ def init_model(num_classes: int, feature_dim: int, seed: int) -> LinearModel:
     return LinearModel(_init((num_classes, feature_dim), 1, seed)[0][0], np.zeros(num_classes))
 
 
-def softmax_step(
-    X: np.ndarray, y: np.ndarray, W: np.ndarray, b: np.ndarray,
+def step(
+    X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head,
     params: Sequence[LossParams],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample losses (S, B) and batch-mean gradients (S, C, d), (S, C)
-    of S stacked models ``W`` (S, C, d), ``b`` (S, C) on one minibatch, one
-    loss per model.  Each slice is bitwise what that model computes alone
-    (matmul runs one gemm per slice); the losses are C-ordered, so a reduce
-    along axis 1 sums each row as ``row.mean()`` does."""
+    """Per-sample losses (R, B) and batch-mean gradients (R, K, d), (R, K) of
+    R stacked models ``W`` (R, K, d), ``b`` (R, K) on one minibatch, one loss
+    per model: ``head`` is ``losses.softmax_head`` (``target`` the labels) or
+    ``losses.sigmoid_head`` (K = 1, ``target`` the label signs +1/-1).  Each
+    slice is bitwise what that model computes alone (matmul runs one gemm or
+    gemv per slice); the losses are C-ordered, so a reduce along axis 1 sums
+    each row as ``row.mean()`` does."""
     z = np.matmul(X, W.transpose(0, 2, 1))
     z += b[:, None, :]
-    losses, glogits = softmax_head(z, y, params)
+    losses, glogits = head(z, target, params)
     dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[0]
     db = np.add.reduce(glogits, axis=1) / X.shape[0]
     return losses, dW, db
 
 
-def binary_step(
-    X: np.ndarray, sign: np.ndarray, W: np.ndarray, b: np.ndarray,
-    params: Sequence[LossParams],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sigmoid twin of :func:`softmax_step`: losses (A, B) and gradients
-    (A, d), (A,) of A stacked scorers ``W`` (A, d), ``b`` (A,), with
-    ``sign`` +1 for label 1 and -1 for label 0.  matmul broadcasts the
-    batch over the scorers, one gemv per slice."""
-    z = np.matmul(X, W[:, :, None])[:, :, 0]
-    z += b[:, None]
-    losses, gz = sigmoid_head(z, sign, params)
-    dW = np.matmul(gz[:, None, :], X)[:, 0, :] / X.shape[0]
-    db = np.add.reduce(gz, axis=1) / X.shape[0]
-    return losses, dW, db
-
-
 # ---------------------------------------------------------------------------
-# Linear softmax training.
+# The SGD loop and the linear softmax classifier.
 # ---------------------------------------------------------------------------
 
 
@@ -142,72 +132,71 @@ def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
     return replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
 
 
-def _lockstep(config, shared: tuple[str, ...]) -> tuple[list, bool]:
-    """(runs, whether one bare config was given).  Runs in lockstep draw
-    one data and batch stream, so they must agree on the ``shared`` fields."""
-    single = not isinstance(config, Sequence)
-    runs = [config] if single else list(config)
+def _lockstep(runs: Sequence, shared: tuple[str, ...]) -> list:
+    """``runs`` as a list.  Runs in lockstep draw one data and batch stream,
+    so they must agree on the ``shared`` fields."""
+    runs = list(runs)
     for name in shared:
         if any(getattr(r, name) != getattr(runs[0], name) for r in runs):
             raise ValueError(f"runs trained in lockstep must share {name}")
-    return runs, single
+    return runs
 
 
-def _run_tables(runs: Sequence[TrainConfig], n: int):
-    """(each run's loss, curve buffer, rate table) for ``runs`` of
-    ceil(n / batch_size) iterations an epoch; both tables are (iterations,
-    runs), the rates each run's :func:`lr_at` at every iteration."""
-    iterations = runs[0].epochs * math.ceil(n / runs[0].batch_size)
-    table = np.empty((iterations, len(runs)))
+def _sgd(X: np.ndarray, runs: list[TrainConfig], K: int, head, batches):
+    """Plain minibatch SGD of one K-row linear model per run, in lockstep:
+    one init and batch stream (:func:`_init`), then one :func:`step` and
+    update per (row indices into ``X``, targets) that ``batches(stream)``
+    yields, at most ceil(n / batch_size) an epoch.  Returns (model, curve)
+    per run; the curve holds the pre-update mean batch loss of each step."""
+    first = runs[0]
+    W, rng = _init((K, X.shape[1]), len(runs), first.weight_init_seed)
+    b, params = np.zeros((len(runs), K)), [run.loss for run in runs]
+    # (iterations, runs): each run's lr_at at every iteration.
+    rates = np.empty((first.epochs * math.ceil(len(X) / first.batch_size), len(runs)))
     for r, run in enumerate(runs):
-        thresholds, rates = np.array(run.lr_schedule, dtype=np.float64).T
-        at = np.searchsorted(thresholds, np.arange(iterations), side="right")
-        table[:, r] = rates[np.minimum(at, len(rates) - 1)]
-    return [run.loss for run in runs], np.empty_like(table), table
+        thresholds, rate = np.array(run.lr_schedule, dtype=np.float64).T
+        at = np.searchsorted(thresholds, np.arange(len(rates)), side="right")
+        rates[:, r] = rate[np.minimum(at, len(rate) - 1)]
+    curves, iteration = np.empty_like(rates), 0
+    for idx, target in islice(batches(rng), len(rates)):
+        losses, dW, db = step(X.take(idx, axis=0), target, W, b, head, params)
+        W -= rates[iteration, :, None, None] * dW
+        b -= rates[iteration, :, None] * db
+        curves[iteration] = np.add.reduce(losses, axis=1) / losses.shape[1]
+        iteration += 1
+    return [(LinearModel(W[r], b[r]), c) for r, c in enumerate(curves[:iteration].T.tolist())]
 
 
-def train_classifier(data: Dataset, config: TrainConfig | Sequence[TrainConfig]):
-    """Minibatch SGD on a linear softmax model; returns (model, loss curve).
+def train_classifier(data: Dataset, configs: Sequence[TrainConfig]):
+    """Minibatch SGD on a linear softmax model; one (model, loss curve) per config.
 
     Each epoch optionally re-undersamples the data (fresh sub-seed per
-    epoch), reshuffles, and walks the batches in order; the curve holds
-    the pre-update mean batch loss of every iteration.
-
-    A sequence of configs that differ only in loss and lr schedule trains
-    in lockstep and returns one (model, curve) per config, each bitwise
-    what that config trains alone.
+    epoch; an emptied epoch is skipped), reshuffles, and walks the batches
+    in order.  The configs may differ only in loss and lr schedule: they
+    train in lockstep, each bitwise what it trains alone.
     """
-    runs, single = _lockstep(config, ("epochs", "batch_size", "weight_init_seed", "undersample"))
+    runs = _lockstep(configs, ("epochs", "batch_size", "weight_init_seed", "undersample"))
     first = runs[0]
-    X_all, y_all = data.X, data.y
-    if not len(y_all):
+    X, y = data.X, data.y
+    if not len(y):
         raise ValueError("training data is empty")
-    if X_all.ndim != 2 or len(X_all) != len(y_all):
+    if X.ndim != 2 or len(X) != len(y):
         raise ValueError("training data needs one feature row per label")
-    num_classes = max(2, int(y_all.max()) + 1)
 
-    W, batch_rng = _init((num_classes, X_all.shape[1]), len(runs), first.weight_init_seed)
-    b, iteration = np.zeros((len(runs), num_classes)), 0
-    params, curves, rates = _run_tables(runs, len(y_all))
-    for epoch in range(first.epochs):
-        Xe, ye = X_all, y_all
-        if first.undersample is not None:
-            keep = undersample_mask(y_all, _epoch_policy(first.undersample, epoch))
-            if not keep.any():
-                continue
-            Xe, ye = X_all[keep], y_all[keep]
-        perm = batch_rng.permutation(len(ye))
-        for start in range(0, len(ye), first.batch_size):
-            idx = perm[start:start + first.batch_size]
-            losses, dW, db = softmax_step(Xe.take(idx, axis=0), ye.take(idx), W, b, params)
-            W -= rates[iteration, :, None, None] * dW
-            b -= rates[iteration, :, None] * db
-            curves[iteration] = np.add.reduce(losses, axis=1) / losses.shape[1]
-            iteration += 1
-    if first.epochs and not iteration:
+    def batches(rng):
+        for epoch in range(first.epochs):
+            rows = np.arange(len(y)) if first.undersample is None else np.flatnonzero(
+                undersample_mask(y, _epoch_policy(first.undersample, epoch)))
+            if len(rows):
+                order = rng.permutation(rows)
+                for start in range(0, len(order), first.batch_size):
+                    idx = order[start:start + first.batch_size]
+                    yield idx, y.take(idx)
+
+    out = _sgd(X, runs, max(2, int(y.max()) + 1), softmax_head, batches)
+    if first.epochs and not out[0][1]:
         raise ValueError("no training iteration ran: undersampling emptied every epoch")
-    out = [(LinearModel(W[s], b[s]), c) for s, c in enumerate(curves[:iteration].T.tolist())]
-    return out[0] if single else out
+    return out
 
 
 @dataclass
@@ -255,15 +244,6 @@ class TwoStageConfig:
 
 
 @dataclass
-class BinaryModel:
-    weights: np.ndarray
-    bias: float
-
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return X @ self.weights + self.bias
-
-
-@dataclass
 class TwoStageReport:
     proposal_recall: float
     per_class_proposal_recall: dict[int, float]
@@ -275,41 +255,33 @@ class TwoStageReport:
 
 
 def train_objectness(
-    X: np.ndarray, y: np.ndarray, config: TrainConfig | Sequence[TrainConfig],
-    fg_bg_ratio: float,
+    X: np.ndarray, y: np.ndarray, configs: Sequence[TrainConfig], fg_bg_ratio: float,
 ):
-    """Binary scorer via SGD on stratified fg/bg minibatches.
+    """One-row linear scorers via SGD on stratified fg/bg minibatches; one
+    (scorer, loss curve) per config.
 
     Each batch draws round(batch * r / (1 + r)) foreground samples (at
     least one) and fills the rest with background, sampling a stratum
     with replacement only when it is smaller than its quota.  One epoch
-    is ceil(n / batch_size) batches.
-
-    A sequence of configs sharing epochs, batch size and seed trains in
-    lockstep on one init and batch stream, one (model, curve) per config.
+    is ceil(n / batch_size) batches.  The configs must share epochs, batch
+    size and seed; they train in lockstep on one init and batch stream.
     """
-    runs, single = _lockstep(config, ("epochs", "batch_size", "weight_init_seed"))
-    first = runs[0]
-    W, rng_batch = _init((X.shape[1],), len(runs), first.weight_init_seed)
-    b = np.zeros(len(runs))
+    runs = _lockstep(configs, ("epochs", "batch_size", "weight_init_seed"))
     fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if len(fg_idx) == 0 or len(bg_idx) == 0:
         raise ValueError("objectness training needs both labels present")
-
-    n_fg = max(1, round(first.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
-    n_bg = max(1, first.batch_size - n_fg)
+    n_fg = max(1, round(runs[0].batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
+    n_bg = max(1, runs[0].batch_size - n_fg)
     # Every batch is n_fg foreground rows (sign +1), then n_bg background rows.
     sign = np.repeat([1.0, -1.0], [n_fg, n_bg])
-    params, curves, rates = _run_tables(runs, len(y))
-    for iteration in range(len(curves)):
-        fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
-        bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
-        losses, dW, db = binary_step(X.take(np.concatenate([fg, bg]), axis=0), sign, W, b, params)
-        W -= rates[iteration, :, None] * dW
-        b -= rates[iteration] * db
-        curves[iteration] = np.add.reduce(losses, axis=1) / len(sign)
-    out = [(BinaryModel(W[a], float(b[a])), c) for a, c in enumerate(curves.T.tolist())]
-    return out[0] if single else out
+
+    def batches(rng):
+        while True:
+            fg = rng.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
+            bg = rng.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
+            yield np.concatenate([fg, bg]), sign
+
+    return _sgd(X, runs, 1, sigmoid_head, batches)
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -318,7 +290,7 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
-def train_two_stage(scenes: SceneSet, config: TwoStageConfig | Sequence[TwoStageConfig]):
+def train_two_stage(scenes: SceneSet, configs: Sequence[TwoStageConfig]):
     """Train both stages on the scene pool and evaluate top-K pass-through.
 
     Stage 1 trains on every candidate and stage 2 on the labelled
@@ -328,10 +300,10 @@ def train_two_stage(scenes: SceneSet, config: TwoStageConfig | Sequence[TwoStage
     that survive (label flips undone via ``true_class``); retained true
     objects are then classified by stage 2 against their true class.
 
-    A sequence of configs that differ only in stage 1 trains stage 1 in
-    lockstep and stage 2 once, one (scorer, classifier, report) per config.
+    The configs may differ only in stage 1: it trains in lockstep and
+    stage 2 once, one (scorer, classifier, report) per config.
     """
-    runs, single = _lockstep(config, ("proposal_budget", "stage2", "fg_bg_ratio"))
+    runs = _lockstep(configs, ("proposal_budget", "stage2", "fg_bg_ratio"))
     first = runs[0]
     X, true_class = scenes.X, scenes.true_class
     true = true_class >= 0
@@ -342,16 +314,16 @@ def train_two_stage(scenes: SceneSet, config: TwoStageConfig | Sequence[TwoStage
     scorers = train_objectness(
         X, pos.astype(np.int64), [r.stage1 for r in runs], first.fg_bg_ratio
     )
-    classifier, s2_curve = train_classifier(
-        Dataset(X[pos], scenes.class_id[pos], scenes.noisy[pos]), first.stage2
+    [(classifier, s2_curve)] = train_classifier(
+        Dataset(X[pos], scenes.class_id[pos], scenes.noisy[pos]), [first.stage2]
     )
 
     # (scenes, per_scene, d): matmul runs one gemv per scene, as scoring
-    # scene by scene does; the pooled X @ w rounds differently.
+    # scene by scene does; the pooled X @ w.T rounds differently.
     by_scene = X.reshape(-1, scenes.per_scene, X.shape[1])
     out = []
     for scorer, s1_curve in scorers:
-        top = top_k_indices(scorer.scores(by_scene), first.proposal_budget)
+        top = top_k_indices(scorer.scores(by_scene)[..., 0], first.proposal_budget)
         kept = np.zeros(by_scene.shape[:2], dtype=bool)
         np.put_along_axis(kept, top, True, axis=1)
         retained = true & kept.ravel()
@@ -370,4 +342,4 @@ def train_two_stage(scenes: SceneSet, config: TwoStageConfig | Sequence[TwoStage
             stage2_curve=s2_curve,
         )
         out.append((scorer, classifier, report))
-    return out[0] if single else out
+    return out

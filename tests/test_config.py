@@ -235,6 +235,28 @@ def test_oversized_stage2_curve_is_rejected():
     assert err.value.location == "$.two_stage.stage2"
 
 
+@pytest.mark.parametrize("name, edits, path", [
+    # A stage-2 step's logits: 32 rows of 10**7 classes.
+    ("two_stage", {"scenes": {"num_classes": 10**7}}, "$.two_stage.stage2"),
+    # The class-mean lattice: 2**25 + 1 means of 8 features.
+    ("two_stage", {"scenes": {"num_classes": 2**25}}, "$.scenes"),
+    # An objectness batch, drawn with replacement, of 10**9 rows.
+    ("two_stage", {"train": {"batch_size": 10**9}}, "$.train"),
+    # 2**20 classes: the eval set, or with one eval row per class the
+    # logits of a step, 4 arms x 128 rows x 2**20 classes.
+    ("longtail", {"dataset": {"class_counts": [1] * 2**20}}, "$.eval"),
+    ("longtail", {"dataset": {"class_counts": [1] * 2**20}, "eval": {"per_class": 1},
+                  "train": {"batch_size": 128}}, "$.train"),
+])
+def test_class_sized_arrays_are_bounded(name, edits, path):
+    config = copy.deepcopy(SHIPPED[name])
+    for section, values in edits.items():
+        config[section].update(values)
+    with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
+        validate_config(config)
+    assert err.value.location == path
+
+
 def test_size_bound_is_inclusive():
     config = copy.deepcopy(SHIPPED["longtail"])
     config["arms"] = config["arms"][:1]
@@ -255,5 +277,18 @@ def test_csv_dataset_sizes_are_checked_once_read(tmp_path):
     config["train"]["epochs"] = 10**12
     validate_config(config)  # the row count is not known before the file is read
     with pytest.raises(ConfigError) as err:
+        run_experiment(config)
+    assert err.value.location == "$.train"
+
+
+def test_csv_class_count_is_checked_before_counting(tmp_path):
+    # A label of 10**12 asks for 10**12 classes: refused before bincount or
+    # the weights allocate anything of that size.
+    path = tmp_path / "d.csv"
+    write_dataset_csv(Dataset(np.zeros((2, 2)), np.array([0, 10**12]), np.zeros(2, bool)), path)
+    config = copy.deepcopy(SHIPPED["longtail"])
+    config["dataset"] = {"csv_path": str(path)}
+    config["arms"] = config["arms"][:1]
+    with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
         run_experiment(config)
     assert err.value.location == "$.train"

@@ -1,5 +1,7 @@
 """Sampling tests: undersampling contracts, generator determinism, CSV io."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,6 +126,16 @@ class TestGenerateSynthetic:
         for i in range(num_classes):
             for j in range(i + 1, num_classes):
                 assert np.linalg.norm(means[i] - means[j]) >= sep
+
+    @pytest.mark.parametrize("num_classes,dim", [(1, 1), (1, 4), (2, 1), (10, 2), (10, 6),
+                                                 (27, 3), (28, 3), (300, 2), (5, 70)])
+    def test_means_are_the_lattice_digits(self, num_classes, dim):
+        side = max(2, math.ceil(num_classes ** (1.0 / dim)))
+        while side**dim < num_classes:
+            side += 1
+        digits = [[c // side**d % side for d in range(dim)] for c in range(num_classes)]
+        want = np.array(digits, dtype=np.float64).reshape(num_classes, dim) * 1.7
+        assert np.array_equal(class_means(num_classes, dim, 1.7), want)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):

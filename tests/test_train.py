@@ -12,6 +12,8 @@ from rfl_lab.losses import (
     LossParams,
     binary_loss_and_grad,
     loss_and_dpt,
+    sigmoid_head,
+    softmax_head,
     softmax_loss_and_grad,
 )
 from rfl_lab.sampling import (
@@ -21,17 +23,16 @@ from rfl_lab.sampling import (
     UndersamplePolicy,
     generate_scenes,
     generate_synthetic,
+    undersample_mask,
 )
 from rfl_lab.train import (
-    BinaryModel,
     LinearModel,
     TrainConfig,
     TwoStageConfig,
-    binary_step,
     evaluate_classifier,
     init_model,
     lr_at,
-    softmax_step,
+    step,
     top_k_indices,
     train_classifier,
     train_objectness,
@@ -73,49 +74,8 @@ class TestLrSchedule:
             TrainConfig(CE, 1, 1, ())
 
 
-class TestBatchTwins:
-    """The vectorized batch paths must reproduce the scalar composites."""
-
-    def test_softmax_step_matches_scalar(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(16, 4))
-        y = rng.integers(0, 3, size=16)
-        model = init_model(3, 4, seed=5)
-        for params in (CE, FL2, RFL_HALF,
-                       LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25)):
-            (losses,), (dW,), (db,) = softmax_step(X, y, model.weights[None],
-                                                   model.biases[None], [params])
-            z = model.scores(X)
-            gsum = np.zeros_like(model.weights)
-            bsum = np.zeros_like(model.biases)
-            for i in range(len(y)):
-                li, gi = softmax_loss_and_grad(z[i], int(y[i]), params)
-                assert losses[i] == li
-                gsum += np.outer(gi, X[i])
-                bsum += gi
-            np.testing.assert_allclose(dW, gsum / len(y), rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(db, bsum / len(y), rtol=1e-12, atol=1e-15)
-
-    def test_binary_step_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(20, 3))
-        y = rng.integers(0, 2, size=20)
-        w = rng.normal(size=3) * 0.1
-        b = 0.3
-        for params in (CE, FL2, RFL_HALF):
-            (losses,), (dw,), (db,) = binary_step(X, signs(y), w[None], np.array([b]), [params])
-            z = X @ w + b
-            gz = np.zeros(len(y))
-            for i in range(len(y)):
-                li, gi = binary_loss_and_grad(float(z[i]), int(y[i]), params)
-                assert losses[i] == li
-                gz[i] = gi
-            np.testing.assert_allclose(dw, gz @ X / len(y), rtol=1e-12, atol=1e-15)
-            assert db == gz.mean()
-
-
 def signs(y):
-    """+1 for label 1, -1 for label 0: the labels as :func:`binary_step` takes them."""
+    """+1 for label 1, -1 for label 0: the targets of :func:`sigmoid_head`."""
     return np.where(y == 1, 1.0, -1.0)
 
 
@@ -133,18 +93,18 @@ def separable_two_class(n=200, seed=1):
 class TestTrainClassifier:
     def test_separable_accuracy(self):
         data = separable_two_class()
-        model, curve = train_classifier(data, flat_config(epochs=50, batch=20))
+        [(model, curve)] = train_classifier(data, [flat_config(epochs=50, batch=20)])
         assert len(curve) == 50 * 10  # 500 iterations
         assert evaluate_classifier(model, data).accuracy >= 0.99
 
     def test_loss_decreases(self):
         data = separable_two_class()
-        _, curve = train_classifier(data, flat_config())
+        [(_, curve)] = train_classifier(data, [flat_config()])
         assert curve[-1] < curve[0]
 
     def test_zero_epochs_returns_init(self):
         data = separable_two_class()
-        model, curve = train_classifier(data, flat_config(epochs=0, seed=3))
+        [(model, curve)] = train_classifier(data, [flat_config(epochs=0, seed=3)])
         ref = init_model(2, 2, seed=3)
         assert curve == []
         assert np.array_equal(model.weights, ref.weights)
@@ -153,16 +113,16 @@ class TestTrainClassifier:
     def test_deterministic(self):
         data = separable_two_class()
         cfg = flat_config(loss=RFL_HALF, seed=9)
-        m1, c1 = train_classifier(data, cfg)
-        m2, c2 = train_classifier(data, cfg)
+        [(m1, c1)] = train_classifier(data, [cfg])
+        [(m2, c2)] = train_classifier(data, [cfg])
         assert np.array_equal(m1.weights, m2.weights)
         assert c1 == c2
 
     def test_rfl_threshold_one_is_bitwise_ce(self):
         data = separable_two_class()
         rfl_one = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0)
-        m_ce, c_ce = train_classifier(data, flat_config(loss=CE, seed=4))
-        m_rfl, c_rfl = train_classifier(data, flat_config(loss=rfl_one, seed=4))
+        [(m_ce, c_ce)] = train_classifier(data, [flat_config(loss=CE, seed=4)])
+        [(m_rfl, c_rfl)] = train_classifier(data, [flat_config(loss=rfl_one, seed=4)])
         assert np.array_equal(m_ce.weights, m_rfl.weights)
         assert np.array_equal(m_ce.biases, m_rfl.biases)
         assert c_ce == c_rfl
@@ -170,8 +130,8 @@ class TestTrainClassifier:
     def test_zero_skip_undersample_is_bitwise_noop(self):
         data = separable_two_class()
         pol = UndersamplePolicy({0: 0.0, 1: 0.0}, seed=77)
-        m_plain, c_plain = train_classifier(data, flat_config(seed=6))
-        m_us, c_us = train_classifier(data, flat_config(seed=6, undersample=pol))
+        [(m_plain, c_plain)] = train_classifier(data, [flat_config(seed=6)])
+        [(m_us, c_us)] = train_classifier(data, [flat_config(seed=6, undersample=pol)])
         assert np.array_equal(m_plain.weights, m_us.weights)
         assert c_plain == c_us
 
@@ -180,24 +140,24 @@ class TestTrainClassifier:
                                 cluster_separation=3.0, seed=2)
         data = generate_synthetic(spec)
         pol = UndersamplePolicy({0: 0.9}, seed=5)
-        m, _ = train_classifier(data, flat_config(epochs=20, undersample=pol))
+        [(m, _)] = train_classifier(data, [flat_config(epochs=20, undersample=pol)])
         ev = evaluate_classifier(m, data)
         assert ev.per_class_recall[1] > 0.5
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier(dataset(np.zeros((0, 2)), []), flat_config())
+            train_classifier(dataset(np.zeros((0, 2)), []), [flat_config()])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier(dataset(np.zeros((2, 2)), [0, 1, 1]), flat_config())
+            train_classifier(dataset(np.zeros((2, 2)), [0, 1, 1]), [flat_config()])
 
     def test_undersampling_every_epoch_empty_rejected(self):
         data = separable_two_class()
         pol = UndersamplePolicy({0: 1.0, 1: 1.0}, seed=2)
         with pytest.raises(ValueError, match="no training iteration"):
-            train_classifier(data, flat_config(epochs=3, undersample=pol))
-        _, curve = train_classifier(data, flat_config(epochs=0, undersample=pol))
+            train_classifier(data, [flat_config(epochs=3, undersample=pol)])
+        [(_, curve)] = train_classifier(data, [flat_config(epochs=0, undersample=pol)])
         assert curve == []
 
 
@@ -220,7 +180,7 @@ class TestLockstep:
         together = train_classifier(data, configs)
         assert len(together) == len(configs)
         for cfg, (model, curve) in zip(configs, together):
-            solo, solo_curve = train_classifier(data, cfg)
+            [(solo, solo_curve)] = train_classifier(data, [cfg])
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.biases, solo.biases)
             assert curve == solo_curve
@@ -232,9 +192,9 @@ class TestLockstep:
                    TrainConfig(FL2, 3, 32, ((20, 0.3), (10**9, 0.1)), weight_init_seed=1)]
         together = train_objectness(X, y, configs, 0.5)
         for cfg, (model, curve) in zip(configs, together):
-            solo, solo_curve = train_objectness(X, y, cfg, 0.5)
+            [(solo, solo_curve)] = train_objectness(X, y, [cfg], 0.5)
             assert np.array_equal(model.weights, solo.weights)
-            assert model.bias == solo.bias
+            assert np.array_equal(model.biases, solo.biases)
             assert curve == solo_curve
 
     def test_two_stage_reports_equal_solo_reports(self):
@@ -242,7 +202,7 @@ class TestLockstep:
         configs = [two_stage_config(loss=CE), two_stage_config(loss=FL2)]
         together = train_two_stage(scenes, configs)
         for cfg, (_, _, report) in zip(configs, together):
-            assert report == train_two_stage(scenes, cfg)[2]
+            assert report == train_two_stage(scenes, [cfg])[0][2]
 
     @pytest.mark.parametrize("n_fg, batch", [(3, 32), (40, 1)])
     def test_objectness_edge_batches_equal_solo_and_reference(self, n_fg, batch):
@@ -256,11 +216,12 @@ class TestLockstep:
                    for loss in LOCKSTEP_ARMS]
         together = train_objectness(X, y, configs, 0.5)
         for cfg, (model, curve) in zip(configs, together):
-            solo, solo_curve = train_objectness(X, y, cfg, 0.5)
+            [(solo, solo_curve)] = train_objectness(X, y, [cfg], 0.5)
             ref_w, ref_b, ref_curve = reference_objectness(X, y, cfg, 0.5)
             assert np.array_equal(model.weights, solo.weights)
-            assert np.array_equal(model.weights, ref_w)
-            assert model.bias == solo.bias == ref_b
+            assert np.array_equal(model.weights, ref_w[None])
+            assert np.array_equal(model.biases, solo.biases)
+            assert model.biases[0] == ref_b
             assert curve == solo_curve == ref_curve
 
     def test_runs_that_do_not_share_the_stream_rejected(self):
@@ -319,6 +280,34 @@ def reference_softmax_batch(X, y, w, b, params):
     glogits = (dpt * pt)[:, None] * direction
     return loss, glogits.T @ X / len(y), glogits.mean(axis=0)
 
+def reference_classifier(data, cfg):
+    """One run of softmax SGD, one model at a time: each epoch copies the
+    kept rows ``X[keep]`` and each batch takes from that copy."""
+    rng_init, rng_batch = (np.random.default_rng(s) for s in
+                           np.random.SeedSequence(cfg.weight_init_seed).spawn(2))
+    C = max(2, int(data.y.max()) + 1)
+    w, b = rng_init.uniform(-0.01, 0.01, size=(C, data.X.shape[1])), np.zeros(C)
+    curve = []
+    for epoch in range(cfg.epochs):
+        Xe, ye = data.X, data.y
+        if cfg.undersample is not None:
+            sub = np.random.SeedSequence(cfg.undersample.seed, spawn_key=(epoch,))
+            policy = UndersamplePolicy(cfg.undersample.skip_prob,
+                                       int(sub.generate_state(1, np.uint64)[0]))
+            keep = undersample_mask(data.y, policy)
+            if not keep.any():
+                continue
+            Xe, ye = data.X[keep], data.y[keep]
+        perm = rng_batch.permutation(len(ye))
+        for start in range(0, len(ye), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            losses, dw, db = reference_softmax_batch(Xe.take(idx, axis=0), ye.take(idx),
+                                                     w, b, cfg.loss)
+            rate = lr_at(cfg.lr_schedule, len(curve))
+            w, b = w - rate * dw, b - rate * db
+            curve.append(float(losses.mean()))
+    return w, b, curve
+
 
 STEP_LOSS_LIST = [
     CE, FL2, LossParams(kind=LossKind.FL, gamma=0.0),
@@ -327,6 +316,59 @@ STEP_LOSS_LIST = [
     LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0),
 ]
 STEP_LOSSES = st.sampled_from(STEP_LOSS_LIST)
+
+
+def assert_lockstep_equals_reference(data, configs):
+    """train_classifier on ``configs`` in lockstep against
+    :func:`reference_classifier` per config, bit for bit; returns the curves."""
+    refs = [reference_classifier(data, cfg) for cfg in configs]
+    if configs[0].epochs and not refs[0][2]:
+        with pytest.raises(ValueError, match="no training iteration"):
+            train_classifier(data, configs)
+        return []
+    trained = train_classifier(data, configs)
+    for (model, curve), (w, b, ref_curve) in zip(trained, refs, strict=True):
+        assert np.array_equal(model.weights, w)
+        assert np.array_equal(model.biases, b)
+        assert curve == ref_curve
+    return [curve for _, curve in trained]
+
+
+class TestClassifierReference:
+    """Lockstep training gathers each batch through the kept rows' global
+    indices; it equals the one-run reference that copies ``X[keep]``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+           arms=st.lists(st.tuples(STEP_LOSSES, st.integers(1, 30), st.floats(0.01, 1.0),
+                                   st.floats(0.01, 1.0)), min_size=1, max_size=4),
+           skip=st.none() | st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+                                     min_size=4, max_size=4),
+           epochs=st.integers(0, 5), batch=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_lockstep_equals_reference(self, counts, arms, skip, epochs, batch, seed):
+        data = generate_synthetic(SynthDatasetSpec(
+            class_counts=counts, feature_dim=3, label_noise_rate=0.1, seed=seed))
+        policy = None if skip is None else UndersamplePolicy(
+            dict(enumerate(skip[:len(counts)])), seed=seed)
+        configs = [TrainConfig(loss, epochs, batch, ((t, lr), (10**9, late)),
+                               weight_init_seed=seed, undersample=policy)
+                   for loss, t, lr, late in arms]
+        assert_lockstep_equals_reference(data, configs)
+
+    def test_partly_emptied_epochs(self):
+        # With one batch per epoch, the curve has one loss per epoch that
+        # undersampling left non-empty.
+        data = generate_synthetic(SynthDatasetSpec(class_counts=[3, 2, 1], feature_dim=3,
+                                                   seed=1))
+        for seed in range(50):
+            policy = UndersamplePolicy({0: 0.9, 1: 0.9, 2: 0.9}, seed=seed)
+            configs = [TrainConfig(loss, 6, 6, ((3, 0.5), (10**9, 0.1)), weight_init_seed=seed,
+                                   undersample=policy) for loss in LOCKSTEP_ARMS]
+            if 0 < len(reference_classifier(data, configs[0])[2]) < 6:
+                break
+        else:
+            pytest.fail("no policy seed empties some epochs but not all")
+        assert 0 < len(assert_lockstep_equals_reference(data, configs)[0]) < 6
 
 
 class TestCompositesAreStepRows:
@@ -343,8 +385,8 @@ class TestCompositesAreStepRows:
         S = len(STEP_LOSS_LIST)
         logits = rng.normal(size=(S, B, C)) * scale
         y = rng.integers(0, C, size=B)
-        losses, dW, _ = softmax_step(np.eye(B), y, logits.transpose(0, 2, 1).copy(),
-                                     np.zeros((S, C)), STEP_LOSS_LIST)
+        losses, dW, _ = step(np.eye(B), y, logits.transpose(0, 2, 1).copy(),
+                             np.zeros((S, C)), softmax_head, STEP_LOSS_LIST)
         for s, params in enumerate(STEP_LOSS_LIST):
             for i in range(B):
                 loss, grad = softmax_loss_and_grad(logits[s, i], int(y[i]), params)
@@ -359,57 +401,86 @@ class TestCompositesAreStepRows:
         S = len(STEP_LOSS_LIST)
         logits = rng.normal(size=(S, B)) * scale
         y = rng.integers(0, 2, size=B)
-        losses, dW, _ = binary_step(np.eye(B), signs(y), logits.copy(), np.zeros(S),
-                                    STEP_LOSS_LIST)
+        losses, dW, _ = step(np.eye(B), signs(y), logits[:, None, :].copy(), np.zeros((S, 1)),
+                             sigmoid_head, STEP_LOSS_LIST)
         for a, params in enumerate(STEP_LOSS_LIST):
             for i in range(B):
                 loss, grad = binary_loss_and_grad(float(logits[a, i]), int(y[i]), params)
                 assert loss == losses[a, i]
-                assert grad / B == dW[a, i]
+                assert grad / B == dW[a, 0, i]
 
 
-class TestStackedSteps:
-    """Each slice of a stacked step is bitwise the step of that model
-    alone, and the trainers' curve reduce gives each row's mean."""
+HEADS = [softmax_head, sigmoid_head]
+
+
+def draw_targets(head, rng, B, C):
+    """(labels, step targets, K) of B random rows: C classes for the softmax
+    head; labels 0/1, their signs and one logit for the sigmoid head."""
+    if head is softmax_head:
+        y = rng.integers(0, C, size=B)
+        return y, y, C
+    y = rng.integers(0, 2, size=B)
+    return y, signs(y), 1
+
+
+def reference_batch(head, X, y, W, b, params):
+    """One (K, d) model's batch step by the head's reference: losses (B,) and
+    gradients (K, d), (K,)."""
+    if head is softmax_head:
+        return reference_softmax_batch(X, y, W, b, params)
+    loss, dw, db = reference_binary_batch(X, y, W[0], float(b[0]), params)
+    return loss, dw[None], np.array([db])
+
+
+def composite_row(head, z, label, params):
+    """(loss, logit gradient (K,)) of one row from the one-sample composite."""
+    if head is softmax_head:
+        return softmax_loss_and_grad(z, label, params)
+    loss, grad = binary_loss_and_grad(float(z[0]), label, params)
+    return loss, np.array([grad])
+
+
+@pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
+class TestStep:
+    """One :func:`step` for both heads.  Each slice of a stacked step is
+    bitwise the step of that model alone and the head's reference, the
+    trainers' curve reduce gives each row's mean, and the batch sums match
+    the one-sample composites."""
+
+    def test_step_matches_scalar(self, head):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(16, 4))
+        y, target, K = draw_targets(head, rng, 16, 3)
+        model = LinearModel(rng.normal(size=(K, 4)) * 0.3, rng.normal(size=K) * 0.3)
+        for params in (CE, FL2, RFL_HALF,
+                       LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25)):
+            (losses,), (dW,), (db,) = step(X, target, model.weights[None],
+                                           model.biases[None], head, [params])
+            z = model.scores(X)
+            grads = np.zeros((len(y), K))
+            for i in range(len(y)):
+                li, grads[i] = composite_row(head, z[i], int(y[i]), params)
+                assert losses[i] == li
+            np.testing.assert_allclose(dW, grads.T @ X / len(y), rtol=1e-12, atol=1e-15)
+            assert np.array_equal(db, np.add.reduce(grads, axis=0) / len(y))
 
     @settings(max_examples=120, deadline=None)
-    @given(B=st.integers(1, 130), d=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
-           params=st.lists(STEP_LOSSES, min_size=1, max_size=4),
-           scale=st.sampled_from([0.1, 1.0, 30.0]))
-    def test_binary_step_slices(self, B, d, seed, params, scale):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(B, d)) * scale
-        y = rng.integers(0, 2, size=B)
-        W = rng.normal(size=(len(params), d))
-        b = rng.normal(size=len(params))
-        losses, dW, db = binary_step(X, signs(y), W, b, params)
-        rows = np.add.reduce(losses, axis=1) / B
-        for a, loss in enumerate(params):
-            solo = [out[0] for out in binary_step(X, signs(y), W[a:a + 1].copy(),
-                                                  b[a:a + 1].copy(), [loss])]
-            ref = reference_binary_batch(X, y, W[a], float(b[a]), loss)
-            for got in (solo, ref):
-                assert np.array_equal(losses[a], got[0])
-                assert np.array_equal(dW[a], got[1])
-                assert db[a] == got[2]
-            assert rows[a] == float(losses[a].mean())
-
-    @settings(max_examples=60, deadline=None)
     @given(B=st.integers(1, 130), d=st.integers(1, 16), C=st.integers(2, 6),
            seed=st.integers(0, 2**32 - 1),
-           params=st.lists(STEP_LOSSES, min_size=1, max_size=4))
-    def test_softmax_step_slices(self, B, d, C, seed, params):
+           params=st.lists(STEP_LOSSES, min_size=1, max_size=4),
+           scale=st.sampled_from([0.1, 1.0, 30.0]))
+    def test_slices(self, head, B, d, C, seed, params, scale):
         rng = np.random.default_rng(seed)
-        X = rng.normal(size=(B, d))
-        y = rng.integers(0, C, size=B)
-        W = rng.normal(size=(len(params), C, d))
-        b = rng.normal(size=(len(params), C))
-        losses, dW, db = softmax_step(X, y, W, b, params)
+        X = rng.normal(size=(B, d)) * scale
+        y, target, K = draw_targets(head, rng, B, C)
+        W = rng.normal(size=(len(params), K, d))
+        b = rng.normal(size=(len(params), K))
+        losses, dW, db = step(X, target, W, b, head, params)
         rows = np.add.reduce(losses, axis=1) / B
         for s, loss in enumerate(params):
-            solo = [out[0] for out in softmax_step(X, y, W[s:s + 1].copy(),
-                                                   b[s:s + 1].copy(), [loss])]
-            ref = reference_softmax_batch(X, y, W[s], b[s], loss)
+            solo = [out[0] for out in step(X, target, W[s:s + 1].copy(),
+                                           b[s:s + 1].copy(), head, [loss])]
+            ref = reference_batch(head, X, y, W[s], b[s], loss)
             for got in (solo, ref):
                 for mine, want in zip((losses[s], dW[s], db[s]), got):
                     assert np.array_equal(mine, want)
@@ -428,12 +499,12 @@ class TestEndToEndGradient:
         runs = len(params)
         W = init_model(3, 4, seed=21).weights + rng.normal(size=(runs, 3, 4)) * 0.3
         b = rng.normal(size=(runs, 3)) * 0.1
-        _, dW, db = softmax_step(X, y, W, b, params)
+        _, dW, db = step(X, y, W, b, softmax_head, params)
         h = 1e-6
 
         def loss_at(W, b):
             # One perturbation moves every run; each run's loss sees only its own.
-            return np.array([row.mean() for row in softmax_step(X, y, W, b, params)[0]])
+            return np.array([row.mean() for row in step(X, y, W, b, softmax_head, params)[0]])
 
         def check(analytic, up, down):
             num = (up - down) / (2 * h)
@@ -455,7 +526,7 @@ class TestEndToEndGradient:
 class TestEvaluateClassifier:
     def test_perfect_predictions(self):
         data = separable_two_class()
-        model, _ = train_classifier(data, flat_config())
+        [(model, _)] = train_classifier(data, [flat_config()])
         ev = evaluate_classifier(model, data)
         assert set(ev.per_class_recall) == {0, 1}
         assert ev.m_recall == pytest.approx(
@@ -519,7 +590,7 @@ class TestTwoStage:
     def test_budget_equal_to_pool_gives_full_recall(self):
         scenes = tiny_scenes()
         cfg = two_stage_config(budget=88)  # >= candidates per scene
-        _, _, report = train_two_stage(scenes, cfg)
+        [(_, _, report)] = train_two_stage(scenes, [cfg])
         assert report.proposal_recall == 1.0
         assert all(v == 1.0 for v in report.per_class_proposal_recall.values())
 
@@ -528,11 +599,11 @@ class TestTwoStage:
         # Hand-build a scorer that separates fg lattice clusters from bg at
         # the origin: score by distance from origin along the mean fg axis.
         direction = scenes.X[scenes.is_object].mean(axis=0)
-        scorer = BinaryModel(direction, 0.0)
+        scorer = LinearModel(direction[None], np.zeros(1))
         P = scenes.per_scene
         kept = 0
         for s in range(len(scenes.X) // P):
-            top = top_k_indices(scorer.scores(scenes.X[s * P:(s + 1) * P]), 40)
+            top = top_k_indices(scorer.scores(scenes.X[s * P:(s + 1) * P])[:, 0], 40)
             kept += np.count_nonzero(scenes.is_object[s * P + top])
         assert kept / np.count_nonzero(scenes.is_object) >= 0.95
 
@@ -540,11 +611,11 @@ class TestTwoStage:
     def test_report_equals_scene_by_scene_count(self, budget):
         # The per-scene, per-candidate count the vectorised evaluation replaced.
         scenes = tiny_scenes(seed=4, noise=0.1)
-        scorer, classifier, report = train_two_stage(scenes, two_stage_config(budget=budget))
+        [(scorer, classifier, report)] = train_two_stage(scenes, [two_stage_config(budget=budget)])
         P = scenes.per_scene
         total, kept, retained = {}, {}, []
         for start in range(0, len(scenes.X), P):
-            scores = scenes.X[start:start + P] @ scorer.weights + scorer.bias
+            scores = scenes.X[start:start + P] @ scorer.weights[0] + scorer.biases[0]
             top = set(top_k_indices(scores, budget).tolist())
             for i in range(P):
                 cls = int(scenes.true_class[start + i])
@@ -564,7 +635,7 @@ class TestTwoStage:
 
     def test_trained_pipeline_reports(self):
         scenes = tiny_scenes()
-        _, _, report = train_two_stage(scenes, two_stage_config(budget=16))
+        [(_, _, report)] = train_two_stage(scenes, [two_stage_config(budget=16)])
         assert 0.0 < report.proposal_recall <= 1.0
         assert set(report.per_class_proposal_recall) <= {0, 1, 2}
         assert report.stage1_curve and report.stage2_curve
@@ -574,8 +645,8 @@ class TestTwoStage:
     def test_determinism(self):
         scenes = tiny_scenes(seed=3)
         cfg = two_stage_config()
-        _, _, r1 = train_two_stage(scenes, cfg)
-        _, _, r2 = train_two_stage(scenes, cfg)
+        [(_, _, r1)] = train_two_stage(scenes, [cfg])
+        [(_, _, r2)] = train_two_stage(scenes, [cfg])
         assert r1.proposal_recall == r2.proposal_recall
         assert r1.stage1_curve == r2.stage1_curve
 
