@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .ensemble import FusionConfig, ScoreMode, TtaPass, ensemble_pipeline
-from .experiment import (ConfigError, _classifier_data, round_floats, run_experiment,
-                         validate_config)
+from .experiment import (ConfigError, DatasetError, _classifier_data, round_floats,
+                         run_experiment, validate_config)
 from .geometry import (
     SceneDims,
     TtaTransform,
@@ -275,9 +275,12 @@ def cmd_experiment(args) -> int:
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:  # a csv_path dataset
+    except DatasetError as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a valid config whose runs cannot train
+        print(f"experiment failed: {exc}", file=sys.stderr)
+        return 1
 
     out = Path(args.out)
     with open(out, "w") as fh:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from csv import Error as CsvError
 from dataclasses import replace
 from functools import partial
 from typing import Any, NamedTuple
@@ -45,7 +46,7 @@ from .train import (TrainConfig, TwoStageConfig, evaluate_classifier, train_clas
 EVAL_SEED_OFFSET = 1000
 EVAL_PER_CLASS = 300
 UNDERSAMPLE_SEED_OFFSET = 500
-# Arrays of more float64 values (2 GiB) are refused before anything is
+# Arrays of more 8-byte values (2 GiB) are refused before anything is
 # built, rather than left to fail in numpy.
 MAX_VALUES = 2**28
 
@@ -56,6 +57,10 @@ class ConfigError(ValueError):
     def __init__(self, message: str, location: str = "$") -> None:
         super().__init__(f"{location}: {message}")
         self.location = location
+
+
+class DatasetError(ValueError):
+    """A csv_path dataset that cannot be read; the message is the reader's."""
 
 
 class Train(NamedTuple):
@@ -287,9 +292,12 @@ def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     train section, the (iterations, runs) loss-curve buffer or an array of
     one SGD step: the batch's features (rows, d), the stacked logits (runs,
     rows, K) or the weights (runs, K, d).  A classifier batch holds at most
-    n rows; objectness draws its batch size with replacement, K = 1.  Stage
-    2 trains one run on the positives, at most every candidate.  (A
-    synthetic dataset's lattice, classes x d, is within its n x d.)"""
+    n rows.  An objectness batch holds max(batch, 2) rows, even more than
+    n, as a small stratum is drawn with replacement; K = 1.  Its epoch of
+    ceil(n / batch) batches is drawn at once, fewer than two integers a
+    row.  Stage 2 trains one run on the positives, at most every
+    candidate.  (A synthetic dataset's lattice, classes x d, is within its
+    n x d.)"""
     def per_step(runs: int, rows: int, K: int) -> int:
         return max(rows * d, runs * K * max(rows, d))
 
@@ -299,8 +307,9 @@ def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     if spec.kind == "classifier":
         sizes.append(("$.train", per_step(runs, min(spec.train.batch_size, n), K)))
     else:
-        sizes += [("$.scenes", (classes + 1) * d),
-                  ("$.train", per_step(runs, spec.train.batch_size, 1))]
+        rows = max(spec.train.batch_size, 2)
+        sizes += [("$.scenes", (classes + 1) * d), ("$.train", per_step(runs, rows, 1)),
+                  ("$.train", 2 * rows * math.ceil(n / spec.train.batch_size))]
     if isinstance(spec.dataset, SynthDatasetSpec):
         sizes.append(("$.eval", spec.eval * spec.dataset.num_classes * d))
     if spec.two_stage:
@@ -416,15 +425,20 @@ def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
 def run_experiment(config: dict, include_timing: bool = False) -> dict:
     """Run every arm over every seed and assemble the report dict.
 
-    Raises :class:`ConfigError` for an invalid config, and ``OSError`` or
-    ``ValueError`` for a csv_path dataset that cannot be read.
+    Raises :class:`ConfigError` for an invalid config, :class:`DatasetError`
+    for a csv_path dataset that cannot be read, and ``ValueError`` for a
+    run that cannot train, such as stage-1 labels left all one kind by
+    objectness noise or undersampling that empties every epoch.
     """
     spec = validate_config(config)
     started = time.perf_counter()
     if spec.kind == "classifier":
         csv = None
         if isinstance(spec.dataset, str):
-            csv = read_dataset_csv(spec.dataset)  # read once
+            try:
+                csv = read_dataset_csv(spec.dataset)  # read once
+            except (OSError, ValueError, CsvError) as exc:
+                raise DatasetError(str(exc)) from exc
             _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
             _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
         by_seed = [_classifier_rows(spec, seed, csv) for seed in spec.seeds]

@@ -30,6 +30,12 @@ head they pass to :func:`step`: matmul, ``losses.softmax_head`` or
 matmul.  The step's mean losses go into one (iterations, runs) curve
 buffer, turned into lists once at the end.  Every trainer takes a
 sequence of runs and returns one result per run.
+
+The objectness batches of one epoch come from one ``Generator.integers``
+call (:func:`stratified_batches`) that consumes the batch stream exactly
+as a ``Generator.choice`` call per stratum and batch would, so the
+trained bits are those of the per-batch draws, without numpy's per-call
+overhead.
 """
 
 from __future__ import annotations
@@ -254,6 +260,81 @@ class TwoStageReport:
     stage2_curve: list[float] = field(repr=False, default_factory=list)
 
 
+# ``Generator.choice(a, k, replace=len(a) < k)`` without weights, as numpy
+# 1.17 to 2.x implement it, draws each bounded integer as ``integers`` does,
+# in one of three ways (``_choice_bounds``):
+#   - a population smaller than k is sampled with replacement: k draws in
+#     [0, pop);
+#   - when pop > 10000 and k > pop // 50 (``_tail_shuffle``), a partial
+#     Fisher-Yates shuffle of arange(pop) swaps i = pop-1 down to
+#     max(pop-k, 1) with a draw in [0, i] and keeps the last k entries;
+#   - otherwise Floyd's algorithm takes, for j = pop-k up to pop-1, a draw in
+#     [0, j], or j itself if an earlier pick holds that draw, and then a
+#     Fisher-Yates shuffle of the k picks swaps i = k-1 down to 1 with a
+#     draw in [0, i].
+# So a batch's draws have bounds known in advance, one integers call draws
+# a whole epoch of them from the stream as the per-batch choice calls
+# would, and array operations turn them into the same picks.
+
+
+def _tail_shuffle(pop: int, k: int) -> bool:
+    return pop > 10000 and k > pop // 50
+
+
+def _choice_bounds(pop: int, k: int) -> np.ndarray:
+    """Exclusive upper bounds of the integers one ``choice`` draws, in order."""
+    if pop < k:
+        return np.full(k, pop)
+    if _tail_shuffle(pop, k):
+        return np.arange(pop, max(pop - k, 1), -1)
+    return np.concatenate([np.arange(pop - k + 1, pop + 1), np.arange(k, 1, -1)])
+
+
+def _choice_picks(draws: np.ndarray, pop: int, k: int) -> np.ndarray:
+    """(rows, k) positions into the population that ``choice`` returns for
+    each row of the draws its :func:`_choice_bounds` bound."""
+    if pop < k:
+        return draws
+    if _tail_shuffle(pop, k):
+        picks = np.empty((len(draws), k), dtype=np.int64)
+        for r, row in enumerate(draws.tolist()):
+            moved: dict[int, int] = {}  # the entries of arange(pop) that moved
+            for i, j in zip(range(pop - 1, 0, -1), row):
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            picks[r] = [moved.get(i, i) for i in range(pop - k, pop)]
+        return picks
+    picks, swaps = draws[:, :k].copy(), draws[:, k:]
+    ordered = np.sort(picks, axis=1)
+    # A draw that an earlier pick holds gives way to its j; only a row that
+    # repeats a draw can hold one.
+    for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
+        seen, row = set(), picks[r].tolist()
+        for t, v in enumerate(row):
+            if v in seen:
+                row[t] = v = pop - k + t
+            seen.add(v)
+        picks[r] = row
+    rows = np.arange(len(picks))
+    for c, i in enumerate(range(k - 1, 0, -1)):
+        j = swaps[:, c]
+        held = picks[rows, j]
+        picks[rows, j] = picks[:, i]
+        picks[:, i] = held
+    return picks
+
+
+def stratified_batches(rng: np.random.Generator, strata, batches: int) -> np.ndarray:
+    """``batches`` rounds of ``rng.choice(idx, k, replace=len(idx) < k)``,
+    one call per (idx, k) stratum a round: a (batches, sum of k) array,
+    each row one round's picks in stratum order, with ``rng`` left where
+    those calls leave it.  All draws come from one ``rng.integers`` call."""
+    bounds = [_choice_bounds(len(idx), k) for idx, k in strata]
+    draws = rng.integers(0, np.concatenate(bounds), size=(batches, sum(map(len, bounds))))
+    ends = np.cumsum([len(b) for b in bounds])
+    return np.hstack([idx[_choice_picks(draws[:, end - len(b):end], len(idx), k)]
+                      for (idx, k), b, end in zip(strata, bounds, ends)])
+
+
 def train_objectness(
     X: np.ndarray, y: np.ndarray, configs: Sequence[TrainConfig], fg_bg_ratio: float,
 ):
@@ -262,9 +343,12 @@ def train_objectness(
 
     Each batch draws round(batch * r / (1 + r)) foreground samples (at
     least one) and fills the rest with background, sampling a stratum
-    with replacement only when it is smaller than its quota.  One epoch
-    is ceil(n / batch_size) batches.  The configs must share epochs, batch
-    size and seed; they train in lockstep on one init and batch stream.
+    with replacement only when it is smaller than its quota, as two
+    ``Generator.choice`` calls a batch would.  One epoch is
+    ceil(n / batch_size) batches, drawn at once by
+    :func:`stratified_batches`, which consumes the batch stream exactly
+    as those calls do.  The configs must share epochs, batch size and
+    seed; they train in lockstep on one init and batch stream.
     """
     runs = _lockstep(configs, ("epochs", "batch_size", "weight_init_seed"))
     fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
@@ -274,12 +358,12 @@ def train_objectness(
     n_bg = max(1, runs[0].batch_size - n_fg)
     # Every batch is n_fg foreground rows (sign +1), then n_bg background rows.
     sign = np.repeat([1.0, -1.0], [n_fg, n_bg])
+    per_epoch = math.ceil(len(y) / runs[0].batch_size)
 
     def batches(rng):
-        while True:
-            fg = rng.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
-            bg = rng.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
-            yield np.concatenate([fg, bg]), sign
+        for _ in range(runs[0].epochs):
+            for idx in stratified_batches(rng, [(fg_idx, n_fg), (bg_idx, n_bg)], per_epoch):
+                yield idx, sign
 
     return _sgd(X, runs, 1, sigmoid_head, batches)
 

@@ -504,6 +504,22 @@ class TestExperiment:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_oversized_objectness_epoch_draw_exit_2_under_a_memory_cap(self, tmp_path):
+        # 2**18 scenes of 513 one-feature candidates fit the scene bound, but
+        # an epoch of stratified batches draws about two integers a candidate.
+        cfg_data = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                               "two_stage.json").read_text())
+        cfg_data["scenes"].update(num_scenes=2**18, bg_per_scene=503, feature_dim=1)
+        cfg_data["train"]["epochs"] = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        proc = run_capped("experiment", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert "invalid config: $.train: needs 268959744 float64 values" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, path, value, message", [
         ("classifier", "train.lr_schedule[0][1]", math.nan, "nan is not a finite number"),
         ("classifier", "train.lr_schedule[1][1]", math.inf, "inf is not a finite number"),
@@ -557,6 +573,56 @@ class TestExperiment:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+
+
+    @pytest.mark.parametrize("name, edits, message", [
+        # Objectness noise flips the one object, or the one background
+        # candidate: stage 1 sees a single label.
+        ("two_stage", {"scenes": {"num_scenes": 1, "fg_per_scene": 1, "bg_per_scene": 1,
+                                  "objectness_noise_rate": 0.5},
+                       "two_stage": {"proposal_budget": 1}},
+         "objectness training needs both labels present"),
+        ("classifier", {"dataset": {"class_counts": [3, 2]},
+                        "arms": [{"name": "u", "loss": {"kind": "CE"},
+                                  "undersample": {"skip_prob": {"0": 1.0, "1": 0.999}}}]},
+         "no training iteration ran: undersampling emptied every epoch"),
+    ])
+    def test_valid_config_that_cannot_train_exit_1(self, tmp_path, capsys, name, edits,
+                                                    message):
+        cfg_data = json.loads(json.dumps(TINY_TWO_STAGE if name == "two_stage"
+                                         else SMALL_CONFIG))
+        for section, values in edits.items():
+            if isinstance(values, dict):
+                cfg_data[section].update(values)
+            else:
+                cfg_data[section] = values
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 1
+        assert err == f"experiment failed: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "No such file or directory"),
+        (b"\xff\xfe\x00", "can't decode byte 0xff"),
+        (b"feature_0,label,noisy\n1.5,0\n", "line 2: expected 3 fields, got 2"),
+        (b"feature_0,label,noisy\n" + b"1" * 200_000 + b",0,0\n", "field larger than field"),
+    ])
+    def test_unreadable_csv_dataset_exit_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "d.csv"
+        if data is not None:
+            path.write_bytes(data)
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG))
+        cfg_data["dataset"] = {"csv_path": str(path)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert err.startswith("cannot read dataset: ") and message in err
+        assert not out.exists()
 
 class TestTile:
     def test_manifest_four_tiles(self, tmp_path, capsys):

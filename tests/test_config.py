@@ -240,7 +240,7 @@ def test_oversized_stage2_curve_is_rejected():
     ("two_stage", {"scenes": {"num_classes": 10**7}}, "$.two_stage.stage2"),
     # The class-mean lattice: 2**25 + 1 means of 8 features.
     ("two_stage", {"scenes": {"num_classes": 2**25}}, "$.scenes"),
-    # An objectness batch, drawn with replacement, of 10**9 rows.
+    # An objectness batch of 10**9 rows, far more than its strata hold.
     ("two_stage", {"train": {"batch_size": 10**9}}, "$.train"),
     # 2**20 classes: the eval set, or with one eval row per class the
     # logits of a step, 4 arms x 128 rows x 2**20 classes.
@@ -266,6 +266,20 @@ def test_size_bound_is_inclusive():
     with pytest.raises(ConfigError) as err:
         validate_config(config)
     assert err.value.location == "$.dataset"
+
+
+def test_objectness_epoch_draw_is_bounded():
+    # One feature a candidate keeps the scene set within MAX_VALUES, but an
+    # epoch of ceil(n / 64) stratified batches draws under 2 * 64 integers
+    # each: 2**18 scenes of 512 candidates need exactly MAX_VALUES.
+    config = copy.deepcopy(SHIPPED["two_stage"])
+    config["scenes"].update(num_scenes=2**18, bg_per_scene=502, feature_dim=1)
+    config["train"]["epochs"] = 1
+    validate_config(config)
+    config["scenes"]["bg_per_scene"] += 1
+    with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
+        validate_config(config)
+    assert err.value.location == "$.train"
 
 
 def test_csv_dataset_sizes_are_checked_once_read(tmp_path):

@@ -31,8 +31,10 @@ from rfl_lab.train import (
     TwoStageConfig,
     evaluate_classifier,
     init_model,
+    _sgd,
     lr_at,
     step,
+    stratified_batches,
     top_k_indices,
     train_classifier,
     train_objectness,
@@ -265,6 +267,71 @@ def reference_objectness(X, y, cfg, ratio):
         w, b = w - rate * dw, b - rate * db
         curve.append(float(losses.mean()))
     return w, b, curve
+
+
+class TestStratifiedBatches:
+    """An epoch's batch plan is what per-batch ``Generator.choice`` calls draw,
+    and it leaves the generator where they do.  Should a numpy release change
+    ``choice``'s algorithm, these tests fail before any report drifts."""
+
+    # (population, quota) at each branch of choice and its edges: with
+    # replacement (pop < k), pop == k, k == 1, and Floyd's algorithm
+    # against the tail shuffle (pop > 10000 and k > pop // 50).
+    EDGES = [(3, 11), (1, 4), (7, 7), (1, 1), (40, 1), (10000, 200), (10000, 201),
+             (10001, 200), (10001, 201), (10001, 1), (10001, 10001), (12000, 240),
+             (12000, 241)]
+    STRATUM = st.one_of(
+        st.sampled_from(EDGES),
+        st.tuples(st.integers(1, 400), st.integers(1, 60)),
+        st.integers(10001, 30000).flatmap(
+            lambda pop: st.tuples(st.just(pop), st.sampled_from([pop // 50, pop // 50 + 1]))),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(strata=st.lists(STRATUM, min_size=1, max_size=3), batches=st.integers(1, 6),
+           seed=st.integers(0, 2**64 - 1))
+    def test_plan_equals_choice_calls(self, strata, batches, seed):
+        # Distinct offsets and strides, so a pick names its stratum's row.
+        strata = [(np.arange(pop) * (s + 2) + s, k) for s, (pop, k) in enumerate(strata)]
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        plan = stratified_batches(rng, strata, batches)
+        expected = np.array([
+            np.concatenate([twin.choice(idx, k, replace=len(idx) < k) for idx, k in strata])
+            for _ in range(batches)])
+        assert plan.dtype == expected.dtype
+        assert np.array_equal(plan, expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n_fg, n, batch, ratio", [
+        (1154, 15300, 64, 0.5),  # the shipped two_stage strata: Floyd with repeats
+        (3, 200, 32, 0.5),       # foreground drawn with replacement
+        (40, 200, 1, 0.5),       # one row of each stratum
+        (60, 10600, 400, 0.1),   # background by the tail shuffle
+    ])
+    def test_objectness_equals_choice_loop(self, n_fg, n, batch, ratio):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        y = np.zeros(n, dtype=np.int64)
+        y[rng.choice(n, size=n_fg, replace=False)] = 1
+        configs = [TrainConfig(loss, 2, batch, ((50, 0.3), (10**9, 0.1)), weight_init_seed=7)
+                   for loss in LOCKSTEP_ARMS]
+        fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+        k_fg = max(1, round(batch * ratio / (1.0 + ratio)))
+        k_bg = max(1, batch - k_fg)
+        sign = np.repeat([1.0, -1.0], [k_fg, k_bg])
+
+        def choice_batches(batch_rng):
+            while True:
+                fg = batch_rng.choice(fg_idx, size=k_fg, replace=len(fg_idx) < k_fg)
+                bg = batch_rng.choice(bg_idx, size=k_bg, replace=len(bg_idx) < k_bg)
+                yield np.concatenate([fg, bg]), sign
+
+        reference = _sgd(X, configs, 1, sigmoid_head, choice_batches)
+        for (model, curve), (ref, ref_curve) in zip(
+                train_objectness(X, y, configs, ratio), reference, strict=True):
+            assert np.array_equal(model.weights, ref.weights)
+            assert np.array_equal(model.biases, ref.biases)
+            assert curve == ref_curve
 
 
 def reference_softmax_batch(X, y, w, b, params):
