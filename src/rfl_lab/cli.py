@@ -45,6 +45,7 @@ from .losses import (
 from .metrics import (
     detection_to_json,
     map_and_mrecall,
+    not_utf8,
     read_detections_jsonl,
     read_groundtruths_jsonl,
     write_detections_jsonl,
@@ -245,10 +246,13 @@ def _write_plots(report: dict, out_dir: Path) -> None:
 
 def cmd_experiment(args) -> int:
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError:
+        print(f"cannot read config: {not_utf8(args.config)}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
@@ -264,8 +268,13 @@ def cmd_experiment(args) -> int:
     if isinstance(config, dict):  # validate_config rejects anything else
         if args.seeds:
             config["seeds"] = seeds
-        if "seeds" not in config and os.environ.get("RFL_LAB_SEED"):
-            config["seeds"] = [int(os.environ["RFL_LAB_SEED"])]
+        env_seed = os.environ.get("RFL_LAB_SEED")
+        if "seeds" not in config and env_seed:
+            try:
+                config["seeds"] = [int(env_seed)]
+            except ValueError:
+                print(f"RFL_LAB_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+                return 2
     try:
         spec = validate_config(config)
         if args.dump_data and spec.kind != "classifier":

@@ -4,9 +4,10 @@ An experiment config describes one dataset (or scene set), one training
 recipe, and a list of arms that vary the loss and optionally add an
 undersampling policy.  :func:`validate_config` checks the config once,
 against one table of rules, and parses it into the :class:`ExperimentSpec`
-the runner reads.  Each seed's data is built once; its arms train in
-lockstep (classifier arms grouped by undersample policy), each bitwise as
-if alone, with shared seed derivations:
+the runner reads.  Each seed's data is built once; the arms that share a
+schedule (:meth:`Train.config`; classifier arms share one per undersample
+policy) train in one call, in lockstep, each bitwise as if alone, with
+shared seed derivations:
 
     dataset seed            = seed
     balanced eval set seed  = seed + 1000
@@ -15,7 +16,7 @@ if alone, with shared seed derivations:
 
 Learning-rate schedules may give thresholds either as absolute
 iteration counts (``schedule_units: "iteration"``) or as fractions of
-an arm's expected total iterations (``"fraction"``); fractions adapt
+a run's expected total iterations (``"fraction"``); fractions adapt
 the phase boundaries to the smaller epochs an undersampled arm sees.
 
 Reports are plain dicts serialized with sorted keys and floats rounded
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from csv import Error as CsvError
 from dataclasses import replace
 from functools import partial
 from typing import Any, NamedTuple
@@ -75,9 +75,9 @@ class Train(NamedTuple):
         """SGD steps of a run over ``n`` examples an epoch."""
         return math.ceil(n / self.batch_size) * self.epochs
 
-    def config(self, loss: LossParams, seed: int, expected_n: float,
+    def config(self, seed: int, expected_n: float,
                undersample: UndersamplePolicy | None = None) -> TrainConfig:
-        """One arm's run at ``seed``, over ``expected_n`` examples an epoch."""
+        """The schedule at ``seed``, over ``expected_n`` examples an epoch."""
         pairs = [(t, r) for t, r in self.lr_schedule]
         if self.schedule_units == "fraction":
             total = self.iterations(expected_n)
@@ -90,7 +90,16 @@ class Train(NamedTuple):
                     threshold = math.inf  # the last phase still covers the remainder
                 out.append((threshold, rate))
             pairs = out
-        return TrainConfig(loss, self.epochs, self.batch_size, tuple(pairs), seed, undersample)
+        return TrainConfig(self.epochs, self.batch_size, tuple(pairs), seed, undersample)
+
+
+class TwoStage(NamedTuple):
+    """A two_stage section."""
+
+    proposal_budget: int
+    stage2: Train
+    stage2_loss: LossParams = LossParams(LossKind.CE)
+    fg_bg_ratio: float = 0.5
 
 
 class Arm(NamedTuple):
@@ -110,8 +119,7 @@ class ExperimentSpec(NamedTuple):
     dataset: SynthDatasetSpec | str | None = None  # a synthetic spec or a csv path
     eval: int = EVAL_PER_CLASS  # per-class size of the synthetic eval set
     scenes: SceneSetSpec | None = None
-    # (stage-2 train section, stage-2 loss, proposal_budget/fg_bg_ratio keywords)
-    two_stage: tuple[Train, LossParams, dict[str, Any]] | None = None
+    two_stage: TwoStage | None = None
 
 
 # The rules.  A rule checks a JSON value at its JSON path and returns it parsed.  As in JSON
@@ -238,9 +246,7 @@ _CONFIG = _object(
                    SceneSetSpec, num_scenes=_COUNT, fg_per_scene=_COUNT, bg_per_scene=_COUNT,
                    num_classes=_COUNT, feature_dim=_COUNT, separation=_num("(0, inf)"),
                    objectness_noise_rate=_num("[0, 1)")),
-    two_stage=_object(("proposal_budget", "stage2"),
-                      lambda stage2, stage2_loss=LossParams(LossKind.CE), **options:
-                      (stage2, stage2_loss, options), proposal_budget=_COUNT,
+    two_stage=_object(("proposal_budget", "stage2"), TwoStage, proposal_budget=_COUNT,
                       fg_bg_ratio=_num("(0, 1]"), stage2=_TRAIN, stage2_loss=_loss),
 )
 
@@ -255,7 +261,7 @@ def validate_config(config: dict) -> ExperimentSpec:
         raise ConfigError("duplicate seeds", "$.seeds")
     if len({arm.name for arm in spec.arms}) != len(spec.arms):
         raise ConfigError("duplicate arm names", "$.arms")
-    stage2 = spec.two_stage[0] if spec.two_stage else None
+    stage2 = spec.two_stage.stage2 if spec.two_stage else None
     for path, train in (("$.train", spec.train), ("$.two_stage.stage2", stage2)):
         thresholds = [t for t, _ in train.lr_schedule] if train else []
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
@@ -267,7 +273,7 @@ def validate_config(config: dict) -> ExperimentSpec:
             raise ConfigError(f"{spec.kind} experiments need a {key} section", f"$.{key}")
     if spec.kind == "two_stage":
         sc = spec.scenes
-        if spec.two_stage[2]["proposal_budget"] >= sc.fg_per_scene + sc.bg_per_scene:
+        if spec.two_stage.proposal_budget >= sc.fg_per_scene + sc.bg_per_scene:
             raise ConfigError("proposal_budget must be below the candidates per scene "
                               "(fg_per_scene + bg_per_scene), or every arm's recall is 1",
                               "$.two_stage.proposal_budget")
@@ -313,7 +319,7 @@ def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     if isinstance(spec.dataset, SynthDatasetSpec):
         sizes.append(("$.eval", spec.eval * spec.dataset.num_classes * d))
     if spec.two_stage:
-        stage2 = spec.two_stage[0]
+        stage2 = spec.two_stage.stage2
         sizes += [("$.two_stage.stage2", stage2.iterations(n)),
                   ("$.two_stage.stage2", per_step(1, min(stage2.batch_size, n), K))]
     for path, values in sizes:
@@ -383,35 +389,34 @@ def _classifier_rows(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
     """One seed of every arm; arms with one undersample policy train in lockstep."""
     train_data, eval_data, counts = _classifier_data(spec, seed, csv)
 
-    groups: dict[frozenset, list[tuple[str, TrainConfig]]] = {}
+    groups: dict[frozenset, list[Arm]] = {}
     for arm in spec.arms:
-        skip = arm.undersample or {}
-        policy = UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
-        cfg = spec.train.config(arm.loss, seed, _expected_examples(counts, skip), policy)
-        groups.setdefault(frozenset(skip.items()), []).append((arm.name, cfg))
+        groups.setdefault(frozenset((arm.undersample or {}).items()), []).append(arm)
 
     rows = {}
-    for group in groups.values():
-        trained = train_classifier(train_data, [cfg for _, cfg in group])
-        for (name, _), (model, curve) in zip(group, trained):
+    for arms in groups.values():
+        skip = arms[0].undersample or {}
+        policy = UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
+        cfg = spec.train.config(seed, _expected_examples(counts, skip), policy)
+        trained = train_classifier(train_data, cfg, [arm.loss for arm in arms])
+        for arm, (model, curve) in zip(arms, trained):
             ev = evaluate_classifier(model, eval_data)
-            rows[name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
-                          "per_class_recall": dict(ev.per_class_recall),
-                          "loss_curve": _thin_curve(curve, spec.loss_curve_stride)}
+            rows[arm.name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
+                              "per_class_recall": dict(ev.per_class_recall),
+                              "loss_curve": _thin_curve(curve, spec.loss_curve_stride)}
     return rows
 
 
 def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
     """One seed of every arm: the arms' stage 1 trains in lockstep, stage 2 once."""
-    sc = spec.scenes
+    sc, ts = spec.scenes, spec.two_stage
     scenes = generate_scenes(replace(sc, seed=seed))
-    stage2, stage2_loss, options = spec.two_stage
-    n_candidates = sc.num_scenes * (sc.fg_per_scene + sc.bg_per_scene)
-    stage2_cfg = stage2.config(stage2_loss, seed + 1, sc.num_scenes * sc.fg_per_scene)
-    cfgs = [TwoStageConfig(stage1=spec.train.config(arm.loss, seed, n_candidates),
-                           stage2=stage2_cfg, **options) for arm in spec.arms]
+    cfg = TwoStageConfig(spec.train.config(seed, len(scenes.X)), ts.proposal_budget,
+                         ts.stage2.config(seed + 1, sc.num_scenes * sc.fg_per_scene),
+                         ts.stage2_loss, ts.fg_bg_ratio)
     rows = {}
-    for arm, (_, _, report) in zip(spec.arms, train_two_stage(scenes, cfgs)):
+    trained = train_two_stage(scenes, cfg, [arm.loss for arm in spec.arms])
+    for arm, (_, _, report) in zip(spec.arms, trained):
         rows[arm.name] = {
             "seed": seed, "proposal_recall": report.proposal_recall,
             "mean_class_proposal_recall": report.mean_class_proposal_recall,
@@ -437,7 +442,7 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
         if isinstance(spec.dataset, str):
             try:
                 csv = read_dataset_csv(spec.dataset)  # read once
-            except (OSError, ValueError, CsvError) as exc:
+            except (OSError, ValueError) as exc:
                 raise DatasetError(str(exc)) from exc
             _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
             _check_undersampling(spec.arms, np.bincount(csv.y).tolist())

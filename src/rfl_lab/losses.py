@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -62,7 +63,9 @@ class LossParams:
 
     ``gamma`` and ``threshold`` are ignored by the CE kind; ``threshold``
     is ignored by FL.  ``threshold`` may be 1.0, in which case RFL
-    degenerates to CE (the heads clamp pt strictly below 1).
+    degenerates to CE (the heads clamp pt strictly below 1).  ``gamma``
+    must be finite, and an RFL loss needs ``threshold**gamma``, its
+    divisor, to be a positive normal float: 0.5**2000 underflows to 0.
     """
 
     kind: LossKind
@@ -70,10 +73,13 @@ class LossParams:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.gamma >= 0.0):
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        if self.kind is LossKind.RFL and self.threshold**self.gamma < sys.float_info.min:
+            raise ValueError(f"RFL threshold**gamma must be a normal float, got "
+                             f"{self.threshold}**{self.gamma} = {self.threshold**self.gamma}")
 
 
 def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):

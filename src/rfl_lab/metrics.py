@@ -400,16 +400,32 @@ def _parse_record(line: str, scored: bool) -> Detection | GroundTruth:
     return Detection(corners, class_id, score, _string(rec, "source"), image_id)
 
 
+def not_utf8(path: str | Path) -> ValueError:
+    """The error for a file that a UTF-8 reader could not decode, naming
+    ``path`` and the line of its first byte that is not UTF-8 (the reader's
+    own error counts bytes from the chunk it was decoding)."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path} line {line}: {exc}")
+    return ValueError(f"{path}: not UTF-8 when read")
+
+
 def _read_jsonl(path: str | Path, scored: bool) -> list:
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(_parse_record(line, scored))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(_parse_record(line, scored))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return out
 
 

@@ -30,6 +30,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .metrics import not_utf8
+
 
 class Dataset(NamedTuple):
     """Labelled examples as arrays; row i of each field is example i."""
@@ -148,35 +150,50 @@ def write_dataset_csv(data: Dataset, path: str | Path) -> None:
             writer.writerow([repr(v) for v in feats] + [label, int(noisy)])
 
 
+def _csv_rows(path: str | Path):
+    """(line number, row) of each record of the CSV file ``path``; a record
+    the csv module refuses, or a byte that is not UTF-8, is a ValueError
+    naming the file and line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+
+
 def read_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset written by :func:`write_dataset_csv`.  ValueError names
     the line of a bad header, a wrong field count, a non-finite feature, a
-    label that is not a non-negative integer or a noisy flag other than 0/1;
-    a file with no data rows is refused too."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-2:] != ["label", "noisy"]:
-            raise ValueError(f"{path} line 1: expected a header ending in label,noisy")
-        dim = len(header) - 2
-        feats, labels, noisy = [], [], []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != dim + 2:
-                raise ValueError(f"{where}: expected {dim + 2} fields, got {len(row)}")
-            try:
-                x = [float(v) for v in row[:dim]]
-            except ValueError:
-                x = [math.nan]
-            if not all(map(math.isfinite, x)):
-                raise ValueError(f"{where}: features must be finite numbers")
-            label, flag = row[dim:]
-            if not (label.isascii() and label.isdigit()) or flag not in ("0", "1"):
-                raise ValueError(f"{where}: label must be a non-negative integer and "
-                                 f"noisy 0 or 1, got {label!r} and {flag!r}")
-            feats.append(x)
-            labels.append(int(label))
-            noisy.append(flag == "1")
+    label that is not a non-negative integer, a noisy flag other than 0/1,
+    a record the csv module refuses (such as an over-long field) or a byte
+    that is not UTF-8; a file with no data rows is refused too."""
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None or header[-2:] != ["label", "noisy"]:
+        raise ValueError(f"{path} line 1: expected a header ending in label,noisy")
+    dim = len(header) - 2
+    feats, labels, noisy = [], [], []
+    for line, row in rows:
+        where = f"{path} line {line}"
+        if len(row) != dim + 2:
+            raise ValueError(f"{where}: expected {dim + 2} fields, got {len(row)}")
+        try:
+            x = [float(v) for v in row[:dim]]
+        except ValueError:
+            x = [math.nan]
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"{where}: features must be finite numbers")
+        label, flag = row[dim:]
+        if not (label.isascii() and label.isdigit()) or flag not in ("0", "1"):
+            raise ValueError(f"{where}: label must be a non-negative integer and "
+                             f"noisy 0 or 1, got {label!r} and {flag!r}")
+        feats.append(x)
+        labels.append(int(label))
+        noisy.append(flag == "1")
     if not labels:
         raise ValueError(f"{path}: no data rows")
     return Dataset(

@@ -10,26 +10,29 @@ its top-K candidates per scene to a multiclass classifier, and the
 report carries proposal recall (overall and per class) plus stage-2
 recall on the retained positives.
 
+A trainer takes one :class:`TrainConfig` (epochs, batch size, lr
+schedule, seed, undersample policy) and a list of losses, and returns
+one result per loss: the losses train in lockstep on one data and batch
+stream, and each ends bitwise where it would alone.
+
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight
 init and batch order); per-epoch undersampling derives its own sub-seed
 from the policy seed and the epoch index, so enabling an undersample
 policy never perturbs the batch stream, and an all-zero-skip policy
-reproduces the unconfigured trajectory bitwise.  Runs that share those
-streams and differ only in loss and lr schedule train in lockstep, one
-batch draw for all, and each ends bitwise where it would alone.
+reproduces the unconfigured trajectory bitwise.
 
 Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
 all scenes are scored, ranked and counted at once).  A model is a
 ``LinearModel`` of K rows: K classes for a classifier, K = 1 for an
 objectness scorer.  ``train_classifier`` and ``train_objectness`` run
 one SGD loop over R stacked models ``W`` (R, K, d), ``b`` (R, K), one per
-run in lockstep, and differ only in the batches they draw and the loss
-head they pass to :func:`step`: matmul, ``losses.softmax_head`` or
+loss, and differ only in the batches they draw and the loss head they
+pass to :func:`step`: matmul, ``losses.softmax_head`` or
 ``losses.sigmoid_head`` (the heads ``rfl-lab gradcheck`` checks),
-matmul.  The step's mean losses go into one (iterations, runs) curve
-buffer, turned into lists once at the end.  Every trainer takes a
-sequence of runs and returns one result per run.
+matmul.  Every step's rate is :func:`lr_at` of the shared schedule.  The
+step's mean losses go into one (iterations, losses) curve buffer, turned
+into lists once at the end.
 
 The objectness batches of one epoch come from one ``Generator.integers``
 call (:func:`stratified_batches`) that consumes the batch stream exactly
@@ -52,7 +55,8 @@ from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: LossParams
+    """The schedule that every loss of one trainer call shares."""
+
     epochs: int
     batch_size: int
     lr_schedule: tuple[tuple[float, float], ...]
@@ -138,51 +142,37 @@ def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
     return replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
 
 
-def _lockstep(runs: Sequence, shared: tuple[str, ...]) -> list:
-    """``runs`` as a list.  Runs in lockstep draw one data and batch stream,
-    so they must agree on the ``shared`` fields."""
-    runs = list(runs)
-    for name in shared:
-        if any(getattr(r, name) != getattr(runs[0], name) for r in runs):
-            raise ValueError(f"runs trained in lockstep must share {name}")
-    return runs
-
-
-def _sgd(X: np.ndarray, runs: list[TrainConfig], K: int, head, batches):
-    """Plain minibatch SGD of one K-row linear model per run, in lockstep:
+def _sgd(X: np.ndarray, cfg: TrainConfig, losses: Sequence[LossParams], K: int, head,
+         batches):
+    """Plain minibatch SGD of one K-row linear model per loss, in lockstep:
     one init and batch stream (:func:`_init`), then one :func:`step` and
     update per (row indices into ``X``, targets) that ``batches(stream)``
     yields, at most ceil(n / batch_size) an epoch.  Returns (model, curve)
-    per run; the curve holds the pre-update mean batch loss of each step."""
-    first = runs[0]
-    W, rng = _init((K, X.shape[1]), len(runs), first.weight_init_seed)
-    b, params = np.zeros((len(runs), K)), [run.loss for run in runs]
-    # (iterations, runs): each run's lr_at at every iteration.
-    rates = np.empty((first.epochs * math.ceil(len(X) / first.batch_size), len(runs)))
-    for r, run in enumerate(runs):
-        thresholds, rate = np.array(run.lr_schedule, dtype=np.float64).T
-        at = np.searchsorted(thresholds, np.arange(len(rates)), side="right")
-        rates[:, r] = rate[np.minimum(at, len(rate) - 1)]
-    curves, iteration = np.empty_like(rates), 0
-    for idx, target in islice(batches(rng), len(rates)):
-        losses, dW, db = step(X.take(idx, axis=0), target, W, b, head, params)
-        W -= rates[iteration, :, None, None] * dW
-        b -= rates[iteration, :, None] * db
-        curves[iteration] = np.add.reduce(losses, axis=1) / losses.shape[1]
+    per loss; the curve holds the pre-update mean batch loss of each step."""
+    if not losses:
+        raise ValueError("training needs at least one loss")
+    W, rng = _init((K, X.shape[1]), len(losses), cfg.weight_init_seed)
+    b = np.zeros((len(losses), K))
+    curves = np.empty((cfg.epochs * math.ceil(len(X) / cfg.batch_size), len(losses)))
+    iteration = 0
+    for idx, target in islice(batches(rng), len(curves)):
+        step_losses, dW, db = step(X.take(idx, axis=0), target, W, b, head, losses)
+        rate = lr_at(cfg.lr_schedule, iteration)
+        W -= rate * dW
+        b -= rate * db
+        curves[iteration] = np.add.reduce(step_losses, axis=1) / step_losses.shape[1]
         iteration += 1
     return [(LinearModel(W[r], b[r]), c) for r, c in enumerate(curves[:iteration].T.tolist())]
 
 
-def train_classifier(data: Dataset, configs: Sequence[TrainConfig]):
-    """Minibatch SGD on a linear softmax model; one (model, loss curve) per config.
+def train_classifier(data: Dataset, cfg: TrainConfig, losses: Sequence[LossParams]):
+    """Minibatch SGD on a linear softmax model; one (model, loss curve) per loss.
 
     Each epoch optionally re-undersamples the data (fresh sub-seed per
     epoch; an emptied epoch is skipped), reshuffles, and walks the batches
-    in order.  The configs may differ only in loss and lr schedule: they
-    train in lockstep, each bitwise what it trains alone.
+    in order.  The losses train in lockstep, each bitwise what it trains
+    alone.
     """
-    runs = _lockstep(configs, ("epochs", "batch_size", "weight_init_seed", "undersample"))
-    first = runs[0]
     X, y = data.X, data.y
     if not len(y):
         raise ValueError("training data is empty")
@@ -190,17 +180,17 @@ def train_classifier(data: Dataset, configs: Sequence[TrainConfig]):
         raise ValueError("training data needs one feature row per label")
 
     def batches(rng):
-        for epoch in range(first.epochs):
-            rows = np.arange(len(y)) if first.undersample is None else np.flatnonzero(
-                undersample_mask(y, _epoch_policy(first.undersample, epoch)))
+        for epoch in range(cfg.epochs):
+            rows = np.arange(len(y)) if cfg.undersample is None else np.flatnonzero(
+                undersample_mask(y, _epoch_policy(cfg.undersample, epoch)))
             if len(rows):
                 order = rng.permutation(rows)
-                for start in range(0, len(order), first.batch_size):
-                    idx = order[start:start + first.batch_size]
+                for start in range(0, len(order), cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
                     yield idx, y.take(idx)
 
-    out = _sgd(X, runs, max(2, int(y.max()) + 1), softmax_head, batches)
-    if first.epochs and not out[0][1]:
+    out = _sgd(X, cfg, losses, max(2, int(y.max()) + 1), softmax_head, batches)
+    if cfg.epochs and not out[0][1]:
         raise ValueError("no training iteration ran: undersampling emptied every epoch")
     return out
 
@@ -237,10 +227,13 @@ def evaluate_classifier(model: LinearModel, data: Dataset) -> ClassifierEval:
 
 @dataclass(frozen=True)
 class TwoStageConfig:
+    """Both stages' schedules; stage 2 trains once, under ``stage2_loss``."""
+
     stage1: TrainConfig
     proposal_budget: int
     stage2: TrainConfig
-    fg_bg_ratio: float = 0.5  # foreground:background count ratio per batch
+    stage2_loss: LossParams
+    fg_bg_ratio: float  # foreground:background count ratio per batch
 
     def __post_init__(self) -> None:
         if self.proposal_budget < 1:
@@ -336,10 +329,11 @@ def stratified_batches(rng: np.random.Generator, strata, batches: int) -> np.nda
 
 
 def train_objectness(
-    X: np.ndarray, y: np.ndarray, configs: Sequence[TrainConfig], fg_bg_ratio: float,
+    X: np.ndarray, y: np.ndarray, cfg: TrainConfig, losses: Sequence[LossParams],
+    fg_bg_ratio: float,
 ):
     """One-row linear scorers via SGD on stratified fg/bg minibatches; one
-    (scorer, loss curve) per config.
+    (scorer, loss curve) per loss.
 
     Each batch draws round(batch * r / (1 + r)) foreground samples (at
     least one) and fills the rest with background, sampling a stratum
@@ -347,25 +341,24 @@ def train_objectness(
     ``Generator.choice`` calls a batch would.  One epoch is
     ceil(n / batch_size) batches, drawn at once by
     :func:`stratified_batches`, which consumes the batch stream exactly
-    as those calls do.  The configs must share epochs, batch size and
-    seed; they train in lockstep on one init and batch stream.
+    as those calls do.  The losses train in lockstep on one init and
+    batch stream.
     """
-    runs = _lockstep(configs, ("epochs", "batch_size", "weight_init_seed"))
     fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
     if len(fg_idx) == 0 or len(bg_idx) == 0:
         raise ValueError("objectness training needs both labels present")
-    n_fg = max(1, round(runs[0].batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
-    n_bg = max(1, runs[0].batch_size - n_fg)
+    n_fg = max(1, round(cfg.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
+    n_bg = max(1, cfg.batch_size - n_fg)
     # Every batch is n_fg foreground rows (sign +1), then n_bg background rows.
     sign = np.repeat([1.0, -1.0], [n_fg, n_bg])
-    per_epoch = math.ceil(len(y) / runs[0].batch_size)
+    per_epoch = math.ceil(len(y) / cfg.batch_size)
 
     def batches(rng):
-        for _ in range(runs[0].epochs):
+        for _ in range(cfg.epochs):
             for idx in stratified_batches(rng, [(fg_idx, n_fg), (bg_idx, n_bg)], per_epoch):
                 yield idx, sign
 
-    return _sgd(X, runs, 1, sigmoid_head, batches)
+    return _sgd(X, cfg, losses, 1, sigmoid_head, batches)
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -374,7 +367,7 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
-def train_two_stage(scenes: SceneSet, configs: Sequence[TwoStageConfig]):
+def train_two_stage(scenes: SceneSet, cfg: TwoStageConfig, losses: Sequence[LossParams]):
     """Train both stages on the scene pool and evaluate top-K pass-through.
 
     Stage 1 trains on every candidate and stage 2 on the labelled
@@ -384,22 +377,18 @@ def train_two_stage(scenes: SceneSet, configs: Sequence[TwoStageConfig]):
     that survive (label flips undone via ``true_class``); retained true
     objects are then classified by stage 2 against their true class.
 
-    The configs may differ only in stage 1: it trains in lockstep and
-    stage 2 once, one (scorer, classifier, report) per config.
+    Stage 1 trains one scorer per loss in lockstep and stage 2 once; one
+    (scorer, classifier, report) per loss.
     """
-    runs = _lockstep(configs, ("proposal_budget", "stage2", "fg_bg_ratio"))
-    first = runs[0]
     X, true_class = scenes.X, scenes.true_class
     true = true_class >= 0
     if not true.any():
         raise ValueError("scenes contain no labelled objects")
 
     pos = scenes.is_object
-    scorers = train_objectness(
-        X, pos.astype(np.int64), [r.stage1 for r in runs], first.fg_bg_ratio
-    )
+    scorers = train_objectness(X, pos.astype(np.int64), cfg.stage1, losses, cfg.fg_bg_ratio)
     [(classifier, s2_curve)] = train_classifier(
-        Dataset(X[pos], scenes.class_id[pos], scenes.noisy[pos]), [first.stage2]
+        Dataset(X[pos], scenes.class_id[pos], scenes.noisy[pos]), cfg.stage2, [cfg.stage2_loss]
     )
 
     # (scenes, per_scene, d): matmul runs one gemv per scene, as scoring
@@ -407,7 +396,7 @@ def train_two_stage(scenes: SceneSet, configs: Sequence[TwoStageConfig]):
     by_scene = X.reshape(-1, scenes.per_scene, X.shape[1])
     out = []
     for scorer, s1_curve in scorers:
-        top = top_k_indices(scorer.scores(by_scene)[..., 0], first.proposal_budget)
+        top = top_k_indices(scorer.scores(by_scene)[..., 0], cfg.proposal_budget)
         kept = np.zeros(by_scene.shape[:2], dtype=bool)
         np.put_along_axis(kept, top, True, axis=1)
         retained = true & kept.ravel()

@@ -113,6 +113,18 @@ class TestLossTable:
             run(capsys, "loss-table", "--th", "1.5")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("gamma, message", [
+        # 0.5**2000 underflows to 0, the divisor of RFL's branch above th.
+        ("2000", "RFL threshold**gamma must be a normal float, got 0.5**2000.0 = 0.0"),
+        ("inf", "gamma must be finite and >= 0, got inf"),
+        ("nan", "gamma must be finite and >= 0, got nan"),
+    ])
+    def test_gamma_without_a_finite_table_exit_2(self, capsys, gamma, message):
+        code, out, err = run(capsys, "loss-table", "--gamma", gamma)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
 
 class TestGradcheck:
     def test_default_passes(self, capsys):
@@ -196,6 +208,26 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_config_not_utf8_exit_2_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{\n  "kind": "classifier",\n  "arms": "\xff"\n}\n')
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err.startswith(f"cannot read config: {cfg} line 3: 'utf-8' codec can't "
+                              "decode byte 0xff in position 37")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_rfl_gamma_whose_divisor_underflows_exit_2(self, tmp_path, capsys):
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG))
+        cfg_data["arms"][1]["loss"] = {"kind": "RFL", "gamma": 2000, "threshold": 0.5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err == ("invalid config: $.arms[1].loss: RFL threshold**gamma must be a normal "
+                       "float, got 0.5**2000.0 = 0.0\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         cfg_data = dict(SMALL_CONFIG)
         del cfg_data["seeds"]
@@ -205,6 +237,12 @@ class TestExperiment:
         out = tmp_path / "r.json"
         assert run(capsys, "experiment", str(cfg), "--out", str(out))[0] == 0
         assert json.loads(out.read_text())["seeds"] == [7]
+        monkeypatch.setenv("RFL_LAB_SEED", "abc")
+        out.unlink()
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
+        assert code == 2
+        assert err == "RFL_LAB_SEED must be an integer, got 'abc'\n"
+        assert not out.exists()
 
     def test_plots_emitted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -609,6 +647,11 @@ class TestExperiment:
         (b"\xff\xfe\x00", "can't decode byte 0xff"),
         (b"feature_0,label,noisy\n1.5,0\n", "line 2: expected 3 fields, got 2"),
         (b"feature_0,label,noisy\n" + b"1" * 200_000 + b",0,0\n", "field larger than field"),
+        # Past the reader's first decoded chunk: the line and position count
+        # from the start of the file.
+        pytest.param(b"feature_0,label,noisy\n" + b"1.5,0,0\n" * 10_000 + b"2.5,\xe9,0\n",
+                     "line 10002: 'utf-8' codec can't decode byte 0xe9 in position 80026",
+                     id="not-utf8-late"),
     ])
     def test_unreadable_csv_dataset_exit_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "d.csv"
@@ -622,6 +665,8 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out))
         assert code == 2
         assert err.startswith("cannot read dataset: ") and message in err
+        if data is not None:  # each message names the file and the line
+            assert err.startswith(f"cannot read dataset: {path} line ")
         assert not out.exists()
 
 class TestTile:
@@ -807,6 +852,19 @@ class TestEval:
                                  "--gts", str(gpath))
             assert code == 2
             assert "line 1" in err and out == ""
+
+    def test_input_not_utf8_exit_2_names_file_and_line(self, tmp_path, capsys):
+        good = b'{"box": [0, 0, 10, 10], "class_id": 0}\n'
+        bad = b'{"box": [0, 0, 10, 10], "class_id": 0, "image_id": "\xff"}\n'
+        for dets, gts in ((good + bad, good), (good, good * 2 + bad)):
+            dpath, gpath = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
+            dpath.write_bytes(dets)
+            gpath.write_bytes(gts)
+            code, out, err = run(capsys, "eval", "--dets", str(dpath), "--gts", str(gpath))
+            bad_path, line = (dpath, 2) if len(dets) > len(gts) else (gpath, 3)
+            assert code == 2 and out == ""
+            assert err.startswith(f"cannot read inputs: {bad_path} line {line}: 'utf-8' "
+                                  "codec can't decode byte 0xff")
 
 
 # A file of valid records with at most one line that may be malformed: a

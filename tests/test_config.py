@@ -22,7 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfl_lab.experiment import MAX_VALUES, ConfigError, run_experiment, validate_config
+from rfl_lab.experiment import (MAX_VALUES, ConfigError, Train, TwoStage, run_experiment,
+                                 validate_config)
+from rfl_lab.losses import LossKind, LossParams
 from rfl_lab.sampling import Dataset, write_dataset_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -306,3 +308,25 @@ def test_csv_class_count_is_checked_before_counting(tmp_path):
     with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
         run_experiment(config)
     assert err.value.location == "$.train"
+
+
+def test_two_stage_section_parses_with_defaults():
+    config = copy.deepcopy(SHIPPED["two_stage"])
+    del config["two_stage"]["fg_bg_ratio"]
+    stage2 = Train(epochs=10, batch_size=32, lr_schedule=[[1000000000, 0.3]],
+                   schedule_units="iteration")
+    assert validate_config(config).two_stage == TwoStage(
+        proposal_budget=50, stage2=stage2, stage2_loss=LossParams(LossKind.CE), fg_bg_ratio=0.5)
+    config["two_stage"].update(fg_bg_ratio=0.25, stage2_loss={"kind": "FL", "gamma": 1.0})
+    assert validate_config(config).two_stage == TwoStage(
+        50, stage2, LossParams(LossKind.FL, gamma=1.0), 0.25)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_rfl_loss_whose_divisor_underflows_is_rejected_at_its_loss(name):
+    # 0.5**2000 underflows to 0: the RFL branch above th would divide by it.
+    config = copy.deepcopy(SHIPPED[name])
+    config["arms"][-1]["loss"] = {"kind": "RFL", "gamma": 2000, "threshold": 0.5}
+    with pytest.raises(ConfigError, match=r"threshold\*\*gamma must be a normal float") as err:
+        validate_config(config)
+    assert err.value.location == f"$.arms[{len(config['arms']) - 1}].loss"

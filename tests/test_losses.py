@@ -5,6 +5,7 @@ evaluation of the closed-form definitions and frozen here.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +56,25 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             LossParams(kind=LossKind.RFL, threshold=1.0 + 1e-9)
         LossParams(kind=LossKind.RFL, threshold=1.0)  # inclusive upper end
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, kind, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            LossParams(kind=kind, gamma=gamma)
+
+    def test_rfl_divisor_must_be_a_normal_float(self):
+        # 0.5**1022 is the least normal float; 0.5**1023 is subnormal and
+        # 0.5**2000 is 0, where the RFL branch above th divides by zero.
+        assert 0.5**1022 == sys.float_info.min
+        LossParams(kind=LossKind.RFL, gamma=1022.0, threshold=0.5)
+        for gamma in (1023.0, 2000.0):
+            with pytest.raises(ValueError, match=r"threshold\*\*gamma"):
+                LossParams(kind=LossKind.RFL, gamma=gamma, threshold=0.5)
+        # FL has no divisor, and th = 1 divides by 1 at any finite gamma.
+        assert focal_loss(0.5, LossParams(kind=LossKind.FL, gamma=2000.0)) == 0.0
+        rfl_one = LossParams(kind=LossKind.RFL, gamma=2000.0, threshold=1.0)
+        assert reduced_focal_loss(0.5, rfl_one) == ce_loss(0.5)
 
     @pytest.mark.parametrize("pt", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_endpoints_rejected(self, pt):

@@ -48,9 +48,9 @@ RFL_HALF = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.5)
 FLAT = ((10**9, 0.5),)
 
 
-def flat_config(loss=CE, epochs=50, batch=20, seed=0, undersample=None, lr=0.5):
+def flat_config(epochs=50, batch=20, seed=0, undersample=None, lr=0.5):
     return TrainConfig(
-        loss=loss, epochs=epochs, batch_size=batch,
+        epochs=epochs, batch_size=batch,
         lr_schedule=((10**9, lr),), weight_init_seed=seed, undersample=undersample,
     )
 
@@ -69,11 +69,11 @@ class TestLrSchedule:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(CE, 1, 1, ((100, 0.1), (100, 0.2)))
+            TrainConfig(1, 1, ((100, 0.1), (100, 0.2)))
         with pytest.raises(ValueError):
-            TrainConfig(CE, 1, 1, ((100, -0.1),))
+            TrainConfig(1, 1, ((100, -0.1),))
         with pytest.raises(ValueError):
-            TrainConfig(CE, 1, 1, ())
+            TrainConfig(1, 1, ())
 
 
 def signs(y):
@@ -95,18 +95,18 @@ def separable_two_class(n=200, seed=1):
 class TestTrainClassifier:
     def test_separable_accuracy(self):
         data = separable_two_class()
-        [(model, curve)] = train_classifier(data, [flat_config(epochs=50, batch=20)])
+        [(model, curve)] = train_classifier(data, flat_config(epochs=50, batch=20), [CE])
         assert len(curve) == 50 * 10  # 500 iterations
         assert evaluate_classifier(model, data).accuracy >= 0.99
 
     def test_loss_decreases(self):
         data = separable_two_class()
-        [(_, curve)] = train_classifier(data, [flat_config()])
+        [(_, curve)] = train_classifier(data, flat_config(), [CE])
         assert curve[-1] < curve[0]
 
     def test_zero_epochs_returns_init(self):
         data = separable_two_class()
-        [(model, curve)] = train_classifier(data, [flat_config(epochs=0, seed=3)])
+        [(model, curve)] = train_classifier(data, flat_config(epochs=0, seed=3), [CE])
         ref = init_model(2, 2, seed=3)
         assert curve == []
         assert np.array_equal(model.weights, ref.weights)
@@ -114,17 +114,17 @@ class TestTrainClassifier:
 
     def test_deterministic(self):
         data = separable_two_class()
-        cfg = flat_config(loss=RFL_HALF, seed=9)
-        [(m1, c1)] = train_classifier(data, [cfg])
-        [(m2, c2)] = train_classifier(data, [cfg])
+        cfg = flat_config(seed=9)
+        [(m1, c1)] = train_classifier(data, cfg, [RFL_HALF])
+        [(m2, c2)] = train_classifier(data, cfg, [RFL_HALF])
         assert np.array_equal(m1.weights, m2.weights)
         assert c1 == c2
 
     def test_rfl_threshold_one_is_bitwise_ce(self):
         data = separable_two_class()
         rfl_one = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0)
-        [(m_ce, c_ce)] = train_classifier(data, [flat_config(loss=CE, seed=4)])
-        [(m_rfl, c_rfl)] = train_classifier(data, [flat_config(loss=rfl_one, seed=4)])
+        [(m_ce, c_ce)] = train_classifier(data, flat_config(seed=4), [CE])
+        [(m_rfl, c_rfl)] = train_classifier(data, flat_config(seed=4), [rfl_one])
         assert np.array_equal(m_ce.weights, m_rfl.weights)
         assert np.array_equal(m_ce.biases, m_rfl.biases)
         assert c_ce == c_rfl
@@ -132,8 +132,8 @@ class TestTrainClassifier:
     def test_zero_skip_undersample_is_bitwise_noop(self):
         data = separable_two_class()
         pol = UndersamplePolicy({0: 0.0, 1: 0.0}, seed=77)
-        [(m_plain, c_plain)] = train_classifier(data, [flat_config(seed=6)])
-        [(m_us, c_us)] = train_classifier(data, [flat_config(seed=6, undersample=pol)])
+        [(m_plain, c_plain)] = train_classifier(data, flat_config(seed=6), [CE])
+        [(m_us, c_us)] = train_classifier(data, flat_config(seed=6, undersample=pol), [CE])
         assert np.array_equal(m_plain.weights, m_us.weights)
         assert c_plain == c_us
 
@@ -142,24 +142,24 @@ class TestTrainClassifier:
                                 cluster_separation=3.0, seed=2)
         data = generate_synthetic(spec)
         pol = UndersamplePolicy({0: 0.9}, seed=5)
-        [(m, _)] = train_classifier(data, [flat_config(epochs=20, undersample=pol)])
+        [(m, _)] = train_classifier(data, flat_config(epochs=20, undersample=pol), [CE])
         ev = evaluate_classifier(m, data)
         assert ev.per_class_recall[1] > 0.5
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier(dataset(np.zeros((0, 2)), []), [flat_config()])
+            train_classifier(dataset(np.zeros((0, 2)), []), flat_config(), [CE])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier(dataset(np.zeros((2, 2)), [0, 1, 1]), [flat_config()])
+            train_classifier(dataset(np.zeros((2, 2)), [0, 1, 1]), flat_config(), [CE])
 
     def test_undersampling_every_epoch_empty_rejected(self):
         data = separable_two_class()
         pol = UndersamplePolicy({0: 1.0, 1: 1.0}, seed=2)
         with pytest.raises(ValueError, match="no training iteration"):
-            train_classifier(data, [flat_config(epochs=3, undersample=pol)])
-        [(_, curve)] = train_classifier(data, [flat_config(epochs=0, undersample=pol)])
+            train_classifier(data, flat_config(epochs=3, undersample=pol), [CE])
+        [(_, curve)] = train_classifier(data, flat_config(epochs=0, undersample=pol), [CE])
         assert curve == []
 
 
@@ -168,21 +168,19 @@ LOCKSTEP_ARMS = (CE, FL2, LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.2
 
 
 class TestLockstep:
-    """Runs trained together equal the same runs trained alone, bit for bit."""
+    """Losses trained together on one schedule equal each loss trained alone,
+    bit for bit."""
 
     @pytest.mark.parametrize("policy", [None, UndersamplePolicy({0: 0.8, 1: 0.3}, seed=4)])
     def test_classifier_runs_equal_solo_runs(self, policy):
         data = generate_synthetic(SynthDatasetSpec(
             class_counts=[300, 80, 20], feature_dim=5, label_noise_rate=0.05, seed=8))
-        configs = [
-            TrainConfig(loss, 5, 16, ((40, 0.5), (10**9, 0.05 * (k + 1))),
-                        weight_init_seed=3, undersample=policy)
-            for k, loss in enumerate(LOCKSTEP_ARMS)
-        ]
-        together = train_classifier(data, configs)
-        assert len(together) == len(configs)
-        for cfg, (model, curve) in zip(configs, together):
-            [(solo, solo_curve)] = train_classifier(data, [cfg])
+        cfg = TrainConfig(5, 16, ((40, 0.5), (10**9, 0.05)), weight_init_seed=3,
+                          undersample=policy)
+        together = train_classifier(data, cfg, LOCKSTEP_ARMS)
+        assert len(together) == len(LOCKSTEP_ARMS)
+        for loss, (model, curve) in zip(LOCKSTEP_ARMS, together):
+            [(solo, solo_curve)] = train_classifier(data, cfg, [loss])
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.biases, solo.biases)
             assert curve == solo_curve
@@ -190,21 +188,20 @@ class TestLockstep:
     def test_objectness_runs_equal_solo_runs(self):
         scenes = tiny_scenes(noise=0.05)
         X, y = scenes.X, scenes.is_object.astype(np.int64)
-        configs = [TrainConfig(CE, 3, 32, ((10**9, 0.3),), weight_init_seed=1),
-                   TrainConfig(FL2, 3, 32, ((20, 0.3), (10**9, 0.1)), weight_init_seed=1)]
-        together = train_objectness(X, y, configs, 0.5)
-        for cfg, (model, curve) in zip(configs, together):
-            [(solo, solo_curve)] = train_objectness(X, y, [cfg], 0.5)
+        cfg = TrainConfig(3, 32, ((20, 0.3), (10**9, 0.1)), weight_init_seed=1)
+        together = train_objectness(X, y, cfg, [CE, FL2], 0.5)
+        for loss, (model, curve) in zip([CE, FL2], together):
+            [(solo, solo_curve)] = train_objectness(X, y, cfg, [loss], 0.5)
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.biases, solo.biases)
             assert curve == solo_curve
 
     def test_two_stage_reports_equal_solo_reports(self):
         scenes = tiny_scenes(seed=2, noise=0.05)
-        configs = [two_stage_config(loss=CE), two_stage_config(loss=FL2)]
-        together = train_two_stage(scenes, configs)
-        for cfg, (_, _, report) in zip(configs, together):
-            assert report == train_two_stage(scenes, [cfg])[0][2]
+        cfg = two_stage_config()
+        together = train_two_stage(scenes, cfg, [CE, FL2])
+        for loss, (_, _, report) in zip([CE, FL2], together):
+            assert report == train_two_stage(scenes, cfg, [loss])[0][2]
 
     @pytest.mark.parametrize("n_fg, batch", [(3, 32), (40, 1)])
     def test_objectness_edge_batches_equal_solo_and_reference(self, n_fg, batch):
@@ -214,27 +211,25 @@ class TestLockstep:
         X = rng.normal(size=(200, 4))
         y = np.zeros(200, dtype=np.int64)
         y[rng.choice(200, size=n_fg, replace=False)] = 1
-        configs = [TrainConfig(loss, 3, batch, ((7, 0.3), (10**9, 0.1)), weight_init_seed=5)
-                   for loss in LOCKSTEP_ARMS]
-        together = train_objectness(X, y, configs, 0.5)
-        for cfg, (model, curve) in zip(configs, together):
-            [(solo, solo_curve)] = train_objectness(X, y, [cfg], 0.5)
-            ref_w, ref_b, ref_curve = reference_objectness(X, y, cfg, 0.5)
+        cfg = TrainConfig(3, batch, ((7, 0.3), (10**9, 0.1)), weight_init_seed=5)
+        together = train_objectness(X, y, cfg, LOCKSTEP_ARMS, 0.5)
+        for loss, (model, curve) in zip(LOCKSTEP_ARMS, together):
+            [(solo, solo_curve)] = train_objectness(X, y, cfg, [loss], 0.5)
+            ref_w, ref_b, ref_curve = reference_objectness(X, y, cfg, loss, 0.5)
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.weights, ref_w[None])
             assert np.array_equal(model.biases, solo.biases)
             assert model.biases[0] == ref_b
             assert curve == solo_curve == ref_curve
 
-    def test_runs_that_do_not_share_the_stream_rejected(self):
-        data = separable_two_class()
-        with pytest.raises(ValueError, match="weight_init_seed"):
-            train_classifier(data, [flat_config(seed=1), flat_config(seed=2)])
-        pol = UndersamplePolicy({0: 0.5}, seed=1)
-        with pytest.raises(ValueError, match="undersample"):
-            train_classifier(data, [flat_config(), flat_config(undersample=pol)])
-        with pytest.raises(ValueError, match="stage2"):
-            train_two_stage(tiny_scenes(), [two_stage_config(), two_stage_config(epochs=2)])
+    def test_empty_loss_list_rejected(self):
+        scenes = tiny_scenes()
+        with pytest.raises(ValueError, match="at least one loss"):
+            train_classifier(separable_two_class(), flat_config(), [])
+        with pytest.raises(ValueError, match="at least one loss"):
+            train_objectness(scenes.X, scenes.is_object.astype(np.int64), flat_config(), [], 0.5)
+        with pytest.raises(ValueError, match="at least one loss"):
+            train_two_stage(scenes, two_stage_config(), [])
 
 
 def reference_binary_batch(X, y, w, b, params):
@@ -249,7 +244,7 @@ def reference_binary_batch(X, y, w, b, params):
     return loss, gz @ X / len(y), float(gz.mean())
 
 
-def reference_objectness(X, y, cfg, ratio):
+def reference_objectness(X, y, cfg, loss, ratio):
     """One run of stratified objectness SGD, one batch and one scorer at a time."""
     rng_init, rng_batch = (np.random.default_rng(s) for s in
                            np.random.SeedSequence(cfg.weight_init_seed).spawn(2))
@@ -262,7 +257,7 @@ def reference_objectness(X, y, cfg, ratio):
         fg = rng_batch.choice(fg_idx, size=n_fg, replace=len(fg_idx) < n_fg)
         bg = rng_batch.choice(bg_idx, size=n_bg, replace=len(bg_idx) < n_bg)
         idx = np.concatenate([fg, bg])
-        losses, dw, db = reference_binary_batch(X[idx], y[idx], w, b, cfg.loss)
+        losses, dw, db = reference_binary_batch(X[idx], y[idx], w, b, loss)
         rate = lr_at(cfg.lr_schedule, it)
         w, b = w - rate * dw, b - rate * db
         curve.append(float(losses.mean()))
@@ -313,8 +308,7 @@ class TestStratifiedBatches:
         X = rng.normal(size=(n, 3))
         y = np.zeros(n, dtype=np.int64)
         y[rng.choice(n, size=n_fg, replace=False)] = 1
-        configs = [TrainConfig(loss, 2, batch, ((50, 0.3), (10**9, 0.1)), weight_init_seed=7)
-                   for loss in LOCKSTEP_ARMS]
+        cfg = TrainConfig(2, batch, ((50, 0.3), (10**9, 0.1)), weight_init_seed=7)
         fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
         k_fg = max(1, round(batch * ratio / (1.0 + ratio)))
         k_bg = max(1, batch - k_fg)
@@ -326,9 +320,9 @@ class TestStratifiedBatches:
                 bg = batch_rng.choice(bg_idx, size=k_bg, replace=len(bg_idx) < k_bg)
                 yield np.concatenate([fg, bg]), sign
 
-        reference = _sgd(X, configs, 1, sigmoid_head, choice_batches)
+        reference = _sgd(X, cfg, LOCKSTEP_ARMS, 1, sigmoid_head, choice_batches)
         for (model, curve), (ref, ref_curve) in zip(
-                train_objectness(X, y, configs, ratio), reference, strict=True):
+                train_objectness(X, y, cfg, LOCKSTEP_ARMS, ratio), reference, strict=True):
             assert np.array_equal(model.weights, ref.weights)
             assert np.array_equal(model.biases, ref.biases)
             assert curve == ref_curve
@@ -347,7 +341,7 @@ def reference_softmax_batch(X, y, w, b, params):
     glogits = (dpt * pt)[:, None] * direction
     return loss, glogits.T @ X / len(y), glogits.mean(axis=0)
 
-def reference_classifier(data, cfg):
+def reference_classifier(data, cfg, loss):
     """One run of softmax SGD, one model at a time: each epoch copies the
     kept rows ``X[keep]`` and each batch takes from that copy."""
     rng_init, rng_batch = (np.random.default_rng(s) for s in
@@ -369,7 +363,7 @@ def reference_classifier(data, cfg):
         for start in range(0, len(ye), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             losses, dw, db = reference_softmax_batch(Xe.take(idx, axis=0), ye.take(idx),
-                                                     w, b, cfg.loss)
+                                                     w, b, loss)
             rate = lr_at(cfg.lr_schedule, len(curve))
             w, b = w - rate * dw, b - rate * db
             curve.append(float(losses.mean()))
@@ -385,15 +379,15 @@ STEP_LOSS_LIST = [
 STEP_LOSSES = st.sampled_from(STEP_LOSS_LIST)
 
 
-def assert_lockstep_equals_reference(data, configs):
-    """train_classifier on ``configs`` in lockstep against
-    :func:`reference_classifier` per config, bit for bit; returns the curves."""
-    refs = [reference_classifier(data, cfg) for cfg in configs]
-    if configs[0].epochs and not refs[0][2]:
+def assert_lockstep_equals_reference(data, cfg, losses):
+    """train_classifier on ``losses`` in lockstep against
+    :func:`reference_classifier` per loss, bit for bit; returns the curves."""
+    refs = [reference_classifier(data, cfg, loss) for loss in losses]
+    if cfg.epochs and not refs[0][2]:
         with pytest.raises(ValueError, match="no training iteration"):
-            train_classifier(data, configs)
+            train_classifier(data, cfg, losses)
         return []
-    trained = train_classifier(data, configs)
+    trained = train_classifier(data, cfg, losses)
     for (model, curve), (w, b, ref_curve) in zip(trained, refs, strict=True):
         assert np.array_equal(model.weights, w)
         assert np.array_equal(model.biases, b)
@@ -407,20 +401,21 @@ class TestClassifierReference:
 
     @settings(max_examples=40, deadline=None)
     @given(counts=st.lists(st.integers(1, 8), min_size=2, max_size=4),
-           arms=st.lists(st.tuples(STEP_LOSSES, st.integers(1, 30), st.floats(0.01, 1.0),
-                                   st.floats(0.01, 1.0)), min_size=1, max_size=4),
+           losses=st.lists(STEP_LOSSES, min_size=1, max_size=4),
+           schedule=st.tuples(st.integers(1, 30), st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
            skip=st.none() | st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0]),
                                      min_size=4, max_size=4),
            epochs=st.integers(0, 5), batch=st.integers(1, 12), seed=st.integers(0, 2**16))
-    def test_lockstep_equals_reference(self, counts, arms, skip, epochs, batch, seed):
+    def test_lockstep_equals_reference(self, counts, losses, schedule, skip, epochs, batch,
+                                       seed):
         data = generate_synthetic(SynthDatasetSpec(
             class_counts=counts, feature_dim=3, label_noise_rate=0.1, seed=seed))
         policy = None if skip is None else UndersamplePolicy(
             dict(enumerate(skip[:len(counts)])), seed=seed)
-        configs = [TrainConfig(loss, epochs, batch, ((t, lr), (10**9, late)),
-                               weight_init_seed=seed, undersample=policy)
-                   for loss, t, lr, late in arms]
-        assert_lockstep_equals_reference(data, configs)
+        t, lr, late = schedule
+        cfg = TrainConfig(epochs, batch, ((t, lr), (10**9, late)), weight_init_seed=seed,
+                          undersample=policy)
+        assert_lockstep_equals_reference(data, cfg, losses)
 
     def test_partly_emptied_epochs(self):
         # With one batch per epoch, the curve has one loss per epoch that
@@ -429,13 +424,13 @@ class TestClassifierReference:
                                                    seed=1))
         for seed in range(50):
             policy = UndersamplePolicy({0: 0.9, 1: 0.9, 2: 0.9}, seed=seed)
-            configs = [TrainConfig(loss, 6, 6, ((3, 0.5), (10**9, 0.1)), weight_init_seed=seed,
-                                   undersample=policy) for loss in LOCKSTEP_ARMS]
-            if 0 < len(reference_classifier(data, configs[0])[2]) < 6:
+            cfg = TrainConfig(6, 6, ((3, 0.5), (10**9, 0.1)), weight_init_seed=seed,
+                              undersample=policy)
+            if 0 < len(reference_classifier(data, cfg, CE)[2]) < 6:
                 break
         else:
             pytest.fail("no policy seed empties some epochs but not all")
-        assert 0 < len(assert_lockstep_equals_reference(data, configs)[0]) < 6
+        assert 0 < len(assert_lockstep_equals_reference(data, cfg, LOCKSTEP_ARMS)[0]) < 6
 
 
 class TestCompositesAreStepRows:
@@ -593,7 +588,7 @@ class TestEndToEndGradient:
 class TestEvaluateClassifier:
     def test_perfect_predictions(self):
         data = separable_two_class()
-        [(model, _)] = train_classifier(data, [flat_config()])
+        [(model, _)] = train_classifier(data, flat_config(), [CE])
         ev = evaluate_classifier(model, data)
         assert set(ev.per_class_recall) == {0, 1}
         assert ev.m_recall == pytest.approx(
@@ -631,11 +626,11 @@ def tiny_scenes(seed=0, noise=0.0):
     return generate_scenes(spec)
 
 
-def two_stage_config(loss=CE, budget=20, epochs=8):
-    stage = TrainConfig(loss, epochs, 32, ((10**9, 0.3),), weight_init_seed=1)
-    stage2 = TrainConfig(CE, epochs, 32, ((10**9, 0.3),), weight_init_seed=2)
+def two_stage_config(budget=20, epochs=8):
+    stage = TrainConfig(epochs, 32, ((10**9, 0.3),), weight_init_seed=1)
+    stage2 = TrainConfig(epochs, 32, ((10**9, 0.3),), weight_init_seed=2)
     return TwoStageConfig(stage1=stage, proposal_budget=budget, stage2=stage2,
-                          fg_bg_ratio=0.5)
+                          stage2_loss=CE, fg_bg_ratio=0.5)
 
 
 class TestTwoStage:
@@ -657,7 +652,7 @@ class TestTwoStage:
     def test_budget_equal_to_pool_gives_full_recall(self):
         scenes = tiny_scenes()
         cfg = two_stage_config(budget=88)  # >= candidates per scene
-        [(_, _, report)] = train_two_stage(scenes, [cfg])
+        [(_, _, report)] = train_two_stage(scenes, cfg, [CE])
         assert report.proposal_recall == 1.0
         assert all(v == 1.0 for v in report.per_class_proposal_recall.values())
 
@@ -678,7 +673,8 @@ class TestTwoStage:
     def test_report_equals_scene_by_scene_count(self, budget):
         # The per-scene, per-candidate count the vectorised evaluation replaced.
         scenes = tiny_scenes(seed=4, noise=0.1)
-        [(scorer, classifier, report)] = train_two_stage(scenes, [two_stage_config(budget=budget)])
+        [(scorer, classifier, report)] = train_two_stage(scenes, two_stage_config(budget=budget),
+                                                         [CE])
         P = scenes.per_scene
         total, kept, retained = {}, {}, []
         for start in range(0, len(scenes.X), P):
@@ -702,7 +698,7 @@ class TestTwoStage:
 
     def test_trained_pipeline_reports(self):
         scenes = tiny_scenes()
-        [(_, _, report)] = train_two_stage(scenes, [two_stage_config(budget=16)])
+        [(_, _, report)] = train_two_stage(scenes, two_stage_config(budget=16), [CE])
         assert 0.0 < report.proposal_recall <= 1.0
         assert set(report.per_class_proposal_recall) <= {0, 1, 2}
         assert report.stage1_curve and report.stage2_curve
@@ -712,8 +708,8 @@ class TestTwoStage:
     def test_determinism(self):
         scenes = tiny_scenes(seed=3)
         cfg = two_stage_config()
-        [(_, _, r1)] = train_two_stage(scenes, [cfg])
-        [(_, _, r2)] = train_two_stage(scenes, [cfg])
+        [(_, _, r1)] = train_two_stage(scenes, cfg, [CE])
+        [(_, _, r2)] = train_two_stage(scenes, cfg, [CE])
         assert r1.proposal_recall == r2.proposal_recall
         assert r1.stage1_curve == r2.stage1_curve
 
@@ -723,5 +719,5 @@ class TestTwoStage:
         with pytest.raises(ValueError):
             TwoStageConfig(
                 stage1=flat_config(), proposal_budget=1, stage2=flat_config(),
-                fg_bg_ratio=0.0,
+                stage2_loss=CE, fg_bg_ratio=0.0,
             )
