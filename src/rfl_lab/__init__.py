@@ -14,12 +14,8 @@ from .losses import (  # noqa: F401
     LossKind,
     LossParams,
     binary_loss_and_grad,
-    ce_loss,
     cutoff_factor,
-    focal_loss,
-    loss_grad_pt,
-    loss_value,
-    reduced_focal_loss,
+    loss_at,
     softmax_loss_and_grad,
 )
 from .metrics import (  # noqa: F401

@@ -1,10 +1,14 @@
 """Command-line front-end: loss-table, gradcheck, experiment, tile, fuse, eval.
 
+Each subcommand parses its inputs and calls the library's one entry
+point per operation (``fuse`` calls ``invert_tta`` per input, then ``fuse``).
+
 Exit codes: 0 success, 1 check or experiment failure, 2 usage or config
 errors (including missing or unparsable input files).  All primary
 outputs (CSV, JSON, JSONL) are byte-identical across reruns with the
-same inputs; the environment variable ``RFL_LAB_SEED`` supplies the
-seed list when neither the config nor ``--seeds`` provides one.
+same inputs, and no report carries wall-clock time; the environment
+variable ``RFL_LAB_SEED`` supplies the seed list when neither the config
+nor ``--seeds`` provides one.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensemble import FusionConfig, ScoreMode, TtaPass, ensemble_pipeline
+from .ensemble import FusionConfig, ScoreMode, fuse
 from .experiment import (ConfigError, DatasetError, _classifier_data, round_floats,
                          run_experiment, validate_config)
 from .geometry import (
     SceneDims,
     TtaTransform,
     clip_boxes_to_tile,
+    invert_tta,
     tile_axis_counts,
     tile_grid,
 )
@@ -34,12 +39,8 @@ from .losses import (
     LossKind,
     LossParams,
     binary_loss_and_grad,
-    ce_loss,
     cutoff_factor,
-    focal_loss,
-    loss_grad_pt,
-    loss_value,
-    reduced_focal_loss,
+    loss_at,
     softmax_head,
 )
 from .metrics import (
@@ -85,6 +86,7 @@ def _parse_scene(text: str) -> SceneDims:
 
 
 def cmd_loss_table(args) -> int:
+    params_ce = LossParams(kind=LossKind.CE)
     params_fl = LossParams(kind=LossKind.FL, gamma=args.gamma)
     params_rfl = LossParams(kind=LossKind.RFL, gamma=args.gamma, threshold=args.th)
     if args.steps == 1:
@@ -97,9 +99,9 @@ def cmd_loss_table(args) -> int:
         pt = float(pt)
         writer.writerow([
             _fmt(pt),
-            _fmt(ce_loss(pt)),
-            _fmt(focal_loss(pt, params_fl)),
-            _fmt(reduced_focal_loss(pt, params_rfl)),
+            _fmt(loss_at(pt, params_ce)[0]),
+            _fmt(loss_at(pt, params_fl)[0]),
+            _fmt(loss_at(pt, params_rfl)[0]),
             _fmt(cutoff_factor(pt, params_rfl)),
         ])
     return 0
@@ -156,8 +158,8 @@ def run_gradcheck(kink_band: float, negate: bool = False):
                     at_kink = abs(pt - th) < 1e-12
                     if kink_band > 0 and abs(pt - th) < kink_band:
                         continue
-                    ana = flip * loss_grad_pt(pt, params)
-                    num = _central(lambda p: loss_value(p, params), pt)
+                    ana = flip * loss_at(pt, params)[1]
+                    num = _central(lambda p: loss_at(p, params)[0], pt)
                     record("scalar", _rel_err(ana, num),
                            f"scalar {label} pt={pt:g}", at_kink)
 
@@ -255,7 +257,8 @@ def cmd_experiment(args) -> int:
         print(f"cannot read config: {not_utf8(args.config)}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
+        print(f"cannot read config: {args.config} line {exc.lineno}: {exc.msg} "
+              f"at column {exc.colno}", file=sys.stderr)
         return 2
 
     if args.seeds:
@@ -280,7 +283,7 @@ def cmd_experiment(args) -> int:
         if args.dump_data and spec.kind != "classifier":
             print("--dump-data only applies to classifier experiments", file=sys.stderr)
             return 2
-        report = run_experiment(config, include_timing=args.timing)
+        report = run_experiment(config)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -378,27 +381,22 @@ def cmd_fuse(args) -> int:
             return 2
 
     passes = []
-    needs_scene = False
     for i, path in enumerate(args.inputs):
         try:
             dets = read_detections_jsonl(path)
         except (OSError, ValueError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            print(f"cannot read inputs: {exc}", file=sys.stderr)
             return 2
         try:
-            transform = TtaTransform.parse(transforms[i]) if transforms else (
-                TtaTransform.identity())
+            transform = TtaTransform.parse(transforms[i]) if transforms else TtaTransform()
         except ValueError as exc:
             print(f"bad transform for {path}: {exc}", file=sys.stderr)
             return 2
-        if transform.ops:
-            needs_scene = True
         # An explicit --source overrides the file's own tags; otherwise the
         # tags pass through untouched (single-file fusion stays a fixpoint).
-        source = sources[i] if sources else ""
-        passes.append(TtaPass(dets, transform, source))
+        passes.append((dets, transform, sources[i] if sources else ""))
 
-    if needs_scene and args.scene is None:
+    if args.scene is None and any(transform.ops for _, transform, _ in passes):
         print("--scene is required when any --transform is not identity",
               file=sys.stderr)
         return 2
@@ -415,7 +413,9 @@ def cmd_fuse(args) -> int:
         print(f"invalid fusion config: {exc}", file=sys.stderr)
         return 2
 
-    fused = ensemble_pipeline(passes, scene, cfg)
+    pooled = [det for dets, transform, source in passes
+              for det in invert_tta(dets, scene, transform, source)]
+    fused = fuse(pooled, cfg)
     if args.out:
         write_detections_jsonl(fused, args.out)
         print(f"{len(fused)} fused detections -> {args.out}")
@@ -499,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="experiment_report.json")
     p.add_argument("--plots", metavar="DIR", help="also emit SVG charts")
     p.add_argument("--seeds", help="comma-separated seed override")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock seconds (breaks byte determinism)")
     p.add_argument("--dump-data", metavar="DIR",
                    help="also write each seed's training dataset as CSV")
     p.set_defaults(func=cmd_experiment)
@@ -546,6 +544,8 @@ def main(argv=None) -> int:
             parser.error("require gamma >= 0, 0 < th <= 1, steps >= 1")
         if not (0.0 < args.pt_min <= args.pt_max < 1.0):
             parser.error("require 0 < pt-min <= pt-max < 1")
+    if args.command == "gradcheck" and not (0.0 <= args.skip_kink_band < math.inf):
+        parser.error(f"require a finite --skip-kink-band >= 0, got {args.skip_kink_band}")
     try:
         return args.func(args)
     except ValueError as exc:

@@ -41,7 +41,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import SceneDims, TtaTransform, invert_tta
 from .metrics import Box, Detection
 
 
@@ -183,27 +182,3 @@ def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
             out.append(Detection(Box(*corners), first.class_id, score, "+".join(sources),
                                  first.image_id))
     return out
-
-
-@dataclass(frozen=True)
-class TtaPass:
-    """One inference pass: its detections and the transform they live in."""
-
-    dets: Sequence[Detection]
-    transform: TtaTransform = TtaTransform.identity()
-    source: str = ""
-
-
-def ensemble_pipeline(
-    passes: Sequence[TtaPass], scene: SceneDims, cfg: FusionConfig
-) -> list[Detection]:
-    """Invert each pass's transform, pool into the scene frame, and fuse.
-
-    Equivalent to composing :func:`rfl_lab.geometry.invert_tta` per pass
-    with :func:`fuse`; each pass's source tag overrides the tags on its
-    detections when given.
-    """
-    pooled: list[Detection] = []
-    for p in passes:
-        pooled.extend(invert_tta(p.dets, scene, p.transform, p.source))
-    return fuse(pooled, cfg)

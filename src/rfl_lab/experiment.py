@@ -17,19 +17,18 @@ shared seed derivations:
 Learning-rate schedules may give thresholds either as absolute
 iteration counts (``schedule_units: "iteration"``) or as fractions of
 a run's expected total iterations (``"fraction"``); fractions adapt
-the phase boundaries to the smaller epochs an undersampled arm sees.
+the phase boundaries to the smaller epochs an undersampled arm sees,
+and stage 2's to the observed positives it trains on.
 
 Reports are plain dicts serialized with sorted keys and floats rounded
 to 9 significant digits, so identical configs produce byte-identical
-files.  Wall-clock timing is only included when explicitly requested,
-as it would break that reproducibility.
+files; no report carries wall-clock time.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import time
 from dataclasses import replace
 from functools import partial
 from typing import Any, NamedTuple
@@ -412,7 +411,7 @@ def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
     sc, ts = spec.scenes, spec.two_stage
     scenes = generate_scenes(replace(sc, seed=seed))
     cfg = TwoStageConfig(spec.train.config(seed, len(scenes.X)), ts.proposal_budget,
-                         ts.stage2.config(seed + 1, sc.num_scenes * sc.fg_per_scene),
+                         ts.stage2.config(seed + 1, int(scenes.is_object.sum())),
                          ts.stage2_loss, ts.fg_bg_ratio)
     rows = {}
     trained = train_two_stage(scenes, cfg, [arm.loss for arm in spec.arms])
@@ -427,7 +426,7 @@ def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
     return rows
 
 
-def run_experiment(config: dict, include_timing: bool = False) -> dict:
+def run_experiment(config: dict) -> dict:
     """Run every arm over every seed and assemble the report dict.
 
     Raises :class:`ConfigError` for an invalid config, :class:`DatasetError`
@@ -436,7 +435,6 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
     objectness noise or undersampling that empties every epoch.
     """
     spec = validate_config(config)
-    started = time.perf_counter()
     if spec.kind == "classifier":
         csv = None
         if isinstance(spec.dataset, str):
@@ -455,11 +453,8 @@ def run_experiment(config: dict, include_timing: bool = False) -> dict:
         rows = [seed_arms[arm.name] for seed_arms in by_seed]
         arms_out[arm.name] = {"per_seed": rows, "mean": _mean_over_seeds(rows)}
 
-    report = {"artifact_version": __version__, "kind": spec.kind, "config": config,
-              "seeds": list(spec.seeds), "arms": arms_out}
-    if include_timing:
-        report["wall_clock_seconds"] = time.perf_counter() - started
-    return report
+    return {"artifact_version": __version__, "kind": spec.kind, "config": config,
+            "seeds": list(spec.seeds), "arms": arms_out}
 
 
 def round_floats(obj: Any, sig: int = 9) -> Any:

@@ -82,36 +82,10 @@ _INVERSE = {
 
 @dataclass(frozen=True)
 class TtaTransform:
-    """Ordered composition of TTA primitives, applied left to right."""
+    """Ordered composition of TTA primitives, applied left to right.
+    ``TtaTransform()`` is the identity; :meth:`parse` builds any from its text."""
 
     ops: tuple[TtaOp, ...] = ()
-
-    @classmethod
-    def identity(cls) -> "TtaTransform":
-        return cls(())
-
-    @classmethod
-    def fliph(cls) -> "TtaTransform":
-        return cls((TtaOp(TtaKind.FLIP_H),))
-
-    @classmethod
-    def rot90(cls) -> "TtaTransform":
-        return cls((TtaOp(TtaKind.ROT90),))
-
-    @classmethod
-    def rot180(cls) -> "TtaTransform":
-        return cls((TtaOp(TtaKind.ROT180),))
-
-    @classmethod
-    def rot270(cls) -> "TtaTransform":
-        return cls((TtaOp(TtaKind.ROT270),))
-
-    @classmethod
-    def scale(cls, factor: float) -> "TtaTransform":
-        return cls((TtaOp(TtaKind.SCALE, factor),))
-
-    def then(self, other: "TtaTransform") -> "TtaTransform":
-        return TtaTransform(self.ops + other.ops)
 
     def inverse(self) -> "TtaTransform":
         inv = []

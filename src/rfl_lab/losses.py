@@ -20,17 +20,19 @@ other thresholds the formula has a jump at the boundary, which is kept
 as written rather than smoothed.
 
 One kernel, :func:`loss_and_dpt`, evaluates these formulas and their
-derivative d(loss)/d(pt) on scalars or arrays.  Two heads wire it to
-model outputs and return the analytic gradient with respect to the
-logits: :func:`softmax_head` (multiclass, K classes) and
+derivative d(loss)/d(pt) on scalars or arrays; :func:`loss_at` is its
+scalar entry point, the loss ``params.kind`` selects and its derivative
+at one pt, and :func:`cutoff_factor` divides that loss by CE.  Two heads
+wire it to model outputs and return the analytic gradient with respect
+to the logits: :func:`softmax_head` (multiclass, K classes) and
 :func:`sigmoid_head` (binary, K = 1).  Both take stacked logits of shape
 (R, n, K), one loss per stacked model, and return losses (R, n) and
 logit gradients (R, n, K).  The SGD step ``train.step`` and the
 one-sample composites :func:`softmax_loss_and_grad` and
 :func:`binary_loss_and_grad` are calls of these heads, so ``rfl-lab
-gradcheck`` checks the gradient that trains.  Scalar entry points reject pt outside the open interval (0, 1);
-the heads instead clamp pt to [1e-12, 1 - 1e-12] so training survives
-saturated outputs.
+gradcheck`` checks the gradient that trains.  :func:`loss_at` rejects pt
+outside the open interval (0, 1); the heads instead clamp pt to
+[1e-12, 1 - 1e-12] so training survives saturated outputs.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
@@ -41,7 +43,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,47 +108,20 @@ def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
     return loss, dpt
 
 
-def _scalar(pt: float, params: LossParams) -> tuple[float, float]:
-    """(loss, dloss/dpt) at a scalar pt strictly inside (0, 1)."""
+def loss_at(pt: float, params: LossParams) -> tuple[float, float]:
+    """(loss, dloss/dpt) of ``params`` at a scalar pt strictly inside (0, 1).
+    At the RFL kink pt = threshold, where the derivative is not defined,
+    both come from the at-or-above branch."""
     if not (0.0 < pt < 1.0):
         raise ValueError(f"pt must lie strictly inside (0, 1), got {pt}")
     loss, dpt = loss_and_dpt(pt, -math.log(pt), 1.0 - pt, params)
     return float(loss), float(dpt)
 
 
-def ce_loss(pt: float) -> float:
-    """Cross entropy -log(pt) of the ground-truth-class probability."""
-    return _scalar(pt, LossParams(LossKind.CE))[0]
-
-
-def focal_loss(pt: float, params: LossParams) -> float:
-    """(1-pt)^gamma * (-log pt); equals CE when gamma is 0."""
-    return _scalar(pt, replace(params, kind=LossKind.FL))[0]
-
-
-def reduced_focal_loss(pt: float, params: LossParams) -> float:
-    """cutoff_factor(pt) * (-log pt).  Below the threshold this is bitwise
-    :func:`ce_loss`; at or above it is focal_loss / th^gamma, so the scaling
-    identity FL = th^g * RFL holds to within a couple of ulp."""
-    return _scalar(pt, replace(params, kind=LossKind.RFL))[0]
-
-
 def cutoff_factor(pt: float, params: LossParams) -> float:
-    """Piecewise focal weight RFL / CE: exactly 1 below threshold,
-    (1-pt)^g/th^g at or above."""
-    return reduced_focal_loss(pt, params) / -math.log(pt)
-
-
-def loss_value(pt: float, params: LossParams) -> float:
-    """Selected loss at pt."""
-    return _scalar(pt, params)[0]
-
-
-def loss_grad_pt(pt: float, params: LossParams) -> float:
-    """d(loss)/d(pt) for the selected kind.  At the RFL kink pt = threshold,
-    where the derivative is not defined, this returns the at-or-above branch,
-    as the value formula does."""
-    return _scalar(pt, params)[1]
+    """The focal weight of ``params`` relative to CE, loss / -log(pt): for
+    RFL exactly 1 below threshold, (1-pt)^g/th^g at or above."""
+    return loss_at(pt, params)[0] / -math.log(pt)
 
 
 def _per_run(pt, neg_log, one_minus, params: Sequence[LossParams]):

@@ -108,11 +108,6 @@ def _init(shape: tuple[int, ...], runs: int, seed: int):
     return np.repeat(rng_init.uniform(-0.01, 0.01, size=(1, *shape)), runs, axis=0), rng_batch
 
 
-def init_model(num_classes: int, feature_dim: int, seed: int) -> LinearModel:
-    """Zero biases and the weights of :func:`_init`, for one run."""
-    return LinearModel(_init((num_classes, feature_dim), 1, seed)[0][0], np.zeros(num_classes))
-
-
 def step(
     X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head,
     params: Sequence[LossParams],

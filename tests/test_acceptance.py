@@ -31,7 +31,7 @@ from rfl_lab.geometry import (
     invert_tta,
     tile_grid,
 )
-from rfl_lab.losses import LossKind, LossParams, ce_loss, focal_loss, reduced_focal_loss
+from rfl_lab.losses import LossKind, LossParams, loss_at
 from rfl_lab.metrics import Box, Detection, average_precision, GroundTruth
 
 from test_metrics import oracle_ap, random_fixture, to_oracle
@@ -97,16 +97,16 @@ def test_piecewise_identities():
             rfl0 = LossParams(kind=LossKind.RFL, gamma=0.0, threshold=th)
             fl0 = LossParams(kind=LossKind.FL, gamma=0.0)
             for pt in PT_GRID:
-                ce = ce_loss(pt)
-                rfl = reduced_focal_loss(pt, rfl_p)
+                ce = loss_at(pt, LossParams(kind=LossKind.CE))[0]
+                rfl = loss_at(pt, rfl_p)[0]
                 if pt < th:
                     assert rfl == ce  # identical bits below the threshold
                 else:
-                    lhs = focal_loss(pt, fl_p)
+                    lhs = loss_at(pt, fl_p)[0]
                     rhs = th**gamma * rfl
                     assert abs(lhs - rhs) <= 2 * math.ulp(max(abs(lhs), abs(rhs)))
-                assert focal_loss(pt, fl0) == ce
-                assert reduced_focal_loss(pt, rfl0) == ce
+                assert loss_at(pt, fl0)[0] == ce
+                assert loss_at(pt, rfl0)[0] == ce
     assert time.perf_counter() - start < 1.0
 
 
@@ -177,16 +177,13 @@ def test_geometry_suite():
         boxes.append(Detection(
             Box(x1, y1, min(700.0, x1 + rng.integers(1, 60) / 4.0),
                 min(500.0, y1 + rng.integers(1, 60) / 4.0)), 0, 0.5))
-    family = [
-        TtaTransform.fliph(), TtaTransform.rot90(), TtaTransform.rot180(),
-        TtaTransform.rot270(), TtaTransform.rot90().then(TtaTransform.fliph()),
-    ]
+    family = [TtaTransform.parse(t) for t in ("fliph", "rot90", "rot180", "rot270", "rot90+fliph")]
     for t in family:
         back = invert_tta(apply_tta(boxes, scene, t), scene, t)
         for orig, rt in zip(boxes, back):
             assert rt.box == orig.box
     for factor in (0.8, 1.2, 0.6):
-        t = TtaTransform.scale(factor)
+        t = TtaTransform.parse(f"scale:{factor}")
         back = invert_tta(apply_tta(boxes, scene, t), scene, t)
         for orig, rt in zip(boxes, back):
             for a, b in zip((rt.box.x1, rt.box.y1, rt.box.x2, rt.box.y2),

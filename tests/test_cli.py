@@ -156,6 +156,15 @@ class TestGradcheck:
         assert code == 1
         assert "kink" in err
 
+    @pytest.mark.parametrize("band", ["nan", "-1"])
+    def test_bad_kink_band_is_a_usage_error(self, capsys, band):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "gradcheck", "--skip-kink-band", band)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"require a finite --skip-kink-band >= 0, got {float(band)}" in captured.err
+        assert "gradcheck: FAIL" not in captured.out + captured.err
+
 
 class TestExperiment:
     def test_byte_identical_reruns(self, tmp_path, capsys):
@@ -216,6 +225,21 @@ class TestExperiment:
         assert err.startswith(f"cannot read config: {cfg} line 3: 'utf-8' codec can't "
                               "decode byte 0xff in position 37")
         assert not (tmp_path / "r.json").exists()
+
+    def test_config_not_json_exit_2_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{\n  "kind": }\n')
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err == f"cannot read config: {cfg} line 2: Expecting value at column 11\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_timing_flag_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "experiment", str(cfg), "--timing")
+        assert exc.value.code == 2
 
     def test_rfl_gamma_whose_divisor_underflows_exit_2(self, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(SMALL_CONFIG))
@@ -761,7 +785,7 @@ class TestFuse:
         from rfl_lab.geometry import SceneDims, TtaTransform, apply_tta
 
         base = [Detection(Box(10, 10, 20, 20), 0, 0.8, source="a")]
-        rotated = apply_tta(base, SceneDims(100, 100), TtaTransform.rot90())
+        rotated = apply_tta(base, SceneDims(100, 100), TtaTransform.parse("rot90"))
         f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_detections_jsonl(base, f1)
         write_detections_jsonl(rotated, f2)
@@ -790,6 +814,18 @@ class TestFuse:
         bad.write_text("{not json\n")
         code, _, _ = run(capsys, "fuse", str(bad))
         assert code == 2
+
+    def test_reader_error_names_the_file_once(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "g.jsonl"
+        write_detections_jsonl([Detection(Box(0, 0, 1, 1), 0, 0.5)], good)
+        bad.write_text('{"box": [0, 0, 1, 1], "class_id": 0}\n[1]\n')
+        code, out, err = run(capsys, "fuse", str(good), str(bad))
+        assert code == 2 and out == ""
+        assert err == (f"cannot read inputs: {bad} line 2: record must be a JSON object, "
+                       "got list\n")
+        code, _, err = run(capsys, "fuse", str(tmp_path / "none.jsonl"))
+        assert code == 2
+        assert err.startswith("cannot read inputs: [Errno 2]") and err.count("none.jsonl") == 1
 
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_weight_exit_2_names_the_weight(self, tmp_path, capsys, weight):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfl_lab import experiment
 from rfl_lab.experiment import (MAX_VALUES, ConfigError, Train, TwoStage, run_experiment,
                                  validate_config)
 from rfl_lab.losses import LossKind, LossParams
@@ -320,6 +321,30 @@ def test_two_stage_section_parses_with_defaults():
     config["two_stage"].update(fg_bg_ratio=0.25, stage2_loss={"kind": "FL", "gamma": 1.0})
     assert validate_config(config).two_stage == TwoStage(
         50, stage2, LossParams(LossKind.FL, gamma=1.0), 0.25)
+
+
+def test_stage2_fraction_schedule_is_planned_on_the_positives(monkeypatch):
+    # Stage 2 trains on the observed positives, which objectness noise makes
+    # far more than num_scenes * fg_per_scene; its fractions resolve on them.
+    config = copy.deepcopy(SHIPPED["two_stage"])
+    config.update(seeds=[1, 2], arms=config["arms"][:1])
+    config["train"]["epochs"] = 1
+    stage2 = config["two_stage"]["stage2"]
+    stage2.update(lr_schedule=[[0.5, 0.3], [1.0, 0.03]], schedule_units="fraction")
+    seen = []
+
+    def train_two_stage(scenes, cfg, losses):
+        seen.append((int(scenes.is_object.sum()), cfg.stage2.lr_schedule))
+        return real(scenes, cfg, losses)
+
+    real = experiment.train_two_stage
+    monkeypatch.setattr(experiment, "train_two_stage", train_two_stage)
+    run_experiment(config)
+    assert len(seen) == 2
+    for n_pos, schedule in seen:
+        assert n_pos > 1000  # against 30 * 10 true objects
+        total = stage2["epochs"] * math.ceil(n_pos / stage2["batch_size"])
+        assert [t for t, _ in schedule] == [math.floor(f * total) for f in (0.5, 1.0)]
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 from rfl_lab.ensemble import (
     FusionConfig,
     ScoreMode,
-    TtaPass,
-    ensemble_pipeline,
     fuse,
 )
-from rfl_lab.geometry import SceneDims, TtaTransform, apply_tta
+from rfl_lab.geometry import SceneDims, TtaTransform, apply_tta, invert_tta
 from rfl_lab.metrics import Box, Detection, iou
 
 
@@ -445,34 +443,35 @@ class TestGridFusion:
         assert [d.source for d in out] == ["a+c+d", "b", "e"]
 
 
+def pool(scene, *passes):
+    """Each (detections, transform text, source) pass mapped back into the
+    scene frame by invert_tta and pooled: what ``rfl-lab fuse`` fuses."""
+    return [d for dets, spec, source in passes
+            for d in invert_tta(dets, scene, TtaTransform.parse(spec), source)]
+
+
 class TestEnsemblePipeline:
+    """invert_tta per pass, pooled, then fuse."""
+
     SCENE = SceneDims(100, 100)
 
     def test_identity_pass_equals_fuse(self):
         rng = np.random.default_rng(4)
         dets = random_dets(rng)
         cfg = FusionConfig(iou_thresh=0.5)
-        via_pipeline = ensemble_pipeline([TtaPass(dets)], self.SCENE, cfg)
-        assert via_pipeline == fuse(dets, cfg)
+        assert fuse(pool(self.SCENE, (dets, "identity", "")), cfg) == fuse(dets, cfg)
 
     def test_rot90_pass_votes_align(self):
         base = [
             det(10, 10, 20, 20, 0.8, source="a"),
             det(40, 60, 55, 70, 0.6, source="a"),
         ]
-        rotated = apply_tta(base, self.SCENE, TtaTransform.rot90())
+        rotated = apply_tta(base, self.SCENE, TtaTransform.parse("rot90"))
         rotated = [
             Detection(d.box, d.class_id, d.score, "b", d.image_id) for d in rotated
         ]
         cfg = FusionConfig(iou_thresh=0.9, min_votes=2)
-        out = ensemble_pipeline(
-            [
-                TtaPass(base, TtaTransform.identity(), source="a"),
-                TtaPass(rotated, TtaTransform.rot90(), source="b"),
-            ],
-            self.SCENE,
-            cfg,
-        )
+        out = fuse(pool(self.SCENE, (base, "identity", "a"), (rotated, "rot90", "b")), cfg)
         assert len(out) == 2
         got = sorted((d.box for d in out), key=lambda b: b.x1)
         want = sorted((d.box for d in base), key=lambda b: b.x1)
@@ -480,11 +479,8 @@ class TestEnsemblePipeline:
 
     def test_unreachable_vote_threshold(self):
         dets = [det(0, 0, 10, 10, 0.9, source="a"), det(0, 0, 10, 10, 0.8, source="b")]
-        out = ensemble_pipeline(
-            [TtaPass(dets[:1], source="a"), TtaPass(dets[1:], source="b")],
-            self.SCENE,
-            FusionConfig(min_votes=3),
-        )
+        passes = (dets[:1], "identity", "a"), (dets[1:], "identity", "b")
+        out = fuse(pool(self.SCENE, *passes), FusionConfig(min_votes=3))
         assert out == []
 
 

@@ -145,15 +145,9 @@ class TestClipBoxes:
 
 
 SCENE = SceneDims(100, 100)
-NINETY_FAMILY = [
-    TtaTransform.identity(),
-    TtaTransform.fliph(),
-    TtaTransform.rot90(),
-    TtaTransform.rot180(),
-    TtaTransform.rot270(),
-    TtaTransform.rot90().then(TtaTransform.fliph()),
-    TtaTransform.rot270().then(TtaTransform.rot270()),
-]
+NINETY_FAMILY = [TtaTransform.parse(t) for t in (
+    "identity", "fliph", "rot90", "rot180", "rot270", "rot90+fliph", "rot270+rot270")]
+ROT90 = TtaTransform.parse("rot90")
 
 
 def random_grid_boxes(rng, n, w, h):
@@ -171,26 +165,25 @@ def random_grid_boxes(rng, n, w, h):
 class TestTta:
     def test_identity(self):
         d = det(10, 20, 30, 40)
-        assert apply_tta([d], SCENE, TtaTransform.identity())[0].box == d.box
+        assert apply_tta([d], SCENE, TtaTransform())[0].box == d.box
 
     def test_rot90_fixture(self):
-        out = apply_tta([det(10, 20, 30, 40)], SCENE, TtaTransform.rot90())
+        out = apply_tta([det(10, 20, 30, 40)], SCENE, ROT90)
         assert out[0].box == Box(60, 10, 80, 30)
 
     def test_scale_fixture(self):
-        out = apply_tta([det(1, 1, 2, 2)], SCENE, TtaTransform.scale(2.0))
+        out = apply_tta([det(1, 1, 2, 2)], SCENE, TtaTransform.parse("scale:2"))
         assert out[0].box == Box(2, 2, 4, 4)
 
     def test_dims_tracking(self):
         scene = SceneDims(200, 100)
-        assert transformed_dims(scene, TtaTransform.rot90()) == SceneDims(100, 200)
-        assert transformed_dims(scene, TtaTransform.scale(0.5)) == SceneDims(100, 50)
-        combo = TtaTransform.rot90().then(TtaTransform.scale(2.0))
+        assert transformed_dims(scene, ROT90) == SceneDims(100, 200)
+        assert transformed_dims(scene, TtaTransform.parse("scale:0.5")) == SceneDims(100, 50)
+        combo = TtaTransform.parse("rot90+scale:2")
         assert transformed_dims(scene, combo) == SceneDims(200, 400)
 
     def test_rot90_four_times_is_identity(self):
-        r = TtaTransform.rot90()
-        t = r.then(r).then(r).then(r)
+        t = TtaTransform.parse("rot90+rot90+rot90+rot90")
         rng = np.random.default_rng(2)
         for d in random_grid_boxes(rng, 100, 100, 100):
             assert apply_tta([d], SCENE, t)[0].box == d.box
@@ -210,7 +203,7 @@ class TestTta:
         scene = SceneDims(700, 500)
         boxes = random_grid_boxes(rng, 200, 700, 500)
         for factor in (0.8, 1.2, 0.7, 0.6, 3.0):
-            t = TtaTransform.scale(factor)
+            t = TtaTransform.parse(f"scale:{factor}")
             back = invert_tta(apply_tta(boxes, scene, t), scene, t)
             for orig, rt in zip(boxes, back):
                 for a, b in zip(
@@ -225,7 +218,7 @@ class TestTta:
         for t in NINETY_FAMILY:
             for orig, moved in zip(boxes, apply_tta(boxes, SCENE, t)):
                 assert moved.box.area == pytest.approx(orig.box.area, rel=1e-12)
-        scaled = apply_tta(boxes, SCENE, TtaTransform.scale(1.5))
+        scaled = apply_tta(boxes, SCENE, TtaTransform.parse("scale:1.5"))
         for orig, moved in zip(boxes, scaled):
             assert moved.box.area == pytest.approx(orig.box.area * 2.25, rel=1e-12)
 
@@ -245,11 +238,12 @@ class TestTta:
 
     def test_inverse_of_identity(self):
         d = det(5, 5, 9, 9)
-        assert invert_tta([d], SCENE, TtaTransform.identity())[0].box == d.box
+        assert invert_tta([d], SCENE, TtaTransform())[0].box == d.box
 
     def test_parse(self):
-        assert TtaTransform.parse("rot90") == TtaTransform.rot90()
-        assert TtaTransform.parse("identity") == TtaTransform.identity()
+        assert TtaTransform.parse("rot90") == TtaTransform((TtaOp(TtaKind.ROT90),))
+        assert TtaTransform.parse("identity") == TtaTransform()
+        assert str(TtaTransform()) == "identity"
         combo = TtaTransform.parse("rot90+scale:1.2")
         assert combo.ops[0].kind.value == "rot90"
         assert combo.ops[1].factor == 1.2
@@ -324,9 +318,9 @@ class TestTtaProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(_ANY_DETS, _SIDE, _SIDE, _TRANSFORM, _TRANSFORM)
-    def test_then_equals_applying_in_turn(self, dets, w, h, t, u):
+    def test_composition_equals_applying_in_turn(self, dets, w, h, t, u):
         scene = SceneDims(w, h)
-        at_once = apply_tta(dets, scene, t.then(u))
+        at_once = apply_tta(dets, scene, TtaTransform(t.ops + u.ops))
         in_turn = apply_tta(apply_tta(dets, scene, t), transformed_dims(scene, t), u)
         assert repr(at_once) == repr(in_turn)
 

@@ -17,12 +17,8 @@ from rfl_lab.losses import (
     LossParams,
     binary_loss_and_grad,
     binary_pt,
-    ce_loss,
     cutoff_factor,
-    focal_loss,
-    loss_grad_pt,
-    loss_value,
-    reduced_focal_loss,
+    loss_at,
     softmax_loss_and_grad,
 )
 
@@ -72,29 +68,28 @@ class TestParamValidation:
             with pytest.raises(ValueError, match=r"threshold\*\*gamma"):
                 LossParams(kind=LossKind.RFL, gamma=gamma, threshold=0.5)
         # FL has no divisor, and th = 1 divides by 1 at any finite gamma.
-        assert focal_loss(0.5, LossParams(kind=LossKind.FL, gamma=2000.0)) == 0.0
+        assert loss_at(0.5, LossParams(kind=LossKind.FL, gamma=2000.0))[0] == 0.0
         rfl_one = LossParams(kind=LossKind.RFL, gamma=2000.0, threshold=1.0)
-        assert reduced_focal_loss(0.5, rfl_one) == ce_loss(0.5)
+        assert loss_at(0.5, rfl_one)[0] == loss_at(0.5, CE)[0]
 
     @pytest.mark.parametrize("pt", [0.0, 1.0, -0.5, 1.5, float("nan")])
     def test_endpoints_rejected(self, pt):
-        for fn in (ce_loss, lambda p: focal_loss(p, FL2),
-                   lambda p: cutoff_factor(p, RFL_HALF),
-                   lambda p: reduced_focal_loss(p, RFL_HALF),
-                   lambda p: loss_grad_pt(p, RFL_HALF)):
+        for params in (CE, FL2, RFL_HALF):
             with pytest.raises(ValueError):
-                fn(pt)
+                loss_at(pt, params)
+            with pytest.raises(ValueError):
+                cutoff_factor(pt, params)
 
 
 class TestFrozenValues:
     def test_ce(self):
-        assert ce_loss(0.5) == pytest.approx(0.6931471805599453, rel=1e-12)
-        assert ce_loss(0.25) == pytest.approx(1.3862943611198906, rel=1e-12)
-        assert ce_loss(1.0 - 1e-9) == pytest.approx(1e-9, rel=1e-6)
+        assert loss_at(0.5, CE)[0] == pytest.approx(0.6931471805599453, rel=1e-12)
+        assert loss_at(0.25, CE)[0] == pytest.approx(1.3862943611198906, rel=1e-12)
+        assert loss_at(1.0 - 1e-9, CE)[0] == pytest.approx(1e-9, rel=1e-6)
 
     def test_focal(self):
-        assert focal_loss(0.25, FL2) == pytest.approx(0.7797905781299321, rel=1e-12)
-        assert focal_loss(0.9, FL2) == pytest.approx(1.0536051565782634e-3, rel=1e-12)
+        assert loss_at(0.25, FL2)[0] == pytest.approx(0.7797905781299321, rel=1e-12)
+        assert loss_at(0.9, FL2)[0] == pytest.approx(1.0536051565782634e-3, rel=1e-12)
 
     def test_cutoff_factor(self):
         assert cutoff_factor(0.25, RFL_HALF) == 1.0
@@ -102,6 +97,11 @@ class TestFrozenValues:
         th_one = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0)
         for pt in PT_GRID:
             assert cutoff_factor(pt, th_one) == 1.0
+
+    def test_cutoff_factor_follows_the_given_kind(self):
+        # loss / CE of the loss it is given: 1 for CE, (1 - pt)^gamma for FL.
+        assert cutoff_factor(0.75, CE) == 1.0
+        assert cutoff_factor(0.75, FL2) == pytest.approx(0.0625, rel=1e-12)
 
     def test_cutoff_factor_jump_below_half_threshold(self):
         # Verbatim case formula: for th < 0.5 the factor exceeds 1 just
@@ -112,19 +112,19 @@ class TestFrozenValues:
 
     def test_reduced_focal(self):
         # High-loss zone: identical to cross entropy.
-        assert reduced_focal_loss(0.25, RFL_HALF) == ce_loss(0.25)
-        assert reduced_focal_loss(0.9, RFL_HALF) == pytest.approx(
+        assert loss_at(0.25, RFL_HALF)[0] == loss_at(0.25, CE)[0]
+        assert loss_at(0.9, RFL_HALF)[0] == pytest.approx(
             4.2144206263130537e-3, rel=1e-12
         )
         # Boundary at th=0.5 has factor exactly 1.
-        assert reduced_focal_loss(0.5, RFL_HALF) == pytest.approx(
+        assert loss_at(0.5, RFL_HALF)[0] == pytest.approx(
             0.6931471805599453, rel=1e-12
         )
 
     def test_grad_values(self):
-        assert loss_grad_pt(0.25, RFL_HALF) == -4.0
-        assert loss_grad_pt(0.9, RFL_HALF) == pytest.approx(-0.12873285697127957, rel=1e-10)
-        assert loss_grad_pt(0.5, CE) == -2.0
+        assert loss_at(0.25, RFL_HALF)[1] == -4.0
+        assert loss_at(0.9, RFL_HALF)[1] == pytest.approx(-0.12873285697127957, rel=1e-10)
+        assert loss_at(0.5, CE)[1] == -2.0
 
 
 class TestIdentities:
@@ -133,8 +133,7 @@ class TestIdentities:
             params = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=th)
             for pt in PT_GRID:
                 if pt < th:
-                    assert reduced_focal_loss(pt, params) == ce_loss(pt)
-                    assert loss_grad_pt(pt, params) == loss_grad_pt(pt, CE)
+                    assert loss_at(pt, params) == loss_at(pt, CE)  # value and slope
 
     def test_scaling_identity_within_2ulp(self):
         for th in TH_GRID:
@@ -143,8 +142,8 @@ class TestIdentities:
                 fparams = LossParams(kind=LossKind.FL, gamma=gamma)
                 for pt in PT_GRID:
                     if pt >= th:
-                        lhs = focal_loss(pt, fparams)
-                        rhs = th**gamma * reduced_focal_loss(pt, params)
+                        lhs = loss_at(pt, fparams)[0]
+                        rhs = th**gamma * loss_at(pt, params)[0]
                         assert abs(lhs - rhs) <= 2 * math.ulp(max(abs(lhs), abs(rhs)))
 
     def test_gamma_zero_collapses_to_ce(self):
@@ -152,8 +151,8 @@ class TestIdentities:
             fl0 = LossParams(kind=LossKind.FL, gamma=0.0)
             rfl0 = LossParams(kind=LossKind.RFL, gamma=0.0, threshold=th)
             for pt in PT_GRID:
-                assert focal_loss(pt, fl0) == ce_loss(pt)
-                assert reduced_focal_loss(pt, rfl0) == ce_loss(pt)
+                assert loss_at(pt, fl0)[0] == loss_at(pt, CE)[0]
+                assert loss_at(pt, rfl0)[0] == loss_at(pt, CE)[0]
 
     def test_ordering_for_upper_half_thresholds(self):
         # FL <= RFL <= CE holds whenever th >= 0.5 (above the threshold the
@@ -164,9 +163,9 @@ class TestIdentities:
                 p_fl = LossParams(kind=LossKind.FL, gamma=gamma)
                 p_rfl = LossParams(kind=LossKind.RFL, gamma=gamma, threshold=th)
                 for pt in PT_GRID:
-                    fl = focal_loss(pt, p_fl)
-                    rfl = reduced_focal_loss(pt, p_rfl)
-                    ce = ce_loss(pt)
+                    fl = loss_at(pt, p_fl)[0]
+                    rfl = loss_at(pt, p_rfl)[0]
+                    ce = loss_at(pt, CE)[0]
                     assert fl <= rfl * (1 + 1e-15)
                     assert rfl <= ce * (1 + 1e-15)
                     if pt < th:
@@ -177,7 +176,7 @@ class TestIdentities:
         for params in (CE, FL2,
                        LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.5),
                        LossParams(kind=LossKind.RFL, gamma=1.0, threshold=0.9)):
-            vals = [loss_value(float(pt), params) for pt in grid]
+            vals = [loss_at(float(pt), params)[0] for pt in grid]
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_value_continuity_at_threshold(self):
@@ -185,10 +184,10 @@ class TestIdentities:
         # th >= 0.5; approach the boundary from both sides.
         for th in (0.5, 0.75, 0.9):
             params = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=th)
-            at = reduced_focal_loss(th, params)
-            below = reduced_focal_loss(th - 1e-10, params)
+            at = loss_at(th, params)[0]
+            below = loss_at(th - 1e-10, params)[0]
             expected_factor = (1.0 - th) ** 2 / th**2
-            assert at == pytest.approx(expected_factor * ce_loss(th), rel=1e-12)
+            assert at == pytest.approx(expected_factor * loss_at(th, CE)[0], rel=1e-12)
             if th == 0.5:
                 assert below == pytest.approx(at, abs=1e-8)
 
@@ -203,8 +202,8 @@ class TestScalarGradients:
                     for pt in PT_GRID:
                         if abs(pt - th) < KINK_BAND:
                             continue
-                        num = central_diff(lambda p: loss_value(p, params), pt)
-                        ana = loss_grad_pt(pt, params)
+                        num = central_diff(lambda p: loss_at(p, params)[0], pt)
+                        ana = loss_at(pt, params)[1]
                         worst = max(worst, rel_err(ana, num))
         assert worst < 1e-6
 

@@ -30,7 +30,6 @@ from rfl_lab.train import (
     TrainConfig,
     TwoStageConfig,
     evaluate_classifier,
-    init_model,
     _sgd,
     lr_at,
     step,
@@ -107,10 +106,11 @@ class TestTrainClassifier:
     def test_zero_epochs_returns_init(self):
         data = separable_two_class()
         [(model, curve)] = train_classifier(data, flat_config(epochs=0, seed=3), [CE])
-        ref = init_model(2, 2, seed=3)
+        # The seed's first child stream draws the weights; the biases are zero.
+        rng_init = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0])
         assert curve == []
-        assert np.array_equal(model.weights, ref.weights)
-        assert np.array_equal(model.biases, ref.biases)
+        assert np.array_equal(model.weights, rng_init.uniform(-0.01, 0.01, size=(2, 2)))
+        assert np.array_equal(model.biases, np.zeros(2))
 
     def test_deterministic(self):
         data = separable_two_class()
@@ -559,7 +559,9 @@ class TestEndToEndGradient:
         X = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
         runs = len(params)
-        W = init_model(3, 4, seed=21).weights + rng.normal(size=(runs, 3, 4)) * 0.3
+        init = Dataset(X, np.arange(8) % 3, np.zeros(8, bool))  # 3 classes, 4 features
+        [(model, _)] = train_classifier(init, flat_config(epochs=0, seed=21), [CE])
+        W = model.weights + rng.normal(size=(runs, 3, 4)) * 0.3
         b = rng.normal(size=(runs, 3)) * 0.1
         _, dW, db = step(X, y, W, b, softmax_head, params)
         h = 1e-6
