@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .ensemble import FusionConfig, ScoreMode, fuse
-from .experiment import (ConfigError, DatasetError, _classifier_data, round_floats,
-                         run_experiment, validate_config)
+from .experiment import (ConfigError, DatasetError, _classifier_data, read_csv_dataset,
+                         round_floats, run_experiment, validate_config)
 from .geometry import (
     SceneDims,
     TtaTransform,
@@ -44,7 +44,7 @@ from .losses import (
     softmax_head,
 )
 from .metrics import (
-    detection_to_json,
+    detection_lines,
     map_and_mrecall,
     not_utf8,
     read_detections_jsonl,
@@ -302,10 +302,15 @@ def cmd_experiment(args) -> int:
         _write_plots(round_floats(report), Path(args.plots))
         print(f"plots written to {args.plots}")
     if args.dump_data:
+        try:  # one read for every seed
+            csv = read_csv_dataset(spec.dataset) if isinstance(spec.dataset, str) else None
+        except DatasetError as exc:
+            print(f"cannot read dataset: {exc}", file=sys.stderr)
+            return 2
         dump_dir = Path(args.dump_data)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for seed in spec.seeds:
-            train_data, _, _ = _classifier_data(spec, seed)
+            train_data, _, _ = _classifier_data(spec, seed, csv)
             write_dataset_csv(train_data, dump_dir / f"dataset_seed{seed}.csv")
         print(f"datasets written to {dump_dir}")
     return 0
@@ -420,8 +425,7 @@ def cmd_fuse(args) -> int:
         write_detections_jsonl(fused, args.out)
         print(f"{len(fused)} fused detections -> {args.out}")
     else:
-        for det in fused:
-            sys.stdout.write(json.dumps(detection_to_json(det), sort_keys=True) + "\n")
+        sys.stdout.writelines(detection_lines(fused))
     return 0
 
 

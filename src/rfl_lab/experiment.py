@@ -363,6 +363,14 @@ def _mean_over_seeds(rows: list[dict]) -> dict:
     return out
 
 
+def read_csv_dataset(path: str) -> Dataset:
+    """A csv_path dataset, or :class:`DatasetError` with the reader's message."""
+    try:
+        return read_dataset_csv(path)
+    except (OSError, ValueError) as exc:
+        raise DatasetError(str(exc)) from exc
+
+
 def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
                      ) -> tuple[Dataset, Dataset, list[int]]:
     """(train set, eval set, class counts) for one seed.
@@ -438,10 +446,7 @@ def run_experiment(config: dict) -> dict:
     if spec.kind == "classifier":
         csv = None
         if isinstance(spec.dataset, str):
-            try:
-                csv = read_dataset_csv(spec.dataset)  # read once
-            except (OSError, ValueError) as exc:
-                raise DatasetError(str(exc)) from exc
+            csv = read_csv_dataset(spec.dataset)  # read once
             _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
             _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
         by_seed = [_classifier_rows(spec, seed, csv) for seed in spec.seeds]

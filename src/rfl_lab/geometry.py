@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .metrics import Box, Detection
+from .metrics import Detection, _derived
 
 
 @dataclass(frozen=True)
@@ -142,28 +142,45 @@ def transformed_dims(scene: SceneDims, t: TtaTransform) -> SceneDims:
     return dims
 
 
-def _apply_op(
-    corners: list[tuple[float, float, float, float]], op: TtaOp, w: float, h: float
-) -> list[tuple[float, float, float, float]]:
-    """Map (x1, y1, x2, y2) corners by one primitive in a (w, h) frame; hull."""
-    kind, s = op.kind, op.factor
-    pts = corners  # identity
-    if kind is TtaKind.FLIP_H:
-        pts = [(w - x1, y1, w - x2, y2) for x1, y1, x2, y2 in corners]
-    elif kind is TtaKind.ROT90:
-        pts = [(h - y1, x1, h - y2, x2) for x1, y1, x2, y2 in corners]
-    elif kind is TtaKind.ROT180:
-        pts = [(w - x1, h - y1, w - x2, h - y2) for x1, y1, x2, y2 in corners]
-    elif kind is TtaKind.ROT270:
-        pts = [(y1, w - x1, y2, w - x2) for x1, y1, x2, y2 in corners]
-    elif kind is TtaKind.SCALE:
-        pts = [(s * x1, s * y1, s * x2, s * y2) for x1, y1, x2, y2 in corners]
-    # min(a, b) is `b if b < a else a` and max(a, b) `b if b > a else a`, NaN too.
-    return [
-        (bx if bx < ax else ax, by if by < ay else ay,
-         bx if bx > ax else ax, by if by > ay else ay)
-        for ax, ay, bx, by in pts
-    ]
+def _steps(scene: SceneDims, t: TtaTransform) -> tuple[tuple[TtaKind, float, float, float], ...]:
+    """Each op of ``t`` as (kind, factor, w, h), (w, h) the frame it maps."""
+    steps, dims = [], scene
+    for op in t.ops:
+        steps.append((op.kind, op.factor, dims.width, dims.height))
+        dims = _op_dims(op, dims)
+    return tuple(steps)
+
+
+# Module names: an enum member is an attribute lookup of about 0.2 us (Python 3.11).
+_FLIP_H, _ROT90, _ROT180, _ROT270, _SCALE = (
+    TtaKind.FLIP_H, TtaKind.ROT90, TtaKind.ROT180, TtaKind.ROT270, TtaKind.SCALE)
+
+
+def _map_box(x1: float, y1: float, x2: float, y2: float,
+             steps: tuple) -> tuple[float, float, float, float]:
+    """Corners mapped by each step in turn, as the corner hull of each map."""
+    for kind, s, w, h in steps:
+        if kind is _FLIP_H:
+            x1, x2 = w - x1, w - x2
+        elif kind is _ROT90:
+            x1, y1, x2, y2 = h - y1, x1, h - y2, x2
+        elif kind is _ROT180:
+            x1, y1, x2, y2 = w - x1, h - y1, w - x2, h - y2
+        elif kind is _ROT270:
+            x1, y1, x2, y2 = y1, w - x1, y2, w - x2
+        elif kind is _SCALE:
+            x1, y1, x2, y2 = s * x1, s * y1, s * x2, s * y2
+        # min(a, b) is `b if b < a else a` and max(a, b) `b if b > a else a`, NaN too.
+        x1, y1, x2, y2 = (x2 if x2 < x1 else x1, y2 if y2 < y1 else y1,
+                          x2 if x2 > x1 else x1, y2 if y2 > y1 else y1)
+    return x1, y1, x2, y2
+
+
+def _map_records(boxes: Sequence[Detection], steps: tuple, source: str) -> list[Detection]:
+    """Each detection mapped by ``steps``, in one pass; the hull keeps corner order."""
+    if not steps and not source:
+        return list(boxes)
+    return [_derived(d, _map_box(*d.box, steps), source or d[3]) for d in boxes]
 
 
 def apply_tta(
@@ -173,17 +190,7 @@ def apply_tta(
 
     A non-empty ``source`` replaces each detection's source tag.
     """
-    if not t.ops and not source:
-        return list(boxes)
-    dims = scene
-    corners = [d.box for d in boxes]
-    for op in t.ops:
-        corners = _apply_op(corners, op, dims.width, dims.height)
-        dims = _op_dims(op, dims)
-    return [
-        Detection(Box(*c), class_id, score, source or tag, image_id)
-        for c, (_, class_id, score, tag, image_id) in zip(corners, boxes)
-    ]
+    return _map_records(boxes, _steps(scene, t), source)
 
 
 def invert_tta(
@@ -196,13 +203,13 @@ def invert_tta(
     90-degree family; scale round trips are within floating-point error.
     A non-empty ``source`` replaces each detection's source tag.
     """
-    return apply_tta(boxes, *_inverse_frame(scene, t), source)
+    return _map_records(boxes, _inverse_steps(scene, t), source)
 
 
 @functools.lru_cache(maxsize=256)
-def _inverse_frame(scene: SceneDims, t: TtaTransform) -> tuple[SceneDims, TtaTransform]:
-    """The transformed frame of ``scene`` under ``t``, and ``t.inverse()``."""
-    return transformed_dims(scene, t), t.inverse()
+def _inverse_steps(scene: SceneDims, t: TtaTransform) -> tuple:
+    """The steps of ``t.inverse()`` from the transformed frame of ``scene``."""
+    return _steps(transformed_dims(scene, t), t.inverse())
 
 
 # Denser grids are refused, not built: a tile costs about 90 bytes and 1.1 us
@@ -281,7 +288,8 @@ def clip_boxes_to_tile(
     ox, oy = tile.origin_x, tile.origin_y
     ex, ey = ox + tile.tile_w, oy + tile.tile_h
     out = []
-    for (bx1, by1, bx2, by2), class_id, score, tag, image_id in boxes:
+    for d in boxes:
+        bx1, by1, bx2, by2 = d[0]
         # Outside the tile; a NaN corner fails these and meets the full tests.
         if (bx1 <= bx2 <= ox or ex <= bx1 <= bx2
                 or by1 <= by2 <= oy or ey <= by1 <= by2):
@@ -294,15 +302,14 @@ def clip_boxes_to_tile(
             continue
         if (x2 - x1) * (y2 - y1) / original < min_visibility:
             continue
-        clipped = Box(x1 - ox, y1 - oy, x2 - ox, y2 - oy)
-        out.append(Detection(clipped, class_id, score, tag, image_id))
+        # Translating keeps the order the tests above left (x1 < x2, y1 < y2).
+        out.append(_derived(d, (x1 - ox, y1 - oy, x2 - ox, y2 - oy), d[3]))
     return out
 
 
 def tile_to_scene(dets: Sequence[Detection], tile: TileSpec) -> list[Detection]:
     """Translate tile-local detections back into scene coordinates."""
     ox, oy = tile.origin_x, tile.origin_y
-    return [
-        Detection(Box(x1 + ox, y1 + oy, x2 + ox, y2 + oy), class_id, score, tag, image_id)
-        for (x1, y1, x2, y2), class_id, score, tag, image_id in dets
-    ]
+    # Rounding is monotone, so the translated corners keep their order.
+    return [_derived(d, (x1 + ox, y1 + oy, x2 + ox, y2 + oy), d[3])
+            for d in dets for x1, y1, x2, y2 in (d[0],)]

@@ -22,8 +22,11 @@ themselves) and therefore never match.
 The records ``Box``, ``Detection`` and ``GroundTruth`` are named tuples,
 cheap enough to build one per box per step: immutable, hashed and
 compared by value, so they equal a plain tuple of the same values.
-``Box`` and ``Detection`` check their values when built (by ``_make``
-and ``_replace`` too).
+Values are checked where they are new: by the public constructors of
+``Box`` and ``Detection`` (``_make`` and ``_replace`` too) and by the
+JSONL reader.  A record derived from a checked one (a tile clip, a
+translation or a TTA map of a ``Detection`` whose box is a ``Box``) is
+built unchecked, since its corner order and score cannot fail.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from math import isfinite
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +46,20 @@ import numpy as np
 _tuple_new = tuple.__new__
 # The records' _make, and so their _replace, runs the checks of __new__.
 _checked_make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
+def _ordered(box: "Box") -> "Box":
+    """``box``, or ValueError when its corners are out of order (a NaN never is)."""
+    if box[2] < box[0] or box[3] < box[1]:
+        raise ValueError(f"box corners out of order: {box}")
+    return box
+
+
+def _unit(score: float) -> float:
+    """``score``, or ValueError when it lies outside [0, 1] (NaN does)."""
+    if not (0.0 <= score <= 1.0):
+        raise ValueError(f"score must be in [0, 1], got {score}")
+    return score
 
 
 class _BoxFields(NamedTuple):
@@ -57,10 +75,7 @@ class Box(_BoxFields):
     __slots__ = ()
 
     def __new__(cls, x1: float, y1: float, x2: float, y2: float) -> "Box":
-        self = _tuple_new(cls, (x1, y1, x2, y2))
-        if x2 < x1 or y2 < y1:
-            raise ValueError(f"box corners out of order: {self}")
-        return self
+        return _ordered(_tuple_new(cls, (x1, y1, x2, y2)))
 
     _make = _checked_make
 
@@ -84,11 +99,22 @@ class Detection(_DetectionFields):
 
     def __new__(cls, box: Box, class_id: int, score: float, source: str = "",
                 image_id: str = "") -> "Detection":
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"score must be in [0, 1], got {score}")
-        return _tuple_new(cls, (box, class_id, score, source, image_id))
+        return _tuple_new(cls, (box, class_id, _unit(score), source, image_id))
 
     _make = _checked_make
+
+
+def _derived(det: Detection, corners: tuple, source: str) -> Detection:
+    """``det`` with new ``corners`` and ``source``, for corners that keep the
+    order of det's box (a translation, a clip or a hull does).
+
+    A ``Detection`` whose box is a ``Box`` was checked when built, so its
+    copy is built unchecked; any other record, a plain tuple say, runs the
+    public constructors' checks.
+    """
+    if type(det) is Detection and type(det[0]) is Box:
+        return _tuple_new(Detection, (_tuple_new(Box, corners), det[1], det[2], source, det[4]))
+    return Detection(Box(*corners), det[1], det[2], source, det[4])
 
 
 class GroundTruth(NamedTuple):
@@ -325,29 +351,57 @@ def map_and_mrecall(
 # share one record parser; a malformed line raises ValueError naming it.
 # ---------------------------------------------------------------------------
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+_DECODER = json.JSONDecoder()
+_float_text = float.__repr__  # how json spells a finite float, of a subclass too
 
-def detection_to_json(det: Detection) -> dict:
-    rec = {"box": list(det.box), "class_id": det.class_id, "score": det.score}
-    if det.image_id:
-        rec["image_id"] = det.image_id
-    if det.source:
-        rec["source"] = det.source
-    return rec
+
+def _jsonl_line(box: Box, class_id: int, image_id: str, score: float | None = None,
+                source: str = "") -> str:
+    """``json.dumps(rec, sort_keys=True)`` and a newline, where ``rec`` holds
+    box, class_id, image_id when not empty, score when given and source
+    when not empty.
+
+    Finite float corners and score, an int class id and str ids are
+    spelled directly, as json spells them; anything else goes through the
+    encoder.
+    """
+    try:
+        corners = ", ".join(map(_float_text, box))
+        score_text = "" if score is None else _float_text(score)
+        direct = ("n" not in corners and "n" not in score_text  # no nan or inf
+                  and type(class_id) is int and type(image_id) is str and type(source) is str)
+    except TypeError:  # a number that is not a float
+        direct = False
+    if direct:
+        image = f', "image_id": {_ENCODE(image_id)}' if image_id else ""
+        scored = f', "score": {score_text}' if score_text else ""
+        tag = f', "source": {_ENCODE(source)}' if source else ""
+        return f'{{"box": [{corners}], "class_id": {class_id}{image}{scored}{tag}}}\n'
+    rec = {"box": list(box), "class_id": class_id}
+    if image_id:
+        rec["image_id"] = image_id
+    if score is not None:
+        rec["score"] = score
+    if source:
+        rec["source"] = source
+    return _ENCODE(rec) + "\n"
+
+
+def detection_lines(dets: Iterable[Detection]) -> Iterator[str]:
+    """One JSONL line per detection, as the readers read it."""
+    return (_jsonl_line(box, class_id, image_id, score, source)
+            for box, class_id, score, source, image_id in dets)
 
 
 def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:
     with open(path, "w") as fh:
-        for det in dets:
-            fh.write(json.dumps(detection_to_json(det), sort_keys=True) + "\n")
+        fh.writelines(detection_lines(dets))
 
 
 def write_groundtruths_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> None:
     with open(path, "w") as fh:
-        for gt in gts:
-            rec: dict = {"box": list(gt.box), "class_id": gt.class_id}
-            if gt.image_id:
-                rec["image_id"] = gt.image_id
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.writelines(_jsonl_line(box, class_id, image_id) for box, class_id, image_id in gts)
 
 
 def _finite(values: list, what: str) -> list[float]:
@@ -371,23 +425,41 @@ def _string(rec: dict, key: str) -> str:
     return value
 
 
+def _json_value(line: str):
+    """``json.loads(line)``; a line of one value and at most a newline skips
+    its per-call set-up, any other runs it for its exact errors."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+        if end == len(line) or line[end:] == "\n":
+            return value
+    except (ValueError, RecursionError):
+        pass
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _parse_record(line: str, scored: bool) -> Detection | GroundTruth:
     """One JSONL line as a detection (``scored``) or a ground truth.
 
     Raises ValueError for anything but an object with a ``box`` of four
     finite numbers in corner order and an integer ``class_id``; a
-    detection's ``score`` defaults to 1 and must lie in [0, 1].
+    detection's ``score`` defaults to 1 and must lie in [0, 1].  Each field
+    is checked once, here, and the records are built unchecked.
     """
-    try:
-        rec = json.loads(line)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+    rec = _json_value(line)
     if type(rec) is not dict:
         raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
     box = rec.get("box")
     if type(box) is not list or len(box) != 4:
         raise ValueError(f"box must be a list of 4 numbers, got {box!r}")
-    corners = Box(*_finite(box, "box coordinates"))
+    x1, y1, x2, y2 = box
+    # Finite floats are what _finite would return; ints and the rest go through it.
+    if not (type(x1) is type(y1) is type(x2) is type(y2) is float
+            and isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+        x1, y1, x2, y2 = _finite(box, "box coordinates")
+    corners = _ordered(_tuple_new(Box, (x1, y1, x2, y2)))
     class_id = rec.get("class_id")
     if type(class_id) is float and class_id.is_integer():
         class_id = int(class_id)
@@ -395,9 +467,12 @@ def _parse_record(line: str, scored: bool) -> Detection | GroundTruth:
         raise ValueError(f"class_id must be an integer, got {class_id!r}")
     image_id = _string(rec, "image_id")
     if not scored:
-        return GroundTruth(corners, class_id, image_id)
-    (score,) = _finite([rec.get("score", 1.0)], "score")
-    return Detection(corners, class_id, score, _string(rec, "source"), image_id)
+        return _tuple_new(GroundTruth, (corners, class_id, image_id))
+    score = rec.get("score", 1.0)
+    if not (type(score) is float and isfinite(score)):
+        (score,) = _finite([score], "score")
+    source = _string(rec, "source")
+    return _tuple_new(Detection, (corners, class_id, _unit(score), source, image_id))
 
 
 def not_utf8(path: str | Path) -> ValueError:

@@ -307,6 +307,57 @@ class TestExperiment:
         report = json.loads(out2.read_text())
         assert report["arms"]["ce"]["mean"]["accuracy"] > 0.8
 
+    def _csv_config(self, tmp_path, seeds):
+        from rfl_lab.sampling import SynthDatasetSpec, generate_synthetic, write_dataset_csv
+
+        data = tmp_path / "data.csv"
+        write_dataset_csv(generate_synthetic(SynthDatasetSpec([40, 10], 3, seed=5)), data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "classifier", "seeds": seeds, "dataset": {"csv_path": str(data)},
+            "train": {"epochs": 1, "batch_size": 16, "lr_schedule": [[100, 0.1]]},
+            "arms": [{"name": "ce", "loss": {"kind": "CE"}}],
+        }))
+        return data, cfg
+
+    def test_dump_data_reads_a_csv_dataset_once_for_every_seed(self, tmp_path, capsys,
+                                                             monkeypatch):
+        import rfl_lab.experiment as experiment
+
+        data, cfg = self._csv_config(tmp_path, [1, 2, 3])
+        reads = []
+        read = experiment.read_dataset_csv
+        monkeypatch.setattr(experiment, "read_dataset_csv",
+                            lambda path: reads.append(path) or read(path))
+        dump = tmp_path / "dump"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"),
+                           "--dump-data", str(dump))
+        assert code == 0, err
+        assert reads == [str(data)] * 2  # the run's read, then one for the dump
+        for seed in (1, 2, 3):
+            assert (dump / f"dataset_seed{seed}.csv").read_bytes() == data.read_bytes()
+
+    def test_dump_data_csv_read_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        import rfl_lab.experiment as experiment
+
+        _, cfg = self._csv_config(tmp_path, [1, 2])
+        read = experiment.read_dataset_csv
+        reads = []
+
+        def read_once(path):
+            reads.append(path)
+            if len(reads) > 1:
+                raise OSError("device went away")
+            return read(path)
+
+        monkeypatch.setattr(experiment, "read_dataset_csv", read_once)
+        dump = tmp_path / "dump"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"),
+                           "--dump-data", str(dump))
+        assert code == 2
+        assert err == "cannot read dataset: device went away\n"
+        assert not dump.exists()
+
     def test_small_two_stage_run(self, tmp_path, capsys):
         cfg_data = {
             "kind": "two_stage",
@@ -801,6 +852,29 @@ class TestFuse:
         assert len(fused) == 1
         assert fused[0].box == Box(10, 10, 20, 20)
         assert fused[0].source == "a+b"
+
+    def test_stdout_bytes_equal_the_out_file(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_detections_jsonl([
+            Detection(Box(10.1 * k, -0.0, 10.1 * k + 7 / 3, 1e16), k % 3, k / 13,
+                      source="m\u00e9", image_id=["sc\u00e8ne", "", "x\"y"][k % 3])
+            for k in range(12)], a)
+        write_detections_jsonl([
+            Detection(Box(10.1 * k + 0.05, 0.0, 10.1 * k + 2.3, 1e16), k % 3, 1.0, image_id=i)
+            for k in range(12) for i in ["sc\u00e8ne", "", "x\"y"]], b)
+        out = tmp_path / "fused.jsonl"
+        code, _, _ = run(capsys, "fuse", str(a), str(b), "--out", str(out))
+        assert code == 0
+        code, stdout, _ = run(capsys, "fuse", str(a), str(b))
+        assert code == 0
+        assert stdout.encode() == out.read_bytes()
+        lines = stdout.splitlines()
+        assert len(lines) > 12 and any("\\u00e8" in line for line in lines)
+        for line, det in zip(lines, read_detections_jsonl(out)):
+            rec = {"box": list(det.box), "class_id": det.class_id, "score": det.score}
+            rec.update({k: v for k, v in (("image_id", det.image_id), ("source", det.source))
+                        if v})
+            assert line == json.dumps(rec, sort_keys=True)
 
     def test_transform_without_scene_exit_2(self, tmp_path, capsys):
         src = tmp_path / "d.jsonl"

@@ -371,6 +371,68 @@ class TestClipProperties:
         assert len(out) == 1 and math.isnan(out[0].box.x1)
 
 
+def reference_tile_to_scene(dets, tile):
+    """The plain loop: translate both corners by the tile origin."""
+    ox, oy = tile.origin_x, tile.origin_y
+    return [Detection(Box(d.box.x1 + ox, d.box.y1 + oy, d.box.x2 + ox, d.box.y2 + oy),
+                      d.class_id, d.score, d.source, d.image_id) for d in dets]
+
+
+_ORIGIN = st.one_of(_ANY, st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]))
+
+
+class TestTileToSceneProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_DETS, _ORIGIN, _ORIGIN)
+    def test_equals_reference_loop(self, dets, ox, oy):
+        tile = TileSpec(ox, oy, 700.0, 700.0)
+        out = tile_to_scene(dets, tile)
+        assert repr(out) == repr(reference_tile_to_scene(dets, tile))
+        assert all(type(d) is Detection and type(d.box) is Box for d in out)
+
+
+class TestPlainTuples:
+    """A record that is not a Detection with a Box gets the constructors' checks
+    (tile_to_scene, clip_boxes_to_tile), or is refused by invert_tta, which
+    reads ``.box``; an identity inversion without a source returns it as is."""
+
+    TILE = TileSpec(100.0, 100.0, 50.0, 50.0)
+    HIGH_SCORE = ((110.0, 110.0, 120.0, 130.0), 2, 1.5, "s", "img")
+    X_REVERSED = ((120.0, 110.0, 110.0, 130.0), 2, 0.5, "s", "img")
+    Y_REVERSED = ((110.0, 130.0, 120.0, 110.0), 2, 0.5, "s", "img")
+    FINE = ((110.0, 110.0, 120.0, 130.0), 2, 0.5, "s", "img")
+
+    def test_tile_to_scene(self):
+        with pytest.raises(ValueError, match=r"^score must be in \[0, 1\], got 1.5$"):
+            tile_to_scene([self.HIGH_SCORE], self.TILE)
+        for rec, shown in ((self.X_REVERSED, "x1=220.0, y1=210.0, x2=210.0, y2=230.0"),
+                           (self.Y_REVERSED, "x1=210.0, y1=230.0, x2=220.0, y2=210.0")):
+            for record in (rec, Detection(*rec)):  # a Detection with a tuple box too
+                with pytest.raises(ValueError) as exc:
+                    tile_to_scene([record], self.TILE)
+                assert str(exc.value) == f"box corners out of order: Box({shown})"
+        (out,) = tile_to_scene([self.FINE], self.TILE)
+        assert repr(out) == repr(det(210.0, 210.0, 220.0, 230.0, class_id=2, score=0.5,
+                                     source="s", image_id="img"))
+
+    def test_clip_boxes_to_tile(self):
+        with pytest.raises(ValueError, match=r"^score must be in \[0, 1\], got 1.5$"):
+            clip_boxes_to_tile([self.HIGH_SCORE], self.TILE)
+        assert clip_boxes_to_tile([self.X_REVERSED, self.Y_REVERSED], self.TILE) == []
+        (out,) = clip_boxes_to_tile([self.FINE], self.TILE)
+        assert repr(out) == repr(det(10.0, 10.0, 20.0, 30.0, class_id=2, score=0.5,
+                                     source="s", image_id="img"))
+
+    @pytest.mark.parametrize("rec", [HIGH_SCORE, X_REVERSED, FINE])
+    def test_invert_tta(self, rec):
+        scene = SceneDims(40.0, 30.0)
+        (same,) = invert_tta([rec], scene, TtaTransform())
+        assert same is rec
+        for spec, source in (("identity", "x"), ("fliph", ""), ("rot90", "x")):
+            with pytest.raises(AttributeError, match="'tuple' object has no attribute 'box'"):
+                invert_tta([rec], scene, TtaTransform.parse(spec), source)
+
+
 class TestTileCoverProperties:
     def test_last_tile_reaches_a_rounded_far_edge(self):
         # 1.1 * 6 rounds up to 6.6000000000000005, and (h - 1.1) + 1.1 falls

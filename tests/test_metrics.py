@@ -5,13 +5,14 @@ area from scratch using ``fractions.Fraction``, sharing no code with the
 module under test, and serves as ground truth for randomized fixtures.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfl_lab.geometry import TileSpec
@@ -20,6 +21,7 @@ from rfl_lab.metrics import (
     Detection,
     GroundTruth,
     _iou_matrix,
+    _parse_record,
     average_precision,
     iou,
     map_and_mrecall,
@@ -349,6 +351,94 @@ def dense_fixture(rng, classes):
     return gts, dets
 
 
+def _ordered_corners(a, b, c, d):
+    def ends(p, q):
+        return (p, q) if p != p or q != q or q >= p else (q, p)  # NaN stays put
+
+    (x1, x2), (y1, y2) = ends(a, b), ends(c, d)
+    return x1, y1, x2, y2
+
+
+_WRITE_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.integers(-10**6, 10**6), st.sampled_from([-0.0, 0.0, 1e16, 1e-7]),
+                          st.floats(-1e3, 1e3).map(np.float64))
+_WRITE_BOX = st.tuples(_WRITE_NUMBER, _WRITE_NUMBER, _WRITE_NUMBER, _WRITE_NUMBER).map(
+    lambda v: _ordered_corners(*v))
+_WRITE_CLASS = st.one_of(st.integers(-3, 10**20), st.booleans())
+_WRITE_SCORE = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0, 1.0]),
+                         st.floats(0.0, 1.0).map(np.float64))
+_WRITE_ID = st.one_of(st.just(""), st.text(max_size=4), st.sampled_from(["sc\u00e8ne", 'a"b\\']),
+                      st.integers(0, 2))
+
+
+def reference_parse_record(line, scored):
+    """The reader's checks spelled as a plain sequence on the public constructors."""
+    try:
+        rec = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if type(rec) is not dict:
+        raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
+
+    def finite(values, what):
+        if not all(type(v) in (float, int) for v in values):
+            raise ValueError(f"{what} must be numbers, got {values!r}")
+        try:
+            out = [float(v) for v in values]
+        except OverflowError:
+            out = [math.inf]
+        if not all(math.isfinite(v) for v in out):
+            raise ValueError(f"{what} must be finite, got {values!r}")
+        return out
+
+    def string(key):
+        value = rec.get(key, "")
+        if type(value) is not str:
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        return value
+
+    box = rec.get("box")
+    if type(box) is not list or len(box) != 4:
+        raise ValueError(f"box must be a list of 4 numbers, got {box!r}")
+    corners = Box(*finite(box, "box coordinates"))
+    class_id = rec.get("class_id")
+    if type(class_id) is float and class_id.is_integer():
+        class_id = int(class_id)
+    if type(class_id) is not int:
+        raise ValueError(f"class_id must be an integer, got {class_id!r}")
+    image_id = string("image_id")
+    if not scored:
+        return GroundTruth(corners, class_id, image_id)
+    (score,) = finite([rec.get("score", 1.0)], "score")
+    return Detection(corners, class_id, score, string("source"), image_id)
+
+
+_JSON_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                         st.integers(-10**20, 10**20), st.just(10**400),
+                         st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0]))
+_JSON_OTHER = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                        st.lists(_JSON_NUMBER, max_size=5))
+_JSON_BOX = st.one_of(
+    st.lists(st.one_of(st.integers(-9, 9), st.floats(-9.0, 9.0)), min_size=4, max_size=4),
+    st.lists(st.one_of(_JSON_NUMBER, _JSON_OTHER), min_size=4, max_size=4),
+    _JSON_NUMBER, _JSON_OTHER)
+_JSON_RECORD = st.fixed_dictionaries({}, optional={
+    "box": _JSON_BOX,
+    "class_id": st.one_of(st.integers(-3, 3), _JSON_NUMBER, _JSON_OTHER),
+    "score": st.one_of(st.floats(0.0, 1.0), _JSON_NUMBER, _JSON_OTHER),
+    "image_id": st.one_of(st.text(max_size=3), _JSON_OTHER),
+    "source": st.one_of(st.text(max_size=3), _JSON_OTHER),
+})
+_LINE = st.one_of(
+    st.builds(lambda rec, pre, post: pre + json.dumps(rec) + post, _JSON_RECORD,
+              st.sampled_from(["", "", " ", "\t", "\ufeff"]),
+              st.sampled_from(["\n", "\n", "", " \n", "\r\n", " \x0b\n", " {}\n", ",\n"])),
+    st.builds(lambda v: json.dumps(v) + "\n", st.one_of(_JSON_NUMBER, _JSON_OTHER)),
+    st.sampled_from(["{not json\n", "[" * 3000 + "\n", '{"box": [0, 0, 1, 1], "class_id": 0'
+                     ', "x": ' + "[" * 100000 + "\n"]),
+)
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -398,6 +488,42 @@ class TestJsonl:
         if '"score"' not in line and '"source"' not in line:
             with pytest.raises(ValueError, match="line 2"):
                 read_groundtruths_jsonl(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_WRITE_BOX, _WRITE_CLASS, _WRITE_SCORE, _WRITE_ID, _WRITE_ID),
+                    max_size=6))
+    def test_lines_are_json_dumps_of_the_record(self, tmp_path_factory, rows):
+        dets = [Detection(Box(*corners), *rest) for corners, *rest in rows]
+        gts = [GroundTruth(d.box, d.class_id, d.image_id) for d in dets]
+        path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
+        want = []
+        for d in dets:
+            rec = {"box": list(d.box), "class_id": d.class_id, "score": d.score}
+            rec.update({k: v for k, v in (("image_id", d.image_id), ("source", d.source)) if v})
+            want.append(json.dumps(rec, sort_keys=True) + "\n")
+        write_detections_jsonl(dets, path)
+        assert path.read_bytes() == "".join(want).encode()
+        want = []
+        for g in gts:
+            rec = {"box": list(g.box), "class_id": g.class_id}
+            rec.update({"image_id": g.image_id} if g.image_id else {})
+            want.append(json.dumps(rec, sort_keys=True) + "\n")
+        write_groundtruths_jsonl(gts, path)
+        assert path.read_bytes() == "".join(want).encode()
+
+    @settings(max_examples=500, deadline=None)
+    @given(_LINE, st.booleans())
+    @example('{"box": [0, 0, 1, 1], "class_id": 0, "score": 1.5, "source": 5}\n', True)
+    @example('{"box": [0, 0, 1, 1], "class_id": 0, "score": 1e400, "image_id": 5}\n', True)
+    @example('{"box": [1, 0, 0, 1e400], "class_id": 0.5}\n', False)
+    @example('\ufeff{"box": [0, 0, 1, 1], "class_id": 0}\n', False)
+    @example('{"box": [0, 0, 1, 1], "class_id": 0} \x0b\n', True)
+    @example('{"box": [0, 0, 1, 1], "class_id": 0}\t\r\n', True)
+    def test_parser_equals_reference(self, line, scored):
+        got = _outcome(_parse_record, line, scored)
+        want = _outcome(reference_parse_record, line, scored)
+        assert (got if isinstance(got, str) else repr(got)) == (
+            want if isinstance(want, str) else repr(want))
 
     def test_integral_float_class_id_and_default_score(self, tmp_path):
         path = tmp_path / "ok.jsonl"
