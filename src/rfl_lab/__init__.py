@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 from .losses import (  # noqa: F401
     LossKind,
     LossParams,
-    binary_loss_and_grad,
     cutoff_factor,
     loss_at,
-    softmax_loss_and_grad,
 )
 from .metrics import (  # noqa: F401
     Box,

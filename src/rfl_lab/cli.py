@@ -35,14 +35,7 @@ from .geometry import (
     tile_axis_counts,
     tile_grid,
 )
-from .losses import (
-    LossKind,
-    LossParams,
-    binary_loss_and_grad,
-    cutoff_factor,
-    loss_at,
-    softmax_head,
-)
+from .losses import LossKind, LossParams, cutoff_factor, loss_at, run_gradcheck
 from .metrics import (
     detection_lines,
     map_and_mrecall,
@@ -53,12 +46,6 @@ from .metrics import (
 )
 from .sampling import write_dataset_csv
 from . import svg
-
-# Gradient-check grid shared with the test suite.
-PT_GRID = [0.01] + [k * 0.05 for k in range(1, 20)] + [0.99]
-GAMMA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
-TH_GRID = [0.25, 0.5, 0.9]
-FD_STEP = 1e-6  # central-difference step
 
 
 def _fmt(value: float) -> str:
@@ -110,81 +97,6 @@ def cmd_loss_table(args) -> int:
 # ---------------------------------------------------------------------------
 # gradcheck
 # ---------------------------------------------------------------------------
-
-
-def _rel_err(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(abs(numeric), 1e-12)
-
-
-def _central(f, x: float, h: float = FD_STEP) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def run_gradcheck(kink_band: float, negate: bool = False):
-    """Full finite-difference grid; returns (worst, sections).
-
-    ``worst`` is a dict describing the largest relative error seen;
-    ``sections`` maps check names to their maximum relative error.
-    """
-    flip = -1.0 if negate else 1.0
-    worst = {"rel_err": 0.0, "where": "", "at_kink": False}
-    sections: dict[str, float] = {}
-
-    def record(section: str, err: float, where: str, at_kink: bool) -> None:
-        sections[section] = max(sections.get(section, 0.0), err)
-        if err > worst["rel_err"]:
-            worst.update(rel_err=err, where=where, at_kink=at_kink)
-
-    rng = np.random.default_rng(12345)
-    logit_vectors = [rng.normal(size=k) for k in (2, 5, 5, 8) for _ in range(4)]
-    # Logit vectors realizing each grid pt exactly (softmax[0] = pt), plus
-    # a few random ones for off-grid coverage.
-    grid_vectors = []
-    for pt in PT_GRID:
-        for k in (2, 5):
-            z = np.zeros(k)
-            z[0] = math.log(pt * (k - 1) / (1.0 - pt))
-            grid_vectors.append((pt, z))
-    for z in logit_vectors:  # pt as the head sees it: exp(-CE loss)
-        ce, _ = softmax_head(z[None, None].copy(), np.zeros(1, int), [LossParams(LossKind.CE)])
-        grid_vectors.append((math.exp(-ce[0, 0]), z))
-
-    for kind in LossKind:
-        for gamma in GAMMA_GRID:
-            for th in TH_GRID:
-                params = LossParams(kind=kind, gamma=gamma, threshold=th)
-                label = f"{kind.value} gamma={gamma} th={th}"
-                for pt in PT_GRID:
-                    at_kink = abs(pt - th) < 1e-12
-                    if kink_band > 0 and abs(pt - th) < kink_band:
-                        continue
-                    ana = flip * loss_at(pt, params)[1]
-                    num = _central(lambda p: loss_at(p, params)[0], pt)
-                    record("scalar", _rel_err(ana, num),
-                           f"scalar {label} pt={pt:g}", at_kink)
-
-                    for y in (0, 1):
-                        target = pt if y == 1 else 1.0 - pt
-                        z = math.log(target / (1.0 - target))
-                        _, g = binary_loss_and_grad(z, y, params)
-                        num = _central(lambda v: binary_loss_and_grad(v, y, params)[0], z)
-                        record("binary", _rel_err(flip * g, num),
-                               f"binary {label} pt={pt:g} label={y}", at_kink)
-
-                for pt, z in grid_vectors:
-                    at_kink = abs(pt - th) < 1e-12
-                    if kink_band > 0 and abs(pt - th) < kink_band:
-                        continue
-                    # One head call: row 0 is z, rows 2j+1 and 2j+2 move z_j by +h and -h.
-                    k, j = len(z), np.arange(len(z))
-                    rows = np.repeat(z[None], 2 * k + 1, axis=0)
-                    rows[2 * j + 1, j], rows[2 * j + 2, j] = z + FD_STEP, z - FD_STEP
-                    losses, grads = softmax_head(rows[None], np.zeros(2 * k + 1, int), [params])
-                    num = (losses[0, 1::2] - losses[0, 2::2]) / (2.0 * FD_STEP)
-                    for j in range(k):
-                        record("softmax", _rel_err(flip * grads[0, 0, j], num[j]),
-                               f"softmax {label} pt={pt:g} component {j}", at_kink)
-    return worst, sections
 
 
 def cmd_gradcheck(args) -> int:

@@ -371,18 +371,18 @@ def read_csv_dataset(path: str) -> Dataset:
         raise DatasetError(str(exc)) from exc
 
 
-def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
+def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None
                      ) -> tuple[Dataset, Dataset, list[int]]:
     """(train set, eval set, class counts) for one seed.
 
     Synthetic specs draw a fresh long-tailed training set plus a
     balanced noise-free eval set from the same class means; a csv_path
-    dataset is fixed across seeds (seeds still steer training) and is
-    evaluated on itself.  ``csv`` is that dataset when already read.
+    dataset, read once by the caller and passed as ``csv`` (None for a
+    synthetic spec), is fixed across seeds (seeds still steer training)
+    and is evaluated on itself.
     """
-    if isinstance(spec.dataset, str):
-        data = read_dataset_csv(spec.dataset) if csv is None else csv
-        return data, data, np.bincount(data.y).tolist()
+    if csv is not None:
+        return csv, csv, np.bincount(csv.y).tolist()
 
     train_spec = replace(spec.dataset, seed=seed)
     eval_spec = replace(train_spec, class_counts=[spec.eval] * train_spec.num_classes,
@@ -391,7 +391,7 @@ def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
     return generate_synthetic(train_spec), generate_synthetic(eval_spec), counts
 
 
-def _classifier_rows(spec: ExperimentSpec, seed: int, csv: Dataset | None = None
+def _classifier_rows(spec: ExperimentSpec, seed: int, csv: Dataset | None
                      ) -> dict[str, dict]:
     """One seed of every arm; arms with one undersample policy train in lockstep."""
     train_data, eval_data, counts = _classifier_data(spec, seed, csv)

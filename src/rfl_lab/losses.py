@@ -27,12 +27,13 @@ wire it to model outputs and return the analytic gradient with respect
 to the logits: :func:`softmax_head` (multiclass, K classes) and
 :func:`sigmoid_head` (binary, K = 1).  Both take stacked logits of shape
 (R, n, K), one loss per stacked model, and return losses (R, n) and
-logit gradients (R, n, K).  The SGD step ``train.step`` and the
-one-sample composites :func:`softmax_loss_and_grad` and
-:func:`binary_loss_and_grad` are calls of these heads, so ``rfl-lab
-gradcheck`` checks the gradient that trains.  :func:`loss_at` rejects pt
-outside the open interval (0, 1); the heads instead clamp pt to
-[1e-12, 1 - 1e-12] so training survives saturated outputs.
+logit gradients (R, n, K).  The SGD step ``train.step`` calls these
+heads, and so does :func:`run_gradcheck` (``rfl-lab gradcheck``): its
+binary section is one stacked sigmoid-head call per loss, so it checks
+the gradient that trains.  :func:`loss_at` rejects pt outside the open
+interval (0, 1); the heads instead clamp pt to [1e-12, 1 - 1e-12] so
+training survives saturated outputs.  Their callers validate the logits
+and labels they pass.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
@@ -178,31 +179,89 @@ def sigmoid_head(z: np.ndarray, sign: np.ndarray,
     return losses, (dpt * pt * one_minus * sign)[:, :, None]
 
 
-def softmax_loss_and_grad(
-    logits: np.ndarray, gt: int, params: LossParams
-) -> tuple[float, np.ndarray]:
-    """Selected loss of softmax(logits)[gt] and its gradient wrt the logits:
-    one row of :func:`softmax_head`."""
-    z = np.array(logits, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] < 2:
-        raise ValueError("logits must be a 1-D vector of length >= 2")
-    if not (0 <= gt < z.shape[0]):
-        raise ValueError(f"gt index {gt} out of range for {z.shape[0]} classes")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    losses, grad = softmax_head(z[None, None], np.array([gt]), [params])
-    return float(losses[0, 0]), grad[0, 0]
+# The grids of :func:`run_gradcheck`, which the identity tests share.
+PT_GRID = [0.01] + [k * 0.05 for k in range(1, 20)] + [0.99]
+GAMMA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
+TH_GRID = [0.25, 0.5, 0.9]
+FD_STEP = 1e-6  # central-difference step
 
 
-def binary_loss_and_grad(
-    logit: float, label: int, params: LossParams
-) -> tuple[float, float]:
-    """(loss, dloss/dlogit) of a sigmoid binary head: one row of
-    :func:`sigmoid_head`."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    if not math.isfinite(logit):
-        raise ValueError("logit must be finite")
-    sign = np.array([1.0 if label == 1 else -1.0])
-    losses, grad = sigmoid_head(np.array([[[logit]]], dtype=np.float64), sign, [params])
-    return float(losses[0, 0]), float(grad[0, 0, 0])
+def _rel_err(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(abs(numeric), 1e-12)
+
+
+def run_gradcheck(kink_band: float, negate: bool = False):
+    """Central differences against the analytic gradients of :func:`loss_at`
+    and both heads, for every loss on the grids; returns (worst, sections).
+
+    ``sections`` maps "scalar", "binary" and "softmax" to the largest
+    relative error seen there; ``worst`` is a dict describing the largest
+    of all.  Grid pts within ``kink_band`` of th are skipped, and
+    ``negate`` flips every analytic gradient (a negative control).  Each
+    head runs on stacked rows: the sigmoid head once per loss on the logit
+    of every (grid pt, label) and its copies moved by +h and -h, the
+    softmax head once per loss and logit vector.
+    """
+    flip = -1.0 if negate else 1.0
+    worst = {"rel_err": 0.0, "where": "", "at_kink": False}
+    sections: dict[str, float] = {}
+
+    def record(section: str, err: float, where: str, at_kink: bool) -> None:
+        sections[section] = max(sections.get(section, 0.0), err)
+        if err > worst["rel_err"]:
+            worst.update(rel_err=err, where=where, at_kink=at_kink)
+
+    rng = np.random.default_rng(12345)
+    logit_vectors = [rng.normal(size=k) for k in (2, 5, 5, 8) for _ in range(4)]
+    # Logit vectors realizing each grid pt exactly (softmax[0] = pt), plus
+    # a few random ones for off-grid coverage.
+    grid_vectors = []
+    for pt in PT_GRID:
+        for k in (2, 5):
+            z = np.zeros(k)
+            z[0] = math.log(pt * (k - 1) / (1.0 - pt))
+            grid_vectors.append((pt, z))
+    for z in logit_vectors:  # pt as the head sees it: exp(-CE loss)
+        ce, _ = softmax_head(z[None, None].copy(), np.zeros(1, int), [LossParams(LossKind.CE)])
+        grid_vectors.append((math.exp(-ce[0, 0]), z))
+    # Row 2i + y is the logit whose label-y pt is PT_GRID[i]; the next n rows
+    # move each by +h, the last n by -h.
+    z = np.array([math.log(t / (1.0 - t)) for pt in PT_GRID for t in (1.0 - pt, pt)])
+    n = len(z)
+    binary_z = np.concatenate([z, z + FD_STEP, z - FD_STEP])[None, :, None]
+    binary_sign = np.tile([-1.0, 1.0], 3 * len(PT_GRID))
+
+    for kind in LossKind:
+        for gamma in GAMMA_GRID:
+            for th in TH_GRID:
+                params = LossParams(kind=kind, gamma=gamma, threshold=th)
+                label = f"{kind.value} gamma={gamma} th={th}"
+                losses, grads = sigmoid_head(binary_z, binary_sign, [params])
+                binary_ana = (flip * grads[0, :n, 0]).tolist()
+                binary_num = ((losses[0, n:2 * n] - losses[0, 2 * n:]) / (2.0 * FD_STEP)).tolist()
+                for i, pt in enumerate(PT_GRID):
+                    at_kink = abs(pt - th) < 1e-12
+                    if kink_band > 0 and abs(pt - th) < kink_band:
+                        continue
+                    ana = flip * loss_at(pt, params)[1]
+                    num = (loss_at(pt + FD_STEP, params)[0]
+                           - loss_at(pt - FD_STEP, params)[0]) / (2.0 * FD_STEP)
+                    record("scalar", _rel_err(ana, num), f"scalar {label} pt={pt:g}", at_kink)
+                    for y in (0, 1):
+                        record("binary", _rel_err(binary_ana[2 * i + y], binary_num[2 * i + y]),
+                               f"binary {label} pt={pt:g} label={y}", at_kink)
+
+                for pt, z in grid_vectors:
+                    at_kink = abs(pt - th) < 1e-12
+                    if kink_band > 0 and abs(pt - th) < kink_band:
+                        continue
+                    # One head call: row 0 is z, rows 2j+1 and 2j+2 move z_j by +h and -h.
+                    k, j = len(z), np.arange(len(z))
+                    rows = np.repeat(z[None], 2 * k + 1, axis=0)
+                    rows[2 * j + 1, j], rows[2 * j + 2, j] = z + FD_STEP, z - FD_STEP
+                    losses, grads = softmax_head(rows[None], np.zeros(2 * k + 1, int), [params])
+                    num = (losses[0, 1::2] - losses[0, 2::2]) / (2.0 * FD_STEP)
+                    for j in range(k):
+                        record("softmax", _rel_err(flip * grads[0, 0, j], num[j]),
+                               f"softmax {label} pt={pt:g} component {j}", at_kink)
+    return worst, sections

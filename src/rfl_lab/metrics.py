@@ -351,7 +351,8 @@ def map_and_mrecall(
 # share one record parser; a malformed line raises ValueError naming it.
 # ---------------------------------------------------------------------------
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+# json.dumps builds one per call; NaN and Infinity are not JSON, and the readers reject them.
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 _DECODER = json.JSONDecoder()
 _float_text = float.__repr__  # how json spells a finite float, of a subclass too
 
@@ -364,7 +365,7 @@ def _jsonl_line(box: Box, class_id: int, image_id: str, score: float | None = No
 
     Finite float corners and score, an int class id and str ids are
     spelled directly, as json spells them; anything else goes through the
-    encoder.
+    encoder.  A NaN or infinite value raises ValueError naming the record.
     """
     try:
         corners = ", ".join(map(_float_text, box))
@@ -385,7 +386,10 @@ def _jsonl_line(box: Box, class_id: int, image_id: str, score: float | None = No
         rec["score"] = score
     if source:
         rec["source"] = source
-    return _ENCODE(rec) + "\n"
+    try:
+        return _ENCODE(rec) + "\n"
+    except ValueError:
+        raise ValueError(f"cannot write a NaN or infinite value as JSON: {rec}") from None
 
 
 def detection_lines(dets: Iterable[Detection]) -> Iterator[str]:

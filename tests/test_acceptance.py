@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfl_lab.cli import run_gradcheck
 from rfl_lab.ensemble import FusionConfig, fuse
 from rfl_lab.experiment import round_floats, run_experiment
 from rfl_lab.geometry import (
@@ -31,15 +30,13 @@ from rfl_lab.geometry import (
     invert_tta,
     tile_grid,
 )
-from rfl_lab.losses import LossKind, LossParams, loss_at
+from rfl_lab.losses import (GAMMA_GRID, PT_GRID, TH_GRID, LossKind, LossParams, loss_at,
+                             run_gradcheck)
 from rfl_lab.metrics import Box, Detection, average_precision, GroundTruth
 
 from test_metrics import oracle_ap, random_fixture, to_oracle
 
 REPO = Path(__file__).resolve().parent.parent
-PT_GRID = [0.01] + [k * 0.05 for k in range(1, 20)] + [0.99]
-GAMMA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
-TH_GRID = [0.25, 0.5, 0.9]
 
 
 def criterion(name):
@@ -76,7 +73,7 @@ def two_stage_report():
     return report
 
 
-@criterion("gradient suite (rel err < 1e-6 scalar, < 1e-5 composites, < 10 s)")
+@criterion("gradient suite (rel err < 1e-6 scalar, < 1e-5 heads, < 10 s)")
 def test_gradient_suite():
     start = time.perf_counter()
     worst, sections = run_gradcheck(kink_band=1e-4)

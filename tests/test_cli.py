@@ -883,6 +883,18 @@ class TestFuse:
         assert code == 2
         assert "--scene" in err
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_non_finite_result_exit_2_names_the_record(self, tmp_path, capsys, to_file):
+        # Undoing a 1e-307 scale maps corner 20 to inf, which is not JSON.
+        src = tmp_path / "a.jsonl"
+        write_detections_jsonl([Detection(Box(10, 10, 20, 20), 0, 0.9)], src)
+        out = ["--out", str(tmp_path / "f.jsonl")] if to_file else []
+        code, _, err = run(capsys, "fuse", str(src), "--transform", "scale:1e-307",
+                           "--scene", "1e300x1e300", *out)
+        assert code == 2
+        assert err == ("error: cannot write a NaN or infinite value as JSON: "
+                       "{'box': [1e+308, 1e+308, inf, inf], 'class_id': 0, 'score': 0.9}\n")
+
     def test_garbled_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n")

@@ -9,27 +9,29 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfl_lab.losses import (
+    FD_STEP,
+    GAMMA_GRID,
     PT_CLAMP_HI,
     PT_CLAMP_LO,
+    PT_GRID,
+    TH_GRID,
     LossKind,
     LossParams,
-    binary_loss_and_grad,
     binary_pt,
     cutoff_factor,
+    loss_and_dpt,
     loss_at,
-    softmax_loss_and_grad,
+    sigmoid_head,
+    softmax_head,
 )
 
 CE = LossParams(kind=LossKind.CE)
 FL2 = LossParams(kind=LossKind.FL, gamma=2.0)
 RFL_HALF = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.5)
-
-# Shared evaluation grid (kept in sync with the acceptance gradient suite).
-PT_GRID = [0.01] + [k * 0.05 for k in range(1, 20)] + [0.99]
-GAMMA_GRID = [0.0, 0.5, 1.0, 2.0, 5.0]
-TH_GRID = [0.25, 0.5, 0.9]
 KINK_BAND = 1e-4
 
 
@@ -208,93 +210,181 @@ class TestScalarGradients:
         assert worst < 1e-6
 
 
-class TestSoftmaxComposite:
+def softmax_rows(z, y, params):
+    """Losses (n,) and logit gradients (n, C) of the softmax head under one
+    loss, on rows ``z`` (n, C) with labels ``y``."""
+    losses, grads = softmax_head(np.array(z, dtype=np.float64)[None], np.asarray(y), [params])
+    return losses[0], grads[0]
+
+
+def sigmoid_rows(z, labels, params):
+    """Losses (n,) and logit gradients (n,) of the sigmoid head under one
+    loss, on the logits ``z`` (n,) with 0/1 ``labels``."""
+    sign = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+    losses, grads = sigmoid_head(np.array(z, dtype=np.float64)[None, :, None], sign, [params])
+    return losses[0], grads[0, :, 0]
+
+
+class TestSoftmaxHead:
     def test_uniform_logits_ce(self):
-        loss, _ = softmax_loss_and_grad(np.zeros(4), 0, CE)
-        assert loss == pytest.approx(math.log(4.0), rel=1e-12)
+        loss, _ = softmax_rows([np.zeros(4)], [0], CE)
+        assert loss[0] == pytest.approx(math.log(4.0), rel=1e-12)
 
     def test_two_class_boundary_rfl(self):
-        loss, _ = softmax_loss_and_grad(np.array([0.0, 0.0]), 0, RFL_HALF)
-        assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+        loss, _ = softmax_rows([[0.0, 0.0]], [0], RFL_HALF)
+        assert loss[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
+        vectors = [rng.normal(size=5) for _ in range(20)]
+        j = np.arange(5)
         for kind in LossKind:
             params = LossParams(kind=kind, gamma=2.0, threshold=0.5)
-            for _ in range(20):
-                z = rng.normal(size=5)
-                _, grad = softmax_loss_and_grad(z, 2, params)
-                for j in range(5):
-                    def f(v, j=j):
-                        zz = z.copy()
-                        zz[j] = v
-                        return softmax_loss_and_grad(zz, 2, params)[0]
-                    num = central_diff(f, z[j])
-                    assert rel_err(grad[j], num) < 1e-6
+            for z in vectors:
+                # Row 0 is z; rows 2j+1 and 2j+2 move z_j by +h and -h.
+                rows = np.repeat(z[None], 11, axis=0)
+                rows[2 * j + 1, j], rows[2 * j + 2, j] = z + FD_STEP, z - FD_STEP
+                losses, grads = softmax_rows(rows, np.full(len(rows), 2), params)
+                num = (losses[1::2] - losses[2::2]) / (2.0 * FD_STEP)
+                for k in range(5):
+                    assert rel_err(grads[0, k], num[k]) < 1e-6
 
     def test_stable_at_large_logits(self):
-        z = np.array([1e3, -1e3, 0.0])
         for params in (CE, FL2, RFL_HALF):
-            loss, grad = softmax_loss_and_grad(z, 1, params)
-            assert math.isfinite(loss)
+            loss, grad = softmax_rows([[1e3, -1e3, 0.0]], [1], params)
+            assert np.all(np.isfinite(loss))
             assert np.all(np.isfinite(grad))
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            softmax_loss_and_grad(np.array([1.0]), 0, CE)
-        with pytest.raises(ValueError):
-            softmax_loss_and_grad(np.array([1.0, 2.0]), 2, CE)
-        with pytest.raises(ValueError):
-            softmax_loss_and_grad(np.array([1.0, np.inf]), 0, CE)
 
-
-class TestBinaryComposite:
+class TestSigmoidHead:
     def test_zero_logit_ce(self):
-        loss, _ = binary_loss_and_grad(0.0, 1, CE)
-        assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+        loss, _ = sigmoid_rows([0.0], [1], CE)
+        assert loss[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_label_symmetry(self):
-        for z in (-3.0, -0.5, 0.0, 1.7):
-            l1, g1 = binary_loss_and_grad(z, 1, FL2)
-            l0, g0 = binary_loss_and_grad(-z, 0, FL2)
-            assert l1 == pytest.approx(l0, rel=1e-12)
-            assert g1 == pytest.approx(-g0, rel=1e-12)
+        z = np.array([-3.0, -0.5, 0.0, 1.7])
+        l1, g1 = sigmoid_rows(z, np.ones(4), FL2)
+        l0, g0 = sigmoid_rows(-z, np.zeros(4), FL2)
+        for i in range(4):
+            assert l1[i] == pytest.approx(l0[i], rel=1e-12)
+            assert g1[i] == pytest.approx(-g0[i], rel=1e-12)
 
     def test_matches_scalar_rfl_near_09(self):
         # logit 2.1972 puts sigmoid within 3e-6 of 0.9.
-        loss, _ = binary_loss_and_grad(2.1972, 1, RFL_HALF)
-        assert loss == pytest.approx(4.2144206263130537e-3, abs=1e-5)
+        loss, _ = sigmoid_rows([2.1972], [1], RFL_HALF)
+        assert loss[0] == pytest.approx(4.2144206263130537e-3, abs=1e-5)
 
     def test_gradient_matches_finite_differences(self):
+        # The logit whose labelled-class probability is the grid pt, for
+        # each (pt, label), then each moved by +h and -h.
+        labels = np.tile([0, 1], len(PT_GRID))
+        z = np.array([math.log(t / (1.0 - t)) for pt in PT_GRID for t in (1.0 - pt, pt)])
         for kind in LossKind:
             for gamma in GAMMA_GRID:
                 for th in TH_GRID:
                     params = LossParams(kind=kind, gamma=gamma, threshold=th)
-                    for pt in PT_GRID:
-                        if abs(pt - th) < KINK_BAND:
-                            continue
-                        for label in (0, 1):
-                            # Choose the logit so the labelled-class
-                            # probability equals the grid pt.
-                            target = pt if label == 1 else 1.0 - pt
-                            z = math.log(target / (1.0 - target))
-
-                            def f(v):
-                                return binary_loss_and_grad(v, label, params)[0]
-
-                            _, ana = binary_loss_and_grad(z, label, params)
-                            num = central_diff(f, z)
-                            assert rel_err(ana, num) < 1e-5
+                    _, ana = sigmoid_rows(z, labels, params)
+                    plus, _ = sigmoid_rows(z + FD_STEP, labels, params)
+                    minus, _ = sigmoid_rows(z - FD_STEP, labels, params)
+                    num = (plus - minus) / (2.0 * FD_STEP)
+                    for i, pt in enumerate(np.repeat(PT_GRID, 2)):
+                        if abs(pt - th) >= KINK_BAND:
+                            assert rel_err(ana[i], num[i]) < 1e-5
 
     def test_saturated_logits_survive(self):
-        for z in (-800.0, 800.0):
-            for label in (0, 1):
-                loss, grad = binary_loss_and_grad(z, label, RFL_HALF)
-                assert math.isfinite(loss) and math.isfinite(grad)
-        with pytest.raises(ValueError):
-            binary_loss_and_grad(float("inf"), 1, CE)
-        with pytest.raises(ValueError):
-            binary_loss_and_grad(0.0, 2, CE)
+        for label in (0, 1):
+            loss, grad = sigmoid_rows([-800.0, 800.0], [label, label], RFL_HALF)
+            assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
+
+
+# Every kind on the grids, th = 1 too; logits from deep in either clamp
+# through the logit of each threshold, so the clamped pt the heads see
+# falls below, at and above th.
+HEAD_LOSS = st.builds(LossParams, st.sampled_from(list(LossKind)), st.sampled_from(GAMMA_GRID),
+                      st.sampled_from(TH_GRID + [1.0]))
+LOGIT = st.one_of(st.floats(-60.0, 60.0),
+                  st.sampled_from([-800.0, 0.0, 800.0] + [math.log(th / (1.0 - th))
+                                                          for th in TH_GRID]))
+
+
+@st.composite
+def stacked_runs(draw, head):
+    """(logits (R, n, K), targets (n,), R losses) of a stacked head call."""
+    losses = draw(st.lists(HEAD_LOSS, min_size=1, max_size=5))
+    n = draw(st.integers(1, 12))
+    K = 1 if head is sigmoid_head else draw(st.integers(2, 5))
+    size = len(losses) * n * K
+    z = np.array(draw(st.lists(LOGIT, min_size=size, max_size=size))).reshape(len(losses), n, K)
+    if head is sigmoid_head:
+        target = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    else:
+        target = np.array(draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)))
+    return z, target, losses
+
+
+def head_pt(head, z, target):
+    """The clamped pt of each row (R, n) of the head's logits ``z``, spelled
+    as the head spells it."""
+    if head is sigmoid_head:
+        return binary_pt(z[:, :, 0] * target)[0]
+    p = np.exp(z - np.maximum.reduce(z, axis=2, keepdims=True))
+    p /= np.add.reduce(p, axis=2, keepdims=True)
+    pt = p[:, np.arange(z.shape[1]), target]
+    return np.minimum(np.maximum(pt, PT_CLAMP_LO), PT_CLAMP_HI)
+
+
+@pytest.mark.parametrize("head", [softmax_head, sigmoid_head], ids=["softmax", "sigmoid"])
+class TestHeadIdentities:
+    """The exact loss identities, on the rows the training heads return for
+    stacked runs of mixed losses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_identities_hold_on_every_row(self, head, data):
+        z, target, losses = data.draw(stacked_runs(head))
+        pt = head_pt(head, z, target)
+        got_loss, got_grad = head(z.copy(), target, losses)
+
+        def solo(r, params):
+            loss, grad = head(z[r:r + 1].copy(), target, [params])
+            return loss[0], grad[0]
+
+        for r, params in enumerate(losses):
+            for i in range(z.shape[1]):  # each stacked row is its own one-row call
+                loss, grad = head(z[r:r + 1, i:i + 1].copy(), target[i:i + 1], [params])
+                assert loss[0, 0] == got_loss[r, i]
+                assert np.array_equal(grad[0, 0], got_grad[r, i])
+            if params.kind is not LossKind.RFL:
+                continue
+            th, gamma = params.threshold, params.gamma
+            ce_loss, ce_grad = solo(r, CE)
+            flat = pt[r] < th  # CE, bitwise, on the flat branch
+            assert np.array_equal(got_loss[r][flat], ce_loss[flat])
+            assert np.array_equal(got_grad[r][flat], ce_grad[flat])
+            if th == 1.0:  # all of it
+                assert flat.all()
+            fl_loss, _ = solo(r, LossParams(LossKind.FL, gamma))
+            lhs, rhs = fl_loss[~flat], th**gamma * got_loss[r][~flat]
+            assert np.all(np.abs(lhs - rhs) <= 2 * np.spacing(np.maximum(abs(lhs), abs(rhs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(th=st.floats(0.01, 0.99), gamma=st.floats(0.0, 8.0),
+       pts=st.lists(st.floats(PT_CLAMP_LO, PT_CLAMP_HI), max_size=8))
+def test_kernel_takes_the_upper_branch_at_threshold(th, gamma, pts):
+    # On arrays, pt == th takes the at-or-above branch for value and
+    # derivative alike: FL over th^gamma; below th, CE.
+    pt = np.array([th, np.nextafter(th, 0.0)] + pts)
+    args = (pt, -np.log(pt), 1.0 - pt)
+    loss, dpt = loss_and_dpt(*args, LossParams(LossKind.RFL, gamma, th))
+    fl_loss, fl_dpt = loss_and_dpt(*args, LossParams(LossKind.FL, gamma))
+    ce_loss, ce_dpt = loss_and_dpt(*args, CE)
+    upper = pt >= th
+    assert upper[0] and not upper[1]
+    assert np.array_equal(loss[upper], fl_loss[upper] / th**gamma)
+    assert np.array_equal(dpt[upper], fl_dpt[upper] / th**gamma)
+    assert np.array_equal(loss[~upper], ce_loss[~upper])
+    assert np.array_equal(dpt[~upper], ce_dpt[~upper])
 
 
 def clip_binary_pt(z, y):

@@ -493,23 +493,33 @@ class TestJsonl:
     @given(st.lists(st.tuples(_WRITE_BOX, _WRITE_CLASS, _WRITE_SCORE, _WRITE_ID, _WRITE_ID),
                     max_size=6))
     def test_lines_are_json_dumps_of_the_record(self, tmp_path_factory, rows):
+        # Records with finite corners are written as json.dumps spells them;
+        # a NaN or infinite corner, which no reader accepts, raises
+        # ValueError naming the first such record.
         dets = [Detection(Box(*corners), *rest) for corners, *rest in rows]
         gts = [GroundTruth(d.box, d.class_id, d.image_id) for d in dets]
         path = tmp_path_factory.mktemp("jsonl") / "out.jsonl"
-        want = []
-        for d in dets:
-            rec = {"box": list(d.box), "class_id": d.class_id, "score": d.score}
-            rec.update({k: v for k, v in (("image_id", d.image_id), ("source", d.source)) if v})
-            want.append(json.dumps(rec, sort_keys=True) + "\n")
-        write_detections_jsonl(dets, path)
-        assert path.read_bytes() == "".join(want).encode()
-        want = []
-        for g in gts:
-            rec = {"box": list(g.box), "class_id": g.class_id}
-            rec.update({"image_id": g.image_id} if g.image_id else {})
-            want.append(json.dumps(rec, sort_keys=True) + "\n")
-        write_groundtruths_jsonl(gts, path)
-        assert path.read_bytes() == "".join(want).encode()
+
+        def check(write, records, recs):
+            finite = [all(map(math.isfinite, r.box)) for r in records]
+            write([r for r, ok in zip(records, finite) if ok], path)
+            assert path.read_bytes() == "".join(
+                json.dumps(rec, sort_keys=True) + "\n" for rec, ok in zip(recs, finite) if ok
+            ).encode()
+            if not all(finite):
+                with pytest.raises(ValueError, match="cannot write a NaN or infinite") as exc:
+                    write(records, path)
+                assert str(recs[finite.index(False)]) in str(exc.value)
+
+        def rec(r, score=None, source=""):
+            out = {"box": list(r.box), "class_id": r.class_id}
+            out.update({"image_id": r.image_id} if r.image_id else {})
+            out.update({} if score is None else {"score": score})
+            out.update({"source": source} if source else {})
+            return out
+
+        check(write_detections_jsonl, dets, [rec(d, d.score, d.source) for d in dets])
+        check(write_groundtruths_jsonl, gts, [rec(g) for g in gts])
 
     @settings(max_examples=500, deadline=None)
     @given(_LINE, st.booleans())

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from rfl_lab.losses import (
     LossKind,
     LossParams,
-    binary_loss_and_grad,
     loss_and_dpt,
     sigmoid_head,
     softmax_head,
-    softmax_loss_and_grad,
 )
 from rfl_lab.sampling import (
     Dataset,
@@ -433,45 +431,6 @@ class TestClassifierReference:
         assert 0 < len(assert_lockstep_equals_reference(data, cfg, LOCKSTEP_ARMS)[0]) < 6
 
 
-class TestCompositesAreStepRows:
-    """The one-sample composites are rows of the steps that train, bit for
-    bit, for every loss in ``STEP_LOSS_LIST`` (one stacked model each).
-    Identity features make model s's logits exactly its weights, and its
-    weight gradient exactly its logit gradients over the batch size."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(B=st.integers(1, 40), C=st.integers(2, 11), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(0.1, 1000.0))
-    def test_softmax_loss_and_grad(self, B, C, seed, scale):
-        rng = np.random.default_rng(seed)
-        S = len(STEP_LOSS_LIST)
-        logits = rng.normal(size=(S, B, C)) * scale
-        y = rng.integers(0, C, size=B)
-        losses, dW, _ = step(np.eye(B), y, logits.transpose(0, 2, 1).copy(),
-                             np.zeros((S, C)), softmax_head, STEP_LOSS_LIST)
-        for s, params in enumerate(STEP_LOSS_LIST):
-            for i in range(B):
-                loss, grad = softmax_loss_and_grad(logits[s, i], int(y[i]), params)
-                assert loss == losses[s, i]
-                assert np.array_equal(grad / B, dW[s, :, i])
-
-    @settings(max_examples=60, deadline=None)
-    @given(B=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(0.1, 1000.0))
-    def test_binary_loss_and_grad(self, B, seed, scale):
-        rng = np.random.default_rng(seed)
-        S = len(STEP_LOSS_LIST)
-        logits = rng.normal(size=(S, B)) * scale
-        y = rng.integers(0, 2, size=B)
-        losses, dW, _ = step(np.eye(B), signs(y), logits[:, None, :].copy(), np.zeros((S, 1)),
-                             sigmoid_head, STEP_LOSS_LIST)
-        for a, params in enumerate(STEP_LOSS_LIST):
-            for i in range(B):
-                loss, grad = binary_loss_and_grad(float(logits[a, i]), int(y[i]), params)
-                assert loss == losses[a, i]
-                assert grad / B == dW[a, 0, i]
-
-
 HEADS = [softmax_head, sigmoid_head]
 
 
@@ -494,20 +453,12 @@ def reference_batch(head, X, y, W, b, params):
     return loss, dw[None], np.array([db])
 
 
-def composite_row(head, z, label, params):
-    """(loss, logit gradient (K,)) of one row from the one-sample composite."""
-    if head is softmax_head:
-        return softmax_loss_and_grad(z, label, params)
-    loss, grad = binary_loss_and_grad(float(z[0]), label, params)
-    return loss, np.array([grad])
-
-
 @pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
 class TestStep:
     """One :func:`step` for both heads.  Each slice of a stacked step is
     bitwise the step of that model alone and the head's reference, the
     trainers' curve reduce gives each row's mean, and the batch sums match
-    the one-sample composites."""
+    the head's rows on the model's logits."""
 
     def test_step_matches_scalar(self, head):
         rng = np.random.default_rng(10)
@@ -518,11 +469,8 @@ class TestStep:
                        LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.25)):
             (losses,), (dW,), (db,) = step(X, target, model.weights[None],
                                            model.biases[None], head, [params])
-            z = model.scores(X)
-            grads = np.zeros((len(y), K))
-            for i in range(len(y)):
-                li, grads[i] = composite_row(head, z[i], int(y[i]), params)
-                assert losses[i] == li
+            (rows,), (grads,) = head(model.scores(X)[None], target, [params])
+            assert np.array_equal(losses, rows)
             np.testing.assert_allclose(dW, grads.T @ X / len(y), rtol=1e-12, atol=1e-15)
             assert np.array_equal(db, np.add.reduce(grads, axis=0) / len(y))
 
