@@ -19,6 +19,14 @@ instances each class has.
 Degenerate zero-area boxes have IoU 0 against everything (including
 themselves) and therefore never match.
 
+Every (class, image) group is matched at once, in rounds: each round,
+every group with detections left makes its next pick, so the Python
+iterations number the detections of the largest group.  A detection is
+tested only against the truths of its group that start within reach of
+its box, and IoUs are computed ``_PAIR_CHUNK`` candidate pairs at a time.
+Memory is then the per-record columns, the pairs of positive IoU and
+that chunk, never a dense IoU matrix of a crowded image.
+
 The records ``Box``, ``Detection`` and ``GroundTruth`` are named tuples,
 cheap enough to build one per box per step: immutable, hashed and
 compared by value, so they equal a plain tuple of the same values.
@@ -31,7 +39,6 @@ built unchecked, since its corner order and score cannot fail.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -136,22 +143,22 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row box of ``a`` (n, 4) against every row box of ``b``.
+def _iou_pairs(a, b) -> np.ndarray:
+    """IoU of box ``a`` against box ``b``, elementwise: each is a sequence of
+    its four corner columns (x1, y1, x2, y2), arrays that broadcast.
 
     The operations and their order are those of :func:`iou`, so each
     entry equals the scalar result bitwise.  The one exception is corners
     so large that the areas overflow: :func:`iou` then returns nan and
     this returns 0, and neither matches anything.
     """
-    a, b = a[:, None, :], b[None, :, :]
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
     with np.errstate(over="ignore", invalid="ignore"):
-        ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-        iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+        iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
         inter = ix * iy
-        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-        union = area_a + area_b - inter
+        union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
         valid = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
         out = np.zeros(inter.shape)
         np.divide(inter, union, out=out, where=valid)
@@ -163,100 +170,235 @@ def _corners(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
     return np.fromiter(boxes, float, 4 * len(items)).reshape(-1, 4)
 
 
-def _best_unmatched(
-    ious: np.ndarray, unmatched: np.ndarray
+# Candidate pairs whose IoU is computed at once: the matcher's working
+# memory beyond its per-record columns and the pairs of positive IoU is a
+# few dozen arrays of this length.
+_PAIR_CHUNK = 1 << 11
+# Relative slack on a group's widest truth, for the reach of a window.
+_WIDTH_SLACK = 1.0 + 2.0**-50
+
+
+def _run_starts(*sorted_cols: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows begins, in columns sorted together."""
+    change = np.zeros(len(sorted_cols[0]), dtype=bool)
+    change[:1] = True
+    for col in sorted_cols:
+        change[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(change)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges [start, stop) laid end to end, and where each one begins."""
+    lens = stops - starts
+    offsets = lens.cumsum() - lens
+    return np.arange(lens.sum()) + (starts - offsets).repeat(lens), offsets
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Pairs as complex numbers, which numpy sorts and searches by (real,
+    imag).  A NaN imag is taken as +inf: numpy orders a complex with a NaN
+    part after all others, whatever its real part."""
+    out = np.empty(len(real), complex)
+    out.real = real
+    out.imag = np.where(np.isnan(imag), np.inf, imag)
+    return out
+
+
+def _windows(
+    dbox: np.ndarray, tbox: np.ndarray, order: np.ndarray, torder: np.ndarray,
+    group: np.ndarray, firsts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the lowest-index unmatched column of highest positive IoU
-    (-1 when there is none) and that IoU (0.0 when there is none)."""
-    masked = np.where(unmatched, ious, 0.0)
-    best_g = masked.argmax(axis=1)
-    best_v = masked[np.arange(len(best_g)), best_g]
-    best_g[best_v <= 0.0] = -1
-    return best_g, best_v
+    """Per row, the positions [lo, hi) in ``torder`` of its candidate truths.
 
-
-def _match_image(
-    scores: np.ndarray, ious: np.ndarray, iou_thresh: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy matching within one image: (IoU at pick, TP flag) per row.
-
-    Rows are visited in descending score order; inside a tied group the
-    row with the highest IoU against a still-unmatched ground truth goes
-    first, then the lower row index.  A claim only lowers the best IoU of
-    rows whose cached best ground truth it took, so only those are
-    recomputed.
+    Row i is detection ``order[i]`` of truth group ``group[i]``; ``torder``
+    sorts the truths by group, then x1, and group g begins at
+    ``firsts[g]``.  The candidates are the truths of the row's group whose
+    x1 lies in [x1 - widest truth of the group, x2), which holds every
+    truth of positive IoU; a group with a non-finite truth corner gives
+    all of its truths.
     """
-    n = len(scores)
-    unmatched = np.ones(ious.shape[1], dtype=bool)
-    best_g, best_v = _best_unmatched(ious, unmatched)
-    picked_v = np.zeros(n)
-    flags = np.zeros(n, dtype=bool)
-    done = np.zeros(n, dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    cuts = [0, *(np.diff(scores[order]).nonzero()[0] + 1).tolist(), n]
-    for start, stop in zip(cuts, cuts[1:]):
-        group = order[start:stop]
-        score = scores[group[0]]
-        heap = [(-v, i) for v, i in zip(best_v[group].tolist(), group.tolist())]
-        heapq.heapify(heap)
-        while heap:
-            neg_v, i = heapq.heappop(heap)
-            if done[i] or -neg_v != best_v[i]:
-                continue  # picked already, or a stale key
-            done[i] = True
-            g, v = int(best_g[i]), -neg_v
-            picked_v[i] = v
-            if g < 0 or v < iou_thresh:
-                continue
-            flags[i] = True
+    stops = np.append(firsts[1:], len(torder))
+    tx1 = tbox[torder, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.maximum.reduceat(tbox[torder, 2] - tx1, firsts)
+        sound = np.isfinite(width) & np.logical_and.reduceat(
+            np.isfinite(tbox).all(axis=1)[torder], firsts)
+        # The slack and the step down cover the rounding of x2 - x1 and of
+        # the subtraction, so no truth of positive IoU falls below reach.
+        reach = np.nextafter(dbox[order, 0] - width[group] * _WIDTH_SLACK, -np.inf)
+    # Complex numbers sort by (real, imag): one search finds (group, x).
+    place = _complex(np.repeat(np.arange(len(firsts)), stops - firsts), tx1)
+    lo = np.searchsorted(place, _complex(group, reach))
+    hi = np.maximum(np.searchsorted(place, _complex(group, dbox[order, 2])), lo)
+    unsound = ~sound[group]
+    lo[unsound] = firsts[group[unsound]]
+    hi[unsound] = stops[group[unsound]]
+    return lo, hi
+
+
+def _sweep(
+    dets: Sequence[Detection], gts: Sequence[GroundTruth],
+    dscore: np.ndarray, dkey: np.ndarray, tkey: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, and the pairs of positive IoU: (order, group, rows, cols, vals).
+
+    The rows are the detections of keys that have truths, by (key, score
+    desc, index): detection ``order[i]``, of truth group ``group[i]``.  The
+    pairs (row, truth input index, IoU) come by row; each row is tested
+    against its :func:`_windows` only, ``_PAIR_CHUNK`` pairs at a time.
+    """
+    dbox, tbox = _corners(dets), _corners(gts)
+    torder = np.lexsort((tbox[:, 0], tkey))
+    firsts = _run_starts(tkey[torder])
+    keys = tkey[torder[firsts]]
+    order = np.lexsort((-dscore, dkey))
+    group = np.searchsorted(keys, dkey[order])
+    has = keys[np.minimum(group, len(keys) - 1)] == dkey[order]
+    order, group = order[has], group[has]
+    lo, hi = _windows(dbox, tbox, order, torder, group, firsts)
+
+    dx1, dy1, dx2, dy2 = dbox.T
+    tx1, ty1, tx2, ty2 = tbox.T
+    before = np.concatenate([[0], np.cumsum(hi - lo)])  # pairs before each row
+    rows, cols, vals = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    a = 0
+    while a < len(order):
+        b = max(int(np.searchsorted(before, before[a] + _PAIR_CHUNK, "right")) - 1, a + 1)
+        r = np.repeat(np.arange(a, b), hi[a:b] - lo[a:b])
+        d, t = order[r], torder[_ranges(lo[a:b], hi[a:b])[0]]
+        # Most candidates miss in y (IoU 0): drop them before the IoU arithmetic.
+        cross = np.minimum(dy2[d], ty2[t]) > np.maximum(dy1[d], ty1[t])
+        r, d, t = r[cross], d[cross], t[cross]
+        v = _iou_pairs((dx1[d], dy1[d], dx2[d], dy2[d]), (tx1[t], ty1[t], tx2[t], ty2[t]))
+        keep = v > 0.0
+        rows.append(r[keep])
+        cols.append(t[keep])
+        vals.append(v[keep])
+        a = b
+    rows = np.concatenate(rows)  # one at a time: each list of chunks goes as it is joined
+    cols = np.concatenate(cols)
+    return order, group, rows, cols, np.concatenate(vals)
+
+
+def _by_column(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' rows by column, and where each column's rows begin (one
+    more entry, at the end)."""
+    by_col = np.argsort(cols, kind="stable")
+    return rows[by_col], np.searchsorted(cols[by_col], np.arange(n_cols + 1))
+
+
+def _rounds(
+    n: int, key_first: np.ndarray, block_first: np.ndarray,
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_truths: int, iou_thresh: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy picks of every key in lockstep: (IoU at pick, TP flag) per row.
+
+    The ``n`` rows are detections by (key, score desc, index); each key's
+    rows begin at ``key_first`` and each tied score block's at
+    ``block_first``.  The pairs of positive IoU are (rows, cols, vals), by
+    row, with cols the truths' input indices.  Each round, every key with
+    rows left picks the row of its current block with the highest best
+    IoU, then the lowest index; a claim re-scores only the rows whose best
+    truth it took.
+    """
+    row_ptr = np.searchsorted(rows, np.arange(n + 1))
+    col_rows, col_ptr = _by_column(rows, cols, n_truths)
+    unmatched = np.ones(n_truths, dtype=bool)
+    best_g = np.full(n, -1)
+    best_v = np.zeros(n)
+
+    def rescore(dets: np.ndarray) -> None:
+        """Best unmatched truth and its IoU, of rows with a pair each."""
+        idx, offsets = _ranges(row_ptr[dets], row_ptr[dets + 1])
+        v = np.where(unmatched[cols[idx]], vals[idx], 0.0)
+        top = np.maximum.reduceat(v, offsets)
+        tie = np.where(v == top.repeat(row_ptr[dets + 1] - row_ptr[dets]), cols[idx], n_truths)
+        best_g[dets] = np.where(top > 0.0, np.minimum.reduceat(tie, offsets), -1)
+        best_v[dets] = top
+
+    # At the start every truth is unmatched, and every pair is positive.
+    firsts = row_ptr[:-1][row_ptr[:-1] < row_ptr[1:]]
+    best_v[rows[firsts]] = np.maximum.reduceat(vals, firsts)
+    best_g[rows[firsts]] = np.minimum.reduceat(
+        np.where(vals == best_v[rows], cols, n_truths), firsts)
+
+    sizes = np.diff(np.append(key_first, n))
+    by_size = np.argsort(-sizes, kind="stable")  # the keys still active lead
+    key_first, sizes = key_first[by_size], sizes[by_size]
+    block_stop = np.append(block_first[1:], n)
+    picked_v, hit, done = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    active = len(sizes)
+    for step in range(int(sizes[0])):
+        while sizes[active - 1] <= step:
+            active -= 1
+        at = block_first.searchsorted(key_first[:active] + step, "right") - 1
+        lo, hi = block_first[at], block_stop[at]
+        idx, offsets = _ranges(lo, hi)
+        key = np.where(done[idx], -1.0, best_v[idx])
+        top = np.maximum.reduceat(key, offsets)
+        pick = np.minimum.reduceat(np.where(key == top.repeat(hi - lo), idx, n), offsets)
+        g, v = best_g[pick], best_v[pick]
+        done[pick] = True
+        picked_v[pick] = v
+        claim = (g >= 0) & (v >= iou_thresh)
+        hit[pick] = claim
+        g = g[claim]
+        if len(g):
             unmatched[g] = False
-            hit = ((best_g == g) & ~done).nonzero()[0]
-            if not len(hit):
-                continue
-            before = best_v[hit].tolist()
-            best_g[hit], best_v[hit] = _best_unmatched(ious[hit], unmatched)
-            for j, old_v, new_v in zip(hit.tolist(), before, best_v[hit].tolist()):
-                if new_v != old_v and scores[j] == score:
-                    heapq.heappush(heap, (-new_v, j))
+            idx, _ = _ranges(col_ptr[g], col_ptr[g + 1])
+            near = col_rows[idx]
+            rescore(near[~done[near] & (best_g[near] == g.repeat(col_ptr[g + 1] - col_ptr[g]))])
+    return picked_v, hit
+
+
+def _match(
+    dets: Sequence[Detection], gts: Sequence[GroundTruth],
+    dscore: np.ndarray, dkey: np.ndarray, tkey: np.ndarray, iou_thresh: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of detections to the truths of the same key, every
+    key at once: (IoU at pick, TP flag) per detection, in input order.
+
+    Inside a key, detections are visited in descending score order; inside
+    a tied score block the one of highest current best IoU goes first, then
+    the lower index.  A detection's best truth is the unmatched truth of
+    highest positive IoU, the lowest truth index among equals, or none
+    (IoU 0).  A picked detection claims its best truth when that IoU
+    reaches ``iou_thresh``.  A detection of a key without truths is never
+    picked: IoU 0, no TP.
+    """
+    picked_v, flags = np.zeros(len(dets)), np.zeros(len(dets), dtype=bool)
+    if not dets or not gts:
+        return picked_v, flags
+    order, group, rows, cols, vals = _sweep(dets, gts, dscore, dkey, tkey)
+    if len(order):
+        picked_v[order], flags[order] = _rounds(
+            len(order), _run_starts(group), _run_starts(group, dscore[order]),
+            rows, cols, vals, len(gts), iou_thresh)
     return picked_v, flags
 
 
-def _match_class(
-    dets: Sequence[Detection], gts: Sequence[GroundTruth], iou_thresh: float
-) -> list[bool]:
-    """True-positive flags for one class's detections, in ranked order.
+def _flags_by_class(
+    dets: Sequence[Detection], gts: Sequence[GroundTruth],
+    d_cls: np.ndarray, t_cls: np.ndarray, n_classes: int, iou_thresh: float,
+) -> list[list[bool]]:
+    """True-positive flags of each class code 0 .. n_classes - 1, in ranked
+    order: (score desc, IoU at pick desc, input index).  ``d_cls`` and
+    ``t_cls`` hold the class codes; a detection of code -1 is dropped.
 
-    Detections are processed in descending score order; within a tied
-    score group the detection with the highest IoU against a currently
-    unmatched ground truth goes first (then input order).  Each
-    processed detection claims its best unmatched same-image ground
-    truth when that IoU reaches the threshold.
-
-    Matching never crosses images, so it runs per image on that image's
-    IoU matrix.  Within an image the picks come in ascending order of
-    (score desc, IoU at pick desc, input index); the global order is the
-    merge of the per-image sequences, which is one sort on that key.
+    Matching never crosses a class or an image, so each (class, image)
+    pair is one key of :func:`_match`.
     """
-    gts_by_image: dict[str, list[int]] = {}
-    for g, gt in enumerate(gts):
-        gts_by_image.setdefault(gt.image_id, []).append(g)
-    dets_by_image: dict[str, list[int]] = {}
-    for d, det in enumerate(dets):
-        dets_by_image.setdefault(det.image_id, []).append(d)
-
-    scores = np.array([det.score for det in dets], dtype=float)
-    picked_v = np.zeros(len(dets))
-    flags = np.zeros(len(dets), dtype=bool)
-    for image, rows in dets_by_image.items():
-        cols = gts_by_image.get(image)
-        if cols is None:
-            continue  # no ground truth in this image: every pick is a miss at IoU 0
-        ious = _iou_matrix(
-            _corners([dets[d] for d in rows]), _corners([gts[g] for g in cols])
-        )
-        picked_v[rows], flags[rows] = _match_image(scores[rows], ious, iou_thresh)
-    ranked = np.lexsort((np.arange(len(dets)), -picked_v, -scores))
-    return flags[ranked].tolist()
+    images: dict[str, int] = {}
+    t_key = np.fromiter([images.setdefault(gt.image_id, len(images)) for gt in gts],
+                        np.int64, len(gts))
+    t_key += t_cls * len(images)
+    d_key = np.fromiter([images.get(det.image_id, -1) for det in dets], np.int64, len(dets))
+    d_key = np.where((d_key < 0) | (d_cls < 0), -1, d_cls * len(images) + d_key)
+    scores = np.fromiter([det.score for det in dets], float, len(dets))
+    picked_v, flags = _match(dets, gts, scores, d_key, t_key, iou_thresh)
+    ranked = np.lexsort((-picked_v, -scores, d_cls))
+    cuts = np.searchsorted(d_cls[ranked], np.arange(n_classes + 1)).tolist()
+    return [flags[ranked[a:b]].tolist() for a, b in zip(cuts, cuts[1:])]
 
 
 def average_precision(
@@ -264,15 +406,18 @@ def average_precision(
 ) -> float:
     """Area under the all-points interpolated PR curve for one class.
 
-    With no ground truths the AP is defined as 0 (any detections are all
-    false positives); such classes are excluded from mAP by
+    Every record counts as that class, whatever its ``class_id``.  With no
+    ground truths the AP is defined as 0 (any detections are all false
+    positives); such classes are excluded from mAP by
     :func:`map_and_mrecall`.
     """
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
     if not gts or not dets:
         return 0.0
-    return _ap_from_flags(_match_class(dets, gts, iou_thresh), len(gts))
+    (flags,) = _flags_by_class(dets, gts, np.zeros(len(dets), np.int64),
+                               np.zeros(len(gts), np.int64), 1, iou_thresh)
+    return _ap_from_flags(flags, len(gts))
 
 
 def _ap_from_flags(flags: Sequence[bool], n_gt: int) -> float:
@@ -317,26 +462,23 @@ def map_and_mrecall(
     if not gts:
         raise ValueError("ground-truth set is empty")
 
-    by_class_gt: dict[int, list[GroundTruth]] = {}
-    for gt in gts:
-        by_class_gt.setdefault(gt.class_id, []).append(gt)
-    by_class_det: dict[int, list[Detection]] = {}
-    for det in dets:
-        by_class_det.setdefault(det.class_id, []).append(det)
+    classes = sorted(dict.fromkeys([gt.class_id for gt in gts]))
+    code = {cls: k for k, cls in enumerate(classes)}
+    t_cls = np.fromiter([code[gt.class_id] for gt in gts], np.int64, len(gts))
+    d_cls = np.fromiter([code.get(det.class_id, -1) for det in dets], np.int64, len(dets))
+    gt_counts = np.bincount(t_cls, minlength=len(classes)).tolist()
+    by_class = _flags_by_class(dets, gts, d_cls, t_cls, len(classes), iou_thresh)
 
     per_class: dict[int, ClassMetrics] = {}
     total_matched = 0
-    for cls in sorted(by_class_gt):
-        cls_gts = by_class_gt[cls]
-        cls_dets = by_class_det.get(cls, [])
-        flags = _match_class(cls_dets, cls_gts, iou_thresh)
+    for cls, n_gt, flags in zip(classes, gt_counts, by_class):
         matched = sum(flags)
         total_matched += matched
         per_class[cls] = ClassMetrics(
-            ap=_ap_from_flags(flags, len(cls_gts)) if cls_dets else 0.0,
-            recall=matched / len(cls_gts),
-            gt_count=len(cls_gts),
-            det_count=len(cls_dets),
+            ap=_ap_from_flags(flags, n_gt) if flags else 0.0,
+            recall=matched / n_gt,
+            gt_count=n_gt,
+            det_count=len(flags),
         )
 
     m_ap = sum(m.ap for m in per_class.values()) / len(per_class)
@@ -398,14 +540,26 @@ def detection_lines(dets: Iterable[Detection]) -> Iterator[str]:
             for box, class_id, score, source, image_id in dets)
 
 
+def _write_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Stream ``lines`` to ``path``.  When a line cannot be made or written,
+    the file is removed (a regular one; not a device such as /dev/stdout)
+    and the error re-raised, so no partial output stays at ``path``."""
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.writelines(lines)
+    except BaseException:
+        if Path(path).is_file():
+            Path(path).unlink()
+        raise
+
+
 def write_detections_jsonl(dets: Iterable[Detection], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(detection_lines(dets))
+    _write_lines(detection_lines(dets), path)
 
 
 def write_groundtruths_jsonl(gts: Iterable[GroundTruth], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.writelines(_jsonl_line(box, class_id, image_id) for box, class_id, image_id in gts)
+    _write_lines((_jsonl_line(box, class_id, image_id) for box, class_id, image_id in gts), path)
 
 
 def _finite(values: list, what: str) -> list[float]:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -895,6 +896,20 @@ class TestFuse:
         assert err == ("error: cannot write a NaN or infinite value as JSON: "
                        "{'box': [1e+308, 1e+308, inf, inf], 'class_id': 0, 'score': 0.9}\n")
 
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys):
+        # The first fused record stays finite; undoing the scale sends the
+        # second one's corners to inf, after the first line was written.
+        src = tmp_path / "a.jsonl"
+        write_detections_jsonl([Detection(Box(0, 0, 1, 1), 0, 0.9),
+                                Detection(Box(10, 10, 20, 20), 0, 0.5)], src)
+        out = tmp_path / "f.jsonl"
+        code, _, err = run(capsys, "fuse", str(src), "--transform", "scale:1e-307",
+                           "--scene", "1e300x1e300", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write a NaN or infinite value as JSON: "
+                              "{'box': [1e+308, 1e+308, inf, inf]")
+        assert not out.exists()
+
     def test_garbled_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n")
@@ -974,6 +989,27 @@ class TestEval:
                                  "--gts", str(gpath))
             assert code == 2
             assert "line 1" in err and out == ""
+
+    def test_dense_image_under_a_memory_cap(self, tmp_path):
+        # 8k detections on 4k truths of one class in one 2000 px image: a
+        # dense IoU matrix of that one group would need about 1.3 GB.
+        rng = np.random.default_rng(0)
+        xy, wh = rng.uniform(0, 1900, size=(4000, 2)), rng.uniform(10, 90, size=(4000, 2))
+        gts = [GroundTruth(Box(x, y, x + w, y + h), 0, "img")
+               for (x, y), (w, h) in zip(xy.tolist(), wh.tolist())]
+        shift = rng.uniform(-4, 4, size=(8000, 2)).tolist()
+        scores = rng.random(8000).round(2).tolist()
+        dets = [Detection(Box(g.box.x1 + dx, g.box.y1 + dy, g.box.x2 + dx, g.box.y2 + dy), 0,
+                          score, image_id="img")
+                for g, (dx, dy), score in zip(gts * 2, shift, scores)]
+        dpath, gpath = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
+        write_detections_jsonl(dets, dpath)
+        write_groundtruths_jsonl(gts, gpath)
+        proc = run_capped("eval", "--dets", str(dpath), "--gts", str(gpath))
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)["per_class"]["0"]
+        assert (counts["det_count"], counts["gt_count"]) == (8000, 4000)
+        assert 0.5 < counts["recall"] <= 1.0
 
     def test_input_not_utf8_exit_2_names_file_and_line(self, tmp_path, capsys):
         good = b'{"box": [0, 0, 10, 10], "class_id": 0}\n'

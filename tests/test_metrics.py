@@ -5,22 +5,30 @@ area from scratch using ``fractions.Fraction``, sharing no code with the
 module under test, and serves as ground truth for randomized fixtures.
 """
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfl_lab import metrics
 from rfl_lab.geometry import TileSpec
 from rfl_lab.metrics import (
     Box,
+    ClassMetrics,
     Detection,
+    EvalSummary,
     GroundTruth,
-    _iou_matrix,
+    _ap_from_flags,
+    _corners,
+    _iou_pairs,
+    _match,
     _parse_record,
     average_precision,
     iou,
@@ -152,7 +160,7 @@ class TestIoU:
         c = np.concatenate([c, np.sort(rng.uniform(0, 12, size=(40, 2, 2)), axis=1)])
         boxes = [b(x1, y1, x2, y2) for (x1, y1), (x2, y2) in c]
         arr = np.array([(bb.x1, bb.y1, bb.x2, bb.y2) for bb in boxes])
-        got = _iou_matrix(arr[:50], arr[30:])
+        got = _iou_pairs(arr[:50].T[:, :, None], arr[30:].T[:, None, :])
         want = [[iou(p, q) for q in boxes[30:]] for p in boxes[:50]]
         assert got.tolist() == want
 
@@ -351,6 +359,193 @@ def dense_fixture(rng, classes):
     return gts, dets
 
 
+# ---------------------------------------------------------------------------
+# Per-group oracle: greedy matching on a dense IoU matrix, one (class, image)
+# group at a time, with a heap per tied score block.
+# ---------------------------------------------------------------------------
+
+
+def oracle_best_unmatched(ious, unmatched):
+    """Per row: the lowest-index unmatched column of highest positive IoU
+    (-1 when there is none) and that IoU (0.0 when there is none)."""
+    masked = np.where(unmatched, ious, 0.0)
+    best_g = masked.argmax(axis=1)
+    best_v = masked[np.arange(len(best_g)), best_g]
+    best_g[best_v <= 0.0] = -1
+    return best_g, best_v
+
+
+def oracle_match_image(scores, ious, iou_thresh):
+    """Greedy matching within one group: (IoU at pick, TP flag) per row."""
+    n = len(scores)
+    unmatched = np.ones(ious.shape[1], dtype=bool)
+    best_g, best_v = oracle_best_unmatched(ious, unmatched)
+    picked_v = np.zeros(n)
+    flags = np.zeros(n, dtype=bool)
+    done = np.zeros(n, dtype=bool)
+    order = np.argsort(-scores, kind="stable")
+    cuts = [0, *(np.diff(scores[order]).nonzero()[0] + 1).tolist(), n]
+    for start, stop in zip(cuts, cuts[1:]):
+        group = order[start:stop]
+        score = scores[group[0]]
+        heap = [(-v, i) for v, i in zip(best_v[group].tolist(), group.tolist())]
+        heapq.heapify(heap)
+        while heap:
+            neg_v, i = heapq.heappop(heap)
+            if done[i] or -neg_v != best_v[i]:
+                continue  # picked already, or a stale key
+            done[i] = True
+            g, v = int(best_g[i]), -neg_v
+            picked_v[i] = v
+            if g < 0 or v < iou_thresh:
+                continue
+            flags[i] = True
+            unmatched[g] = False
+            hit = ((best_g == g) & ~done).nonzero()[0]
+            if not len(hit):
+                continue
+            before = best_v[hit].tolist()
+            best_g[hit], best_v[hit] = oracle_best_unmatched(ious[hit], unmatched)
+            for j, old_v, new_v in zip(hit.tolist(), before, best_v[hit].tolist()):
+                if new_v != old_v and scores[j] == score:
+                    heapq.heappush(heap, (-new_v, j))
+    return picked_v, flags
+
+
+def oracle_match(dets, gts, iou_thresh, by_class=True):
+    """(IoU at pick, TP flag) per detection in input order, group by group."""
+    def group(r):
+        return (r.class_id if by_class else 0, r.image_id)
+
+    cols_of = {}
+    for g, gt in enumerate(gts):
+        cols_of.setdefault(group(gt), []).append(g)
+    rows_of = {}
+    for d, det in enumerate(dets):
+        rows_of.setdefault(group(det), []).append(d)
+    scores = np.array([det.score for det in dets], dtype=float)
+    picked_v = np.zeros(len(dets))
+    flags = np.zeros(len(dets), dtype=bool)
+    for key, rows in rows_of.items():
+        cols = cols_of.get(key)
+        if cols is None:
+            continue
+        a, t = _corners([dets[d] for d in rows]), _corners([gts[g] for g in cols])
+        ious = _iou_pairs(a.T[:, :, None], t.T[:, None, :])
+        picked_v[rows], flags[rows] = oracle_match_image(scores[rows], ious, iou_thresh)
+    return picked_v, flags
+
+
+def oracle_summary(dets, gts, iou_thresh):
+    """The EvalSummary of the per-group matcher, class by class."""
+    picked_v, flags = oracle_match(dets, gts, iou_thresh)
+    by_class_gt, by_class_det = {}, {}
+    for gt in gts:
+        by_class_gt.setdefault(gt.class_id, []).append(gt)
+    for d, det in enumerate(dets):
+        by_class_det.setdefault(det.class_id, []).append(d)
+    per_class, total_matched = {}, 0
+    for cls in sorted(by_class_gt):
+        rows = by_class_det.get(cls, [])
+        ranked = sorted(rows, key=lambda d: (-dets[d].score, -picked_v[d], d))
+        cls_flags = [bool(flags[d]) for d in ranked]
+        matched = sum(cls_flags)
+        total_matched += matched
+        n_gt = len(by_class_gt[cls])
+        per_class[cls] = ClassMetrics(
+            ap=_ap_from_flags(cls_flags, n_gt) if rows else 0.0,
+            recall=matched / n_gt, gt_count=n_gt, det_count=len(rows))
+    return EvalSummary(
+        map=sum(m.ap for m in per_class.values()) / len(per_class),
+        recall=total_matched / len(gts),
+        m_recall=sum(m.recall for m in per_class.values()) / len(per_class),
+        per_class=per_class)
+
+
+def array_match(dets, gts, iou_thresh, by_class=True):
+    """``_match`` with one key per (class, image) of the truths, and key -1
+    for a detection of any other."""
+    def group(r):
+        return (r.class_id if by_class else 0, r.image_id)
+
+    keys = {}
+    for gt in gts:
+        keys.setdefault(group(gt), len(keys))
+    t_key = np.array([keys[group(gt)] for gt in gts], dtype=np.int64)
+    d_key = np.array([keys.get(group(det), -1) for det in dets], dtype=np.int64)
+    scores = np.array([det.score for det in dets], dtype=float)
+    return _match(dets, gts, scores, d_key, t_key, iou_thresh)
+
+
+_EDGE = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 5.0])
+_SIDE = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+_GRID_BOX = st.builds(lambda x, y, w, h: Box(x, y, x + w, y + h), _EDGE, _EDGE, _SIDE, _SIDE)
+_ODD_BOX = st.sampled_from([
+    Box(math.nan, 0.0, 1.0, 1.0), Box(0.0, 0.0, math.inf, 2.0), Box(-math.inf, 1.0, 2.0, 3.0),
+    Box(0.0, math.nan, 2.0, math.nan), Box(-1e308, 0.0, 1e308, 2.0),
+    Box(0.0, 0.0, 1e308, 1e308), Box(1.0, 1.0, 1.0, 1.0)])
+_MATCH_BOX = st.one_of(_GRID_BOX, _GRID_BOX, _GRID_BOX, _ODD_BOX)
+_MATCH_GT = st.builds(GroundTruth, _MATCH_BOX, st.integers(0, 2), st.sampled_from(["a", "b"]))
+_MATCH_DET = st.builds(
+    lambda box, cls, score, image: Detection(box, cls, score, image_id=image),
+    _MATCH_BOX, st.integers(0, 3), st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5, 1.0]),
+    st.sampled_from(["a", "b", "c"]))
+
+
+class TestArrayMatcher:
+    """The array matcher against the per-group oracle, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_MATCH_DET, max_size=40), st.lists(_MATCH_GT, min_size=1, max_size=25),
+           st.sampled_from([0.1, 0.5, 0.75]), st.sampled_from([1, 3, 1 << 14]))
+    @example([Detection(Box(0.0, 0.0, 2.0, 2.0), 0, 0.5, image_id="a")] * 3,
+             [GroundTruth(Box(0.0, 0.0, 2.0, 2.0), 0, "a"),
+              GroundTruth(Box(math.nan, 0.0, 1.0, 1.0), 0, "a"),
+              GroundTruth(Box(0.0, 0.0, 2.0, 2.0), 0, "a")], 0.5, 1)
+    @example([Detection(Box(1.0, 0.0, 3.0, 2.0), 0, 0.5, image_id="a"),
+              Detection(Box(2.0, 0.0, 4.0, 2.0), 0, 0.25, image_id="a")],
+             [GroundTruth(Box(0.0, 0.0, 2.0, 2.0), 0, "a"),
+              GroundTruth(Box(2.0, 0.0, 4.0, 2.0), 0, "a")], 0.1, 1 << 14)
+    @example([Detection(Box(0.0, 0.0, 0.5, 0.5), 0, 0.25, image_id="a"),
+              Detection(Box(0.0, 0.0, math.nan, 0.5), 0, 0.25, image_id="a")],
+             [GroundTruth(Box(math.nan, 0.0, 1.0, 1.0), 0, "b"),
+              GroundTruth(Box(math.nan, 0.0, 1.0, 1.0), 0, "b"),
+              GroundTruth(Box(0.0, 0.0, 0.5, 0.5), 0, "a")], 0.1, 1 << 14)
+    @example([Detection(Box(0.30969476627833553, 0.0, 1.5, 1.0), 0, 0.5, image_id="a")],
+             [GroundTruth(Box(-0.8136673641756679, 0.0, 0.3096947662783356, 1.0), 0, "a")],
+             0.5, 1 << 14)
+    def test_equals_the_per_group_oracle(self, dets, gts, thresh, chunk):
+        # Ties are everywhere: grid corners give duplicate boxes and equal
+        # IoUs, and scores come from a few values (-0.0 among them).  Class 3
+        # and image "c" have no truths; a non-finite truth corner sends its
+        # group down the all-pairs path, and a NaN x1 must not disturb the
+        # windows of the groups after it.  A small chunk splits the pairs.
+        # In the one-truth example, the truth's x2 lies one ulp right of the
+        # detection's x1, and that x1 minus the truth's width rounds to
+        # above the truth's x1.
+        with mock.patch.object(metrics, "_PAIR_CHUNK", chunk):
+            for by_class in (True, False):
+                got_v, got_f = array_match(dets, gts, thresh, by_class)
+                want_v, want_f = oracle_match(dets, gts, thresh, by_class)
+                assert got_v.tobytes() == want_v.tobytes()
+                assert got_f.tolist() == want_f.tolist()
+            assert map_and_mrecall(dets, gts, thresh) == oracle_summary(dets, gts, thresh)
+            want_ap = oracle_summary([d._replace(class_id=0) for d in dets],
+                                     [g._replace(class_id=0) for g in gts], thresh)
+            assert average_precision(dets, gts, thresh) == (want_ap.map if dets else 0.0)
+
+    def test_wide_truth_far_to_the_left_matches(self):
+        # The window of a detection reaches back by the widest truth of its
+        # group: truth "a" starts 10 to the left of the detection's x1.
+        gts = [GroundTruth(Box(0.0, 0.0, 100.0, 10.0), 0, "a"),
+               GroundTruth(Box(90.0, 0.0, 100.0, 10.0), 0, "b")]
+        dets = [Detection(Box(10.0, 0.0, 100.0, 10.0), 0, 0.9, image_id="a"),
+                Detection(Box(10.0, 0.0, 100.0, 10.0), 0, 0.9, image_id="b")]
+        picked_v, flags = array_match(dets, gts, 0.5)
+        assert picked_v.tolist() == [0.9, iou(dets[1].box, gts[1].box)]
+        assert flags.tolist() == [True, False]
+
+
 def _ordered_corners(a, b, c, d):
     def ends(p, q):
         return (p, q) if p != p or q != q or q >= p else (q, p)  # NaN stays put
@@ -488,6 +683,22 @@ class TestJsonl:
         if '"score"' not in line and '"source"' not in line:
             with pytest.raises(ValueError, match="line 2"):
                 read_groundtruths_jsonl(path)
+
+    @pytest.mark.parametrize("kind", ["detections", "groundtruths"])
+    def test_failed_write_leaves_no_file(self, tmp_path, kind):
+        # A finite record, then one that JSON cannot hold: no file stays,
+        # neither a new one nor the one the path held before.
+        dets = [Detection(b(0, 0, 1, 1), 0, 0.5), Detection(b(0, 0, math.nan, 1), 0, 0.5)]
+        records = dets if kind == "detections" else [GroundTruth(d.box, 0) for d in dets]
+        write = write_detections_jsonl if kind == "detections" else write_groundtruths_jsonl
+        path = tmp_path / "out.jsonl"
+        write(records[:1], path)
+        with pytest.raises(ValueError, match="cannot write a NaN or infinite"):
+            write(records, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="cannot write a NaN or infinite"):
+            write(records, path)
+        assert not path.exists()
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_WRITE_BOX, _WRITE_CLASS, _WRITE_SCORE, _WRITE_ID, _WRITE_ID),
