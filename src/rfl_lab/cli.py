@@ -336,8 +336,8 @@ def cmd_fuse(args) -> int:
     if args.out:
         write_detections_jsonl(fused, args.out)
         print(f"{len(fused)} fused detections -> {args.out}")
-    else:
-        sys.stdout.writelines(detection_lines(fused))
+    else:  # every line is made before any is printed, so a failure prints none
+        sys.stdout.writelines(list(detection_lines(fused)))
     return 0
 
 

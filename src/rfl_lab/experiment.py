@@ -74,9 +74,10 @@ class Train(NamedTuple):
         """SGD steps of a run over ``n`` examples an epoch."""
         return math.ceil(n / self.batch_size) * self.epochs
 
-    def config(self, seed: int, expected_n: float,
+    def config(self, seed: int, expected_n: float, curve_stride: int,
                undersample: UndersamplePolicy | None = None) -> TrainConfig:
-        """The schedule at ``seed``, over ``expected_n`` examples an epoch."""
+        """The schedule at ``seed``, over ``expected_n`` examples an epoch,
+        keeping every ``curve_stride``-th loss of the curve and the last."""
         pairs = [(t, r) for t, r in self.lr_schedule]
         if self.schedule_units == "fraction":
             total = self.iterations(expected_n)
@@ -89,7 +90,8 @@ class Train(NamedTuple):
                     threshold = math.inf  # the last phase still covers the remainder
                 out.append((threshold, rate))
             pairs = out
-        return TrainConfig(self.epochs, self.batch_size, tuple(pairs), seed, undersample)
+        return TrainConfig(self.epochs, self.batch_size, tuple(pairs), seed, undersample,
+                           curve_stride)
 
 
 class TwoStage(NamedTuple):
@@ -294,8 +296,8 @@ def validate_config(config: dict) -> ExperimentSpec:
 def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     """Rejects more than :data:`MAX_VALUES` values in the training features
     (n rows of d), a scene set's class-mean lattice, the eval set, or, per
-    train section, the (iterations, runs) loss-curve buffer or an array of
-    one SGD step: the batch's features (rows, d), the stacked logits (runs,
+    train section, iterations x runs (the values of a stride-1 loss curve)
+    or an array of one SGD step: the batch's features (rows, d), the stacked logits (runs,
     rows, K) or the weights (runs, K, d).  A classifier batch holds at most
     n rows.  An objectness batch holds max(batch, 2) rows, even more than
     n, as a small stratum is drawn with replacement; K = 1.  Its epoch of
@@ -339,14 +341,6 @@ def _check_undersampling(arms: list[Arm], counts: list[int]) -> None:
 
 def _expected_examples(counts: list[int], skip_prob: dict[int, float]) -> float:
     return sum(c * (1.0 - skip_prob.get(i, 0.0)) for i, c in enumerate(counts))
-
-
-def _thin_curve(curve: list[float], stride: int) -> list[float]:
-    """Every ``stride``-th loss, and the last."""
-    thinned = curve[::stride]
-    if curve and (len(curve) - 1) % stride:
-        thinned.append(curve[-1])
-    return thinned
 
 
 def _mean_over_seeds(rows: list[dict]) -> dict:
@@ -404,13 +398,14 @@ def _classifier_rows(spec: ExperimentSpec, seed: int, csv: Dataset | None
     for arms in groups.values():
         skip = arms[0].undersample or {}
         policy = UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
-        cfg = spec.train.config(seed, _expected_examples(counts, skip), policy)
+        cfg = spec.train.config(seed, _expected_examples(counts, skip), spec.loss_curve_stride,
+                                policy)
         trained = train_classifier(train_data, cfg, [arm.loss for arm in arms])
         for arm, (model, curve) in zip(arms, trained):
             ev = evaluate_classifier(model, eval_data)
             rows[arm.name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
                               "per_class_recall": dict(ev.per_class_recall),
-                              "loss_curve": _thin_curve(curve, spec.loss_curve_stride)}
+                              "loss_curve": curve}
     return rows
 
 
@@ -418,8 +413,9 @@ def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
     """One seed of every arm: the arms' stage 1 trains in lockstep, stage 2 once."""
     sc, ts = spec.scenes, spec.two_stage
     scenes = generate_scenes(replace(sc, seed=seed))
-    cfg = TwoStageConfig(spec.train.config(seed, len(scenes.X)), ts.proposal_budget,
-                         ts.stage2.config(seed + 1, int(scenes.is_object.sum())),
+    stride = spec.loss_curve_stride
+    cfg = TwoStageConfig(spec.train.config(seed, len(scenes.X), stride), ts.proposal_budget,
+                         ts.stage2.config(seed + 1, int(scenes.is_object.sum()), stride),
                          ts.stage2_loss, ts.fg_bg_ratio)
     rows = {}
     trained = train_two_stage(scenes, cfg, [arm.loss for arm in spec.arms])
@@ -430,7 +426,7 @@ def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
             "per_class_proposal_recall": dict(report.per_class_proposal_recall),
             "stage2_m_recall": report.stage2_m_recall,
             "stage2_per_class_recall": dict(report.stage2_per_class_recall),
-            "loss_curve": _thin_curve(report.stage1_curve, spec.loss_curve_stride)}
+            "loss_curve": report.stage1_curve}
     return rows
 
 

@@ -19,21 +19,21 @@ is continuous at pt = th only for th = 0.5 (there (1-th)^g/th^g = 1); for
 other thresholds the formula has a jump at the boundary, which is kept
 as written rather than smoothed.
 
-One kernel, :func:`loss_and_dpt`, evaluates these formulas and their
-derivative d(loss)/d(pt) on scalars or arrays; :func:`loss_at` is its
-scalar entry point, the loss ``params.kind`` selects and its derivative
-at one pt, and :func:`cutoff_factor` divides that loss by CE.  Two heads
-wire it to model outputs and return the analytic gradient with respect
-to the logits: :func:`softmax_head` (multiclass, K classes) and
-:func:`sigmoid_head` (binary, K = 1).  Both take stacked logits of shape
-(R, n, K), one loss per stacked model, and return losses (R, n) and
-logit gradients (R, n, K).  The SGD step ``train.step`` calls these
-heads, and so does :func:`run_gradcheck` (``rfl-lab gradcheck``): its
-binary section is one stacked sigmoid-head call per loss, so it checks
-the gradient that trains.  :func:`loss_at` rejects pt outside the open
-interval (0, 1); the heads instead clamp pt to [1e-12, 1 - 1e-12] so
-training survives saturated outputs.  Their callers validate the logits
-and labels they pass.
+One kernel evaluates these formulas and d(loss)/d(pt), with CE and FL
+written as RFLs; :func:`loss_and_dpt` runs it on scalars or arrays,
+:func:`loss_at` at one pt, and :func:`cutoff_factor` divides that loss
+by CE.  Two heads wire it to model outputs and return the analytic
+gradient with respect to the logits: :func:`softmax_head` (multiclass, K
+classes) and :func:`sigmoid_head` (binary, K = 1).  Both take stacked
+logits of shape (R, n, K), one loss per stacked model, and return losses
+(R, n), None unless asked for, and logit gradients (R, n, K); one kernel
+pass serves the models of each gamma (:func:`loss_columns`).  The SGD
+step ``train.step`` calls these heads, and so does :func:`run_gradcheck`
+(``rfl-lab gradcheck``): its binary section is one stacked sigmoid-head
+call per loss, so it checks the gradient that trains.  :func:`loss_at`
+rejects pt outside the open interval (0, 1); the heads instead clamp pt
+to [1e-12, 1 - 1e-12] so training survives saturated outputs.  Their
+callers validate the logits and labels they pass.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
@@ -42,10 +42,11 @@ from any number of threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,28 +86,59 @@ class LossParams:
                              f"{self.threshold}**{self.gamma} = {self.threshold**self.gamma}")
 
 
+def _rfl_form(params: LossParams) -> tuple[float, float, float]:
+    """(gamma, th, th^gamma) that write ``params`` as an RFL, bitwise: CE is
+    RFL at gamma 0 and th 1 (every pt < 1 is flat), FL at th 0, divisor 1."""
+    if params.kind is LossKind.CE:
+        return 0.0, 1.0, 1.0
+    if params.kind is LossKind.FL:
+        return params.gamma, 0.0, 1.0
+    return params.gamma, params.threshold, params.threshold**params.gamma
+
+
+def _kernel(pt, neg_log, one_minus, gamma: float, th, scale):
+    """The one spelling of the piecewise formulas: RFL's loss (None if
+    ``neg_log`` is) and d(loss)/d(pt) at a Python-float ``gamma``, which
+    keeps numpy's scalar-power fast paths, and at threshold ``th`` and
+    divisor ``scale``, scalars or columns that broadcast against pt."""
+    recip = -1.0 / pt
+    if gamma == 0.0:
+        weight, dfl = 1.0, recip
+    else:
+        weight = one_minus**gamma
+        # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt
+        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - weight / pt
+    flat = pt < th
+    loss = None if neg_log is None else np.where(flat, neg_log, weight * neg_log / scale)
+    return loss, np.where(flat, recip, dfl / scale)
+
+
 def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
     """Loss and d(loss)/d(pt) from pt, -log(pt) and 1 - pt, as scalars or
-    equal-shaped arrays: the one spelling of the piecewise formulas.  Each
-    caller clamps pt and supplies its own stable -log(pt).  At pt = th the
-    at-or-above branch applies to value and derivative alike."""
-    gamma, th = params.gamma, params.threshold
-    if params.kind is LossKind.CE:
-        return neg_log, -1.0 / pt
-    weight = one_minus**gamma
-    fl = weight * neg_log
-    # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt
-    if gamma == 0.0:
-        dfl = -1.0 / pt
-    else:
-        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - weight / pt
-    if params.kind is LossKind.FL:
-        return fl, dfl
-    scale = th**gamma
-    flat = pt < th
-    loss = np.where(flat, neg_log, fl / scale)
-    dpt = np.where(flat, -1.0 / pt, dfl / scale)
-    return loss, dpt
+    equal-shaped arrays.  Each caller clamps pt and supplies its own stable
+    -log(pt).  At pt = th the at-or-above branch applies to value and
+    derivative alike."""
+    return _kernel(pt, neg_log, one_minus, *_rfl_form(params))
+
+
+class LossColumns(NamedTuple):
+    """:func:`loss_columns` of R stacked losses."""
+
+    groups: tuple  # (rows, gamma, th (g, 1), scale (g, 1)) per distinct gamma
+
+
+def loss_columns(params: Sequence[LossParams]) -> LossColumns:
+    """The rows of each gamma with their threshold and divisor columns, so
+    one kernel pass serves all runs of a gamma.  CE rows join the first
+    gamma: their th = 1 puts every clamped pt on the flat branch."""
+    gammas = [p.gamma for p in params if p.kind is not LossKind.CE] or [0.0]
+    keys = [gammas[0] if p.kind is LossKind.CE else p.gamma for p in params]
+    groups = []
+    for gamma in dict.fromkeys(keys):
+        rows = [r for r, k in enumerate(keys) if k == gamma]
+        th, scale = np.array([_rfl_form(params[r])[1:] for r in rows]).T[:, :, None]
+        groups.append((np.array(rows), gamma, th, scale))
+    return LossColumns(tuple(groups))
 
 
 def loss_at(pt: float, params: LossParams) -> tuple[float, float]:
@@ -125,57 +157,73 @@ def cutoff_factor(pt: float, params: LossParams) -> float:
     return loss_at(pt, params)[0] / -math.log(pt)
 
 
-def _per_run(pt, neg_log, one_minus, params: Sequence[LossParams]):
-    """:func:`loss_and_dpt` of row r of (runs, n) arrays under ``params[r]``."""
-    losses, dpt = np.empty(pt.shape), np.empty(pt.shape)
-    for r, loss in enumerate(params):
-        losses[r], dpt[r] = loss_and_dpt(pt[r], neg_log[r], one_minus[r], loss)
+def _stacked(pt, neg_log, one_minus, params):
+    """Losses (None without ``neg_log``) and d(loss)/d(pt) of (runs, n)
+    arrays, row r under loss r of ``params`` (losses or their columns)."""
+    groups = (params if isinstance(params, LossColumns) else loss_columns(params)).groups
+    if len(groups) == 1:
+        return _kernel(pt, neg_log, one_minus, *groups[0][1:])
+    losses, dpt = None if neg_log is None else np.empty(pt.shape), np.empty(pt.shape)
+    for rows, gamma, th, scale in groups:
+        loss, dpt[rows] = _kernel(pt[rows], None if neg_log is None else neg_log[rows],
+                                  one_minus[rows], gamma, th, scale)
+        if loss is not None:
+            losses[rows] = loss
     return losses, dpt
 
 
-def softmax_head(z: np.ndarray, y: np.ndarray,
-                 params: Sequence[LossParams]) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _row_starts(S: int, n: int, C: int) -> np.ndarray:
+    """Flat offsets (S, n) of each row's first logit in a C-ordered (S, n, C) array."""
+    starts = np.arange(0, S * n * C, n * C)[:, None] + np.arange(0, n * C, C)
+    starts.flags.writeable = False  # every call of this shape shares it
+    return starts
+
+
+def softmax_head(z: np.ndarray, y: np.ndarray, params, with_loss: bool = True):
     """Losses (S, n) and logit gradients (S, n, C) of S stacked softmax heads on
     the C-ordered logits ``z`` (S, n, C), which it overwrites; row i has label
-    ``y[i]``, head s the loss ``params[s]``.  Each row's max is subtracted so
-    logits up to ~1e3 stay finite; d(loss)/d(z_j) = dloss/dpt * pt *
-    (delta_{j,y} - softmax_j).  Each row is bitwise what it gives alone."""
+    ``y[i]``, head s the loss ``params[s]`` (a list of losses or their
+    :func:`loss_columns`).  Each row's max is subtracted so logits up to ~1e3
+    stay finite; d(loss)/d(z_j) = dloss/dpt * pt * (delta_{j,y} - softmax_j).
+    Each row is bitwise what it gives alone.  Without ``with_loss`` the
+    losses are None, and the gradients are the same bits."""
     S, n, C = z.shape
     # The max is exact in any order: reduce a (C, S*n) copy along its rows.
     z -= np.maximum.reduce(z.reshape(-1, C).T.copy(), axis=0).reshape(S, n, 1)
     p = np.exp(z, out=z)
     p /= np.add.reduce(p, axis=2, keepdims=True)
-    at = np.arange(0, S * n * C, n * C)[:, None] + (np.arange(0, n * C, C) + y)
+    at = _row_starts(S, n, C) + y
     p_label = p.take(at)  # (S, n): each row's label entry, per head
     pt = np.minimum(np.maximum(p_label, PT_CLAMP_LO), PT_CLAMP_HI)
-    losses, dpt = _per_run(pt, -np.log(pt), 1.0 - pt, params)
+    losses, dpt = _stacked(pt, -np.log(pt) if with_loss else None, 1.0 - pt, params)
     direction = np.negative(p, out=p)
     direction.put(at, 1.0 - p_label)
     return losses, (dpt * pt)[:, :, None] * direction
 
 
-def binary_pt(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def binary_pt(s: np.ndarray, with_loss: bool = True):
     """Clamped pt, -log(pt) and 1 - pt of a sigmoid head, from the logit
     signed toward the label (z for label 1, -z for label 0), so that
     pt = sigmoid(s).  The log-sigmoid identity -log(sigmoid(s)) =
     log(1 + exp(-s)) keeps large |s| from overflowing; -log(pt) is capped
-    at -log(1e-12), mirroring the clamp."""
+    at -log(1e-12), mirroring the clamp, and None without ``with_loss``."""
     softplus = np.logaddexp(0.0, -s)
-    neg_log = np.minimum(softplus, -math.log(PT_CLAMP_LO))
+    neg_log = np.minimum(softplus, -math.log(PT_CLAMP_LO)) if with_loss else None
     pt = np.minimum(np.maximum(np.exp(-softplus), PT_CLAMP_LO), PT_CLAMP_HI)
     one_minus = np.exp(-np.logaddexp(0.0, s))
     one_minus = np.minimum(np.maximum(one_minus, PT_CLAMP_LO), PT_CLAMP_HI)
     return pt, neg_log, one_minus
 
 
-def sigmoid_head(z: np.ndarray, sign: np.ndarray,
-                 params: Sequence[LossParams]) -> tuple[np.ndarray, np.ndarray]:
+def sigmoid_head(z: np.ndarray, sign: np.ndarray, params, with_loss: bool = True):
     """Losses (R, n) and logit gradients (R, n, 1) of R stacked sigmoid heads
     on the logits ``z`` (R, n, 1); ``sign[i]`` is +1 for label 1 and -1 for
-    label 0, and head r has the loss ``params[r]``.  pt comes from
-    :func:`binary_pt`, and dpt/dz = +/- pt * (1 - pt)."""
-    pt, neg_log, one_minus = binary_pt(z[:, :, 0] * sign)
-    losses, dpt = _per_run(pt, neg_log, one_minus, params)
+    label 0, and head r has the loss ``params[r]`` (a list of losses or their
+    :func:`loss_columns`).  pt comes from :func:`binary_pt`, and dpt/dz =
+    +/- pt * (1 - pt).  Without ``with_loss`` the losses are None."""
+    pt, neg_log, one_minus = binary_pt(z[:, :, 0] * sign, with_loss)
+    losses, dpt = _stacked(pt, neg_log, one_minus, params)
     return losses, (dpt * pt * one_minus * sign)[:, :, None]
 
 

@@ -29,10 +29,12 @@ objectness scorer.  ``train_classifier`` and ``train_objectness`` run
 one SGD loop over R stacked models ``W`` (R, K, d), ``b`` (R, K), one per
 loss, and differ only in the batches they draw and the loss head they
 pass to :func:`step`: matmul, ``losses.softmax_head`` or
-``losses.sigmoid_head`` (the heads ``rfl-lab gradcheck`` checks),
-matmul.  Every step's rate is :func:`lr_at` of the shared schedule.  The
-step's mean losses go into one (iterations, losses) curve buffer, turned
-into lists once at the end.
+``losses.sigmoid_head`` (the heads ``rfl-lab gradcheck`` checks, given
+the losses' ``loss_columns`` built once a call), matmul.  Every step's
+rate is :func:`lr_at` of the shared schedule.  The loss curve keeps the
+mean batch loss of step 0, of every ``TrainConfig.curve_stride``-th step
+and of the last; only those steps ask the head for per-sample losses,
+and the others' gradients are the same bits.
 
 The objectness batches of one epoch come from one ``Generator.integers``
 call (:func:`stratified_batches`) that consumes the batch stream exactly
@@ -45,12 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice, pairwise
 from typing import Sequence
 
 import numpy as np
 
-from .losses import LossParams, sigmoid_head, softmax_head
+from .losses import LossParams, loss_columns, sigmoid_head, softmax_head
 from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
 
 @dataclass(frozen=True)
@@ -62,10 +64,13 @@ class TrainConfig:
     lr_schedule: tuple[tuple[float, float], ...]
     weight_init_seed: int = 0
     undersample: UndersamplePolicy | None = None
+    curve_stride: int = 1  # the loss curve keeps step 0, every stride-th and the last
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.curve_stride < 1:
+            raise ValueError("curve_stride must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not self.lr_schedule:
@@ -109,19 +114,21 @@ def _init(shape: tuple[int, ...], runs: int, seed: int):
 
 
 def step(
-    X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head,
-    params: Sequence[LossParams],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, params,
+    with_loss: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Per-sample losses (R, B) and batch-mean gradients (R, K, d), (R, K) of
     R stacked models ``W`` (R, K, d), ``b`` (R, K) on one minibatch, one loss
-    per model: ``head`` is ``losses.softmax_head`` (``target`` the labels) or
+    per model (``params``: a list of losses or their ``loss_columns``):
+    ``head`` is ``losses.softmax_head`` (``target`` the labels) or
     ``losses.sigmoid_head`` (K = 1, ``target`` the label signs +1/-1).  Each
     slice is bitwise what that model computes alone (matmul runs one gemm or
     gemv per slice); the losses are C-ordered, so a reduce along axis 1 sums
-    each row as ``row.mean()`` does."""
+    each row as ``row.mean()`` does.  Without ``with_loss`` the losses are
+    None and the gradients the same bits."""
     z = np.matmul(X, W.transpose(0, 2, 1))
     z += b[:, None, :]
-    losses, glogits = head(z, target, params)
+    losses, glogits = head(z, target, params, with_loss)
     dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[0]
     db = np.add.reduce(glogits, axis=1) / X.shape[0]
     return losses, dW, db
@@ -143,21 +150,25 @@ def _sgd(X: np.ndarray, cfg: TrainConfig, losses: Sequence[LossParams], K: int, 
     one init and batch stream (:func:`_init`), then one :func:`step` and
     update per (row indices into ``X``, targets) that ``batches(stream)``
     yields, at most ceil(n / batch_size) an epoch.  Returns (model, curve)
-    per loss; the curve holds the pre-update mean batch loss of each step."""
+    per loss; the curve holds the pre-update mean batch loss of step 0, of
+    every ``cfg.curve_stride``-th step and of the last (a one-batch
+    lookahead tells it), and only those steps compute their losses."""
     if not losses:
         raise ValueError("training needs at least one loss")
     W, rng = _init((K, X.shape[1]), len(losses), cfg.weight_init_seed)
     b = np.zeros((len(losses), K))
-    curves = np.empty((cfg.epochs * math.ceil(len(X) / cfg.batch_size), len(losses)))
-    iteration = 0
-    for idx, target in islice(batches(rng), len(curves)):
-        step_losses, dW, db = step(X.take(idx, axis=0), target, W, b, head, losses)
+    columns, curve = loss_columns(losses), []
+    stream = islice(batches(rng), cfg.epochs * math.ceil(len(X) / cfg.batch_size))
+    for iteration, ((idx, target), ahead) in enumerate(pairwise(chain(stream, [None]))):
+        record = ahead is None or iteration % cfg.curve_stride == 0
+        step_losses, dW, db = step(X.take(idx, axis=0), target, W, b, head, columns, record)
         rate = lr_at(cfg.lr_schedule, iteration)
         W -= rate * dW
         b -= rate * db
-        curves[iteration] = np.add.reduce(step_losses, axis=1) / step_losses.shape[1]
-        iteration += 1
-    return [(LinearModel(W[r], b[r]), c) for r, c in enumerate(curves[:iteration].T.tolist())]
+        if record:
+            curve.append(np.add.reduce(step_losses, axis=1) / step_losses.shape[1])
+    curves = np.reshape(curve, (-1, len(losses))).T.tolist()
+    return [(LinearModel(W[r], b[r]), c) for r, c in enumerate(curves)]
 
 
 def train_classifier(data: Dataset, cfg: TrainConfig, losses: Sequence[LossParams]):

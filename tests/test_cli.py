@@ -910,6 +910,19 @@ class TestFuse:
                               "{'box': [1e+308, 1e+308, inf, inf]")
         assert not out.exists()
 
+    def test_failed_stdout_write_prints_nothing(self, tmp_path, capsys):
+        # As above, without --out: the finite first record must not reach
+        # stdout ahead of the error.
+        src = tmp_path / "a.jsonl"
+        write_detections_jsonl([Detection(Box(0, 0, 1, 1), 0, 0.9),
+                                Detection(Box(10, 10, 20, 20), 0, 0.5)], src)
+        code, out, err = run(capsys, "fuse", str(src), "--transform", "scale:1e-307",
+                             "--scene", "1e300x1e300")
+        assert code == 2
+        assert err.startswith("error: cannot write a NaN or infinite value as JSON: "
+                              "{'box': [1e+308, 1e+308, inf, inf]")
+        assert out == ""
+
     def test_garbled_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n")

@@ -25,6 +25,7 @@ from rfl_lab.losses import (
     cutoff_factor,
     loss_and_dpt,
     loss_at,
+    loss_columns,
     sigmoid_head,
     softmax_head,
 )
@@ -366,6 +367,51 @@ class TestHeadIdentities:
             fl_loss, _ = solo(r, LossParams(LossKind.FL, gamma))
             lhs, rhs = fl_loss[~flat], th**gamma * got_loss[r][~flat]
             assert np.all(np.abs(lhs - rhs) <= 2 * np.spacing(np.maximum(abs(lhs), abs(rhs))))
+
+
+@st.composite
+def mixed_gamma_runs(draw, head):
+    """A stacked head call whose losses mix CE, FL and RFL at two gammas.  A
+    loss's threshold is a grid one or one of its own run's clamped pts, so
+    pts fall below, above and exactly at th."""
+    gammas = draw(st.lists(st.sampled_from(GAMMA_GRID), min_size=2, max_size=2, unique=True))
+    z, target, losses = draw(stacked_runs(head))
+    pt = head_pt(head, z, target)
+    at = st.integers(0, z.shape[1] - 1)
+    losses = [LossParams(p.kind, draw(st.sampled_from(gammas)),
+                         draw(st.sampled_from(TH_GRID + [1.0, float(pt[r, draw(at)])])))
+              for r, p in enumerate(losses)]
+    return z, target, losses
+
+
+@pytest.mark.parametrize("head", [softmax_head, sigmoid_head], ids=["softmax", "sigmoid"])
+class TestLossesOnDemand:
+    """Gradients without the losses are bitwise the gradients with them, the
+    stacked rows are their one-run calls, and a loss list equals its
+    columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_gradients_do_not_depend_on_the_losses(self, head, data):
+        z, target, losses = data.draw(mixed_gamma_runs(head))
+        pt = head_pt(head, z, target)
+        got_loss, got_grad = head(z.copy(), target, losses)
+        for params in (losses, loss_columns(losses)):
+            off_loss, off_grad = head(z.copy(), target, params, with_loss=False)
+            assert off_loss is None
+            assert np.array_equal(off_grad, got_grad)
+            on_loss, on_grad = head(z.copy(), target, params)
+            assert np.array_equal(on_loss, got_loss) and np.array_equal(on_grad, got_grad)
+        for r, params in enumerate(losses):
+            loss, grad = head(z[r:r + 1].copy(), target, [params])
+            assert np.array_equal(loss[0], got_loss[r])
+            assert np.array_equal(grad[0], got_grad[r])
+            if params.kind is LossKind.RFL:  # at and above th, FL over th^gamma
+                upper = pt[r] >= params.threshold
+                fl_loss, _ = head(z[r:r + 1].copy(), target, [LossParams(LossKind.FL,
+                                                                         params.gamma)])
+                scaled = fl_loss[0][upper] / params.threshold**params.gamma
+                assert np.array_equal(got_loss[r][upper], scaled)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
 """Trainer tests: schedules, convergence, determinism, gradient checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfl_lab.losses import (
@@ -495,6 +496,118 @@ class TestStep:
                 for mine, want in zip((losses[s], dW[s], db[s]), got):
                     assert np.array_equal(mine, want)
             assert rows[s] == float(losses[s].mean())
+
+
+def thinned(curve, stride):
+    """Every ``stride``-th entry of a full curve, and the last."""
+    last = curve[-1:] if curve and (len(curve) - 1) % stride else []
+    return curve[::stride] + last
+
+
+class TestCurveStride:
+    """A curve stride only thins the curve: the models are bitwise those of
+    stride 1, and the curve is every stride-th entry of the stride-1 curve
+    plus the last, also when undersampling leaves epochs of uneven length,
+    with no epochs, and with a stride past the iteration count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, 30), min_size=2, max_size=4),
+           losses=st.lists(STEP_LOSSES, min_size=1, max_size=4),
+           skip=st.none() | st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+                                     min_size=4, max_size=4),
+           epochs=st.integers(0, 4), batch=st.integers(1, 16), stride=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    @example(counts=[30, 20, 10], losses=STEP_LOSS_LIST, skip=[0.7, 0.3, 0.7, 0.0], epochs=4,
+             batch=4, stride=3, seed=1)  # epochs of uneven length
+    @example(counts=[5, 5], losses=[CE], skip=None, epochs=0, batch=4, stride=3, seed=0)
+    @example(counts=[5, 5], losses=[CE, FL2], skip=None, epochs=2, batch=4, stride=40, seed=0)
+    def test_classifier(self, counts, losses, skip, epochs, batch, stride, seed):
+        data = generate_synthetic(SynthDatasetSpec(
+            class_counts=counts, feature_dim=3, label_noise_rate=0.1, seed=seed))
+        policy = None if skip is None else UndersamplePolicy(
+            dict(enumerate(skip[:len(counts)])), seed=seed)
+        cfg = TrainConfig(epochs, batch, ((7, 0.5), (10**9, 0.1)), weight_init_seed=seed,
+                          undersample=policy)
+        try:
+            full = train_classifier(data, cfg, losses)
+        except ValueError as exc:
+            assert "no training iteration" in str(exc)  # every epoch emptied
+            with pytest.raises(ValueError, match="no training iteration"):
+                train_classifier(data, replace(cfg, curve_stride=stride), losses)
+            return
+        for (model, curve), (ref, ref_curve) in zip(
+                train_classifier(data, replace(cfg, curve_stride=stride), losses), full,
+                strict=True):
+            assert np.array_equal(model.weights, ref.weights)
+            assert np.array_equal(model.biases, ref.biases)
+            assert curve == thinned(ref_curve, stride)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_fg=st.integers(1, 40), n=st.integers(41, 300), batch=st.integers(1, 40),
+           epochs=st.integers(0, 3), stride=st.integers(1, 60),
+           losses=st.lists(STEP_LOSSES, min_size=1, max_size=4), seed=st.integers(0, 2**16))
+    @example(n_fg=5, n=50, batch=8, epochs=0, stride=2, losses=[CE], seed=0)
+    @example(n_fg=5, n=50, batch=40, epochs=1, stride=60, losses=[CE, FL2], seed=0)
+    def test_objectness(self, n_fg, n, batch, epochs, stride, losses, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 3))
+        y = np.zeros(n, dtype=np.int64)
+        y[rng.choice(n, size=n_fg, replace=False)] = 1
+        cfg = TrainConfig(epochs, batch, ((5, 0.3), (10**9, 0.1)), weight_init_seed=seed)
+        full = train_objectness(X, y, cfg, losses, 0.5)
+        for (model, curve), (ref, ref_curve) in zip(
+                train_objectness(X, y, replace(cfg, curve_stride=stride), losses, 0.5), full,
+                strict=True):
+            assert np.array_equal(model.weights, ref.weights)
+            assert np.array_equal(model.biases, ref.biases)
+            assert curve == thinned(ref_curve, stride)
+
+    @pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
+    def test_only_recorded_steps_compute_losses(self, head):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 3))
+        _, target, K = draw_targets(head, rng, 7, 3)
+        asked = []
+
+        def counting_head(z, target, params, with_loss=True):
+            asked.append(with_loss)
+            return head(z, target, params, with_loss)
+
+        def batches(_):
+            for _ in range(23):
+                yield np.arange(7), target
+
+        cfg = TrainConfig(4, 10, FLAT, curve_stride=5)
+        [(_, curve), _] = _sgd(X, cfg, [CE, FL2], K, counting_head, batches)
+        assert len(asked) == 20 and len(curve) == 5  # steps 0, 5, 10, 15 and 19
+        assert [i for i, w in enumerate(asked) if w] == [0, 5, 10, 15, 19]
+
+    def test_stride_must_be_positive(self):
+        with pytest.raises(ValueError, match="curve_stride"):
+            TrainConfig(1, 1, FLAT, curve_stride=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+       zero_skip=st.lists(st.booleans(), min_size=5, max_size=5),
+       epochs=st.integers(1, 3), batch=st.integers(1, 16), stride=st.integers(1, 30),
+       seed=st.integers(0, 2**16), policy_seed=st.integers(0, 2**32 - 1))
+def test_zero_skip_undersampling_is_no_policy(counts, zero_skip, epochs, batch, stride, seed,
+                                               policy_seed):
+    # A policy that skips its classes with probability 0 keeps every row in
+    # every epoch: bitwise the run with no policy.
+    data = generate_synthetic(SynthDatasetSpec(
+        class_counts=counts, feature_dim=3, label_noise_rate=0.1, seed=seed))
+    policy = UndersamplePolicy({c: 0.0 for c in range(len(counts)) if zero_skip[c]},
+                               seed=policy_seed)
+    cfg = TrainConfig(epochs, batch, ((9, 0.5), (10**9, 0.1)), weight_init_seed=seed,
+                      curve_stride=stride)
+    for (model, curve), (ref, ref_curve) in zip(
+            train_classifier(data, replace(cfg, undersample=policy), LOCKSTEP_ARMS),
+            train_classifier(data, cfg, LOCKSTEP_ARMS), strict=True):
+        assert np.array_equal(model.weights, ref.weights)
+        assert np.array_equal(model.biases, ref.biases)
+        assert curve == ref_curve
 
 
 class TestEndToEndGradient:
