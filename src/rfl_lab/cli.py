@@ -2,9 +2,13 @@
 
 Each subcommand parses its inputs and calls the library's one entry
 point per operation (``fuse`` calls ``invert_tta`` per input, then ``fuse``).
+Only the standard library is imported at module level; each subcommand
+imports the modules it calls when it runs, so ``--help`` loads no numpy
+and the training and detection halves never load each other.
 
 Exit codes: 0 success, 1 check or experiment failure, 2 usage or config
-errors (including missing or unparsable input files).  All primary
+errors (including missing or unparsable input files, and outputs that
+cannot be written: one line naming the path, no partial file).  All primary
 outputs (CSV, JSON, JSONL) are byte-identical across reruns with the
 same inputs, and no report carries wall-clock time; the environment
 variable ``RFL_LAB_SEED`` supplies the seed list when neither the config
@@ -21,31 +25,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from . import __version__, round_floats
 
-from . import __version__
-from .ensemble import FusionConfig, ScoreMode, fuse
-from .experiment import (ConfigError, DatasetError, _classifier_data, read_csv_dataset,
-                         round_floats, run_experiment, validate_config)
-from .geometry import (
-    SceneDims,
-    TtaTransform,
-    clip_boxes_to_tile,
-    invert_tta,
-    tile_axis_counts,
-    tile_grid,
-)
-from .losses import LossKind, LossParams, cutoff_factor, loss_at, run_gradcheck
-from .metrics import (
-    detection_lines,
-    map_and_mrecall,
-    not_utf8,
-    read_detections_jsonl,
-    read_groundtruths_jsonl,
-    write_detections_jsonl,
-)
-from .sampling import write_dataset_csv
-from . import svg
+# ensemble.ScoreMode's values, spelled here so that the parser does not
+# load the detection modules for every subcommand.
+SCORE_MODES = ("mean", "max", "weighted_mean")
 
 
 def _fmt(value: float) -> str:
@@ -57,10 +41,12 @@ def _json_dump(obj, fh) -> None:
     fh.write("\n")
 
 
-def _parse_scene(text: str) -> SceneDims:
+def _parse_scene(text: str):
+    from . import geometry
+
     try:
         w, h = text.lower().split("x")
-        return SceneDims(float(w), float(h))
+        return geometry.SceneDims(float(w), float(h))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"scene must look like 1000x1000 with finite positive sides, got {text!r}"
@@ -73,9 +59,14 @@ def _parse_scene(text: str) -> SceneDims:
 
 
 def cmd_loss_table(args) -> int:
-    params_ce = LossParams(kind=LossKind.CE)
-    params_fl = LossParams(kind=LossKind.FL, gamma=args.gamma)
-    params_rfl = LossParams(kind=LossKind.RFL, gamma=args.gamma, threshold=args.th)
+    import numpy as np
+
+    from . import losses
+
+    params_ce = losses.LossParams(kind=losses.LossKind.CE)
+    params_fl = losses.LossParams(kind=losses.LossKind.FL, gamma=args.gamma)
+    params_rfl = losses.LossParams(kind=losses.LossKind.RFL, gamma=args.gamma,
+                                   threshold=args.th)
     if args.steps == 1:
         grid = [args.pt_min]
     else:
@@ -86,10 +77,10 @@ def cmd_loss_table(args) -> int:
         pt = float(pt)
         writer.writerow([
             _fmt(pt),
-            _fmt(loss_at(pt, params_ce)[0]),
-            _fmt(loss_at(pt, params_fl)[0]),
-            _fmt(loss_at(pt, params_rfl)[0]),
-            _fmt(cutoff_factor(pt, params_rfl)),
+            _fmt(losses.loss_at(pt, params_ce)[0]),
+            _fmt(losses.loss_at(pt, params_fl)[0]),
+            _fmt(losses.loss_at(pt, params_rfl)[0]),
+            _fmt(losses.cutoff_factor(pt, params_rfl)),
         ])
     return 0
 
@@ -100,8 +91,10 @@ def cmd_loss_table(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import losses
+
     tolerances = {"scalar": 1e-6, "binary": 1e-5, "softmax": 1e-5}
-    worst, sections = run_gradcheck(args.skip_kink_band, negate=args.negate_grad)
+    worst, sections = losses.run_gradcheck(args.skip_kink_band, negate=args.negate_grad)
     failed = False
     for section in ("scalar", "binary", "softmax"):
         err = sections.get(section, 0.0)
@@ -128,6 +121,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def _write_plots(report: dict, out_dir: Path) -> None:
+    from . import svg
+
     out_dir.mkdir(parents=True, exist_ok=True)
     arms = report["arms"]
     kind = report["kind"]
@@ -159,6 +154,8 @@ def _write_plots(report: dict, out_dir: Path) -> None:
 
 
 def cmd_experiment(args) -> int:
+    from . import experiment, sampling
+
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -166,7 +163,9 @@ def cmd_experiment(args) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError:
-        print(f"cannot read config: {not_utf8(args.config)}", file=sys.stderr)
+        from . import metrics
+
+        print(f"cannot read config: {metrics.not_utf8(args.config)}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"cannot read config: {args.config} line {exc.lineno}: {exc.msg} "
@@ -191,15 +190,15 @@ def cmd_experiment(args) -> int:
                 print(f"RFL_LAB_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
                 return 2
     try:
-        spec = validate_config(config)
+        spec = experiment.validate_config(config)
         if args.dump_data and spec.kind != "classifier":
             print("--dump-data only applies to classifier experiments", file=sys.stderr)
             return 2
-        report = run_experiment(config)
-    except ConfigError as exc:
+        report = experiment.run_experiment(config)
+    except experiment.ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except DatasetError as exc:
+    except experiment.DatasetError as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a valid config whose runs cannot train
@@ -215,15 +214,16 @@ def cmd_experiment(args) -> int:
         print(f"plots written to {args.plots}")
     if args.dump_data:
         try:  # one read for every seed
-            csv = read_csv_dataset(spec.dataset) if isinstance(spec.dataset, str) else None
-        except DatasetError as exc:
+            csv = (experiment.read_csv_dataset(spec.dataset)
+                   if isinstance(spec.dataset, str) else None)
+        except experiment.DatasetError as exc:
             print(f"cannot read dataset: {exc}", file=sys.stderr)
             return 2
         dump_dir = Path(args.dump_data)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for seed in spec.seeds:
-            train_data, _, _ = _classifier_data(spec, seed, csv)
-            write_dataset_csv(train_data, dump_dir / f"dataset_seed{seed}.csv")
+            train_data, _, _ = experiment._classifier_data(spec, seed, csv)
+            sampling.write_dataset_csv(train_data, dump_dir / f"dataset_seed{seed}.csv")
         print(f"datasets written to {dump_dir}")
     return 0
 
@@ -234,13 +234,15 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_tile(args) -> int:
-    tiles = tile_grid(args.scene, args.tile, args.overlap)
-    nx, _ = tile_axis_counts(args.scene, args.tile, args.overlap)
+    from . import geometry, metrics
+
+    tiles = geometry.tile_grid(args.scene, args.tile, args.overlap)
+    nx, _ = geometry.tile_axis_counts(args.scene, args.tile, args.overlap)
 
     boxes = None
     if args.boxes:
         try:
-            boxes = read_detections_jsonl(args.boxes)
+            boxes = metrics.read_detections_jsonl(args.boxes)
         except (OSError, ValueError) as exc:
             print(f"cannot read boxes: {exc}", file=sys.stderr)
             return 2
@@ -262,8 +264,8 @@ def cmd_tile(args) -> int:
         }
         manifest["tiles"].append(entry)
         if boxes is not None:
-            local = clip_boxes_to_tile(boxes, t, args.min_visibility)
-            write_detections_jsonl(local, out_dir / f"tile_{ix}_{iy}.jsonl")
+            local = geometry.clip_boxes_to_tile(boxes, t, args.min_visibility)
+            metrics.write_detections_jsonl(local, out_dir / f"tile_{ix}_{iy}.jsonl")
     with open(out_dir / "manifest.json", "w") as fh:
         _json_dump(manifest, fh)
     print(f"{len(tiles)} tiles -> {out_dir}")
@@ -276,6 +278,8 @@ def cmd_tile(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from . import ensemble, geometry, metrics
+
     n = len(args.inputs)
     sources = args.source or []
     transforms = args.transform or []
@@ -300,12 +304,13 @@ def cmd_fuse(args) -> int:
     passes = []
     for i, path in enumerate(args.inputs):
         try:
-            dets = read_detections_jsonl(path)
+            dets = metrics.read_detections_jsonl(path)
         except (OSError, ValueError) as exc:
             print(f"cannot read inputs: {exc}", file=sys.stderr)
             return 2
         try:
-            transform = TtaTransform.parse(transforms[i]) if transforms else TtaTransform()
+            transform = (geometry.TtaTransform.parse(transforms[i]) if transforms
+                         else geometry.TtaTransform())
         except ValueError as exc:
             print(f"bad transform for {path}: {exc}", file=sys.stderr)
             return 2
@@ -317,13 +322,13 @@ def cmd_fuse(args) -> int:
         print("--scene is required when any --transform is not identity",
               file=sys.stderr)
         return 2
-    scene = args.scene or SceneDims(1.0, 1.0)
+    scene = args.scene or geometry.SceneDims(1.0, 1.0)
 
     try:
-        cfg = FusionConfig(
+        cfg = ensemble.FusionConfig(
             iou_thresh=args.iou_thresh,
             min_votes=args.min_votes,
-            score_mode=ScoreMode(args.score_mode),
+            score_mode=ensemble.ScoreMode(args.score_mode),
             source_weights=weights,
         )
     except ValueError as exc:
@@ -331,13 +336,13 @@ def cmd_fuse(args) -> int:
         return 2
 
     pooled = [det for dets, transform, source in passes
-              for det in invert_tta(dets, scene, transform, source)]
-    fused = fuse(pooled, cfg)
+              for det in geometry.invert_tta(dets, scene, transform, source)]
+    fused = ensemble.fuse(pooled, cfg)
     if args.out:
-        write_detections_jsonl(fused, args.out)
+        metrics.write_detections_jsonl(fused, args.out)
         print(f"{len(fused)} fused detections -> {args.out}")
     else:  # every line is made before any is printed, so a failure prints none
-        sys.stdout.writelines(list(detection_lines(fused)))
+        sys.stdout.writelines(list(metrics.detection_lines(fused)))
     return 0
 
 
@@ -347,14 +352,16 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import metrics
+
     try:
-        dets = read_detections_jsonl(args.dets)
-        gts = read_groundtruths_jsonl(args.gts)
+        dets = metrics.read_detections_jsonl(args.dets)
+        gts = metrics.read_groundtruths_jsonl(args.gts)
     except (OSError, ValueError) as exc:
         print(f"cannot read inputs: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = map_and_mrecall(dets, gts, args.iou_thresh)
+        summary = metrics.map_and_mrecall(dets, gts, args.iou_thresh)
     except ValueError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 2
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iou-thresh", type=float, default=0.5)
     p.add_argument("--min-votes", type=int, default=1)
     p.add_argument("--score-mode", default="mean",
-                   choices=[m.value for m in ScoreMode])
+                   choices=SCORE_MODES)
     p.add_argument("--weight", action="append", metavar="SOURCE=W")
     p.add_argument("--out", help="output JSONL (default: stdout)")
     p.set_defaults(func=cmd_fuse)
@@ -466,6 +473,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # each command reports its own input errors
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

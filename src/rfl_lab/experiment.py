@@ -35,7 +35,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, round_floats  # noqa: F401  (also read as experiment.round_floats)
 from .losses import LossKind, LossParams
 from .sampling import (Dataset, SceneSetSpec, SynthDatasetSpec, UndersamplePolicy,
                        generate_scenes, generate_synthetic, read_dataset_csv)
@@ -456,14 +456,3 @@ def run_experiment(config: dict) -> dict:
 
     return {"artifact_version": __version__, "kind": spec.kind, "config": config,
             "seeds": list(spec.seeds), "arms": arms_out}
-
-
-def round_floats(obj: Any, sig: int = 9) -> Any:
-    """Recursively round floats to ``sig`` significant digits for output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{sig}g}")
-    if isinstance(obj, dict):
-        return {str(k): round_floats(v, sig) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
-    return obj

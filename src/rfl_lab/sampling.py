@@ -30,8 +30,6 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .metrics import not_utf8
-
 
 class Dataset(NamedTuple):
     """Labelled examples as arrays; row i of each field is example i."""
@@ -162,6 +160,8 @@ def _csv_rows(path: str | Path):
         except csv.Error as exc:
             raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
+            from .metrics import not_utf8
+
             raise not_utf8(path) from None
 
 

@@ -33,18 +33,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this checkout's rfl_lab."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_capped(*argv):
     """The CLI in a child process with a timeout and a 1 GB address-space cap,
     for inputs that would otherwise grow without end."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "rfl_lab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
         preexec_fn=cap_memory,
     )
 
@@ -404,7 +408,7 @@ class TestExperiment:
         cfg = tmp_path / "ts.json"
         cfg.write_text(json.dumps(cfg_data))
         trained = []
-        monkeypatch.setattr("rfl_lab.cli.run_experiment",
+        monkeypatch.setattr("rfl_lab.experiment.run_experiment",
                             lambda *a, **k: trained.append(a) or {})
         out, dump = tmp_path / "r.json", tmp_path / "data"
         code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out),
@@ -1104,3 +1108,86 @@ class TestMalformedInputFuzz:
             assert self._main("tile", "--scene", "100x100", "--tile", "60",
                               "--overlap", "10", "--boxes", str(boxes),
                               "--out-dir", str(Path(tmp, "tiles"))) in (0, 2)
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A directory of tiny valid inputs for every subcommand, and a file
+    ``afile`` that an output directory cannot be made at or under."""
+    write_detections_jsonl([Detection(Box(0, 0, 4, 4), 0, 0.9)], tmp_path / "d.jsonl")
+    write_groundtruths_jsonl([GroundTruth(Box(0, 0, 4, 4), 0)], tmp_path / "g.jsonl")
+    (tmp_path / "ts.json").write_text(json.dumps(dict(TINY_TWO_STAGE, seeds=[1])))
+    (tmp_path / "cl.json").write_text(json.dumps(dict(SMALL_CONFIG, seeds=[1])))
+    (tmp_path / "afile").write_text("kept\n")
+    return tmp_path
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one line naming
+    it, and leaves no file behind but the outputs written before it."""
+
+    @pytest.mark.parametrize("argv, target", [
+        (["fuse", "{d}/d.jsonl", "--out", "{d}/nodir/x.jsonl"], "nodir/x.jsonl"),
+        (["eval", "--dets", "{d}/d.jsonl", "--gts", "{d}/g.jsonl", "--out", "{d}/nodir/x.json"],
+         "nodir/x.json"),
+        (["experiment", "{d}/ts.json", "--out", "{d}/nodir/r.json"], "nodir/r.json"),
+        (["experiment", "{d}/ts.json", "--out", "{d}/r.json", "--plots", "{d}/afile"], "afile"),
+        (["experiment", "{d}/cl.json", "--out", "{d}/r.json", "--dump-data", "{d}/afile/sub"],
+         "afile/sub"),
+        (["tile", "--scene", "10x10", "--tile", "5", "--out-dir", "{d}/afile"], "afile"),
+        (["tile", "--scene", "10x10", "--tile", "5", "--out-dir", "{d}/afile/sub"], "afile/sub"),
+    ], ids=["fuse", "eval", "experiment", "plots", "dump-data", "tile-file", "tile-under-file"])
+    def test_exit_2_one_line_naming_the_path(self, inputs, capsys, argv, target):
+        before = set(inputs.iterdir())
+        code, _, err = run(capsys, *[a.format(d=inputs) for a in argv])
+        assert code == 2
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert str(inputs / target) in err
+        assert set(inputs.iterdir()) - before <= {inputs / "r.json"}
+        assert (inputs / "afile").read_text() == "kept\n"
+
+
+_LOADED = """
+import json, sys
+from rfl_lab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.startswith("rfl_lab."))}))
+"""
+
+
+class TestModulesLoaded:
+    """Each subcommand loads only the modules it runs: the training and the
+    detection halves never load each other, and --help loads no numpy."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["--help"], []),
+        (["--version"], []),
+        (["loss-table", "--steps", "3"], ["losses"]),
+        (["gradcheck"], ["losses"]),
+        (["experiment", "{d}/ts.json", "--out", "{d}/r.json"],
+         ["experiment", "losses", "sampling", "train"]),
+        (["tile", "--scene", "10x10", "--tile", "5", "--boxes", "{d}/d.jsonl",
+          "--out-dir", "{d}/t"], ["geometry", "metrics"]),
+        (["fuse", "{d}/d.jsonl", "--transform", "fliph", "--scene", "10x10"],
+         ["ensemble", "geometry", "metrics"]),
+        (["eval", "--dets", "{d}/d.jsonl", "--gts", "{d}/g.jsonl"], ["metrics"]),
+    ], ids=["help", "version", "loss-table", "gradcheck", "experiment", "tile", "fuse", "eval"])
+    def test_module_set(self, inputs, argv, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED, *[a.format(d=inputs) for a in argv]],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["code"] == 0, proc.stderr
+        assert got["modules"] == sorted(f"rfl_lab.{m}" for m in ["cli", *loaded])
+        assert got["numpy"] == bool(loaded)
+
+    def test_score_mode_choices_are_the_score_modes(self):
+        from rfl_lab import cli
+        from rfl_lab.ensemble import ScoreMode
+
+        assert list(cli.SCORE_MODES) == [m.value for m in ScoreMode]

@@ -204,7 +204,11 @@ def test_single_mutation_is_rejected_at_its_path(case):
 
 
 def test_cli_import_adds_no_third_party_module_but_numpy():
-    code = ("import sys; before = set(sys.modules); import rfl_lab.cli; "
+    # The CLI imports each subcommand's modules when it runs; these imports
+    # load all of them (ensemble loads metrics; experiment losses, sampling
+    # and train).
+    code = ("import sys; before = set(sys.modules); import rfl_lab.cli, rfl_lab.ensemble, "
+            "rfl_lab.experiment, rfl_lab.geometry, rfl_lab.svg; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
