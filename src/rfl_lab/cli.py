@@ -153,6 +153,29 @@ def _write_plots(report: dict, out_dir: Path) -> None:
         )
 
 
+def _claim(path: Path, directory: bool = False) -> list[Path]:
+    """Make sure an output can be written before the run that makes it:
+    open a file for appending (an existing one keeps its bytes) or make a
+    directory, so a path that cannot be written fails now, with the error
+    that writing it would raise.  Returns what it created, for
+    :func:`_remove` should the run fail."""
+    new = [p for p in (path, *path.parents) if not p.exists()]
+    if directory:
+        path.mkdir(parents=True, exist_ok=True)
+    else:
+        open(path, "a").close()
+    return new[::-1]
+
+
+def _remove(made: list[Path]) -> None:
+    """Remove, newest first, the files and empty directories in ``made``."""
+    for path in reversed(made):
+        try:
+            path.rmdir() if path.is_dir() else path.unlink()
+        except OSError:
+            pass
+
+
 def cmd_experiment(args) -> int:
     from . import experiment, sampling
 
@@ -189,12 +212,19 @@ def cmd_experiment(args) -> int:
             except ValueError:
                 print(f"RFL_LAB_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
                 return 2
+    made: list[Path] = []  # outputs made before the run, removed if it fails
     try:
         spec = experiment.validate_config(config)
         if args.dump_data and spec.kind != "classifier":
             print("--dump-data only applies to classifier experiments", file=sys.stderr)
             return 2
+        made += _claim(Path(args.out))
+        if args.plots:
+            made += _claim(Path(args.plots), directory=True)
+        if args.dump_data:
+            made += (dump_made := _claim(Path(args.dump_data), directory=True))
         report = experiment.run_experiment(config)
+        made = []
     except experiment.ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -204,6 +234,8 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:  # a valid config whose runs cannot train
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _remove(made)
 
     out = Path(args.out)
     with open(out, "w") as fh:
@@ -218,6 +250,7 @@ def cmd_experiment(args) -> int:
                    if isinstance(spec.dataset, str) else None)
         except experiment.DatasetError as exc:
             print(f"cannot read dataset: {exc}", file=sys.stderr)
+            _remove(dump_made)
             return 2
         dump_dir = Path(args.dump_data)
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -438,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse detections from multiple passes")
     p.add_argument("inputs", nargs="+", help="JSONL detection files")
     p.add_argument("--source", action="append",
-                   help="source tag per input (default: file stem)")
+                   help="source tag per input, replacing its records' own tags "
+                        "(default: each record keeps its tag)")
     p.add_argument("--transform", action="append",
                    help="TTA transform per input, e.g. rot90+scale:1.2")
     p.add_argument("--scene", type=_parse_scene, metavar="WxH")

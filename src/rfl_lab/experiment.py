@@ -4,10 +4,14 @@ An experiment config describes one dataset (or scene set), one training
 recipe, and a list of arms that vary the loss and optionally add an
 undersampling policy.  :func:`validate_config` checks the config once,
 against one table of rules, and parses it into the :class:`ExperimentSpec`
-the runner reads.  Each seed's data is built once; the arms that share a
-schedule (:meth:`Train.config`; classifier arms share one per undersample
-policy) train in one call, in lockstep, each bitwise as if alone, with
-shared seed derivations:
+the runner reads.  Every seed's data is built first, once; then one
+trainer call trains every seed in lockstep, each run bitwise as if alone.
+Its streams are (seed, schedule) pairs (:meth:`Train.config`): a
+classifier experiment has one per seed and undersample policy, holding
+the arms of that policy; a two-stage experiment one stage-1 stream per
+seed, holding every arm, and one stage-2 stream per seed.  Evaluation
+then runs per seed.  Because every seed's arrays are held at once, the
+size bound counts them all.  Seeds derive as:
 
     dataset seed            = seed
     balanced eval set seed  = seed + 1000
@@ -294,35 +298,40 @@ def validate_config(config: dict) -> ExperimentSpec:
 
 
 def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
-    """Rejects more than :data:`MAX_VALUES` values in the training features
-    (n rows of d), a scene set's class-mean lattice, the eval set, or, per
-    train section, iterations x runs (the values of a stride-1 loss curve)
-    or an array of one SGD step: the batch's features (rows, d), the stacked logits (runs,
-    rows, K) or the weights (runs, K, d).  A classifier batch holds at most
-    n rows.  An objectness batch holds max(batch, 2) rows, even more than
-    n, as a small stratum is drawn with replacement; K = 1.  Its epoch of
-    ceil(n / batch) batches is drawn at once, fewer than two integers a
-    row.  Stage 2 trains one run on the positives, at most every
-    candidate.  (A synthetic dataset's lattice, classes x d, is within its
-    n x d.)"""
+    """Rejects more than :data:`MAX_VALUES` values in any array that a run
+    holds, counting what every seed holds at once, since all seeds train in
+    one lockstep call.  With S seeds (a csv_path dataset is read once):
+    the training features (S x n rows of d), a scene set's class-mean
+    lattice, the S eval sets, and, per train section, iterations x runs
+    (the values of the stride-1 loss curves; runs = S x arms) or an array
+    of one stacked SGD step: every run's batch features (runs, rows, d),
+    the logits (runs, rows, K) or the weights (runs, K, d).  A classifier
+    batch holds at most n rows.  An objectness batch holds max(batch, 2)
+    rows, even more than n, as a small stratum is drawn with replacement;
+    K = 1.  Each seed's epoch of ceil(n / batch) batches is drawn at once,
+    fewer than two integers a row.  Stage 2 trains one run a seed on the
+    positives, at most every candidate.  (A synthetic dataset's lattice,
+    classes x d, is within its n x d.)"""
     def per_step(runs: int, rows: int, K: int) -> int:
-        return max(rows * d, runs * K * max(rows, d))
+        return runs * max(rows * d, rows * K, K * d)
 
-    runs, K = len(spec.arms), max(2, classes)
-    sizes = [("$.dataset" if spec.kind == "classifier" else "$.scenes", n * d),
-             ("$.train", spec.train.iterations(n) * runs)]
+    seeds = len(spec.seeds)
+    runs, K = seeds * len(spec.arms), max(2, classes)
+    copies = 1 if isinstance(spec.dataset, str) else seeds
+    sizes = [("$.dataset" if spec.kind == "classifier" else "$.scenes", copies * n * d)]
+    if isinstance(spec.dataset, SynthDatasetSpec):
+        sizes.append(("$.eval", seeds * spec.eval * spec.dataset.num_classes * d))
+    sizes.append(("$.train", spec.train.iterations(n) * runs))
     if spec.kind == "classifier":
         sizes.append(("$.train", per_step(runs, min(spec.train.batch_size, n), K)))
     else:
         rows = max(spec.train.batch_size, 2)
         sizes += [("$.scenes", (classes + 1) * d), ("$.train", per_step(runs, rows, 1)),
-                  ("$.train", 2 * rows * math.ceil(n / spec.train.batch_size))]
-    if isinstance(spec.dataset, SynthDatasetSpec):
-        sizes.append(("$.eval", spec.eval * spec.dataset.num_classes * d))
+                  ("$.train", seeds * 2 * rows * math.ceil(n / spec.train.batch_size))]
     if spec.two_stage:
         stage2 = spec.two_stage.stage2
-        sizes += [("$.two_stage.stage2", stage2.iterations(n)),
-                  ("$.two_stage.stage2", per_step(1, min(stage2.batch_size, n), K))]
+        sizes += [("$.two_stage.stage2", seeds * stage2.iterations(n)),
+                  ("$.two_stage.stage2", per_step(seeds, min(stage2.batch_size, n), K))]
     for path, values in sizes:
         if values > MAX_VALUES:
             raise ConfigError(f"needs {values} float64 values, more than {MAX_VALUES}", path)
@@ -385,49 +394,58 @@ def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None
     return generate_synthetic(train_spec), generate_synthetic(eval_spec), counts
 
 
-def _classifier_rows(spec: ExperimentSpec, seed: int, csv: Dataset | None
-                     ) -> dict[str, dict]:
-    """One seed of every arm; arms with one undersample policy train in lockstep."""
-    train_data, eval_data, counts = _classifier_data(spec, seed, csv)
-
+def _classifier_rows(spec: ExperimentSpec, csv: Dataset | None) -> list[dict[str, dict]]:
+    """Per seed, a row per arm: one lockstep call trains every (seed,
+    undersample policy) stream, each the arms of one policy at one seed."""
     groups: dict[frozenset, list[Arm]] = {}
     for arm in spec.arms:
         groups.setdefault(frozenset((arm.undersample or {}).items()), []).append(arm)
 
-    rows = {}
-    for arms in groups.values():
-        skip = arms[0].undersample or {}
-        policy = UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
-        cfg = spec.train.config(seed, _expected_examples(counts, skip), spec.loss_curve_stride,
-                                policy)
-        trained = train_classifier(train_data, cfg, [arm.loss for arm in arms])
-        for arm, (model, curve) in zip(arms, trained):
-            ev = evaluate_classifier(model, eval_data)
-            rows[arm.name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
-                              "per_class_recall": dict(ev.per_class_recall),
-                              "loss_curve": curve}
-    return rows
+    data = [_classifier_data(spec, seed, csv) for seed in spec.seeds]
+    streams = []
+    for seed, (train_data, _, counts) in zip(spec.seeds, data):
+        for arms in groups.values():
+            skip = arms[0].undersample or {}
+            policy = UndersamplePolicy(skip, seed=seed + UNDERSAMPLE_SEED_OFFSET) if skip else None
+            cfg = spec.train.config(seed, _expected_examples(counts, skip),
+                                    spec.loss_curve_stride, policy)
+            streams.append((train_data, cfg, [arm.loss for arm in arms]))
+    trained = iter(train_classifier(streams))
+
+    by_seed = []
+    for seed, (_, eval_data, _) in zip(spec.seeds, data):
+        rows = {}
+        for arms in groups.values():
+            for arm, (model, curve) in zip(arms, next(trained)):
+                ev = evaluate_classifier(model, eval_data)
+                rows[arm.name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
+                                  "per_class_recall": dict(ev.per_class_recall),
+                                  "loss_curve": curve}
+        by_seed.append(rows)
+    return by_seed
 
 
-def _two_stage_rows(spec: ExperimentSpec, seed: int) -> dict[str, dict]:
-    """One seed of every arm: the arms' stage 1 trains in lockstep, stage 2 once."""
+def _two_stage_rows(spec: ExperimentSpec) -> list[dict[str, dict]]:
+    """Per seed, a row per arm: one call trains every seed, stage 1 of all
+    arms and seeds in one lockstep and stage 2 of all seeds in another."""
     sc, ts = spec.scenes, spec.two_stage
-    scenes = generate_scenes(replace(sc, seed=seed))
     stride = spec.loss_curve_stride
-    cfg = TwoStageConfig(spec.train.config(seed, len(scenes.X), stride), ts.proposal_budget,
-                         ts.stage2.config(seed + 1, int(scenes.is_object.sum()), stride),
-                         ts.stage2_loss, ts.fg_bg_ratio)
-    rows = {}
-    trained = train_two_stage(scenes, cfg, [arm.loss for arm in spec.arms])
-    for arm, (_, _, report) in zip(spec.arms, trained):
-        rows[arm.name] = {
-            "seed": seed, "proposal_recall": report.proposal_recall,
-            "mean_class_proposal_recall": report.mean_class_proposal_recall,
-            "per_class_proposal_recall": dict(report.per_class_proposal_recall),
-            "stage2_m_recall": report.stage2_m_recall,
-            "stage2_per_class_recall": dict(report.stage2_per_class_recall),
-            "loss_curve": report.stage1_curve}
-    return rows
+    streams = []
+    for seed in spec.seeds:
+        scenes = generate_scenes(replace(sc, seed=seed))
+        cfg = TwoStageConfig(spec.train.config(seed, len(scenes.X), stride), ts.proposal_budget,
+                             ts.stage2.config(seed + 1, int(scenes.is_object.sum()), stride),
+                             ts.stage2_loss, ts.fg_bg_ratio)
+        streams.append((scenes, cfg, [arm.loss for arm in spec.arms]))
+    return [{arm.name: {
+                "seed": seed, "proposal_recall": report.proposal_recall,
+                "mean_class_proposal_recall": report.mean_class_proposal_recall,
+                "per_class_proposal_recall": dict(report.per_class_proposal_recall),
+                "stage2_m_recall": report.stage2_m_recall,
+                "stage2_per_class_recall": dict(report.stage2_per_class_recall),
+                "loss_curve": report.stage1_curve}
+             for arm, (_, _, report) in zip(spec.arms, trained)}
+            for seed, trained in zip(spec.seeds, train_two_stage(streams))]
 
 
 def run_experiment(config: dict) -> dict:
@@ -445,9 +463,9 @@ def run_experiment(config: dict) -> dict:
             csv = read_csv_dataset(spec.dataset)  # read once
             _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
             _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
-        by_seed = [_classifier_rows(spec, seed, csv) for seed in spec.seeds]
+        by_seed = _classifier_rows(spec, csv)
     else:
-        by_seed = [_two_stage_rows(spec, seed) for seed in spec.seeds]
+        by_seed = _two_stage_rows(spec)
 
     arms_out: dict[str, Any] = {}
     for arm in spec.arms:

@@ -10,10 +10,14 @@ its top-K candidates per scene to a multiclass classifier, and the
 report carries proposal recall (overall and per class) plus stage-2
 recall on the retained positives.
 
-A trainer takes one :class:`TrainConfig` (epochs, batch size, lr
-schedule, seed, undersample policy) and a list of losses, and returns
-one result per loss: the losses train in lockstep on one data and batch
-stream, and each ends bitwise where it would alone.
+A trainer takes a list of streams.  A stream is its data, one
+:class:`TrainConfig` (epochs, batch size, lr schedule, seed, undersample
+policy, curve stride) and a list of losses; the trainer returns, per
+stream, one result per loss.  All streams train in lockstep, and each
+run ends bitwise where it would alone: the losses of a stream share its
+data and batch stream, and the streams of one call (an experiment's
+seeds and undersample policies) step together wherever their batches
+have one row count.
 
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight
@@ -26,15 +30,20 @@ Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
 all scenes are scored, ranked and counted at once).  A model is a
 ``LinearModel`` of K rows: K classes for a classifier, K = 1 for an
 objectness scorer.  ``train_classifier`` and ``train_objectness`` run
-one SGD loop over R stacked models ``W`` (R, K, d), ``b`` (R, K), one per
-loss, and differ only in the batches they draw and the loss head they
-pass to :func:`step`: matmul, ``losses.softmax_head`` or
-``losses.sigmoid_head`` (the heads ``rfl-lab gradcheck`` checks, given
-the losses' ``loss_columns`` built once a call), matmul.  Every step's
-rate is :func:`lr_at` of the shared schedule.  The loss curve keeps the
-mean batch loss of step 0, of every ``TrainConfig.curve_stride``-th step
-and of the last; only those steps ask the head for per-sample losses,
-and the others' gradients are the same bits.
+one SGD loop (:func:`_sgd`) over R stacked models ``W`` (R, K, d), ``b``
+(R, K), one per loss of every stream, and differ only in the batches they
+draw and the loss head they pass to :func:`step`: matmul,
+``losses.softmax_head`` or ``losses.sigmoid_head`` (the heads ``rfl-lab
+gradcheck`` checks, given the losses' ``loss_columns``), matmul.  At each
+iteration every live stream draws its next batch; the streams whose
+batches have one row count make one step on their stacked runs, each run
+on its own stream's rows (X (R, B, d)), at a rate per run, :func:`lr_at`
+of its stream's schedule.  A ragged batch (an epoch's last, or any of an
+undersampled epoch) steps apart, unpadded, and a stream that has run
+out drops out.  Each stream's loss curve keeps the mean batch loss of
+step 0, of every ``TrainConfig.curve_stride``-th step and of its last;
+only steps that keep one ask the head for per-sample losses, and the
+others' gradients are the same bits.
 
 The objectness batches of one epoch come from one ``Generator.integers``
 call (:func:`stratified_batches`) that consumes the batch stream exactly
@@ -47,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, pairwise
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +66,7 @@ from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The schedule that every loss of one trainer call shares."""
+    """The schedule that every loss of one stream shares."""
 
     epochs: int
     batch_size: int
@@ -118,19 +127,21 @@ def step(
     with_loss: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Per-sample losses (R, B) and batch-mean gradients (R, K, d), (R, K) of
-    R stacked models ``W`` (R, K, d), ``b`` (R, K) on one minibatch, one loss
-    per model (``params``: a list of losses or their ``loss_columns``):
-    ``head`` is ``losses.softmax_head`` (``target`` the labels) or
-    ``losses.sigmoid_head`` (K = 1, ``target`` the label signs +1/-1).  Each
-    slice is bitwise what that model computes alone (matmul runs one gemm or
-    gemv per slice); the losses are C-ordered, so a reduce along axis 1 sums
-    each row as ``row.mean()`` does.  Without ``with_loss`` the losses are
-    None and the gradients the same bits."""
+    R stacked models ``W`` (R, K, d), ``b`` (R, K) on a minibatch of B rows,
+    one loss per model (``params``: a list of losses or their
+    ``loss_columns``): ``head`` is ``losses.softmax_head`` (``target`` the
+    labels) or ``losses.sigmoid_head`` (K = 1, ``target`` the label signs
+    +1/-1).  ``X`` (B, d) and ``target`` (B,) serve every model; ``X`` (R, B,
+    d) and ``target`` (R, B) give each model its own batch.  Each slice is
+    bitwise what that model computes alone (matmul runs one gemm or gemv per
+    slice); the losses are C-ordered, so a reduce along axis 1 sums each row
+    as ``row.mean()`` does.  Without ``with_loss`` the losses are None and
+    the gradients the same bits."""
     z = np.matmul(X, W.transpose(0, 2, 1))
     z += b[:, None, :]
     losses, glogits = head(z, target, params, with_loss)
-    dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[0]
-    db = np.add.reduce(glogits, axis=1) / X.shape[0]
+    dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[-2]
+    db = np.add.reduce(glogits, axis=1) / X.shape[-2]
     return losses, dW, db
 
 
@@ -144,60 +155,170 @@ def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
     return replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
 
 
-def _sgd(X: np.ndarray, cfg: TrainConfig, losses: Sequence[LossParams], K: int, head,
-         batches):
-    """Plain minibatch SGD of one K-row linear model per loss, in lockstep:
-    one init and batch stream (:func:`_init`), then one :func:`step` and
-    update per (row indices into ``X``, targets) that ``batches(stream)``
-    yields, at most ceil(n / batch_size) an epoch.  Returns (model, curve)
-    per loss; the curve holds the pre-update mean batch loss of step 0, of
-    every ``cfg.curve_stride``-th step and of the last (a one-batch
-    lookahead tells it), and only those steps compute their losses."""
-    if not losses:
-        raise ValueError("training needs at least one loss")
-    W, rng = _init((K, X.shape[1]), len(losses), cfg.weight_init_seed)
-    b = np.zeros((len(losses), K))
-    columns, curve = loss_columns(losses), []
-    stream = islice(batches(rng), cfg.epochs * math.ceil(len(X) / cfg.batch_size))
-    for iteration, ((idx, target), ahead) in enumerate(pairwise(chain(stream, [None]))):
-        record = ahead is None or iteration % cfg.curve_stride == 0
-        step_losses, dW, db = step(X.take(idx, axis=0), target, W, b, head, columns, record)
-        rate = lr_at(cfg.lr_schedule, iteration)
-        W -= rate * dW
-        b -= rate * db
-        if record:
-            curve.append(np.add.reduce(step_losses, axis=1) / step_losses.shape[1])
-    curves = np.reshape(curve, (-1, len(losses))).T.tolist()
-    return [(LinearModel(W[r], b[r]), c) for r, c in enumerate(curves)]
+def _sgd(streams, head):
+    """Plain minibatch SGD of many streams in lockstep.  A stream ``(X, cfg,
+    losses, K, batches)`` trains one K-row linear model per loss on the
+    features ``X``: one init and batch stream (:func:`_init` of
+    ``cfg.weight_init_seed``), then one update per (row indices into ``X``,
+    targets) that ``batches(stream)`` yields, at most ceil(n / batch_size)
+    an epoch, at the rate of ``cfg.lr_schedule``.  At each iteration every
+    live stream takes its next batch, and the streams whose models have one
+    shape and whose batches one row count make one :func:`step` on their
+    stacked runs; a ragged batch steps with its own row count, and nothing
+    is padded.  A stream whose batches ran out drops out.
+
+    Returns per stream one (model, curve) per loss, each bitwise what it
+    trains alone.  The curve holds the pre-update mean batch loss of step 0,
+    of every ``cfg.curve_stride``-th step and of the stream's last (a
+    one-batch lookahead tells it); a step computes losses only when one of
+    its streams records."""
+    out, shapes = [None] * len(streams), {}
+    for s, (X, _, losses, K, _) in enumerate(streams):
+        if not losses:
+            raise ValueError("training needs at least one loss")
+        shapes.setdefault((K, X.shape[1]), []).append(s)
+    for members in shapes.values():  # each model shape is one lockstep
+        for s, trained in zip(members, _lockstep([streams[s] for s in members], head)):
+            out[s] = trained
+    return out
 
 
-def train_classifier(data: Dataset, cfg: TrainConfig, losses: Sequence[LossParams]):
-    """Minibatch SGD on a linear softmax model; one (model, loss curve) per loss.
+def _lockstep(streams, head):
+    """:func:`_sgd` of streams whose models all have one shape: the runs of
+    every stream are the rows of one stacked ``W`` and ``b``.  A group of
+    live streams that steps together is planned once, and again only when a
+    stream drops out or a rate changes."""
+    runs = [len(losses) for _, _, losses, _, _ in streams]
+    first = np.cumsum([0] + runs).tolist()  # each stream's first row of W
+    feeds, inits = [], []
+    for X, cfg, losses, K, batches in streams:
+        init, rng = _init((K, X.shape[1]), len(losses), cfg.weight_init_seed)
+        inits.append(init)
+        feeds.append(islice(batches(rng), cfg.epochs * math.ceil(len(X) / cfg.batch_size)))
+    W = np.concatenate(inits)
+    b = np.zeros(W.shape[:2])
+    # The iterations at which some stream's rate moves on (lr_at is constant between).
+    changes = sorted({math.ceil(t) for _, cfg, _, _, _ in streams for t, _ in cfg.lr_schedule
+                      if t < math.inf})
+    curves = [[] for _ in streams]
+    # By live position: the stream, its batch stream and its next batch.
+    live, live_feeds, ahead = list(range(len(streams))), feeds, [next(f, None) for f in feeds]
+    iteration, replan, ended = 0, 0, True
 
-    Each epoch optionally re-undersamples the data (fresh sub-seed per
-    epoch; an emptied epoch is skipped), reshuffles, and walks the batches
-    in order.  The losses train in lockstep, each bitwise what it trains
-    alone.
+    def plan(group):
+        """(rows of W, their views of W and b if contiguous, loss columns,
+        rate of W, rate of b, and per stream (live position, its runs' slice
+        of the group, features)) of a group of live positions, at the
+        current rates."""
+        ids = [live[p] for p in group]
+        sizes = [runs[s] for s in ids]
+        rows = np.concatenate([np.arange(first[s], first[s + 1]) for s in ids])
+        contiguous = rows[-1] - rows[0] == len(rows) - 1
+        views = (W[rows[0]:rows[-1] + 1], b[rows[0]:rows[-1] + 1]) if contiguous else None
+        rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in ids]
+        rate = brate = rates[0]
+        if rates.count(rate) < len(rates):  # one rate per run
+            brate = np.repeat(rates, sizes)[:, None]
+            rate = brate[:, :, None]
+        ends = np.cumsum(sizes).tolist()
+        return (rows, views, loss_columns([p for s in ids for p in streams[s][2]]), rate, brate,
+                [(p, slice(end - size, end), streams[s][0])
+                 for p, s, size, end in zip(group, ids, sizes, ends)])
+
+    while True:
+        if ended:  # drop the streams that ran out
+            kept = [p for p, batch in enumerate(ahead) if batch is not None]
+            live, live_feeds, ahead = ([xs[p] for p in kept] for xs in (live, live_feeds, ahead))
+            if not live:
+                break
+            every = math.gcd(*(streams[s][1].curve_stride for s in live))
+            whole, plans, ended = tuple(range(len(live))), {}, False
+        if iteration >= replan:
+            replan, plans = next((c for c in changes if c > iteration), math.inf), {}
+        now, ahead = ahead, [next(feed, None) for feed in live_feeds]
+        ended = None in ahead
+        recording = ended or iteration % every == 0
+        size = len(now[0][0])
+        if len(now) == 1 or all(len(idx) == size for idx, _ in now):
+            parts = ((whole, now),)
+        else:  # ragged batches: one step per row count
+            by_size: dict[int, tuple[list, list]] = {}
+            for p, batch in enumerate(now):
+                group, batches = by_size.setdefault(len(batch[0]), ([], []))
+                group.append(p)
+                batches.append(batch)
+            parts = [(tuple(group), batches) for group, batches in by_size.values()]
+        for group, batches in parts:
+            rows, views, columns, rate, brate, spans = plans.get(group) or plans.setdefault(
+                group, plan(group))
+            if len(group) == 1:
+                [(idx, target)] = batches
+                Xb = spans[0][2].take(idx, axis=0)
+            else:  # each run's row block of the batch its stream drew
+                runs_in_group = spans[-1][1].stop
+                Xb = np.empty((runs_in_group, len(batches[0][0]), spans[0][2].shape[1]))
+                target = batches[0][1]
+                shared = not any(t is not target for _, t in batches)
+                if not shared:
+                    target = np.empty((runs_in_group, len(target)), target.dtype)
+                for (_, cut, X), (idx, t) in zip(spans, batches):
+                    Xb[cut] = X.take(idx, axis=0)
+                    if not shared:
+                        target[cut] = t
+            record = recording and [p for p in group if ahead[p] is None or
+                                    iteration % streams[live[p]][1].curve_stride == 0]
+            Wg, bg = views or (W[rows], b[rows])
+            losses, dW, db = step(Xb, target, Wg, bg, head, columns, bool(record))
+            Wg -= rate * dW
+            bg -= brate * db
+            if not views:  # Wg and bg are gathered copies
+                W[rows], b[rows] = Wg, bg
+            if record:
+                means = np.add.reduce(losses, axis=1) / losses.shape[1]
+                for p, cut, _ in spans:
+                    if p in record:
+                        curves[live[p]].append(means[cut])
+        iteration += 1
+    trained = []
+    for s, curve in enumerate(curves):
+        by_run = np.reshape(curve, (-1, runs[s])).T.tolist()
+        trained.append([(LinearModel(W[r], b[r]), c)
+                        for r, c in zip(range(first[s], first[s + 1]), by_run)])
+    return trained
+
+
+def train_classifier(streams: Sequence[tuple[Dataset, TrainConfig, Sequence[LossParams]]]):
+    """Minibatch SGD on linear softmax models: per (data, config, losses)
+    stream, one (model, loss curve) per loss.
+
+    Each epoch optionally re-undersamples the stream's data (fresh sub-seed
+    per epoch; an emptied epoch is skipped), reshuffles, and walks the
+    batches in order.  All streams and losses train in lockstep
+    (:func:`_sgd`), each bitwise what it trains alone.
     """
-    X, y = data.X, data.y
-    if not len(y):
-        raise ValueError("training data is empty")
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError("training data needs one feature row per label")
+    def stream(data: Dataset, cfg: TrainConfig, losses):
+        X, y = data.X, data.y
+        if not len(y):
+            raise ValueError("training data is empty")
+        if X.ndim != 2 or len(X) != len(y):
+            raise ValueError("training data needs one feature row per label")
 
-    def batches(rng):
-        for epoch in range(cfg.epochs):
-            rows = np.arange(len(y)) if cfg.undersample is None else np.flatnonzero(
-                undersample_mask(y, _epoch_policy(cfg.undersample, epoch)))
-            if len(rows):
-                order = rng.permutation(rows)
-                for start in range(0, len(order), cfg.batch_size):
-                    idx = order[start:start + cfg.batch_size]
-                    yield idx, y.take(idx)
+        def batches(rng):
+            for epoch in range(cfg.epochs):
+                rows = np.arange(len(y)) if cfg.undersample is None else np.flatnonzero(
+                    undersample_mask(y, _epoch_policy(cfg.undersample, epoch)))
+                if len(rows):
+                    order = rng.permutation(rows)
+                    for start in range(0, len(order), cfg.batch_size):
+                        idx = order[start:start + cfg.batch_size]
+                        yield idx, y.take(idx)
 
-    out = _sgd(X, cfg, losses, max(2, int(y.max()) + 1), softmax_head, batches)
-    if cfg.epochs and not out[0][1]:
-        raise ValueError("no training iteration ran: undersampling emptied every epoch")
+        return X, cfg, losses, max(2, int(y.max()) + 1), batches
+
+    out = _sgd([stream(*s) for s in streams], softmax_head)
+    for (_, cfg, _), trained in zip(streams, out):
+        if cfg.epochs and not trained[0][1]:
+            raise ValueError("no training iteration ran: undersampling emptied every epoch")
     return out
 
 
@@ -335,11 +456,11 @@ def stratified_batches(rng: np.random.Generator, strata, batches: int) -> np.nda
 
 
 def train_objectness(
-    X: np.ndarray, y: np.ndarray, cfg: TrainConfig, losses: Sequence[LossParams],
-    fg_bg_ratio: float,
+    streams: Sequence[tuple[np.ndarray, np.ndarray, TrainConfig, Sequence[LossParams], float]],
 ):
-    """One-row linear scorers via SGD on stratified fg/bg minibatches; one
-    (scorer, loss curve) per loss.
+    """One-row linear scorers via SGD on stratified fg/bg minibatches: per
+    (X, labels, config, losses, fg_bg_ratio) stream, one (scorer, loss
+    curve) per loss.
 
     Each batch draws round(batch * r / (1 + r)) foreground samples (at
     least one) and fills the rest with background, sampling a stratum
@@ -347,24 +468,29 @@ def train_objectness(
     ``Generator.choice`` calls a batch would.  One epoch is
     ceil(n / batch_size) batches, drawn at once by
     :func:`stratified_batches`, which consumes the batch stream exactly
-    as those calls do.  The losses train in lockstep on one init and
-    batch stream.
+    as those calls do.  All streams and losses train in lockstep
+    (:func:`_sgd`); streams with one batch layout share its label signs.
     """
-    fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
-    if len(fg_idx) == 0 or len(bg_idx) == 0:
-        raise ValueError("objectness training needs both labels present")
-    n_fg = max(1, round(cfg.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
-    n_bg = max(1, cfg.batch_size - n_fg)
-    # Every batch is n_fg foreground rows (sign +1), then n_bg background rows.
-    sign = np.repeat([1.0, -1.0], [n_fg, n_bg])
-    per_epoch = math.ceil(len(y) / cfg.batch_size)
+    signs: dict[tuple[int, int], np.ndarray] = {}
 
-    def batches(rng):
-        for _ in range(cfg.epochs):
-            for idx in stratified_batches(rng, [(fg_idx, n_fg), (bg_idx, n_bg)], per_epoch):
-                yield idx, sign
+    def stream(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, losses, fg_bg_ratio: float):
+        fg_idx, bg_idx = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+        if len(fg_idx) == 0 or len(bg_idx) == 0:
+            raise ValueError("objectness training needs both labels present")
+        n_fg = max(1, round(cfg.batch_size * fg_bg_ratio / (1.0 + fg_bg_ratio)))
+        n_bg = max(1, cfg.batch_size - n_fg)
+        # Every batch is n_fg foreground rows (sign +1), then n_bg background rows.
+        sign = signs.setdefault((n_fg, n_bg), np.repeat([1.0, -1.0], [n_fg, n_bg]))
+        per_epoch = math.ceil(len(y) / cfg.batch_size)
 
-    return _sgd(X, cfg, losses, 1, sigmoid_head, batches)
+        def batches(rng):
+            for _ in range(cfg.epochs):
+                for idx in stratified_batches(rng, [(fg_idx, n_fg), (bg_idx, n_bg)], per_epoch):
+                    yield idx, sign
+
+        return X, cfg, losses, 1, batches
+
+    return _sgd([stream(*s) for s in streams], sigmoid_head)
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -373,8 +499,12 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
-def train_two_stage(scenes: SceneSet, cfg: TwoStageConfig, losses: Sequence[LossParams]):
-    """Train both stages on the scene pool and evaluate top-K pass-through.
+def train_two_stage(
+    streams: Sequence[tuple[SceneSet, TwoStageConfig, Sequence[LossParams]]],
+):
+    """Train both stages on each scene pool and evaluate top-K pass-through:
+    per (scenes, config, losses) stream, one (scorer, classifier, report)
+    per loss.
 
     Stage 1 trains on every candidate and stage 2 on the labelled
     positives, both using the observed (possibly noise-flipped) labels.
@@ -383,20 +513,28 @@ def train_two_stage(scenes: SceneSet, cfg: TwoStageConfig, losses: Sequence[Loss
     that survive (label flips undone via ``true_class``); retained true
     objects are then classified by stage 2 against their true class.
 
-    Stage 1 trains one scorer per loss in lockstep and stage 2 once; one
-    (scorer, classifier, report) per loss.
+    Stage 1 trains one scorer per loss of every stream in one lockstep
+    call, and stage 2 one classifier per stream in another.
     """
+    for scenes, _, _ in streams:
+        if not (scenes.true_class >= 0).any():
+            raise ValueError("scenes contain no labelled objects")
+    scorers = train_objectness([
+        (scenes.X, scenes.is_object.astype(np.int64), cfg.stage1, losses, cfg.fg_bg_ratio)
+        for scenes, cfg, losses in streams])
+    classifiers = train_classifier([
+        (Dataset(scenes.X[pos], scenes.class_id[pos], scenes.noisy[pos]), cfg.stage2,
+         [cfg.stage2_loss])
+        for scenes, cfg, _ in streams for pos in [scenes.is_object]])
+    return [_two_stage_reports(scenes, cfg, trained, classifier)
+            for (scenes, cfg, _), trained, [classifier] in zip(streams, scorers, classifiers)]
+
+
+def _two_stage_reports(scenes: SceneSet, cfg: TwoStageConfig, scorers, stage2_model):
+    """One (scorer, classifier, report) per trained (scorer, curve) of one stream."""
     X, true_class = scenes.X, scenes.true_class
     true = true_class >= 0
-    if not true.any():
-        raise ValueError("scenes contain no labelled objects")
-
-    pos = scenes.is_object
-    scorers = train_objectness(X, pos.astype(np.int64), cfg.stage1, losses, cfg.fg_bg_ratio)
-    [(classifier, s2_curve)] = train_classifier(
-        Dataset(X[pos], scenes.class_id[pos], scenes.noisy[pos]), cfg.stage2, [cfg.stage2_loss]
-    )
-
+    classifier, s2_curve = stage2_model
     # (scenes, per_scene, d): matmul runs one gemv per scene, as scoring
     # scene by scene does; the pooled X @ w.T rounds differently.
     by_scene = X.reshape(-1, scenes.per_scene, X.shape[1])

@@ -629,12 +629,33 @@ class TestExperiment:
                                "two_stage.json").read_text())
         cfg_data["scenes"].update(num_scenes=2**18, bg_per_scene=503, feature_dim=1)
         cfg_data["train"]["epochs"] = 1
+        cfg_data["seeds"] = [1]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(cfg_data))
         out = tmp_path / "r.json"
         proc = run_capped("experiment", str(cfg), "--out", str(out))
         assert proc.returncode == 2
         assert "invalid config: $.train: needs 268959744 float64 values" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, section, key, value, path", [
+        ("two_stage", "scenes", "num_scenes", 60_000, "$.scenes"),
+        ("longtail", "eval", "per_class", 2**20, "$.eval"),
+    ])
+    def test_seeds_held_at_once_exit_2_under_a_memory_cap(self, tmp_path, name, section, key,
+                                                          value, path):
+        # One seed of this config fits MAX_VALUES; the shipped five seeds,
+        # all held at once, do not, and exit 2 before any data is drawn.
+        cfg_data = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                               f"{name}.json").read_text())
+        cfg_data[section][key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out = tmp_path / "r.json"
+        proc = run_capped("experiment", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert f"invalid config: {path}: needs " in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -1145,6 +1166,54 @@ class TestUnwritableOutput:
         assert str(inputs / target) in err
         assert set(inputs.iterdir()) - before <= {inputs / "r.json"}
         assert (inputs / "afile").read_text() == "kept\n"
+
+
+class TestOutputsBeforeTraining:
+    """``experiment`` checks that each output can be written before it
+    trains, and a run that then fails leaves the outputs as it found them."""
+
+    @pytest.mark.parametrize("flags, target", [
+        (["--out", "{d}/nodir/r.json"], "nodir/r.json"),
+        (["--out", "{d}/afile/r.json"], "afile/r.json"),
+        (["--out", "{d}/r.json", "--plots", "{d}/afile"], "afile"),
+        (["--out", "{d}/r.json", "--plots", "{d}/afile/sub"], "afile/sub"),
+        (["--out", "{d}/r.json", "--dump-data", "{d}/afile"], "afile"),
+        (["--out", "{d}/r.json", "--plots", "{d}/p", "--dump-data", "{d}/afile/sub"],
+         "afile/sub"),
+    ], ids=["out-dir-missing", "out-under-file", "plots-file", "plots-under-file",
+            "dump-data-file", "dump-data-under-file"])
+    def test_unwritable_output_exits_2_before_training(self, inputs, capsys, monkeypatch,
+                                                       flags, target):
+        from rfl_lab import experiment
+
+        calls = []
+        monkeypatch.setattr(experiment, "run_experiment", calls.append)
+        before = sorted(inputs.rglob("*"))
+        code, _, err = run(capsys, "experiment", str(inputs / "cl.json"),
+                           *[f.format(d=inputs) for f in flags])
+        assert code == 2 and calls == []
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert str(inputs / target) in err
+        assert sorted(inputs.rglob("*")) == before  # r.json and p made for the check are gone
+        assert (inputs / "afile").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_run_leaves_outputs_as_found(self, inputs, capsys, monkeypatch, existing):
+        from rfl_lab import experiment
+
+        def cannot_train(config):
+            raise ValueError("cannot train")
+
+        monkeypatch.setattr(experiment, "run_experiment", cannot_train)
+        out = inputs / "r.json"
+        if existing:
+            out.write_text("old report\n")
+        before = sorted(inputs.rglob("*"))
+        code, _, err = run(capsys, "experiment", str(inputs / "cl.json"), "--out", str(out),
+                           "--plots", str(inputs / "p" / "q"), "--dump-data", str(inputs / "dd"))
+        assert code == 1 and err == "experiment failed: cannot train\n"
+        assert sorted(inputs.rglob("*")) == before
+        assert not existing or out.read_text() == "old report\n"
 
 
 _LOADED = """

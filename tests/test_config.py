@@ -266,7 +266,7 @@ def test_class_sized_arrays_are_bounded(name, edits, path):
 
 def test_size_bound_is_inclusive():
     config = copy.deepcopy(SHIPPED["longtail"])
-    config["arms"] = config["arms"][:1]
+    config.update(seeds=[1], arms=config["arms"][:1])
     config["dataset"].update(class_counts=[2**19, 2**19], feature_dim=2**8)  # MAX_VALUES
     validate_config(config)
     config["dataset"]["feature_dim"] += 1
@@ -278,8 +278,9 @@ def test_size_bound_is_inclusive():
 def test_objectness_epoch_draw_is_bounded():
     # One feature a candidate keeps the scene set within MAX_VALUES, but an
     # epoch of ceil(n / 64) stratified batches draws under 2 * 64 integers
-    # each: 2**18 scenes of 512 candidates need exactly MAX_VALUES.
+    # each: 2**18 scenes of 512 candidates need exactly MAX_VALUES at one seed.
     config = copy.deepcopy(SHIPPED["two_stage"])
+    config["seeds"] = [1]
     config["scenes"].update(num_scenes=2**18, bg_per_scene=502, feature_dim=1)
     config["train"]["epochs"] = 1
     validate_config(config)
@@ -287,6 +288,40 @@ def test_objectness_epoch_draw_is_bounded():
     with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
         validate_config(config)
     assert err.value.location == "$.train"
+
+
+# Each edit fits at one seed; every seed's arrays are held at once, so more
+# seeds pass MAX_VALUES at the section.
+SEED_SIZED = [
+    # Features: 2**28 values a seed.
+    ("longtail", {"dataset": {"class_counts": [2**19, 2**19], "feature_dim": 2**8}},
+     [1, 2], "$.dataset"),
+    # The eval sets: 2**20 rows of each of 10 classes, 16 features, a seed.
+    ("longtail", {"eval": {"per_class": 2**20}}, [1, 2], "$.eval"),
+    # The stride-1 curves: 500000 epochs of 125 steps, 4 arms a seed.
+    ("longtail", {"train": {"epochs": 500_000}}, [1, 2], "$.train"),
+    # A stacked step's logits: 2**27 a run, one arm a seed; two seeds are the bound.
+    ("longtail", {"dataset": {"class_counts": [1] * 2**20}, "eval": {"per_class": 1},
+                  "train": {"batch_size": 128}, "arms": 1}, [1, 2, 3], "$.train"),
+    # Scene features: 60000 scenes of 510 candidates of 8 features a seed.
+    ("two_stage", {"scenes": {"num_scenes": 60_000}}, [1, 2], "$.scenes"),
+]
+
+
+@pytest.mark.parametrize("name, edits, seeds, path", SEED_SIZED)
+def test_sizes_count_every_seed(name, edits, seeds, path):
+    config = copy.deepcopy(SHIPPED[name])
+    for section, values in edits.items():
+        if section == "arms":
+            config["arms"] = config["arms"][:values]
+        else:
+            config[section].update(values)
+    config["seeds"] = seeds[:1]
+    validate_config(config)
+    config["seeds"] = seeds
+    with pytest.raises(ConfigError, match=f"more than {MAX_VALUES}") as err:
+        validate_config(config)
+    assert err.value.location == path
 
 
 def test_csv_dataset_sizes_are_checked_once_read(tmp_path):
@@ -337,9 +372,10 @@ def test_stage2_fraction_schedule_is_planned_on_the_positives(monkeypatch):
     stage2.update(lr_schedule=[[0.5, 0.3], [1.0, 0.03]], schedule_units="fraction")
     seen = []
 
-    def train_two_stage(scenes, cfg, losses):
-        seen.append((int(scenes.is_object.sum()), cfg.stage2.lr_schedule))
-        return real(scenes, cfg, losses)
+    def train_two_stage(streams):
+        seen.extend((int(scenes.is_object.sum()), cfg.stage2.lr_schedule)
+                    for scenes, cfg, _ in streams)
+        return real(streams)
 
     real = experiment.train_two_stage
     monkeypatch.setattr(experiment, "train_two_stage", train_two_stage)

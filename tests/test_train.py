@@ -1,13 +1,16 @@
 """Trainer tests: schedules, convergence, determinism, gradient checks."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfl_lab.experiment import Train, run_experiment
 from rfl_lab.losses import (
     LossKind,
     LossParams,
@@ -44,6 +47,7 @@ FL2 = LossParams(kind=LossKind.FL, gamma=2.0)
 RFL_HALF = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=0.5)
 
 FLAT = ((10**9, 0.5),)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def flat_config(epochs=50, batch=20, seed=0, undersample=None, lr=0.5):
@@ -93,18 +97,18 @@ def separable_two_class(n=200, seed=1):
 class TestTrainClassifier:
     def test_separable_accuracy(self):
         data = separable_two_class()
-        [(model, curve)] = train_classifier(data, flat_config(epochs=50, batch=20), [CE])
+        [[(model, curve)]] = train_classifier([(data, flat_config(epochs=50, batch=20), [CE])])
         assert len(curve) == 50 * 10  # 500 iterations
         assert evaluate_classifier(model, data).accuracy >= 0.99
 
     def test_loss_decreases(self):
         data = separable_two_class()
-        [(_, curve)] = train_classifier(data, flat_config(), [CE])
+        [[(_, curve)]] = train_classifier([(data, flat_config(), [CE])])
         assert curve[-1] < curve[0]
 
     def test_zero_epochs_returns_init(self):
         data = separable_two_class()
-        [(model, curve)] = train_classifier(data, flat_config(epochs=0, seed=3), [CE])
+        [[(model, curve)]] = train_classifier([(data, flat_config(epochs=0, seed=3), [CE])])
         # The seed's first child stream draws the weights; the biases are zero.
         rng_init = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[0])
         assert curve == []
@@ -114,16 +118,16 @@ class TestTrainClassifier:
     def test_deterministic(self):
         data = separable_two_class()
         cfg = flat_config(seed=9)
-        [(m1, c1)] = train_classifier(data, cfg, [RFL_HALF])
-        [(m2, c2)] = train_classifier(data, cfg, [RFL_HALF])
+        [[(m1, c1)]] = train_classifier([(data, cfg, [RFL_HALF])])
+        [[(m2, c2)]] = train_classifier([(data, cfg, [RFL_HALF])])
         assert np.array_equal(m1.weights, m2.weights)
         assert c1 == c2
 
     def test_rfl_threshold_one_is_bitwise_ce(self):
         data = separable_two_class()
         rfl_one = LossParams(kind=LossKind.RFL, gamma=2.0, threshold=1.0)
-        [(m_ce, c_ce)] = train_classifier(data, flat_config(seed=4), [CE])
-        [(m_rfl, c_rfl)] = train_classifier(data, flat_config(seed=4), [rfl_one])
+        [[(m_ce, c_ce)]] = train_classifier([(data, flat_config(seed=4), [CE])])
+        [[(m_rfl, c_rfl)]] = train_classifier([(data, flat_config(seed=4), [rfl_one])])
         assert np.array_equal(m_ce.weights, m_rfl.weights)
         assert np.array_equal(m_ce.biases, m_rfl.biases)
         assert c_ce == c_rfl
@@ -131,8 +135,8 @@ class TestTrainClassifier:
     def test_zero_skip_undersample_is_bitwise_noop(self):
         data = separable_two_class()
         pol = UndersamplePolicy({0: 0.0, 1: 0.0}, seed=77)
-        [(m_plain, c_plain)] = train_classifier(data, flat_config(seed=6), [CE])
-        [(m_us, c_us)] = train_classifier(data, flat_config(seed=6, undersample=pol), [CE])
+        [[(m_plain, c_plain)]] = train_classifier([(data, flat_config(seed=6), [CE])])
+        [[(m_us, c_us)]] = train_classifier([(data, flat_config(seed=6, undersample=pol), [CE])])
         assert np.array_equal(m_plain.weights, m_us.weights)
         assert c_plain == c_us
 
@@ -141,24 +145,24 @@ class TestTrainClassifier:
                                 cluster_separation=3.0, seed=2)
         data = generate_synthetic(spec)
         pol = UndersamplePolicy({0: 0.9}, seed=5)
-        [(m, _)] = train_classifier(data, flat_config(epochs=20, undersample=pol), [CE])
+        [[(m, _)]] = train_classifier([(data, flat_config(epochs=20, undersample=pol), [CE])])
         ev = evaluate_classifier(m, data)
         assert ev.per_class_recall[1] > 0.5
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier(dataset(np.zeros((0, 2)), []), flat_config(), [CE])
+            train_classifier([(dataset(np.zeros((0, 2)), []), flat_config(), [CE])])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            train_classifier(dataset(np.zeros((2, 2)), [0, 1, 1]), flat_config(), [CE])
+            train_classifier([(dataset(np.zeros((2, 2)), [0, 1, 1]), flat_config(), [CE])])
 
     def test_undersampling_every_epoch_empty_rejected(self):
         data = separable_two_class()
         pol = UndersamplePolicy({0: 1.0, 1: 1.0}, seed=2)
         with pytest.raises(ValueError, match="no training iteration"):
-            train_classifier(data, flat_config(epochs=3, undersample=pol), [CE])
-        [(_, curve)] = train_classifier(data, flat_config(epochs=0, undersample=pol), [CE])
+            train_classifier([(data, flat_config(epochs=3, undersample=pol), [CE])])
+        [[(_, curve)]] = train_classifier([(data, flat_config(epochs=0, undersample=pol), [CE])])
         assert curve == []
 
 
@@ -176,10 +180,10 @@ class TestLockstep:
             class_counts=[300, 80, 20], feature_dim=5, label_noise_rate=0.05, seed=8))
         cfg = TrainConfig(5, 16, ((40, 0.5), (10**9, 0.05)), weight_init_seed=3,
                           undersample=policy)
-        together = train_classifier(data, cfg, LOCKSTEP_ARMS)
+        [together] = train_classifier([(data, cfg, LOCKSTEP_ARMS)])
         assert len(together) == len(LOCKSTEP_ARMS)
         for loss, (model, curve) in zip(LOCKSTEP_ARMS, together):
-            [(solo, solo_curve)] = train_classifier(data, cfg, [loss])
+            [[(solo, solo_curve)]] = train_classifier([(data, cfg, [loss])])
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.biases, solo.biases)
             assert curve == solo_curve
@@ -188,9 +192,9 @@ class TestLockstep:
         scenes = tiny_scenes(noise=0.05)
         X, y = scenes.X, scenes.is_object.astype(np.int64)
         cfg = TrainConfig(3, 32, ((20, 0.3), (10**9, 0.1)), weight_init_seed=1)
-        together = train_objectness(X, y, cfg, [CE, FL2], 0.5)
+        [together] = train_objectness([(X, y, cfg, [CE, FL2], 0.5)])
         for loss, (model, curve) in zip([CE, FL2], together):
-            [(solo, solo_curve)] = train_objectness(X, y, cfg, [loss], 0.5)
+            [[(solo, solo_curve)]] = train_objectness([(X, y, cfg, [loss], 0.5)])
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.biases, solo.biases)
             assert curve == solo_curve
@@ -198,9 +202,9 @@ class TestLockstep:
     def test_two_stage_reports_equal_solo_reports(self):
         scenes = tiny_scenes(seed=2, noise=0.05)
         cfg = two_stage_config()
-        together = train_two_stage(scenes, cfg, [CE, FL2])
+        [together] = train_two_stage([(scenes, cfg, [CE, FL2])])
         for loss, (_, _, report) in zip([CE, FL2], together):
-            assert report == train_two_stage(scenes, cfg, [loss])[0][2]
+            assert report == train_two_stage([(scenes, cfg, [loss])])[0][0][2]
 
     @pytest.mark.parametrize("n_fg, batch", [(3, 32), (40, 1)])
     def test_objectness_edge_batches_equal_solo_and_reference(self, n_fg, batch):
@@ -211,9 +215,9 @@ class TestLockstep:
         y = np.zeros(200, dtype=np.int64)
         y[rng.choice(200, size=n_fg, replace=False)] = 1
         cfg = TrainConfig(3, batch, ((7, 0.3), (10**9, 0.1)), weight_init_seed=5)
-        together = train_objectness(X, y, cfg, LOCKSTEP_ARMS, 0.5)
+        [together] = train_objectness([(X, y, cfg, LOCKSTEP_ARMS, 0.5)])
         for loss, (model, curve) in zip(LOCKSTEP_ARMS, together):
-            [(solo, solo_curve)] = train_objectness(X, y, cfg, [loss], 0.5)
+            [[(solo, solo_curve)]] = train_objectness([(X, y, cfg, [loss], 0.5)])
             ref_w, ref_b, ref_curve = reference_objectness(X, y, cfg, loss, 0.5)
             assert np.array_equal(model.weights, solo.weights)
             assert np.array_equal(model.weights, ref_w[None])
@@ -224,11 +228,12 @@ class TestLockstep:
     def test_empty_loss_list_rejected(self):
         scenes = tiny_scenes()
         with pytest.raises(ValueError, match="at least one loss"):
-            train_classifier(separable_two_class(), flat_config(), [])
+            train_classifier([(separable_two_class(), flat_config(), [])])
         with pytest.raises(ValueError, match="at least one loss"):
-            train_objectness(scenes.X, scenes.is_object.astype(np.int64), flat_config(), [], 0.5)
+            train_objectness([(scenes.X, scenes.is_object.astype(np.int64), flat_config(), [],
+                               0.5)])
         with pytest.raises(ValueError, match="at least one loss"):
-            train_two_stage(scenes, two_stage_config(), [])
+            train_two_stage([(scenes, two_stage_config(), [])])
 
 
 def reference_binary_batch(X, y, w, b, params):
@@ -319,9 +324,9 @@ class TestStratifiedBatches:
                 bg = batch_rng.choice(bg_idx, size=k_bg, replace=len(bg_idx) < k_bg)
                 yield np.concatenate([fg, bg]), sign
 
-        reference = _sgd(X, cfg, LOCKSTEP_ARMS, 1, sigmoid_head, choice_batches)
+        [reference] = _sgd([(X, cfg, LOCKSTEP_ARMS, 1, choice_batches)], sigmoid_head)
         for (model, curve), (ref, ref_curve) in zip(
-                train_objectness(X, y, cfg, LOCKSTEP_ARMS, ratio), reference, strict=True):
+                train_objectness([(X, y, cfg, LOCKSTEP_ARMS, ratio)])[0], reference, strict=True):
             assert np.array_equal(model.weights, ref.weights)
             assert np.array_equal(model.biases, ref.biases)
             assert curve == ref_curve
@@ -384,9 +389,9 @@ def assert_lockstep_equals_reference(data, cfg, losses):
     refs = [reference_classifier(data, cfg, loss) for loss in losses]
     if cfg.epochs and not refs[0][2]:
         with pytest.raises(ValueError, match="no training iteration"):
-            train_classifier(data, cfg, losses)
+            train_classifier([(data, cfg, losses)])
         return []
-    trained = train_classifier(data, cfg, losses)
+    [trained] = train_classifier([(data, cfg, losses)])
     for (model, curve), (w, b, ref_curve) in zip(trained, refs, strict=True):
         assert np.array_equal(model.weights, w)
         assert np.array_equal(model.biases, b)
@@ -529,14 +534,14 @@ class TestCurveStride:
         cfg = TrainConfig(epochs, batch, ((7, 0.5), (10**9, 0.1)), weight_init_seed=seed,
                           undersample=policy)
         try:
-            full = train_classifier(data, cfg, losses)
+            [full] = train_classifier([(data, cfg, losses)])
         except ValueError as exc:
             assert "no training iteration" in str(exc)  # every epoch emptied
             with pytest.raises(ValueError, match="no training iteration"):
-                train_classifier(data, replace(cfg, curve_stride=stride), losses)
+                train_classifier([(data, replace(cfg, curve_stride=stride), losses)])
             return
         for (model, curve), (ref, ref_curve) in zip(
-                train_classifier(data, replace(cfg, curve_stride=stride), losses), full,
+                train_classifier([(data, replace(cfg, curve_stride=stride), losses)])[0], full,
                 strict=True):
             assert np.array_equal(model.weights, ref.weights)
             assert np.array_equal(model.biases, ref.biases)
@@ -554,9 +559,10 @@ class TestCurveStride:
         y = np.zeros(n, dtype=np.int64)
         y[rng.choice(n, size=n_fg, replace=False)] = 1
         cfg = TrainConfig(epochs, batch, ((5, 0.3), (10**9, 0.1)), weight_init_seed=seed)
-        full = train_objectness(X, y, cfg, losses, 0.5)
+        [full] = train_objectness([(X, y, cfg, losses, 0.5)])
         for (model, curve), (ref, ref_curve) in zip(
-                train_objectness(X, y, replace(cfg, curve_stride=stride), losses, 0.5), full,
+                train_objectness([(X, y, replace(cfg, curve_stride=stride), losses, 0.5)])[0],
+                full,
                 strict=True):
             assert np.array_equal(model.weights, ref.weights)
             assert np.array_equal(model.biases, ref.biases)
@@ -578,7 +584,7 @@ class TestCurveStride:
                 yield np.arange(7), target
 
         cfg = TrainConfig(4, 10, FLAT, curve_stride=5)
-        [(_, curve), _] = _sgd(X, cfg, [CE, FL2], K, counting_head, batches)
+        [[(_, curve), _]] = _sgd([(X, cfg, [CE, FL2], K, batches)], counting_head)
         assert len(asked) == 20 and len(curve) == 5  # steps 0, 5, 10, 15 and 19
         assert [i for i, w in enumerate(asked) if w] == [0, 5, 10, 15, 19]
 
@@ -603,8 +609,8 @@ def test_zero_skip_undersampling_is_no_policy(counts, zero_skip, epochs, batch, 
     cfg = TrainConfig(epochs, batch, ((9, 0.5), (10**9, 0.1)), weight_init_seed=seed,
                       curve_stride=stride)
     for (model, curve), (ref, ref_curve) in zip(
-            train_classifier(data, replace(cfg, undersample=policy), LOCKSTEP_ARMS),
-            train_classifier(data, cfg, LOCKSTEP_ARMS), strict=True):
+            train_classifier([(data, replace(cfg, undersample=policy), LOCKSTEP_ARMS)])[0],
+            train_classifier([(data, cfg, LOCKSTEP_ARMS)])[0], strict=True):
         assert np.array_equal(model.weights, ref.weights)
         assert np.array_equal(model.biases, ref.biases)
         assert curve == ref_curve
@@ -621,7 +627,7 @@ class TestEndToEndGradient:
         y = rng.integers(0, 3, size=8)
         runs = len(params)
         init = Dataset(X, np.arange(8) % 3, np.zeros(8, bool))  # 3 classes, 4 features
-        [(model, _)] = train_classifier(init, flat_config(epochs=0, seed=21), [CE])
+        [[(model, _)]] = train_classifier([(init, flat_config(epochs=0, seed=21), [CE])])
         W = model.weights + rng.normal(size=(runs, 3, 4)) * 0.3
         b = rng.normal(size=(runs, 3)) * 0.1
         _, dW, db = step(X, y, W, b, softmax_head, params)
@@ -651,7 +657,7 @@ class TestEndToEndGradient:
 class TestEvaluateClassifier:
     def test_perfect_predictions(self):
         data = separable_two_class()
-        [(model, _)] = train_classifier(data, flat_config(), [CE])
+        [[(model, _)]] = train_classifier([(data, flat_config(), [CE])])
         ev = evaluate_classifier(model, data)
         assert set(ev.per_class_recall) == {0, 1}
         assert ev.m_recall == pytest.approx(
@@ -715,7 +721,7 @@ class TestTwoStage:
     def test_budget_equal_to_pool_gives_full_recall(self):
         scenes = tiny_scenes()
         cfg = two_stage_config(budget=88)  # >= candidates per scene
-        [(_, _, report)] = train_two_stage(scenes, cfg, [CE])
+        [[(_, _, report)]] = train_two_stage([(scenes, cfg, [CE])])
         assert report.proposal_recall == 1.0
         assert all(v == 1.0 for v in report.per_class_proposal_recall.values())
 
@@ -736,8 +742,8 @@ class TestTwoStage:
     def test_report_equals_scene_by_scene_count(self, budget):
         # The per-scene, per-candidate count the vectorised evaluation replaced.
         scenes = tiny_scenes(seed=4, noise=0.1)
-        [(scorer, classifier, report)] = train_two_stage(scenes, two_stage_config(budget=budget),
-                                                         [CE])
+        [[(scorer, classifier, report)]] = train_two_stage(
+            [(scenes, two_stage_config(budget=budget), [CE])])
         P = scenes.per_scene
         total, kept, retained = {}, {}, []
         for start in range(0, len(scenes.X), P):
@@ -761,7 +767,7 @@ class TestTwoStage:
 
     def test_trained_pipeline_reports(self):
         scenes = tiny_scenes()
-        [(_, _, report)] = train_two_stage(scenes, two_stage_config(budget=16), [CE])
+        [[(_, _, report)]] = train_two_stage([(scenes, two_stage_config(budget=16), [CE])])
         assert 0.0 < report.proposal_recall <= 1.0
         assert set(report.per_class_proposal_recall) <= {0, 1, 2}
         assert report.stage1_curve and report.stage2_curve
@@ -771,8 +777,8 @@ class TestTwoStage:
     def test_determinism(self):
         scenes = tiny_scenes(seed=3)
         cfg = two_stage_config()
-        [(_, _, r1)] = train_two_stage(scenes, cfg, [CE])
-        [(_, _, r2)] = train_two_stage(scenes, cfg, [CE])
+        [[(_, _, r1)]] = train_two_stage([(scenes, cfg, [CE])])
+        [[(_, _, r2)]] = train_two_stage([(scenes, cfg, [CE])])
         assert r1.proposal_recall == r2.proposal_recall
         assert r1.stage1_curve == r2.stage1_curve
 
@@ -784,3 +790,102 @@ class TestTwoStage:
                 stage1=flat_config(), proposal_budget=1, stage2=flat_config(),
                 stage2_loss=CE, fg_bg_ratio=0.0,
             )
+
+
+def assert_trained_equal(got, want):
+    """Two lists of (model, curve), one per loss, equal bit for bit."""
+    for (model, curve), (ref, ref_curve) in zip(got, want, strict=True):
+        assert np.array_equal(model.weights, ref.weights)
+        assert np.array_equal(model.biases, ref.biases)
+        assert curve == ref_curve
+
+
+# One lockstep stream: data (an index into the example's datasets), losses, an
+# undersample policy (none, zero-skip, or one that may empty epochs), batch size,
+# fraction schedule, curve stride, epochs and seed.
+CLASSIFIER_STREAM = st.tuples(
+    st.integers(0, 2), st.lists(STEP_LOSSES, min_size=1, max_size=3),
+    st.sampled_from([None, "zero", "thin"]), st.sampled_from([4, 6, 9]),
+    st.tuples(st.floats(0.1, 0.9), st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    st.integers(1, 7), st.integers(0, 4), st.integers(0, 2**16))
+
+
+class TestStreamLockstep:
+    """Streams trained in one call, stepping together wherever their batches
+    have one row count, equal each stream trained alone, bit for bit; and a
+    multi-seed experiment gives each seed's rows of its one-seed run.  CI
+    runs this class under ``OPENBLAS_CORETYPE=Haswell`` too."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams=st.lists(CLASSIFIER_STREAM, min_size=1, max_size=5),
+           counts=st.lists(st.lists(st.integers(1, 12), min_size=3, max_size=3),
+                           min_size=3, max_size=3),
+           data_seed=st.integers(0, 2**16))
+    def test_classifier_streams_equal_solo_calls(self, streams, counts, data_seed):
+        # Three datasets of different seeds and sizes; the last has other
+        # feature and class counts, so its streams step apart.
+        datasets = [generate_synthetic(SynthDatasetSpec(
+            class_counts=c + [3] * (i == 2), feature_dim=3 + (i == 2), label_noise_rate=0.1,
+            seed=data_seed + i)) for i, c in enumerate(counts)]
+        calls = []
+        for data_at, losses, policy, batch, (frac, lr, late), stride, epochs, seed in streams:
+            data = datasets[data_at]
+            skip = {None: {}, "zero": {0: 0.0, 1: 0.0}, "thin": {0: 0.9, 1: 0.6, 2: 0.9}}[policy]
+            expected = sum(n * (1 - skip.get(c, 0.0)) for c, n in enumerate(np.bincount(data.y)))
+            train = Train(epochs, batch, [[frac, lr], [1.0, late]], "fraction")
+            calls.append((data, train.config(
+                seed, expected, stride,
+                UndersamplePolicy(skip, seed=seed + 1) if policy else None), losses))
+        solo = []
+        for call in calls:
+            try:
+                [trained] = train_classifier([call])
+            except ValueError as exc:
+                assert "no training iteration" in str(exc)  # every epoch emptied
+                with pytest.raises(ValueError, match="no training iteration"):
+                    train_classifier(calls)
+                return
+            solo.append(trained)
+        for got, want in zip(train_classifier(calls), solo, strict=True):
+            assert_trained_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(streams=st.lists(st.tuples(
+        st.integers(0, 2), st.lists(STEP_LOSSES, min_size=1, max_size=3),
+        st.sampled_from([8, 13]), st.sampled_from([0.5, 0.25]), st.integers(1, 30),
+        st.integers(1, 9), st.integers(0, 3), st.integers(0, 2**16)), min_size=1, max_size=5))
+    def test_objectness_streams_equal_solo_calls(self, streams):
+        # Stage-1 batches all have max(batch, 2) rows; fg_bg_ratio sets how
+        # many are foreground, so some equal-sized batches carry other signs.
+        pools = [tiny_scenes(seed=s, noise=0.05) for s in range(3)]
+        calls = [(pools[at].X, pools[at].is_object.astype(np.int64),
+                  TrainConfig(epochs, batch, ((t, 0.3), (10**9, 0.05)), weight_init_seed=seed,
+                              curve_stride=stride), losses, ratio)
+                 for at, losses, batch, ratio, t, stride, epochs, seed in streams]
+        for got, call in zip(train_objectness(calls), calls, strict=True):
+            assert_trained_equal(got, train_objectness([call])[0])
+
+    def test_two_stage_streams_equal_solo_calls(self):
+        calls = [(tiny_scenes(seed=s, noise=0.05), two_stage_config(epochs=e), losses)
+                 for s, e, losses in ((1, 3, [CE, FL2]), (2, 2, [FL2]), (3, 3, [CE]))]
+        for got, call in zip(train_two_stage(calls), calls, strict=True):
+            for (scorer, classifier, report), (s_ref, c_ref, r_ref) in zip(
+                    got, train_two_stage([call])[0], strict=True):
+                assert report == r_ref
+                for model, ref in ((scorer, s_ref), (classifier, c_ref)):
+                    assert np.array_equal(model.weights, ref.weights)
+                    assert np.array_equal(model.biases, ref.biases)
+
+    @pytest.mark.parametrize("name", ["longtail", "two_stage"])
+    def test_experiment_seeds_equal_one_seed_runs(self, name):
+        config = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+        config.update(seeds=[1, 2, 3], loss_curve_stride=7)
+        config["train"]["epochs"] = 3
+        if name == "two_stage":
+            config["two_stage"]["stage2"]["epochs"] = 2
+        together = run_experiment(config)
+        for i, seed in enumerate(config["seeds"]):
+            alone = run_experiment(dict(config, seeds=[seed]))
+            for arm, rows in together["arms"].items():
+                assert (json.dumps(rows["per_seed"][i], sort_keys=True)
+                        == json.dumps(alone["arms"][arm]["per_seed"][0], sort_keys=True))
