@@ -67,10 +67,7 @@ def cmd_loss_table(args) -> int:
     params_fl = losses.LossParams(kind=losses.LossKind.FL, gamma=args.gamma)
     params_rfl = losses.LossParams(kind=losses.LossKind.RFL, gamma=args.gamma,
                                    threshold=args.th)
-    if args.steps == 1:
-        grid = [args.pt_min]
-    else:
-        grid = np.linspace(args.pt_min, args.pt_max, args.steps)
+    grid = np.linspace(args.pt_min, args.pt_max, args.steps)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["pt", "ce", "fl", "rfl", "cutoff_factor"])
     for pt in grid:
@@ -269,6 +266,9 @@ def cmd_experiment(args) -> int:
 def cmd_tile(args) -> int:
     from . import geometry, metrics
 
+    if not (0.0 < args.min_visibility <= 1.0):  # checked before any input is read or output made
+        print(f"--min-visibility must be in (0, 1], got {args.min_visibility}", file=sys.stderr)
+        return 2
     tiles = geometry.tile_grid(args.scene, args.tile, args.overlap)
     nx, _ = geometry.tile_axis_counts(args.scene, args.tile, args.overlap)
 

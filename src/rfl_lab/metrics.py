@@ -4,8 +4,8 @@ Matching is greedy per class (and per image when image ids are used):
 detections are visited in descending score order, each claims the
 still-unmatched ground-truth box of the same class and image with the
 highest IoU, provided that IoU reaches the match threshold.  Score ties
-are broken by the candidate's best achievable IoU against the unmatched
-ground truths, then by input order, so rankings are deterministic.
+are broken by the candidate's best such IoU against the unmatched ground
+truths, then by input order, so rankings are deterministic.
 
 Average precision is the area under the precision-recall curve with the
 monotone precision envelope evaluated at every point (no 11-point
@@ -24,8 +24,9 @@ every group with detections left makes its next pick, so the Python
 iterations number the detections of the largest group.  A detection is
 tested only against the truths of its group that start within reach of
 its box, and IoUs are computed ``_PAIR_CHUNK`` candidate pairs at a time.
-Memory is then the per-record columns, the pairs of positive IoU and
-that chunk, never a dense IoU matrix of a crowded image.
+Only the pairs of IoU at or above the threshold are kept, since no other
+pair can ever match.  Memory is then the per-record columns, those pairs
+and that chunk, never a dense IoU matrix of a crowded image.
 
 The records ``Box``, ``Detection`` and ``GroundTruth`` are named tuples,
 cheap enough to build one per box per step: immutable, hashed and
@@ -171,8 +172,8 @@ def _corners(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
 
 
 # Candidate pairs whose IoU is computed at once: the matcher's working
-# memory beyond its per-record columns and the pairs of positive IoU is a
-# few dozen arrays of this length.
+# memory beyond its per-record columns and the pairs of IoU at or above
+# the threshold is a few dozen arrays of this length.
 _PAIR_CHUNK = 1 << 11
 # Relative slack on a group's widest truth, for the reach of a window.
 _WIDTH_SLACK = 1.0 + 2.0**-50
@@ -238,9 +239,9 @@ def _windows(
 
 def _sweep(
     dets: Sequence[Detection], gts: Sequence[GroundTruth],
-    dscore: np.ndarray, dkey: np.ndarray, tkey: np.ndarray,
+    dscore: np.ndarray, dkey: np.ndarray, tkey: np.ndarray, iou_thresh: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows, and the pairs of positive IoU: (order, group, rows, cols, vals).
+    """The rows, and the pairs of IoU >= ``iou_thresh``: (order, group, rows, cols, vals).
 
     The rows are the detections of keys that have truths, by (key, score
     desc, index): detection ``order[i]``, of truth group ``group[i]``.  The
@@ -270,7 +271,7 @@ def _sweep(
         cross = np.minimum(dy2[d], ty2[t]) > np.maximum(dy1[d], ty1[t])
         r, d, t = r[cross], d[cross], t[cross]
         v = _iou_pairs((dx1[d], dy1[d], dx2[d], dy2[d]), (tx1[t], ty1[t], tx2[t], ty2[t]))
-        keep = v > 0.0
+        keep = v >= iou_thresh
         rows.append(r[keep])
         cols.append(t[keep])
         vals.append(v[keep])
@@ -289,17 +290,17 @@ def _by_column(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> tuple[np.ndar
 
 def _rounds(
     n: int, key_first: np.ndarray, block_first: np.ndarray,
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_truths: int, iou_thresh: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy picks of every key in lockstep: (IoU at pick, TP flag) per row.
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_truths: int,
+) -> np.ndarray:
+    """Greedy picks of every key in lockstep: the TP flag per row.
 
     The ``n`` rows are detections by (key, score desc, index); each key's
     rows begin at ``key_first`` and each tied score block's at
-    ``block_first``.  The pairs of positive IoU are (rows, cols, vals), by
-    row, with cols the truths' input indices.  Each round, every key with
-    rows left picks the row of its current block with the highest best
-    IoU, then the lowest index; a claim re-scores only the rows whose best
-    truth it took.
+    ``block_first``.  The pairs at or above the match threshold are (rows,
+    cols, vals), by row, with cols the truths' input indices.  Each round,
+    every key with rows left picks the row of its current block with the
+    highest best IoU, then the lowest index; the pick claims its best
+    truth, if any, and re-scores only the rows whose best truth it took.
     """
     row_ptr = np.searchsorted(rows, np.arange(n + 1))
     col_rows, col_ptr = _by_column(rows, cols, n_truths)
@@ -326,7 +327,7 @@ def _rounds(
     by_size = np.argsort(-sizes, kind="stable")  # the keys still active lead
     key_first, sizes = key_first[by_size], sizes[by_size]
     block_stop = np.append(block_first[1:], n)
-    picked_v, hit, done = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    hit, done = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     active = len(sizes)
     for step in range(int(sizes[0])):
         while sizes[active - 1] <= step:
@@ -337,10 +338,9 @@ def _rounds(
         key = np.where(done[idx], -1.0, best_v[idx])
         top = np.maximum.reduceat(key, offsets)
         pick = np.minimum.reduceat(np.where(key == top.repeat(hi - lo), idx, n), offsets)
-        g, v = best_g[pick], best_v[pick]
+        g = best_g[pick]
         done[pick] = True
-        picked_v[pick] = v
-        claim = (g >= 0) & (v >= iou_thresh)
+        claim = g >= 0
         hit[pick] = claim
         g = g[claim]
         if len(g):
@@ -348,33 +348,31 @@ def _rounds(
             idx, _ = _ranges(col_ptr[g], col_ptr[g + 1])
             near = col_rows[idx]
             rescore(near[~done[near] & (best_g[near] == g.repeat(col_ptr[g + 1] - col_ptr[g]))])
-    return picked_v, hit
+    return hit
 
 
 def _match(
     dets: Sequence[Detection], gts: Sequence[GroundTruth],
     dscore: np.ndarray, dkey: np.ndarray, tkey: np.ndarray, iou_thresh: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Greedy matching of detections to the truths of the same key, every
-    key at once: (IoU at pick, TP flag) per detection, in input order.
+    key at once: the TP flag per detection, in input order.
 
     Inside a key, detections are visited in descending score order; inside
     a tied score block the one of highest current best IoU goes first, then
     the lower index.  A detection's best truth is the unmatched truth of
-    highest positive IoU, the lowest truth index among equals, or none
-    (IoU 0).  A picked detection claims its best truth when that IoU
-    reaches ``iou_thresh``.  A detection of a key without truths is never
-    picked: IoU 0, no TP.
+    highest IoU at or above ``iou_thresh``, the lowest truth index among
+    equals, or none; a picked detection claims its best truth.  A detection
+    of a key without truths is never picked: no TP.
     """
-    picked_v, flags = np.zeros(len(dets)), np.zeros(len(dets), dtype=bool)
+    flags = np.zeros(len(dets), dtype=bool)
     if not dets or not gts:
-        return picked_v, flags
-    order, group, rows, cols, vals = _sweep(dets, gts, dscore, dkey, tkey)
+        return flags
+    order, group, rows, cols, vals = _sweep(dets, gts, dscore, dkey, tkey, iou_thresh)
     if len(order):
-        picked_v[order], flags[order] = _rounds(
-            len(order), _run_starts(group), _run_starts(group, dscore[order]),
-            rows, cols, vals, len(gts), iou_thresh)
-    return picked_v, flags
+        flags[order] = _rounds(len(order), _run_starts(group), _run_starts(group, dscore[order]),
+                               rows, cols, vals, len(gts))
+    return flags
 
 
 def _flags_by_class(
@@ -382,8 +380,9 @@ def _flags_by_class(
     d_cls: np.ndarray, t_cls: np.ndarray, n_classes: int, iou_thresh: float,
 ) -> list[list[bool]]:
     """True-positive flags of each class code 0 .. n_classes - 1, in ranked
-    order: (score desc, IoU at pick desc, input index).  ``d_cls`` and
-    ``t_cls`` hold the class codes; a detection of code -1 is dropped.
+    order: (score desc, flag desc, input index), as the greedy picks of a
+    tied block make all their claims first.  ``d_cls`` and ``t_cls`` hold
+    the class codes; a detection of code -1 is dropped.
 
     Matching never crosses a class or an image, so each (class, image)
     pair is one key of :func:`_match`.
@@ -395,8 +394,8 @@ def _flags_by_class(
     d_key = np.fromiter([images.get(det.image_id, -1) for det in dets], np.int64, len(dets))
     d_key = np.where((d_key < 0) | (d_cls < 0), -1, d_cls * len(images) + d_key)
     scores = np.fromiter([det.score for det in dets], float, len(dets))
-    picked_v, flags = _match(dets, gts, scores, d_key, t_key, iou_thresh)
-    ranked = np.lexsort((-picked_v, -scores, d_cls))
+    flags = _match(dets, gts, scores, d_key, t_key, iou_thresh)
+    ranked = np.lexsort((~flags, -scores, d_cls))
     cuts = np.searchsorted(d_cls[ranked], np.arange(n_classes + 1)).tolist()
     return [flags[ranked[a:b]].tolist() for a, b in zip(cuts, cuts[1:])]
 

@@ -843,6 +843,18 @@ class TestTile:
         assert f"{flag[2:]}" in err and f"got {value}" in err
         assert not (tmp_path / "t" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("boxes", [False, True], ids=["no-boxes", "boxes"])
+    @pytest.mark.parametrize("value", ["2", "nan", "-1", "0"])
+    def test_bad_min_visibility_exit_2_before_any_output(self, tmp_path, capsys, value, boxes):
+        src = tmp_path / "boxes.jsonl"
+        write_detections_jsonl([Detection(Box(10, 10, 30, 30), 0, 1.0)], src)
+        code, _, err = run(capsys, "tile", "--scene", "100x100", "--tile", "50",
+                           "--min-visibility", value, "--out-dir", str(tmp_path / "t"),
+                           *(["--boxes", str(src)] if boxes else []))
+        assert code == 2
+        assert err == f"--min-visibility must be in (0, 1], got {float(value)}\n"
+        assert not (tmp_path / "t").exists()
+
 
 class TestFuse:
     def test_single_file_fixpoint(self, tmp_path, capsys):
