@@ -16,8 +16,9 @@ fraction of all ground truths; mRecall is the unweighted mean of the
 per-class matched fractions, which makes it insensitive to how many
 instances each class has.
 
-Degenerate zero-area boxes have IoU 0 against everything (including
-themselves) and therefore never match.
+A box without a positive finite area (a point, a NaN or infinite corner,
+an area that overflows) has IoU 0 or NaN against every box, so it never
+matches: the sweep sets such boxes aside first (:func:`_can_overlap`).
 
 Every (class, image) group is matched at once, in rounds: each round,
 every group with detections left makes its next pick, so the Python
@@ -171,6 +172,14 @@ def _corners(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
     return np.fromiter(boxes, float, 4 * len(items)).reshape(-1, 4)
 
 
+def _can_overlap(corners: np.ndarray) -> np.ndarray:
+    """Per (x1, y1, x2, y2) row, whether the area is positive and finite.  No
+    other box can match or fuse: its IoU with any box is 0 or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+        return (area > 0.0) & (area < np.inf)
+
+
 # Candidate pairs whose IoU is computed at once: the matcher's working
 # memory beyond its per-record columns and the pairs of IoU at or above
 # the threshold is a few dozen arrays of this length.
@@ -196,12 +205,10 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """Pairs as complex numbers, which numpy sorts and searches by (real,
-    imag).  A NaN imag is taken as +inf: numpy orders a complex with a NaN
-    part after all others, whatever its real part."""
+    """Pairs as complex numbers, which numpy sorts and searches by (real, imag)."""
     out = np.empty(len(real), complex)
     out.real = real
-    out.imag = np.where(np.isnan(imag), np.inf, imag)
+    out.imag = imag
     return out
 
 
@@ -213,17 +220,14 @@ def _windows(
 
     Row i is detection ``order[i]`` of truth group ``group[i]``; ``torder``
     sorts the truths by group, then x1, and group g begins at
-    ``firsts[g]``.  The candidates are the truths of the row's group whose
-    x1 lies in [x1 - widest truth of the group, x2), which holds every
-    truth of positive IoU; a group with a non-finite truth corner gives
-    all of its truths.
+    ``firsts[g]``; every box passed :func:`_can_overlap`, so its corners
+    are finite.  The candidates are the truths of the row's group with x1 in
+    [x1 - widest truth of the group, x2), which holds every truth of positive IoU.
     """
     stops = np.append(firsts[1:], len(torder))
     tx1 = tbox[torder, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = np.maximum.reduceat(tbox[torder, 2] - tx1, firsts)
-        sound = np.isfinite(width) & np.logical_and.reduceat(
-            np.isfinite(tbox).all(axis=1)[torder], firsts)
+    width = np.maximum.reduceat(tbox[torder, 2] - tx1, firsts)
+    with np.errstate(over="ignore"):  # near the float limit, the reach is -inf
         # The slack and the step down cover the rounding of x2 - x1 and of
         # the subtraction, so no truth of positive IoU falls below reach.
         reach = np.nextafter(dbox[order, 0] - width[group] * _WIDTH_SLACK, -np.inf)
@@ -231,9 +235,6 @@ def _windows(
     place = _complex(np.repeat(np.arange(len(firsts)), stops - firsts), tx1)
     lo = np.searchsorted(place, _complex(group, reach))
     hi = np.maximum(np.searchsorted(place, _complex(group, dbox[order, 2])), lo)
-    unsound = ~sound[group]
-    lo[unsound] = firsts[group[unsound]]
-    hi[unsound] = stops[group[unsound]]
     return lo, hi
 
 
@@ -243,18 +244,21 @@ def _sweep(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rows, and the pairs of IoU >= ``iou_thresh``: (order, group, rows, cols, vals).
 
-    The rows are the detections of keys that have truths, by (key, score
-    desc, index): detection ``order[i]``, of truth group ``group[i]``.  The
-    pairs (row, truth input index, IoU) come by row; each row is tested
+    Only boxes that pass :func:`_can_overlap` enter; no other can match.
+    The rows are those detections of keys that have such truths, by (key,
+    score desc, index): detection ``order[i]``, of truth group ``group[i]``.
+    The pairs (row, truth input index, IoU) come by row; each row is tested
     against its :func:`_windows` only, ``_PAIR_CHUNK`` pairs at a time.
     """
     dbox, tbox = _corners(dets), _corners(gts)
-    torder = np.lexsort((tbox[:, 0], tkey))
+    torder = np.flatnonzero(_can_overlap(tbox))
+    torder = torder[np.lexsort((tbox[torder, 0], tkey[torder]))]
     firsts = _run_starts(tkey[torder])
     keys = tkey[torder[firsts]]
-    order = np.lexsort((-dscore, dkey))
+    order = np.flatnonzero(_can_overlap(dbox))
+    order = order[np.lexsort((-dscore[order], dkey[order]))]
     group = np.searchsorted(keys, dkey[order])
-    has = keys[np.minimum(group, len(keys) - 1)] == dkey[order]
+    has = np.searchsorted(keys, dkey[order], "right") > group
     order, group = order[has], group[has]
     lo, hi = _windows(dbox, tbox, order, torder, group, firsts)
 
@@ -317,11 +321,7 @@ def _rounds(
         best_g[dets] = np.where(top > 0.0, np.minimum.reduceat(tie, offsets), -1)
         best_v[dets] = top
 
-    # At the start every truth is unmatched, and every pair is positive.
-    firsts = row_ptr[:-1][row_ptr[:-1] < row_ptr[1:]]
-    best_v[rows[firsts]] = np.maximum.reduceat(vals, firsts)
-    best_g[rows[firsts]] = np.minimum.reduceat(
-        np.where(vals == best_v[rows], cols, n_truths), firsts)
+    rescore(np.flatnonzero(row_ptr[:-1] < row_ptr[1:]))
 
     sizes = np.diff(np.append(key_first, n))
     by_size = np.argsort(-sizes, kind="stable")  # the keys still active lead

@@ -3,6 +3,7 @@ and hypothesis properties against a plain-loop reference."""
 
 import hashlib
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -441,6 +442,50 @@ class TestGridFusion:
         out = fuse(dets, cfg)
         assert repr(out) == repr(reference_fuse(dets, cfg))
         assert [d.source for d in out] == ["a+c+d", "b", "e"]
+
+    def test_far_boxes_one_ulp_wide_are_indexed(self):
+        # The far boxes are one ulp (1.5e284) wide, a finite area, so they
+        # are indexed: that width is the cell side, their cell index is
+        # 6.7e15 (beyond 2^52) and the boxes near the origin share cell 0.
+        far = math.nextafter(1e300, math.inf)
+        dets = [
+            det(0, 0, 9, 9, 0.9, source="a"),
+            det(7, 0, 16, 9, 0.8, source="b"),
+            det(1, 1, 10, 10, 0.7, source="c"),
+            det(1e300, 0, far, 9, 0.6, source="d"),
+            det(1e300, 0, far, 9, 0.5, source="e"),
+        ]
+        cfg = FusionConfig(iou_thresh=0.1)
+        out = fuse(dets, cfg)
+        assert repr(out) == repr(reference_fuse(dets, cfg))
+        assert [d.source for d in out] == ["a+b+c", "d+e"]
+
+    def test_boxes_that_cannot_overlap_cost_no_full_scan(self):
+        # 4k boxes of 10-90 px over a 20,000 px field.  A box with an
+        # infinite corner, a box at x = 1e18 (zero width in floats) or a
+        # group of point boxes can join nothing, so none of them may make
+        # the group fall back to testing every cluster.
+        rng = np.random.default_rng(0)
+        xy, wh = rng.uniform(0, 20000, size=(4000, 2)), rng.uniform(10, 90, size=(4000, 2))
+        scores = rng.random(4000).round(2).tolist()
+        boxes = [det(x, y, x + w, y + h, s)
+                 for (x, y), (w, h), s in zip(xy.tolist(), wh.tolist(), scores)]
+        points = [det(x, y, x, y, s) for (x, y), s in zip(xy.tolist(), scores)]
+        cfg = FusionConfig()
+
+        def seconds(dets):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                fuse(dets, cfg)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        plain = seconds(boxes)
+        for dets in (boxes + [det(0, 0, math.inf, 50, 0.5)],
+                     boxes + [det(1e18, 0, 1e18 + 50, 50, 0.5)],
+                     points):
+            assert seconds(dets) < 4 * plain
 
 
 def pool(scene, *passes):

@@ -575,6 +575,33 @@ class TestArrayMatcher:
         flags = array_match(dets, gts, 0.5)
         assert flags.tolist() == [True, False]
 
+    def test_a_truth_that_cannot_overlap_adds_no_candidate_pair(self):
+        # One crowded image of 1k truths and 2k jittered detections.  A truth
+        # with an infinite corner has no finite area, so it can match nothing
+        # and must not widen any detection's window: the pairs whose IoU is
+        # computed are the same with it and without it.
+        rng = np.random.default_rng(0)
+        xy, wh = rng.uniform(0, 1900, size=(1000, 2)), rng.uniform(10, 90, size=(1000, 2))
+        gts = [GroundTruth(Box(x, y, x + w, y + h), 0, "img")
+               for (x, y), (w, h) in zip(xy.tolist(), wh.tolist())]
+        shift, scores = rng.uniform(-4, 4, size=(2000, 2)).tolist(), rng.random(2000).round(2)
+        dets = [Detection(Box(g.box.x1 + dx, g.box.y1 + dy, g.box.x2 + dx, g.box.y2 + dy), 0,
+                          float(s), image_id="img")
+                for g, (dx, dy), s in zip(gts * 2, shift, scores)]
+        far = GroundTruth(Box(100.0, 100.0, math.inf, 150.0), 0, "img")
+        counts = []
+
+        def counting(a, b):
+            counts[-1] += len(a[0])
+            return _iou_pairs(a, b)
+
+        with mock.patch.object(metrics, "_iou_pairs", counting):
+            for extra in ([], [far]):
+                counts.append(0)
+                summary = map_and_mrecall(dets, gts + extra)
+                assert summary.per_class[0].gt_count == 1000 + len(extra)
+        assert counts[0] == counts[1]
+
 
 def _ordered_corners(a, b, c, d):
     def ends(p, q):
