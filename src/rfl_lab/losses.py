@@ -22,18 +22,18 @@ as written rather than smoothed.
 One kernel evaluates these formulas and d(loss)/d(pt), with CE and FL
 written as RFLs; :func:`loss_and_dpt` runs it on scalars or arrays,
 :func:`loss_at` at one pt, and :func:`cutoff_factor` divides that loss
-by CE.  Two heads wire it to model outputs and return the analytic
-gradient with respect to the logits: :func:`softmax_head` (multiclass, K
-classes) and :func:`sigmoid_head` (binary, K = 1).  Both take stacked
-logits of shape (R, n, K), one loss per stacked model, and return losses
-(R, n), None unless asked for, and logit gradients (R, n, K); one kernel
-pass serves the models of each gamma (:func:`loss_columns`).  The SGD
-step ``train.step`` calls these heads, and so does :func:`run_gradcheck`
-(``rfl-lab gradcheck``): its binary section is one stacked sigmoid-head
-call per loss, so it checks the gradient that trains.  :func:`loss_at`
-rejects pt outside the open interval (0, 1); the heads instead clamp pt
-to [1e-12, 1 - 1e-12] so training survives saturated outputs.  Their
-callers validate the logits and labels they pass.
+by CE.  Two heads wire it to stacked logits (R, n, K), one loss per
+model, and return losses (R, n), None unless asked for, and the analytic
+logit gradients (R, n, K): :func:`softmax_head` (K classes) and
+:func:`sigmoid_head` (K = 1, pt and 1 - pt from one stacked pass of
+:func:`binary_pt`); one kernel pass serves the models of each gamma
+(:func:`loss_columns`).  ``train.step`` and :func:`run_gradcheck` call
+the heads, so ``rfl-lab gradcheck`` checks the gradient that trains.  On
+a step's small arrays numpy's per-call overhead sets the cost, so the
+heads and the kernel work in place and make few calls, with every bit of
+the plain spelling.  :func:`loss_at` rejects pt outside (0, 1); the heads
+clamp pt to [1e-12, 1 - 1e-12] so training survives saturated outputs,
+and their callers validate the logits and labels they pass.
 
 Everything here is a pure function of its arguments and safe to call
 from any number of threads.
@@ -53,6 +53,10 @@ import numpy as np
 # Clamp bounds applied to pt inside the softmax/sigmoid heads.
 PT_CLAMP_LO = 1e-12
 PT_CLAMP_HI = 1.0 - 1e-12
+try:  # np.clip's ufunc without its Python wrapper: minimum(maximum(x, lo), hi), bitwise
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy 1.x
+    from numpy.core.umath import clip as _clip
 
 
 class LossKind(enum.Enum):
@@ -103,14 +107,20 @@ def _kernel(pt, neg_log, one_minus, gamma: float, th, scale):
     divisor ``scale``, scalars or columns that broadcast against pt."""
     recip = -1.0 / pt
     if gamma == 0.0:
-        weight, dfl = 1.0, recip
+        weight, dfl = 1.0, recip / scale
     else:
         weight = one_minus**gamma
-        # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt
-        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - weight / pt
+        # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt,
+        # and at g = 2, (1-pt)^1.0 is 1-pt, bitwise.
+        dfl = gamma * (one_minus if gamma == 2.0 else one_minus ** (gamma - 1.0)) * np.log(pt)
+        dfl -= weight / pt
+        dfl /= scale
     flat = pt < th
     loss = None if neg_log is None else np.where(flat, neg_log, weight * neg_log / scale)
-    return loss, np.where(flat, recip, dfl / scale)
+    if not isinstance(dfl, np.ndarray):  # scalars
+        return loss, np.where(flat, recip, dfl)
+    np.copyto(dfl, recip, where=flat)
+    return loss, dfl
 
 
 def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
@@ -124,19 +134,21 @@ def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
 class LossColumns(NamedTuple):
     """:func:`loss_columns` of R stacked losses."""
 
-    groups: tuple  # (rows, gamma, th (g, 1), scale (g, 1)) per distinct gamma
+    groups: tuple  # (rows, gamma, th, scale) per distinct gamma
 
 
 def loss_columns(params: Sequence[LossParams]) -> LossColumns:
-    """The rows of each gamma with their threshold and divisor columns, so
-    one kernel pass serves all runs of a gamma.  CE rows join the first
-    gamma: their th = 1 puts every clamped pt on the flat branch."""
+    """The rows of each gamma with their threshold and divisor columns (a
+    scalar if all one value, sparing numpy a broadcast), so one kernel pass
+    serves all runs of a gamma.  CE rows join the first gamma: their th = 1
+    puts every clamped pt on the flat branch."""
     gammas = [p.gamma for p in params if p.kind is not LossKind.CE] or [0.0]
     keys = [gammas[0] if p.kind is LossKind.CE else p.gamma for p in params]
     groups = []
     for gamma in dict.fromkeys(keys):
         rows = [r for r, k in enumerate(keys) if k == gamma]
-        th, scale = np.array([_rfl_form(params[r])[1:] for r in rows]).T[:, :, None]
+        th, scale = (col if (col != col[0]).any() else col[0, 0] for col in
+                     np.array([_rfl_form(params[r])[1:] for r in rows]).T[:, :, None])
         groups.append((np.array(rows), gamma, th, scale))
     return LossColumns(tuple(groups))
 
@@ -195,25 +207,25 @@ def softmax_head(z: np.ndarray, y: np.ndarray, params, with_loss: bool = True):
     p /= np.add.reduce(p, axis=2, keepdims=True)
     at = _row_starts(S, n, C) + y
     p_label = p.take(at)  # (S, n): each row's label entry, per head
-    pt = np.minimum(np.maximum(p_label, PT_CLAMP_LO), PT_CLAMP_HI)
-    losses, dpt = _stacked(pt, -np.log(pt) if with_loss else None, 1.0 - pt, params)
+    pt = _clip(p_label, PT_CLAMP_LO, PT_CLAMP_HI)
+    losses, grad = _stacked(pt, -np.log(pt) if with_loss else None, 1.0 - pt, params)
     direction = np.negative(p, out=p)
     direction.put(at, 1.0 - p_label)
-    return losses, (dpt * pt)[:, :, None] * direction
+    grad *= pt
+    return losses, np.multiply(direction, grad[:, :, None], out=direction)
 
 
 def binary_pt(s: np.ndarray, with_loss: bool = True):
     """Clamped pt, -log(pt) and 1 - pt of a sigmoid head, from the logit
     signed toward the label (z for label 1, -z for label 0), so that
-    pt = sigmoid(s).  The log-sigmoid identity -log(sigmoid(s)) =
-    log(1 + exp(-s)) keeps large |s| from overflowing; -log(pt) is capped
-    at -log(1e-12), mirroring the clamp, and None without ``with_loss``."""
-    softplus = np.logaddexp(0.0, -s)
-    neg_log = np.minimum(softplus, -math.log(PT_CLAMP_LO)) if with_loss else None
-    pt = np.minimum(np.maximum(np.exp(-softplus), PT_CLAMP_LO), PT_CLAMP_HI)
-    one_minus = np.exp(-np.logaddexp(0.0, s))
-    one_minus = np.minimum(np.maximum(one_minus, PT_CLAMP_LO), PT_CLAMP_HI)
-    return pt, neg_log, one_minus
+    pt = sigmoid(s).  -log(sigmoid(s)) = log(1 + exp(-s)) keeps large |s|
+    from overflowing: one logaddexp over [-s, s] and one exp give pt and
+    1 - pt.  -log(pt) is capped at -log(1e-12), mirroring the clamp, and
+    None without ``with_loss``."""
+    both = np.logaddexp(0.0, np.concatenate((np.negative(s), s)))  # softplus(-s), softplus(s)
+    neg_log = np.minimum(both[:len(s)], -math.log(PT_CLAMP_LO)) if with_loss else None
+    _clip(np.exp(np.negative(both, out=both), out=both), PT_CLAMP_LO, PT_CLAMP_HI, out=both)
+    return both[:len(s)], neg_log, both[len(s):]  # pt, -log(pt), 1 - pt
 
 
 def sigmoid_head(z: np.ndarray, sign: np.ndarray, params, with_loss: bool = True):
@@ -223,8 +235,10 @@ def sigmoid_head(z: np.ndarray, sign: np.ndarray, params, with_loss: bool = True
     :func:`loss_columns`).  pt comes from :func:`binary_pt`, and dpt/dz =
     +/- pt * (1 - pt).  Without ``with_loss`` the losses are None."""
     pt, neg_log, one_minus = binary_pt(z[:, :, 0] * sign, with_loss)
-    losses, dpt = _stacked(pt, neg_log, one_minus, params)
-    return losses, (dpt * pt * one_minus * sign)[:, :, None]
+    losses, grad = _stacked(pt, neg_log, one_minus, params)
+    for factor in (pt, one_minus, sign):
+        grad *= factor
+    return losses, grad[:, :, None]
 
 
 # The grids of :func:`run_gradcheck`, which the identity tests share.

@@ -214,7 +214,7 @@ def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
 
 def _windows(
     dbox: np.ndarray, tbox: np.ndarray, order: np.ndarray, torder: np.ndarray,
-    group: np.ndarray, firsts: np.ndarray,
+    group: np.ndarray, firsts: np.ndarray, iou_thresh: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the positions [lo, hi) in ``torder`` of its candidate truths.
 
@@ -222,19 +222,26 @@ def _windows(
     sorts the truths by group, then x1, and group g begins at
     ``firsts[g]``; every box passed :func:`_can_overlap`, so its corners
     are finite.  The candidates are the truths of the row's group with x1 in
-    [x1 - widest truth of the group, x2), which holds every truth of positive IoU.
+    [x1 - reach, x2).  The reach is the group's widest truth, or if less the
+    detection's width w over ``iou_thresh``: a truth of IoU >= t overlaps it
+    by at most w in x and is at most w / t wide, so it starts less than
+    w / t - w before x1.  That spare w covers the rounding of the IoU for
+    any t above 2^-40; below, only the widest truth bounds the reach.
     """
     stops = np.append(firsts[1:], len(torder))
     tx1 = tbox[torder, 0]
-    width = np.maximum.reduceat(tbox[torder, 2] - tx1, firsts)
+    width = np.maximum.reduceat(tbox[torder, 2] - tx1, firsts)[group]
+    dx1, dx2 = dbox[order, 0], dbox[order, 2]
     with np.errstate(over="ignore"):  # near the float limit, the reach is -inf
+        if iou_thresh > 2.0**-40:
+            width = np.minimum(width, (dx2 - dx1) / iou_thresh)
         # The slack and the step down cover the rounding of x2 - x1 and of
-        # the subtraction, so no truth of positive IoU falls below reach.
-        reach = np.nextafter(dbox[order, 0] - width[group] * _WIDTH_SLACK, -np.inf)
+        # the subtraction, so no truth that can match falls below reach.
+        reach = np.nextafter(dx1 - width * _WIDTH_SLACK, -np.inf)
     # Complex numbers sort by (real, imag): one search finds (group, x).
     place = _complex(np.repeat(np.arange(len(firsts)), stops - firsts), tx1)
     lo = np.searchsorted(place, _complex(group, reach))
-    hi = np.maximum(np.searchsorted(place, _complex(group, dbox[order, 2])), lo)
+    hi = np.maximum(np.searchsorted(place, _complex(group, dx2)), lo)
     return lo, hi
 
 
@@ -260,7 +267,7 @@ def _sweep(
     group = np.searchsorted(keys, dkey[order])
     has = np.searchsorted(keys, dkey[order], "right") > group
     order, group = order[has], group[has]
-    lo, hi = _windows(dbox, tbox, order, torder, group, firsts)
+    lo, hi = _windows(dbox, tbox, order, torder, group, firsts, iou_thresh)
 
     dx1, dy1, dx2, dy2 = dbox.T
     tx1, ty1, tx2, ty2 = tbox.T

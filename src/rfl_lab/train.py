@@ -10,46 +10,26 @@ its top-K candidates per scene to a multiclass classifier, and the
 report carries proposal recall (overall and per class) plus stage-2
 recall on the retained positives.
 
-A trainer takes a list of streams.  A stream is its data, one
-:class:`TrainConfig` (epochs, batch size, lr schedule, seed, undersample
-policy, curve stride) and a list of losses; the trainer returns, per
-stream, one result per loss.  All streams train in lockstep, and each
-run ends bitwise where it would alone: the losses of a stream share its
-data and batch stream, and the streams of one call (an experiment's
-seeds and undersample policies) step together wherever their batches
-have one row count.
+A trainer takes a list of streams: data (arrays, ``sampling.Dataset`` or
+``sampling.SceneSet``), one :class:`TrainConfig` and a list of losses; it
+returns, per stream, one result per loss.  One SGD loop (:func:`_sgd`)
+trains the runs of all streams in lockstep as stacked linear models ``W``
+(R, K, d), ``b`` (R, K), with K classes or K = 1 for a scorer, and each
+run ends bitwise where it would alone.  A :func:`step` is matmul, loss
+head (``losses.softmax_head`` or ``losses.sigmoid_head``), matmul.  At
+the shipped sizes, a few runs of 64 rows, numpy's per-call overhead sets
+its cost rather than element work, so it works in place.
 
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight
 init and batch order); per-epoch undersampling derives its own sub-seed
 from the policy seed and the epoch index, so enabling an undersample
 policy never perturbs the batch stream, and an all-zero-skip policy
-reproduces the unconfigured trajectory bitwise.
-
-Data arrive as arrays (``sampling.Dataset`` and ``sampling.SceneSet``;
-all scenes are scored, ranked and counted at once).  A model is a
-``LinearModel`` of K rows: K classes for a classifier, K = 1 for an
-objectness scorer.  ``train_classifier`` and ``train_objectness`` run
-one SGD loop (:func:`_sgd`) over R stacked models ``W`` (R, K, d), ``b``
-(R, K), one per loss of every stream, and differ only in the batches they
-draw and the loss head they pass to :func:`step`: matmul,
-``losses.softmax_head`` or ``losses.sigmoid_head`` (the heads ``rfl-lab
-gradcheck`` checks, given the losses' ``loss_columns``), matmul.  At each
-iteration every live stream draws its next batch; the streams whose
-batches have one row count make one step on their stacked runs, each run
-on its own stream's rows (X (R, B, d)), at a rate per run, :func:`lr_at`
-of its stream's schedule.  A ragged batch (an epoch's last, or any of an
-undersampled epoch) steps apart, unpadded, and a stream that has run
-out drops out.  Each stream's loss curve keeps the mean batch loss of
-step 0, of every ``TrainConfig.curve_stride``-th step and of its last;
-only steps that keep one ask the head for per-sample losses, and the
-others' gradients are the same bits.
-
-The objectness batches of one epoch come from one ``Generator.integers``
-call (:func:`stratified_batches`) that consumes the batch stream exactly
-as a ``Generator.choice`` call per stratum and batch would, so the
-trained bits are those of the per-batch draws, without numpy's per-call
-overhead.
+reproduces the unconfigured trajectory bitwise.  The objectness batches
+of one epoch come from one ``Generator.integers`` call
+(:func:`stratified_batches`) that consumes the batch stream exactly as a
+``Generator.choice`` call per stratum and batch would, and array
+operations turn those draws into the same picks.
 """
 
 from __future__ import annotations
@@ -140,9 +120,8 @@ def step(
     z = np.matmul(X, W.transpose(0, 2, 1))
     z += b[:, None, :]
     losses, glogits = head(z, target, params, with_loss)
-    dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[-2]
-    db = np.add.reduce(glogits, axis=1) / X.shape[-2]
-    return losses, dW, db
+    dW, db = np.matmul(glogits.transpose(0, 2, 1), X), np.add.reduce(glogits, axis=1)
+    return losses, np.divide(dW, X.shape[-2], out=dW), np.divide(db, X.shape[-2], out=db)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +248,8 @@ def _lockstep(streams, head):
                                     iteration % streams[live[p]][1].curve_stride == 0]
             Wg, bg = views or (W[rows], b[rows])
             losses, dW, db = step(Xb, target, Wg, bg, head, columns, bool(record))
-            Wg -= rate * dW
-            bg -= brate * db
+            Wg -= np.multiply(dW, rate, out=dW)
+            bg -= np.multiply(db, brate, out=db)
             if not views:  # Wg and bg are gathered copies
                 W[rows], b[rows] = Wg, bg
             if record:
@@ -424,16 +403,23 @@ def _choice_picks(draws: np.ndarray, pop: int, k: int) -> np.ndarray:
             picks[r] = [moved.get(i, i) for i in range(pop - k, pop)]
         return picks
     picks, swaps = draws[:, :k].copy(), draws[:, k:]
+    # Column t keeps its draw v unless an earlier column holds v (v repeats a
+    # draw, or is the j of a column that gave way), and then takes its own
+    # j = pop - k + t.  Only a row that repeats a draw can give way; in those,
+    # sorted (draw, column) keys find the repeats, and each pass below follows
+    # every chain of giving way one link further.
     ordered = np.sort(picks, axis=1)
-    # A draw that an earlier pick holds gives way to its j; only a row that
-    # repeats a draw can hold one.
-    for r in np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)):
-        seen, row = set(), picks[r].tolist()
-        for t, v in enumerate(row):
-            if v in seen:
-                row[t] = v = pop - k + t
-            seen.add(v)
-        picks[r] = row
+    dup = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    keys = np.sort(picks[dup] * k + np.arange(k), axis=1)
+    at = np.arange(len(dup))[:, None]
+    gave = np.zeros((len(dup), k), dtype=bool)
+    gave[at, keys[:, 1:] % k] = keys[:, 1:] // k == keys[:, :-1] // k
+    j_col = picks[dup] - (pop - k)  # the column whose j the draw is, if earlier
+    earlier = (j_col >= 0) & (j_col < np.arange(k))
+    j_col[~earlier] = 0
+    while not np.array_equal(gave, more := gave | (earlier & gave[at, j_col])):
+        gave = more
+    picks[dup] = np.where(gave, np.arange(pop - k, pop), picks[dup])
     rows = np.arange(len(picks))
     for c, i in enumerate(range(k - 1, 0, -1)):
         j = swaps[:, c]

@@ -575,11 +575,10 @@ class TestArrayMatcher:
         flags = array_match(dets, gts, 0.5)
         assert flags.tolist() == [True, False]
 
-    def test_a_truth_that_cannot_overlap_adds_no_candidate_pair(self):
-        # One crowded image of 1k truths and 2k jittered detections.  A truth
-        # with an infinite corner has no finite area, so it can match nothing
-        # and must not widen any detection's window: the pairs whose IoU is
-        # computed are the same with it and without it.
+    @staticmethod
+    def crowded_image_pair_counts(extra):
+        """The pairs given to ``_iou_pairs`` on one crowded image of 1k truths
+        and 2k jittered detections, without and with the ``extra`` truth."""
         rng = np.random.default_rng(0)
         xy, wh = rng.uniform(0, 1900, size=(1000, 2)), rng.uniform(10, 90, size=(1000, 2))
         gts = [GroundTruth(Box(x, y, x + w, y + h), 0, "img")
@@ -588,7 +587,6 @@ class TestArrayMatcher:
         dets = [Detection(Box(g.box.x1 + dx, g.box.y1 + dy, g.box.x2 + dx, g.box.y2 + dy), 0,
                           float(s), image_id="img")
                 for g, (dx, dy), s in zip(gts * 2, shift, scores)]
-        far = GroundTruth(Box(100.0, 100.0, math.inf, 150.0), 0, "img")
         counts = []
 
         def counting(a, b):
@@ -596,11 +594,28 @@ class TestArrayMatcher:
             return _iou_pairs(a, b)
 
         with mock.patch.object(metrics, "_iou_pairs", counting):
-            for extra in ([], [far]):
+            for more in ([], [extra]):
                 counts.append(0)
-                summary = map_and_mrecall(dets, gts + extra)
-                assert summary.per_class[0].gt_count == 1000 + len(extra)
-        assert counts[0] == counts[1]
+                summary = map_and_mrecall(dets, gts + more)
+                assert summary.per_class[0].gt_count == 1000 + len(more)
+        return counts
+
+    def test_a_truth_that_cannot_overlap_adds_no_candidate_pair(self):
+        # A truth with an infinite corner has no finite area, so it can match
+        # nothing and must not widen any detection's window: the pairs whose
+        # IoU is computed are the same with it and without it.
+        far = GroundTruth(Box(100.0, 100.0, math.inf, 150.0), 0, "img")
+        plain, with_far = self.crowded_image_pair_counts(far)
+        assert plain == with_far
+
+    def test_a_wide_truth_widens_windows_only_to_the_threshold_bound(self):
+        # A truth of IoU >= 0.5 is at most twice a detection's width, so one
+        # finite truth 1,900 px wide widens a window by at most that, not by
+        # its own width: the pairs whose IoU is computed grow by under a
+        # quarter.
+        wide = GroundTruth(Box(0.0, 0.0, 1900.0, 20.0), 0, "img")
+        plain, with_wide = self.crowded_image_pair_counts(wide)
+        assert with_wide < 1.25 * plain
 
 
 def _ordered_corners(a, b, c, d):

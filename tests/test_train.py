@@ -12,9 +12,15 @@ from hypothesis import strategies as st
 
 from rfl_lab.experiment import Train, run_experiment
 from rfl_lab.losses import (
+    PT_CLAMP_HI,
+    PT_CLAMP_LO,
     LossKind,
     LossParams,
+    _rfl_form,
+    binary_pt,
     loss_and_dpt,
+    loss_at,
+    loss_columns,
     sigmoid_head,
     softmax_head,
 )
@@ -32,6 +38,7 @@ from rfl_lab.train import (
     TrainConfig,
     TwoStageConfig,
     evaluate_classifier,
+    _choice_bounds,
     _sgd,
     lr_at,
     step,
@@ -286,10 +293,8 @@ class TestStratifiedBatches:
             lambda pop: st.tuples(st.just(pop), st.sampled_from([pop // 50, pop // 50 + 1]))),
     )
 
-    @settings(max_examples=80, deadline=None)
-    @given(strata=st.lists(STRATUM, min_size=1, max_size=3), batches=st.integers(1, 6),
-           seed=st.integers(0, 2**64 - 1))
-    def test_plan_equals_choice_calls(self, strata, batches, seed):
+    @staticmethod
+    def assert_plan_equals_choice_calls(strata, batches, seed):
         # Distinct offsets and strides, so a pick names its stratum's row.
         strata = [(np.arange(pop) * (s + 2) + s, k) for s, (pop, k) in enumerate(strata)]
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -300,6 +305,43 @@ class TestStratifiedBatches:
         assert plan.dtype == expected.dtype
         assert np.array_equal(plan, expected)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(strata=st.lists(STRATUM, min_size=1, max_size=3), batches=st.integers(1, 6),
+           seed=st.integers(0, 2**64 - 1))
+    def test_plan_equals_choice_calls(self, strata, batches, seed):
+        self.assert_plan_equals_choice_calls(strata, batches, seed)
+
+    # Floyd's strata where most rows repeat a draw: k near pop, pop <= 64.
+    REPEAT_HEAVY = st.integers(1, 64).flatmap(
+        lambda pop: st.tuples(st.just(pop), st.integers(max(1, pop - 6), pop)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(strata=st.lists(REPEAT_HEAVY, min_size=1, max_size=3), batches=st.integers(1, 40),
+           seed=st.integers(0, 2**64 - 1))
+    def test_repeat_heavy_strata_equal_choice_calls(self, strata, batches, seed):
+        self.assert_plan_equals_choice_calls(strata, batches, seed)
+
+    @pytest.mark.parametrize("pop, k", [(6, 6), (40, 37), (64, 60)])
+    def test_a_draw_of_a_j_that_gave_way_gives_way_too(self, pop, k):
+        # Floyd takes j = pop - k + t at column t when an earlier pick holds
+        # the draw; a later draw can equal that j, and must give way in turn.
+        # These draws hold such rows (counted by a per-row Floyd), and the
+        # plan still equals the choice calls.
+        batches, seed = 200, 11
+        draws = np.random.default_rng(seed).integers(0, _choice_bounds(pop, k),
+                                                     size=(batches, 2 * k - 1))
+        chained = 0
+        for row in draws[:, :k].tolist():
+            picked, took = set(), set()
+            for t, v in enumerate(row):
+                chained += v in took
+                if v in picked:
+                    v = pop - k + t
+                    took.add(v)
+                picked.add(v)
+        assert chained > 0
+        self.assert_plan_equals_choice_calls([(pop, k)], batches, seed)
 
     @pytest.mark.parametrize("n_fg, n, batch, ratio", [
         (1154, 15300, 64, 0.5),  # the shipped two_stage strata: Floyd with repeats
@@ -501,6 +543,160 @@ class TestStep:
                 for mine, want in zip((losses[s], dW[s], db[s]), got):
                     assert np.array_equal(mine, want)
             assert rows[s] == float(losses[s].mean())
+
+
+# The plain spelling of the kernel, both heads, binary_pt and the step: a
+# new array per operation, two logaddexps, two exps and four clamps for the
+# binary pt, x**1.0 at gamma 2, and (g, 1) threshold and divisor columns.
+# It is the oracle that the in-place step must equal bit for bit.
+def oracle_kernel(pt, neg_log, one_minus, gamma, th, scale):
+    recip = -1.0 / pt
+    if gamma == 0.0:
+        weight, dfl = 1.0, recip
+    else:
+        weight = one_minus**gamma
+        dfl = gamma * one_minus ** (gamma - 1.0) * np.log(pt) - weight / pt
+    flat = pt < th
+    loss = None if neg_log is None else np.where(flat, neg_log, weight * neg_log / scale)
+    return loss, np.where(flat, recip, dfl / scale)
+
+
+def oracle_stacked(pt, neg_log, one_minus, losses):
+    gammas = [p.gamma for p in losses if p.kind is not LossKind.CE] or [0.0]
+    keys = [gammas[0] if p.kind is LossKind.CE else p.gamma for p in losses]
+    groups = []
+    for gamma in dict.fromkeys(keys):
+        rows = [r for r, k in enumerate(keys) if k == gamma]
+        th, scale = np.array([_rfl_form(losses[r])[1:] for r in rows]).T[:, :, None]
+        groups.append((np.array(rows), gamma, th, scale))
+    if len(groups) == 1:
+        return oracle_kernel(pt, neg_log, one_minus, *groups[0][1:])
+    out, dpt = None if neg_log is None else np.empty(pt.shape), np.empty(pt.shape)
+    for rows, gamma, th, scale in groups:
+        loss, dpt[rows] = oracle_kernel(pt[rows], None if neg_log is None else neg_log[rows],
+                                        one_minus[rows], gamma, th, scale)
+        if loss is not None:
+            out[rows] = loss
+    return out, dpt
+
+
+def oracle_binary_pt(s, with_loss=True):
+    softplus = np.logaddexp(0.0, -s)
+    neg_log = np.minimum(softplus, -math.log(PT_CLAMP_LO)) if with_loss else None
+    pt = np.minimum(np.maximum(np.exp(-softplus), PT_CLAMP_LO), PT_CLAMP_HI)
+    one_minus = np.exp(-np.logaddexp(0.0, s))
+    one_minus = np.minimum(np.maximum(one_minus, PT_CLAMP_LO), PT_CLAMP_HI)
+    return pt, neg_log, one_minus
+
+
+def oracle_sigmoid_head(z, sign, losses, with_loss=True):
+    pt, neg_log, one_minus = oracle_binary_pt(z[:, :, 0] * sign, with_loss)
+    loss, dpt = oracle_stacked(pt, neg_log, one_minus, losses)
+    return loss, (dpt * pt * one_minus * sign)[:, :, None]
+
+
+def oracle_softmax_head(z, y, losses, with_loss=True):
+    S, n, C = z.shape
+    z -= np.maximum.reduce(z.reshape(-1, C).T.copy(), axis=0).reshape(S, n, 1)
+    p = np.exp(z, out=z)
+    p /= np.add.reduce(p, axis=2, keepdims=True)
+    at = np.arange(0, S * n * C, n * C)[:, None] + np.arange(0, n * C, C) + y
+    p_label = p.take(at)
+    pt = np.minimum(np.maximum(p_label, PT_CLAMP_LO), PT_CLAMP_HI)
+    loss, dpt = oracle_stacked(pt, -np.log(pt) if with_loss else None, 1.0 - pt, losses)
+    direction = np.negative(p, out=p)
+    direction.put(at, 1.0 - p_label)
+    return loss, (dpt * pt)[:, :, None] * direction
+
+
+def oracle_step(X, target, W, b, head, losses, with_loss=True):
+    z = np.matmul(X, W.transpose(0, 2, 1))
+    z += b[:, None, :]
+    loss, glogits = head(z, target, losses, with_loss)
+    dW = np.matmul(glogits.transpose(0, 2, 1), X) / X.shape[-2]
+    db = np.add.reduce(glogits, axis=1) / X.shape[-2]
+    return loss, dW, db
+
+
+ORACLE_OF = {softmax_head: oracle_softmax_head, sigmoid_head: oracle_sigmoid_head}
+
+
+def same_bits(got, want):
+    """Equal as None, or as arrays of one dtype, shape and byte content."""
+    if want is None:
+        return got is None
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def oracle_steps(draw, head):
+    """(X, target, W, b, losses) of a stacked step: shared or per-run rows,
+    weights from small to saturating (logits in the hundreds), every kind
+    at gamma 0, 0.5, 1, 2 and 5, and thresholds from the grid, 1, or one of
+    the run's own clamped pts or the float above it, so pts fall at and
+    across th."""
+    R, B, d = draw(st.integers(1, 4)), draw(st.integers(1, 70)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y, target, K = draw_targets(head, rng, B, draw(st.integers(2, 10)))
+    X = rng.normal(size=(R, B, d) if draw(st.booleans()) else (B, d))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0, 300.0]))
+    W, b = rng.normal(size=(R, K, d)) * scale, rng.normal(size=(R, K)) * scale
+    z = np.matmul(X, W.transpose(0, 2, 1)) + b[:, None, :]
+    if head is sigmoid_head:
+        pt = oracle_binary_pt(z[:, :, 0] * target)[0]
+    else:
+        p = np.exp(z - z.max(axis=2, keepdims=True))
+        pt = np.clip((p / p.sum(axis=2, keepdims=True))[:, np.arange(B), y], PT_CLAMP_LO,
+                     PT_CLAMP_HI)
+    losses = []
+    for r in range(R):
+        at = float(pt[r, draw(st.integers(0, B - 1))])
+        th = draw(st.sampled_from([0.25, 0.5, 0.9, 1.0, at, float(np.nextafter(at, 1.0))]))
+        losses.append(LossParams(draw(st.sampled_from(list(LossKind))),
+                                 draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0])), th))
+    return X, target, W, b, losses
+
+
+class TestStepOracle:
+    """The step, both heads and ``binary_pt`` equal the oracle spelling above
+    bit for bit: stacked and solo, with and without losses.  CI runs this
+    class under numpy's AVX2 loops too."""
+
+    @pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_step_equals_the_oracle(self, head, data):
+        X, target, W, b, losses = data.draw(oracle_steps(head))
+        with_loss = data.draw(st.booleans())
+        want = oracle_step(X, target, W, b, ORACLE_OF[head], losses, with_loss)
+        for params in (losses, loss_columns(losses)):
+            got = step(X, target, W, b, head, params, with_loss)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+        for r, loss in enumerate(losses):  # each run alone
+            Xr = X[r] if X.ndim == 3 else X
+            got = step(Xr, target, W[r:r + 1], b[r:r + 1], head, [loss], with_loss)
+            solo = oracle_step(Xr, target, W[r:r + 1], b[r:r + 1], ORACLE_OF[head], [loss],
+                               with_loss)
+            assert all(same_bits(g, w) for g, w in zip(got, solo))
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.lists(st.one_of(st.floats(-60.0, 60.0), st.sampled_from(
+               [-np.inf, np.inf, -800.0, 800.0, 27.631021115928547, -27.631021115928547])),
+               min_size=1, max_size=12),
+           rows=st.integers(1, 3), with_loss=st.booleans())
+    def test_binary_pt_equals_the_oracle(self, s, rows, with_loss):
+        s = np.array(s * rows).reshape(rows, -1)
+        for signed in (s, s[0]):  # stacked and one-dimensional
+            got, want = binary_pt(signed, with_loss), oracle_binary_pt(signed, with_loss)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_scalar_losses_equal_the_oracle(self):
+        # The kernel's scalar path, which loss_at and the gradcheck use.
+        for params in [CE, FL2, LossParams(LossKind.RFL, 0.5, 0.25),
+                       LossParams(LossKind.RFL, 5.0, 0.9)]:
+            for pt in [1e-12, 0.01, 0.25, 0.5, 0.9, 0.99]:
+                want = oracle_kernel(pt, -math.log(pt), 1.0 - pt, *_rfl_form(params))
+                assert loss_at(pt, params) == tuple(map(float, want))
 
 
 def thinned(curve, stride):
