@@ -252,8 +252,8 @@ def cmd_experiment(args) -> int:
         dump_dir = Path(args.dump_data)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for seed in spec.seeds:
-            train_data, _, _ = experiment._classifier_data(spec, seed, csv)
-            sampling.write_dataset_csv(train_data, dump_dir / f"dataset_seed{seed}.csv")
+            sampling.write_dataset_csv(experiment.training_set(spec, seed, csv),
+                                       dump_dir / f"dataset_seed{seed}.csv")
         print(f"datasets written to {dump_dir}")
     return 0
 

@@ -13,14 +13,20 @@ classes never share a cluster.
 Each (image, class) group keeps flat per-cluster lists in creation
 order: members, running fused corners, score sums, and the cell span the
 cluster is listed for.  Candidates come from a uniform grid whose cell
-side is the group's largest box side.  Boxes with IoU > 0 both contain
-the point (max x1, max y1), so they share its cell.  Each cell lists, in
-creation order, the clusters whose fused box has touched it, and a
-detection tests only those in its own (at most 2 x 2) cells: about linear
-cost at constant density.  A cluster is listed again only when a join
-moves its box to a new cell span; the old listings fail the bounds
-precheck.  A box without a positive finite area (``_can_overlap``) joins
-nothing and is joined by nothing, so it tests no cell and no cell lists it.
+side is the group's largest box side, unless leaving a few boxes beyond
+``WIDE_SIDE_MULTIPLE`` times the median side out of it saves candidate
+tests (:func:`_cell_side`).  Boxes with IoU > 0 both contain the point
+(max x1, max y1), so they share its cell.  Each cell lists, in creation
+order, the clusters whose fused box has touched it, and a detection tests
+only those in its own (at most 2 x 2) cells: about linear cost at
+constant density.  A cluster is listed again only when a join moves its
+box to a new cell span; the old listings fail the bounds precheck.  A
+wider box tests every cluster, and the clusters it opens, or whose fused
+box outgrows the side, are wide: every detection also tests them.  Each
+list holds ids in creation order, and a detection takes the lowest id
+that matches in any of its lists.  A box without a positive finite area
+(``_can_overlap``) joins nothing and is joined by nothing, so it tests no
+cell and no cell lists it.
 
 The fused detection keeps the member sources joined with '+' in
 first-seen order, so a single-member cluster reproduces its detection
@@ -67,6 +73,36 @@ class FusionConfig:
                 raise ValueError(f"weight for source {tag!r} must be finite and positive, got {w}")
 
 
+# Only a box whose side is more than this multiple of its group's median
+# side may be left out of the cell side, so that one box as large as the
+# field cannot put its whole group into one cell.
+WIDE_SIDE_MULTIPLE = 4.0
+_WIDE, _ALL = "wide", "all"  # keys of the wide clusters and of every id, beside the cells
+
+
+def _cell_side(boxes: np.ndarray, sides: np.ndarray) -> float:
+    """The grid's cell side for ``boxes`` with the largest sides ``sides``:
+    the largest side, unless leaving out the k largest of the boxes beyond
+    ``WIDE_SIDE_MULTIPLE`` times the median side costs fewer candidate
+    tests.  Each of the n detections then tests the k wide ones and each
+    wide one tests all n; the rest share cells of the next side s, about
+    n s^2 / area of them a cell of the group's extent, and a detection
+    tests 2 x 2 cells."""
+    n = len(sides)
+    largest = float(sides.max(initial=0.0))
+    beyond = WIDE_SIDE_MULTIPLE * np.partition(sides, n // 2)[n // 2] if n else largest
+    if largest <= beyond:
+        return largest
+    ranked = np.sort(sides)[::-1]
+    wide = int(np.count_nonzero(ranked > beyond))
+    with np.errstate(over="ignore", under="ignore"):
+        area = float(np.prod(boxes[:, 2:].max(axis=0) - boxes[:, :2].min(axis=0)))
+        if not 0.0 < area < math.inf:
+            return largest
+        tests = 2.0 * n * np.arange(wide + 1) + 4.0 * n * n * ranked[:wide + 1] ** 2 / area
+    return float(ranked[int(np.argmin(tests))])
+
+
 def _clusters(
     dets: list[Detection], iou_thresh: float
 ) -> tuple[list[list[Detection]], list[tuple[float, float, float, float]]]:
@@ -80,20 +116,34 @@ def _clusters(
     corners = np.fromiter(chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
     listed = _can_overlap(corners)
     boxes = corners[listed]
-    # At least one ulp of the largest listed |corner|: every index is within about 2^53.
-    side = float((boxes[:, 2:] - boxes[:, :2]).max(initial=0.0))
+    extent = boxes[:, 2:] - boxes[:, :2]
+    sides = np.maximum(extent[:, 0], extent[:, 1])
+    # At least one ulp of the largest |corner| it indexes: every index is within about 2^53.
+    side = _cell_side(boxes, sides)
+    kinds = listed.tolist()  # False: joins nothing, True: through the grid, 2: wide
+    if has_wide := side < sides.max(initial=0.0):
+        wide = np.flatnonzero(listed)[sides > side]
+        listed[wide] = False
+        boxes = corners[listed]
+        for i in wide.tolist():
+            kinds[i] = 2
     index = np.zeros((len(rows), 4), np.int64)
     index[listed] = np.floor(boxes / side)
-    cells: dict[tuple[int, int], list[int]] = {}  # ids, ascending
+    wide_ids: list[int] = []  # ascending
+    cells: dict = {_WIDE: wide_ids, _ALL: range(len(rows))}  # cell -> ids, ascending
     members: list[list[Detection]] = []
     fused: list[tuple[float, float, float, float]] = []  # running weighted mean
     weights: list[float] = []  # running score sum
-    spans: list[list[int]] = []  # the cell span each cluster was last listed for
-    for det, (x1, y1, x2, y2), span, can in zip(dets, rows, index.tolist(), listed.tolist()):
+    spans: list = []  # the cell span each cluster was last listed for, None if wide
+    for det, (x1, y1, x2, y2), span, kind in zip(dets, rows, index.tolist(), kinds):
         area = (x2 - x1) * (y2 - y1)
         best = new = len(fused)
-        near = _cells(*span) if can else ()
-        for cell in near:
+        if kind is True:
+            near = _cells(*span)
+            scan = (*near, _WIDE) if wide_ids else near
+        else:
+            near, scan = (), (_ALL,) if kind else ()
+        for cell in scan:
             for k in cells.get(cell, ()):
                 if k >= best:
                     break
@@ -114,6 +164,9 @@ def _clusters(
         if best == new:
             for cell in near:
                 cells.setdefault(cell, []).append(new)
+            if kind == 2:
+                wide_ids.append(new)
+                span = None
             members.append([det])
             fused.append(det.box)  # one member: its box exactly
             weights.append(det.score)
@@ -129,6 +182,13 @@ def _clusters(
         cx1, cy1, cx2, cy2 = fused[best]
         c = fused[best] = (cx1 + f * (x1 - cx1), cy1 + f * (y1 - cy1),
                            cx2 + f * (x2 - cx2), cy2 + f * (y2 - cy2))
+        if has_wide:  # a wide cluster stays wide, and one that outgrows the side turns wide
+            if spans[best] is None:
+                continue
+            if c[2] - c[0] > side or c[3] - c[1] > side:
+                spans[best] = None
+                bisect.insort(wide_ids, best)
+                continue
         span = [math.floor(c[0] / side), math.floor(c[1] / side),
                 math.floor(c[2] / side), math.floor(c[3] / side)]
         if span != spans[best]:  # list the moved box in its new cells

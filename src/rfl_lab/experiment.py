@@ -305,15 +305,15 @@ def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     lattice, the S eval sets, and, per train section, iterations x runs
     (the values of the stride-1 loss curves; runs = S x arms) or an array
     of one stacked SGD step: every run's batch features (runs, rows, d),
-    the logits (runs, rows, K) or the weights (runs, K, d).  A classifier
-    batch holds at most n rows.  An objectness batch holds max(batch, 2)
-    rows, even more than n, as a small stratum is drawn with replacement;
-    K = 1.  Each seed's epoch of ceil(n / batch) batches is drawn at once,
-    fewer than two integers a row.  Stage 2 trains one run a seed on the
-    positives, at most every candidate.  (A synthetic dataset's lattice,
-    classes x d, is within its n x d.)"""
+    the logits (runs, rows, K) or the parameters (runs, K, d + 1).  A
+    classifier batch holds at most n rows.  An objectness batch holds
+    max(batch, 2) rows, even more than n, as a small stratum is drawn with
+    replacement; K = 1.  Each seed's epoch of ceil(n / batch) batches is
+    drawn at once, fewer than two integers a row.  Stage 2 trains one run
+    a seed on the positives, at most every candidate.  (A synthetic
+    dataset's lattice, classes x d, is within its n x d.)"""
     def per_step(runs: int, rows: int, K: int) -> int:
-        return runs * max(rows * d, rows * K, K * d)
+        return runs * max(rows * d, rows * K, K * (d + 1))
 
     seeds = len(spec.seeds)
     runs, K = seeds * len(spec.arms), max(2, classes)
@@ -374,24 +374,26 @@ def read_csv_dataset(path: str) -> Dataset:
         raise DatasetError(str(exc)) from exc
 
 
+def training_set(spec: ExperimentSpec, seed: int, csv: Dataset | None) -> Dataset:
+    """One seed's training set: a fresh long-tailed draw of a synthetic spec,
+    or ``csv``, a csv_path dataset read once by the caller (None for a
+    synthetic spec), fixed across seeds (seeds still steer training)."""
+    return csv if csv is not None else generate_synthetic(replace(spec.dataset, seed=seed))
+
+
 def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None
                      ) -> tuple[Dataset, Dataset, list[int]]:
-    """(train set, eval set, class counts) for one seed.
-
-    Synthetic specs draw a fresh long-tailed training set plus a
-    balanced noise-free eval set from the same class means; a csv_path
-    dataset, read once by the caller and passed as ``csv`` (None for a
-    synthetic spec), is fixed across seeds (seeds still steer training)
-    and is evaluated on itself.
-    """
+    """(train set, eval set, class counts) for one seed: the
+    :func:`training_set`, and for a synthetic spec a balanced noise-free
+    eval set from the same class means; a csv_path dataset is evaluated on
+    itself."""
     if csv is not None:
         return csv, csv, np.bincount(csv.y).tolist()
 
-    train_spec = replace(spec.dataset, seed=seed)
-    eval_spec = replace(train_spec, class_counts=[spec.eval] * train_spec.num_classes,
+    eval_spec = replace(spec.dataset, class_counts=[spec.eval] * spec.dataset.num_classes,
                         label_noise_rate=0.0, seed=seed + EVAL_SEED_OFFSET)
-    counts = list(train_spec.class_counts)
-    return generate_synthetic(train_spec), generate_synthetic(eval_spec), counts
+    return (training_set(spec, seed, None), generate_synthetic(eval_spec),
+            list(spec.dataset.class_counts))
 
 
 def _classifier_rows(spec: ExperimentSpec, csv: Dataset | None) -> list[dict[str, dict]]:

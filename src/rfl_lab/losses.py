@@ -30,8 +30,9 @@ logit gradients (R, n, K): :func:`softmax_head` (K classes) and
 (:func:`loss_columns`).  ``train.step`` and :func:`run_gradcheck` call
 the heads, so ``rfl-lab gradcheck`` checks the gradient that trains.  On
 a step's small arrays numpy's per-call overhead sets the cost, so the
-heads and the kernel work in place and make few calls, with every bit of
-the plain spelling.  :func:`loss_at` rejects pt outside (0, 1); the heads
+heads and the kernel make few calls, in place and on equal shapes, with
+every bit of the plain spelling.  :func:`loss_at` rejects pt outside
+(0, 1); the heads
 clamp pt to [1e-12, 1 - 1e-12] so training survives saturated outputs,
 and their callers validate the logits and labels they pass.
 
@@ -104,19 +105,22 @@ def _kernel(pt, neg_log, one_minus, gamma: float, th, scale):
     """The one spelling of the piecewise formulas: RFL's loss (None if
     ``neg_log`` is) and d(loss)/d(pt) at a Python-float ``gamma``, which
     keeps numpy's scalar-power fast paths, and at threshold ``th`` and
-    divisor ``scale``, scalars or columns that broadcast against pt."""
+    divisor ``scale`` shaped as pt; x / 1.0 is x, so a scale of None (all 1)
+    or at gamma 0 (th^0 = 1) divides nothing."""
     recip = -1.0 / pt
     if gamma == 0.0:
-        weight, dfl = 1.0, recip / scale
+        weight, dfl = 1.0, recip
     else:
         weight = one_minus**gamma
         # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt,
         # and at g = 2, (1-pt)^1.0 is 1-pt, bitwise.
         dfl = gamma * (one_minus if gamma == 2.0 else one_minus ** (gamma - 1.0)) * np.log(pt)
         dfl -= weight / pt
-        dfl /= scale
+        if scale is not None:
+            dfl /= scale
     flat = pt < th
-    loss = None if neg_log is None else np.where(flat, neg_log, weight * neg_log / scale)
+    loss = None if neg_log is None else np.where(
+        flat, neg_log, weight * neg_log if scale is None else weight * neg_log / scale)
     if not isinstance(dfl, np.ndarray):  # scalars
         return loss, np.where(flat, recip, dfl)
     np.copyto(dfl, recip, where=flat)
@@ -134,22 +138,22 @@ def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
 class LossColumns(NamedTuple):
     """:func:`loss_columns` of R stacked losses."""
 
-    groups: tuple  # (rows, gamma, th, scale) per distinct gamma
+    groups: tuple  # (rows, gamma, th, scale or None) per distinct gamma
 
 
-def loss_columns(params: Sequence[LossParams]) -> LossColumns:
-    """The rows of each gamma with their threshold and divisor columns (a
-    scalar if all one value, sparing numpy a broadcast), so one kernel pass
-    serves all runs of a gamma.  CE rows join the first gamma: their th = 1
-    puts every clamped pt on the flat branch."""
+def loss_columns(params: Sequence[LossParams], width: int) -> LossColumns:
+    """The rows of each gamma with threshold and divisor arrays (rows, width),
+    [:, :B] views of which fit a batch of B rows (a broadcast costs numpy 1
+    µs a call), divisors all 1 as None.  CE rows join the first gamma: their
+    th = 1 puts every clamped pt on the flat branch."""
     gammas = [p.gamma for p in params if p.kind is not LossKind.CE] or [0.0]
     keys = [gammas[0] if p.kind is LossKind.CE else p.gamma for p in params]
     groups = []
     for gamma in dict.fromkeys(keys):
         rows = [r for r, k in enumerate(keys) if k == gamma]
-        th, scale = (col if (col != col[0]).any() else col[0, 0] for col in
-                     np.array([_rfl_form(params[r])[1:] for r in rows]).T[:, :, None])
-        groups.append((np.array(rows), gamma, th, scale))
+        th, scale = np.repeat(np.array([_rfl_form(params[r])[1:] for r in rows]).T[:, :, None],
+                              width, axis=2)
+        groups.append((np.array(rows), gamma, th, None if (scale == 1.0).all() else scale))
     return LossColumns(tuple(groups))
 
 
@@ -171,8 +175,12 @@ def cutoff_factor(pt: float, params: LossParams) -> float:
 
 def _stacked(pt, neg_log, one_minus, params):
     """Losses (None without ``neg_log``) and d(loss)/d(pt) of (runs, n)
-    arrays, row r under loss r of ``params`` (losses or their columns)."""
-    groups = (params if isinstance(params, LossColumns) else loss_columns(params)).groups
+    arrays, row r under loss r of ``params`` (losses, or columns >= n wide)."""
+    n = pt.shape[1]
+    groups = (params if isinstance(params, LossColumns) else loss_columns(params, n)).groups
+    if groups[0][2].shape[1] != n:  # a narrower batch: views of the columns
+        groups = [(rows, gamma, th[:, :n], None if scale is None else scale[:, :n])
+                  for rows, gamma, th, scale in groups]
     if len(groups) == 1:
         return _kernel(pt, neg_log, one_minus, *groups[0][1:])
     losses, dpt = None if neg_log is None else np.empty(pt.shape), np.empty(pt.shape)
@@ -215,26 +223,29 @@ def softmax_head(z: np.ndarray, y: np.ndarray, params, with_loss: bool = True):
     return losses, np.multiply(direction, grad[:, :, None], out=direction)
 
 
-def binary_pt(s: np.ndarray, with_loss: bool = True):
-    """Clamped pt, -log(pt) and 1 - pt of a sigmoid head, from the logit
-    signed toward the label (z for label 1, -z for label 0), so that
-    pt = sigmoid(s).  -log(sigmoid(s)) = log(1 + exp(-s)) keeps large |s|
-    from overflowing: one logaddexp over [-s, s] and one exp give pt and
-    1 - pt.  -log(pt) is capped at -log(1e-12), mirroring the clamp, and
-    None without ``with_loss``."""
-    both = np.logaddexp(0.0, np.concatenate((np.negative(s), s)))  # softplus(-s), softplus(s)
-    neg_log = np.minimum(both[:len(s)], -math.log(PT_CLAMP_LO)) if with_loss else None
+def binary_pt(both: np.ndarray, with_loss: bool = True):
+    """Clamped pt, -log(pt) and 1 - pt of a sigmoid head, from ``both`` =
+    [-s, s], which it overwrites, for the logit s signed toward the label
+    (z for label 1, -z for label 0): pt = sigmoid(s).  -log(sigmoid(s)) =
+    log(1 + exp(-s)) keeps large |s| from overflowing: one logaddexp over
+    both and one exp give pt and 1 - pt.  -log(pt) is capped at
+    -log(1e-12), mirroring the clamp, and None without ``with_loss``."""
+    np.logaddexp(0.0, both, out=both)  # softplus(-s), softplus(s)
+    neg_log = np.minimum(both[0], -math.log(PT_CLAMP_LO)) if with_loss else None
     _clip(np.exp(np.negative(both, out=both), out=both), PT_CLAMP_LO, PT_CLAMP_HI, out=both)
-    return both[:len(s)], neg_log, both[len(s):]  # pt, -log(pt), 1 - pt
+    return both[0], neg_log, both[1]  # pt, -log(pt), 1 - pt
 
 
 def sigmoid_head(z: np.ndarray, sign: np.ndarray, params, with_loss: bool = True):
     """Losses (R, n) and logit gradients (R, n, 1) of R stacked sigmoid heads
-    on the logits ``z`` (R, n, 1); ``sign[i]`` is +1 for label 1 and -1 for
-    label 0, and head r has the loss ``params[r]`` (a list of losses or their
-    :func:`loss_columns`).  pt comes from :func:`binary_pt`, and dpt/dz =
-    +/- pt * (1 - pt).  Without ``with_loss`` the losses are None."""
-    pt, neg_log, one_minus = binary_pt(z[:, :, 0] * sign, with_loss)
+    on the logits ``z`` (R, n, 1); ``sign`` (R, n) (or (n,), a broadcast) is
+    +1 for label 1 and -1 for label 0, and head r has the loss ``params[r]``
+    (a list of losses or their :func:`loss_columns`).  pt comes from
+    :func:`binary_pt`, and dpt/dz = +/- pt * (1 - pt).  Without
+    ``with_loss`` the losses are None."""
+    both = np.empty((2, *z.shape[:2]))
+    np.negative(np.multiply(z[:, :, 0], sign, out=both[1]), out=both[0])
+    pt, neg_log, one_minus = binary_pt(both, with_loss)
     losses, grad = _stacked(pt, neg_log, one_minus, params)
     for factor in (pt, one_minus, sign):
         grad *= factor

@@ -14,11 +14,12 @@ A trainer takes a list of streams: data (arrays, ``sampling.Dataset`` or
 ``sampling.SceneSet``), one :class:`TrainConfig` and a list of losses; it
 returns, per stream, one result per loss.  One SGD loop (:func:`_sgd`)
 trains the runs of all streams in lockstep as stacked linear models ``W``
-(R, K, d), ``b`` (R, K), with K classes or K = 1 for a scorer, and each
-run ends bitwise where it would alone.  A :func:`step` is matmul, loss
-head (``losses.softmax_head`` or ``losses.sigmoid_head``), matmul.  At
-the shipped sizes, a few runs of 64 rows, numpy's per-call overhead sets
-its cost rather than element work, so it works in place.
+(R, K, d), ``b`` (R, K), views of one (R, K, d + 1) buffer, with K
+classes or K = 1 for a scorer, and each run ends bitwise where it would
+alone.  A :func:`step` is matmul, loss head (``losses.softmax_head`` or
+``losses.sigmoid_head``), matmul.  At the shipped sizes, a few runs of 64
+rows, numpy's call overhead sets its cost, so it works in place on
+operands planned once.
 
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight
@@ -35,6 +36,7 @@ operations turn those draws into the same picks.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Sequence
@@ -93,18 +95,9 @@ def lr_at(schedule: Sequence[tuple[float, float]], iteration: int) -> float:
     return schedule[-1][1]
 
 
-def _init(shape: tuple[int, ...], runs: int, seed: int):
-    """(weights (runs, *shape), batch stream): the seed's two child streams,
-    one drawing uniform weights in [-0.01, 0.01] that every run starts
-    from, the other the batch order."""
-    rng_init, rng_batch = (np.random.default_rng(s) for s in
-                           np.random.SeedSequence(seed).spawn(2))
-    return np.repeat(rng_init.uniform(-0.01, 0.01, size=(1, *shape)), runs, axis=0), rng_batch
-
-
 def step(
     X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, params,
-    with_loss: bool = True,
+    with_loss: bool = True, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Per-sample losses (R, B) and batch-mean gradients (R, K, d), (R, K) of
     R stacked models ``W`` (R, K, d), ``b`` (R, K) on a minibatch of B rows,
@@ -112,16 +105,22 @@ def step(
     ``loss_columns``): ``head`` is ``losses.softmax_head`` (``target`` the
     labels) or ``losses.sigmoid_head`` (K = 1, ``target`` the label signs
     +1/-1).  ``X`` (B, d) and ``target`` (B,) serve every model; ``X`` (R, B,
-    d) and ``target`` (R, B) give each model its own batch.  Each slice is
-    bitwise what that model computes alone (matmul runs one gemm or gemv per
-    slice); the losses are C-ordered, so a reduce along axis 1 sums each row
-    as ``row.mean()`` does.  Without ``with_loss`` the losses are None and
-    the gradients the same bits."""
+    d) and ``target`` (R, B) give each model its own batch.  dW and db are
+    views of one (R, K, d + 1) buffer (``out`` if given), as W and b may be.
+    Each slice is bitwise what that model computes alone (matmul runs one
+    gemm or gemv per slice); the losses are C-ordered, so a reduce along
+    axis 1 sums each row as ``row.mean()`` does.  Without ``with_loss`` the
+    losses are None and the gradients the same bits."""
     z = np.matmul(X, W.transpose(0, 2, 1))
     z += b[:, None, :]
     losses, glogits = head(z, target, params, with_loss)
-    dW, db = np.matmul(glogits.transpose(0, 2, 1), X), np.add.reduce(glogits, axis=1)
-    return losses, np.divide(dW, X.shape[-2], out=dW), np.divide(db, X.shape[-2], out=db)
+    R, K, d = W.shape
+    grad = np.empty((R, K, d + 1)) if out is None else out
+    dW, db = grad[:, :, :d], grad[:, :, d]
+    np.matmul(glogits.transpose(0, 2, 1), X, out=dW)
+    np.add.reduce(glogits, axis=1, out=db)
+    grad /= X.shape[-2]
+    return losses, dW, db
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +136,11 @@ def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
 def _sgd(streams, head):
     """Plain minibatch SGD of many streams in lockstep.  A stream ``(X, cfg,
     losses, K, batches)`` trains one K-row linear model per loss on the
-    features ``X``: one init and batch stream (:func:`_init` of
-    ``cfg.weight_init_seed``), then one update per (row indices into ``X``,
-    targets) that ``batches(stream)`` yields, at most ceil(n / batch_size)
-    an epoch, at the rate of ``cfg.lr_schedule``.  At each iteration every
+    features ``X``: the two child streams of ``cfg.weight_init_seed`` draw
+    the uniform weights in [-0.01, 0.01] that every run starts from and the
+    batch order, then one update per (row indices into ``X``, targets) that
+    ``batches(stream)`` yields, at most ceil(n / batch_size) an epoch, at
+    the rate of ``cfg.lr_schedule``.  At each iteration every
     live stream takes its next batch, and the streams whose models have one
     shape and whose batches one row count make one :func:`step` on their
     stacked runs; a ragged batch steps with its own row count, and nothing
@@ -162,20 +162,27 @@ def _sgd(streams, head):
     return out
 
 
+# What the steps of a group reuse: rows of the parameter buffer, (view, W, b) of them if
+# contiguous, loss columns, gradient buffer, rate(s), targets and their tiling, per-stream spans.
+_Plan = namedtuple("_Plan", "rows params columns width grad rate sources target spans")
+
+
 def _lockstep(streams, head):
     """:func:`_sgd` of streams whose models all have one shape: the runs of
-    every stream are the rows of one stacked ``W`` and ``b``.  A group of
-    live streams that steps together is planned once, and again only when a
-    stream drops out or a rate changes."""
+    every stream are the rows of one (runs, K, d + 1) buffer, W and b.  A
+    group of live streams that steps together is planned once, and again
+    when a stream drops out, a rate changes or a batch is wider; batches of
+    the planned targets (the objectness signs) take their tiling."""
     runs = [len(losses) for _, _, losses, _, _ in streams]
-    first = np.cumsum([0] + runs).tolist()  # each stream's first row of W
-    feeds, inits = [], []
-    for X, cfg, losses, K, batches in streams:
-        init, rng = _init((K, X.shape[1]), len(losses), cfg.weight_init_seed)
-        inits.append(init)
+    first = np.cumsum([0] + runs).tolist()  # each stream's first row of the buffer
+    K, d = streams[0][3], streams[0][0].shape[1]
+    P = np.zeros((first[-1], K, d + 1))
+    feeds = []
+    for s, (X, cfg, _, _, batches) in enumerate(streams):
+        rng_init, rng = map(np.random.default_rng,
+                            np.random.SeedSequence(cfg.weight_init_seed).spawn(2))
+        P[first[s]:first[s + 1], :, :d] = rng_init.uniform(-0.01, 0.01, size=(K, d))
         feeds.append(islice(batches(rng), cfg.epochs * math.ceil(len(X) / cfg.batch_size)))
-    W = np.concatenate(inits)
-    b = np.zeros(W.shape[:2])
     # The iterations at which some stream's rate moves on (lr_at is constant between).
     changes = sorted({math.ceil(t) for _, cfg, _, _, _ in streams for t, _ in cfg.lr_schedule
                       if t < math.inf})
@@ -184,25 +191,25 @@ def _lockstep(streams, head):
     live, live_feeds, ahead = list(range(len(streams))), feeds, [next(f, None) for f in feeds]
     iteration, replan, ended = 0, 0, True
 
-    def plan(group):
-        """(rows of W, their views of W and b if contiguous, loss columns,
-        rate of W, rate of b, and per stream (live position, its runs' slice
-        of the group, features)) of a group of live positions, at the
-        current rates."""
+    def views(block):
+        return block, block[:, :, :d], block[:, :, d]
+
+    def plan(group, batches) -> _Plan:
+        """The plan of a group of live positions for ``batches``, at the current rates."""
         ids = [live[p] for p in group]
         sizes = [runs[s] for s in ids]
         rows = np.concatenate([np.arange(first[s], first[s + 1]) for s in ids])
-        contiguous = rows[-1] - rows[0] == len(rows) - 1
-        views = (W[rows[0]:rows[-1] + 1], b[rows[0]:rows[-1] + 1]) if contiguous else None
+        view = P[rows[0]:rows[-1] + 1]
         rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in ids]
-        rate = brate = rates[0]
-        if rates.count(rate) < len(rates):  # one rate per run
-            brate = np.repeat(rates, sizes)[:, None]
-            rate = brate[:, :, None]
-        ends = np.cumsum(sizes).tolist()
-        return (rows, views, loss_columns([p for s in ids for p in streams[s][2]]), rate, brate,
-                [(p, slice(end - size, end), streams[s][0])
-                 for p, s, size, end in zip(group, ids, sizes, ends)])
+        sources = [t for _, t in batches]
+        return _Plan(
+            rows, views(view) if len(view) == len(rows) else None,
+            loss_columns([p for s in ids for p in streams[s][2]], len(sources[0])),
+            len(sources[0]), np.empty((len(rows), K, d + 1)),
+            rates[0] if rates.count(rates[0]) == len(rates) else
+            np.repeat(rates, sizes)[:, None, None], sources, np.repeat(sources, sizes, axis=0),
+            [(p, slice(end - size, end), streams[s][0])
+             for p, s, size, end in zip(group, ids, sizes, np.cumsum(sizes).tolist())])
 
     while True:
         if ended:  # drop the streams that ran out
@@ -228,30 +235,30 @@ def _lockstep(streams, head):
                 batches.append(batch)
             parts = [(tuple(group), batches) for group, batches in by_size.values()]
         for group, batches in parts:
-            rows, views, columns, rate, brate, spans = plans.get(group) or plans.setdefault(
-                group, plan(group))
+            n, planned = len(batches[0][0]), plans.get(group)
+            if planned is None or planned.width < n:
+                planned = plans[group] = plan(group, batches)
+            rows, params, columns, _, grad, rate, sources, target, spans = planned
             if len(group) == 1:
-                [(idx, target)] = batches
+                [(idx, t)] = batches
                 Xb = spans[0][2].take(idx, axis=0)
+                target = target if t is sources[0] else t
             else:  # each run's row block of the batch its stream drew
-                runs_in_group = spans[-1][1].stop
-                Xb = np.empty((runs_in_group, len(batches[0][0]), spans[0][2].shape[1]))
-                target = batches[0][1]
-                shared = not any(t is not target for _, t in batches)
+                Xb = np.empty((len(rows), n, d))
+                shared = all(t is u for (_, t), u in zip(batches, sources))
                 if not shared:
-                    target = np.empty((runs_in_group, len(target)), target.dtype)
+                    target = np.empty((len(rows), n), batches[0][1].dtype)
                 for (_, cut, X), (idx, t) in zip(spans, batches):
                     Xb[cut] = X.take(idx, axis=0)
                     if not shared:
                         target[cut] = t
             record = recording and [p for p in group if ahead[p] is None or
                                     iteration % streams[live[p]][1].curve_stride == 0]
-            Wg, bg = views or (W[rows], b[rows])
-            losses, dW, db = step(Xb, target, Wg, bg, head, columns, bool(record))
-            Wg -= np.multiply(dW, rate, out=dW)
-            bg -= np.multiply(db, brate, out=db)
-            if not views:  # Wg and bg are gathered copies
-                W[rows], b[rows] = Wg, bg
+            Pg, Wg, bg = params or views(P[rows])  # else a gathered copy of the rows
+            losses, _, _ = step(Xb, target, Wg, bg, head, columns, bool(record), out=grad)
+            Pg -= np.multiply(grad, rate, out=grad)
+            if not params:
+                P[rows] = Pg
             if record:
                 means = np.add.reduce(losses, axis=1) / losses.shape[1]
                 for p, cut, _ in spans:
@@ -261,7 +268,7 @@ def _lockstep(streams, head):
     trained = []
     for s, curve in enumerate(curves):
         by_run = np.reshape(curve, (-1, runs[s])).T.tolist()
-        trained.append([(LinearModel(W[r], b[r]), c)
+        trained.append([(LinearModel(P[r, :, :d].copy(), P[r, :, d].copy()), c)
                         for r, c in zip(range(first[s], first[s + 1]), by_run)])
     return trained
 
@@ -420,11 +427,12 @@ def _choice_picks(draws: np.ndarray, pop: int, k: int) -> np.ndarray:
     while not np.array_equal(gave, more := gave | (earlier & gave[at, j_col])):
         gave = more
     picks[dup] = np.where(gave, np.arange(pop - k, pop), picks[dup])
-    rows = np.arange(len(picks))
+    # The Fisher-Yates swaps: each row's j through flat indices, a third the cost of (row, j).
+    flat, starts = picks.reshape(-1), np.arange(0, picks.size, k)
     for c, i in enumerate(range(k - 1, 0, -1)):
-        j = swaps[:, c]
-        held = picks[rows, j]
-        picks[rows, j] = picks[:, i]
+        at = starts + swaps[:, c]
+        held = flat[at]
+        flat[at] = picks[:, i]
         picks[:, i] = held
     return picks
 

@@ -312,6 +312,21 @@ class TestExperiment:
         report = json.loads(out2.read_text())
         assert report["arms"]["ce"]["mean"]["accuracy"] > 0.8
 
+    def test_dump_data_draws_only_each_training_set(self, tmp_path, capsys, monkeypatch):
+        import rfl_lab.experiment as experiment
+
+        drawn = []
+        generate = experiment.generate_synthetic
+        monkeypatch.setattr(experiment, "generate_synthetic",
+                            lambda spec: drawn.append(spec.seed) or generate(spec))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG, seeds=[1, 2])))
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(tmp_path / "r.json"),
+                           "--dump-data", str(tmp_path / "data"))
+        assert code == 0, err
+        run_draws = [1, 1 + experiment.EVAL_SEED_OFFSET, 2, 2 + experiment.EVAL_SEED_OFFSET]
+        assert drawn == run_draws + [1, 2]  # then one training set a seed for the dump
+
     def _csv_config(self, tmp_path, seeds):
         from rfl_lab.sampling import SynthDatasetSpec, generate_synthetic, write_dataset_csv
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rfl_lab.ensemble import (
     FusionConfig,
     ScoreMode,
+    _cell_side,
     fuse,
 )
 from rfl_lab.geometry import SceneDims, TtaTransform, apply_tta, invert_tta
@@ -443,22 +444,25 @@ class TestGridFusion:
         assert repr(out) == repr(reference_fuse(dets, cfg))
         assert [d.source for d in out] == ["a+c+d", "b", "e"]
 
-    def test_far_boxes_one_ulp_wide_are_indexed(self):
-        # The far boxes are one ulp (1.5e284) wide, a finite area, so they
-        # are indexed: that width is the cell side, their cell index is
-        # 6.7e15 (beyond 2^52) and the boxes near the origin share cell 0.
+    @pytest.mark.parametrize("far_boxes", [2, 3])
+    def test_far_boxes_one_ulp_wide_are_indexed(self, far_boxes):
+        # The far boxes are one ulp (1.5e284) wide, a finite area.  Three of
+        # them set the median side and so the cell side: their cell index
+        # is 6.7e15 (beyond 2^52) and the boxes near the origin share cell
+        # 0.  Two of them lie beyond 4x the median side 9 and are wide: they
+        # join outside the grid, and the cell side is 9.
         far = math.nextafter(1e300, math.inf)
-        dets = [
-            det(0, 0, 9, 9, 0.9, source="a"),
-            det(7, 0, 16, 9, 0.8, source="b"),
-            det(1, 1, 10, 10, 0.7, source="c"),
-            det(1e300, 0, far, 9, 0.6, source="d"),
-            det(1e300, 0, far, 9, 0.5, source="e"),
-        ]
+        near = [det(0, 0, 9, 9, 0.9, source="a"), det(7, 0, 16, 9, 0.8, source="b"),
+                det(1, 1, 10, 10, 0.7, source="c")][:5 - far_boxes]
+        dets = near + [det(1e300, 0, far, 9, 0.6 - 0.1 * i, source="def"[i])
+                       for i in range(far_boxes)]
+        corners = np.array([d.box for d in dets])
+        sides = (corners[:, 2:] - corners[:, :2]).max(axis=1)
+        assert _cell_side(corners, sides) == (far - 1e300 if far_boxes == 3 else 9.0)
         cfg = FusionConfig(iou_thresh=0.1)
         out = fuse(dets, cfg)
         assert repr(out) == repr(reference_fuse(dets, cfg))
-        assert [d.source for d in out] == ["a+b+c", "d+e"]
+        assert [d.source for d in out] == {2: ["a+b+c", "d+e"], 3: ["a+b", "d+e+f"]}[far_boxes]
 
     def test_boxes_that_cannot_overlap_cost_no_full_scan(self):
         # 4k boxes of 10-90 px over a 20,000 px field.  A box with an
@@ -487,6 +491,55 @@ class TestGridFusion:
                      points):
             assert seconds(dets) < 4 * plain
 
+    def test_wide_boxes_join_and_are_joined(self):
+        # Sides 10 (22 boxes), 30, 41 and 50 in a 150 px field: leaving the
+        # boxes of side 41 and 50 (beyond 4x the median 10) out of the cell
+        # side saves candidate tests, so they are wide and the side is 30.
+        # The wide box a opens a cluster on no cell that b joins (IoU 0.059);
+        # e joins d's cluster, whose fused box then outgrows the side, and f
+        # joins it.
+        far = [det(20 * i, 80 + 20 * j, 20 * i + 10, 90 + 20 * j, 0.1, source="c")
+               for i in range(5) for j in range(4)]
+        dets = [det(0, 0, 41, 41, 0.9, source="a"), det(5, 5, 15, 15, 0.8, source="b"),
+                det(100, 0, 130, 30, 0.7, source="d"), det(100, 0, 150, 50, 0.6, source="e"),
+                det(128, 0, 138, 10, 0.5, source="f")] + far
+        corners = np.array([d.box for d in dets])
+        assert _cell_side(corners, (corners[:, 2:] - corners[:, :2]).max(axis=1)) == 30.0
+        cfg = FusionConfig(iou_thresh=0.05)
+        out = fuse(dets, cfg)
+        assert repr(out) == repr(reference_fuse(dets, cfg))
+        assert [d.source for d in out] == ["a+b", "d+e+f"] + ["c"] * 20
+
+    @pytest.mark.parametrize("large", [0.0, 0.4], ids=["one-size", "two-sizes"])
+    def test_one_field_sized_box_keeps_the_grid(self, large):
+        # 2k boxes over a 20,000 px field, of 10-90 px, or 40% of 100-200 px
+        # and the rest 10-20 px, then one box as large as the field.  That
+        # box must not set the cell side, which would put the whole group
+        # into one cell, and the larger boxes of the second group must keep
+        # the grid they set.  Counted by the comparisons made with the
+        # detections' corners: about 2.5 and 3.4 a detection without the
+        # field-sized box, 10.5 and 11.4 with it, and 1,770 with one cell.
+        class Counted(float):
+            made = 0
+
+            def __lt__(self, other):
+                Counted.made += 1
+                return float.__lt__(self, other)
+
+            def __gt__(self, other):
+                Counted.made += 1
+                return float.__gt__(self, other)
+
+        rng = np.random.default_rng(0)
+        xy = rng.uniform(0, 20000, size=(2000, 2))
+        wh = np.where((rng.random(2000) < large)[:, None], rng.uniform(100, 200, size=(2000, 2)),
+                      rng.uniform(10, 20 if large else 90, size=(2000, 2)))
+        dets = [det(*map(Counted, (x, y, x + w, y + h)), round(float(s), 2))
+                for (x, y), (w, h), s in zip(xy.tolist(), wh.tolist(), rng.random(2000))]
+        for extra in ([], [det(*map(Counted, (0.0, 0.0, 20000.0, 20000.0)), 0.5)]):
+            Counted.made = 0
+            fuse(dets + extra, FusionConfig())
+            assert Counted.made < 16 * len(dets + extra)
 
 def pool(scene, *passes):
     """Each (detections, transform text, source) pass mapped back into the

@@ -327,7 +327,8 @@ def head_pt(head, z, target):
     """The clamped pt of each row (R, n) of the head's logits ``z``, spelled
     as the head spells it."""
     if head is sigmoid_head:
-        return binary_pt(z[:, :, 0] * target)[0]
+        s = z[:, :, 0] * target
+        return binary_pt(np.stack((-s, s)))[0]
     p = np.exp(z - np.maximum.reduce(z, axis=2, keepdims=True))
     p /= np.add.reduce(p, axis=2, keepdims=True)
     pt = p[:, np.arange(z.shape[1]), target]
@@ -396,7 +397,7 @@ class TestLossesOnDemand:
         z, target, losses = data.draw(mixed_gamma_runs(head))
         pt = head_pt(head, z, target)
         got_loss, got_grad = head(z.copy(), target, losses)
-        for params in (losses, loss_columns(losses)):
+        for params in (losses, loss_columns(losses, z.shape[1])):
             off_loss, off_grad = head(z.copy(), target, params, with_loss=False)
             assert off_loss is None
             assert np.array_equal(off_grad, got_grad)
@@ -471,5 +472,5 @@ class TestClamp:
         for label in (0, 1):
             y = np.full(len(z), label)
             s = z if label == 1 else -z
-            for ours, ref in zip(binary_pt(s), clip_binary_pt(z, y)):
+            for ours, ref in zip(binary_pt(np.stack((-s, s))), clip_binary_pt(z, y)):
                 assert ours.tobytes() == ref.tobytes()

@@ -657,10 +657,28 @@ def oracle_steps(draw, head):
     return X, target, W, b, losses
 
 
+def assert_plan_steps_equal_the_oracle(head, X, target, W, b, losses, with_loss, wider):
+    """The step of every operand spelling a lockstep plan may hand it equals
+    the oracle bit for bit: losses or their columns, as wide as the batch or
+    ``wider`` (so the step takes [:, :B] views); a shared target as given or
+    tiled to (R, B); W and b as their own arrays or as views of one (R, K,
+    d + 1) buffer, with the gradients written into another."""
+    R, K, d = W.shape
+    B = X.shape[-2]
+    want = oracle_step(X, target, W, b, ORACLE_OF[head], losses, with_loss)
+    P = np.concatenate((W, b[:, :, None]), axis=2)
+    for params in (losses, loss_columns(losses, B), loss_columns(losses, wider)):
+        for tiled in (target,) if target.ndim == 2 else (target, np.tile(target, (R, 1))):
+            for Wv, bv, out in ((W, b, None), (P[:, :, :d], P[:, :, d], np.empty(P.shape))):
+                got = step(X, tiled, Wv, bv, head, params, with_loss, out)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
 class TestStepOracle:
     """The step, both heads and ``binary_pt`` equal the oracle spelling above
-    bit for bit: stacked and solo, with and without losses.  CI runs this
-    class under numpy's AVX2 loops too."""
+    bit for bit: stacked and solo, with and without losses, for every
+    operand spelling of a lockstep plan.  CI runs this class under numpy's
+    AVX2 loops and Haswell OpenBLAS kernels too."""
 
     @pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
     @settings(max_examples=150, deadline=None)
@@ -668,16 +686,31 @@ class TestStepOracle:
     def test_step_equals_the_oracle(self, head, data):
         X, target, W, b, losses = data.draw(oracle_steps(head))
         with_loss = data.draw(st.booleans())
-        want = oracle_step(X, target, W, b, ORACLE_OF[head], losses, with_loss)
-        for params in (losses, loss_columns(losses)):
-            got = step(X, target, W, b, head, params, with_loss)
-            assert all(same_bits(g, w) for g, w in zip(got, want))
+        wider = X.shape[-2] + data.draw(st.integers(1, 9))
+        assert_plan_steps_equal_the_oracle(head, X, target, W, b, losses, with_loss, wider)
         for r, loss in enumerate(losses):  # each run alone
             Xr = X[r] if X.ndim == 3 else X
-            got = step(Xr, target, W[r:r + 1], b[r:r + 1], head, [loss], with_loss)
-            solo = oracle_step(Xr, target, W[r:r + 1], b[r:r + 1], ORACLE_OF[head], [loss],
-                               with_loss)
-            assert all(same_bits(g, w) for g, w in zip(got, solo))
+            assert_plan_steps_equal_the_oracle(head, Xr, target, W[r:r + 1], b[r:r + 1], [loss],
+                                               with_loss, wider)
+
+    @pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
+    @pytest.mark.parametrize("losses", [
+        [CE, FL2],  # the two_stage arms: every divisor 1, so none divides
+        [CE, FL2, LossParams(LossKind.RFL, 2.0, 0.25)],  # longtail's: divisors 1 and 0.0625
+    ], ids=["unit-divisors", "mixed-divisors"])
+    @pytest.mark.parametrize("with_loss", [True, False])
+    def test_shipped_loss_groups_equal_the_oracle(self, head, losses, with_loss):
+        [(_, _, _, scale)] = loss_columns(losses, 5).groups
+        assert (scale is None) == (len(losses) == 2)
+        rng = np.random.default_rng(7)
+        for B, shared in ((64, True), (64, False), (23, True)):
+            _, target, K = draw_targets(head, rng, B, 10)
+            X = rng.normal(size=(B, 16) if shared else (len(losses), B, 16))
+            W, b = rng.normal(size=(len(losses), K, 16)), rng.normal(size=(len(losses), K))
+            assert_plan_steps_equal_the_oracle(head, X, target, W, b, losses, with_loss, 64)
+            for r, loss in enumerate(losses):
+                assert_plan_steps_equal_the_oracle(head, X if shared else X[r], target,
+                                                   W[r:r + 1], b[r:r + 1], [loss], with_loss, 64)
 
     @settings(max_examples=100, deadline=None)
     @given(s=st.lists(st.one_of(st.floats(-60.0, 60.0), st.sampled_from(
@@ -687,7 +720,8 @@ class TestStepOracle:
     def test_binary_pt_equals_the_oracle(self, s, rows, with_loss):
         s = np.array(s * rows).reshape(rows, -1)
         for signed in (s, s[0]):  # stacked and one-dimensional
-            got, want = binary_pt(signed, with_loss), oracle_binary_pt(signed, with_loss)
+            got = binary_pt(np.stack((-signed, signed)), with_loss)
+            want = oracle_binary_pt(signed, with_loss)
             assert all(same_bits(g, w) for g, w in zip(got, want))
 
     def test_scalar_losses_equal_the_oracle(self):
@@ -1060,6 +1094,23 @@ class TestStreamLockstep:
                  for at, losses, batch, ratio, t, stride, epochs, seed in streams]
         for got, call in zip(train_objectness(calls), calls, strict=True):
             assert_trained_equal(got, train_objectness([call])[0])
+
+    def test_a_middle_stream_ending_first_gathers_the_others(self):
+        # Three streams step as one group until the middle one runs out; the
+        # first and last then step on rows that are not contiguous in the
+        # parameter buffer, so their plan gathers them and writes them back.
+        data = generate_synthetic(SynthDatasetSpec(class_counts=[20, 12, 8], feature_dim=3,
+                                                   label_noise_rate=0.1, seed=4))
+        pool = tiny_scenes(seed=1, noise=0.05)
+        cfgs = [TrainConfig(epochs, 8, ((5, 0.3), (10**9, 0.05)), weight_init_seed=seed,
+                            curve_stride=3) for epochs, seed in ((4, 1), (1, 2), (3, 3))]
+        losses = [[CE, FL2], [RFL_HALF], [FL2, CE]]
+        for trainer, calls in (
+                (train_classifier, [(data, cfg, arms) for cfg, arms in zip(cfgs, losses)]),
+                (train_objectness, [(pool.X, pool.is_object.astype(np.int64), cfg, arms, 0.5)
+                                    for cfg, arms in zip(cfgs, losses)])):
+            for got, call in zip(trainer(calls), calls, strict=True):
+                assert_trained_equal(got, trainer([call])[0])
 
     def test_two_stage_streams_equal_solo_calls(self):
         calls = [(tiny_scenes(seed=s, noise=0.05), two_stage_config(epochs=e), losses)
