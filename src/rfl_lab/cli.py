@@ -6,13 +6,14 @@ Only the standard library is imported at module level; each subcommand
 imports the modules it calls when it runs, so ``--help`` loads no numpy
 and the training and detection halves never load each other.
 
-Exit codes: 0 success, 1 check or experiment failure, 2 usage or config
-errors (including missing or unparsable input files, and outputs that
-cannot be written: one line naming the path, no partial file).  All primary
-outputs (CSV, JSON, JSONL) are byte-identical across reruns with the
-same inputs, and no report carries wall-clock time; the environment
-variable ``RFL_LAB_SEED`` supplies the seed list when neither the config
-nor ``--seeds`` provides one.
+Exit codes: 0 success, 1 check or experiment failure (a run that cannot
+train or diverges), 2 usage or config errors (including missing or
+unparsable input files, and outputs that cannot be written: one line
+naming the path, no partial file).  All primary outputs (CSV, JSON,
+JSONL) are byte-identical across reruns with the same inputs, and no
+report carries wall-clock time; the environment variable
+``RFL_LAB_SEED`` supplies the seed list when neither the config nor
+``--seeds`` provides one.
 """
 
 from __future__ import annotations

@@ -396,6 +396,13 @@ def _classifier_data(spec: ExperimentSpec, seed: int, csv: Dataset | None
             list(spec.dataset.class_counts))
 
 
+def _check_finite(run: str, seed: int, model, curve: list[float]) -> None:
+    """Raises ``ValueError`` if ``run`` diverged at ``seed``: a weight, bias
+    or loss of its curve is not finite."""
+    if not all(np.isfinite(values).all() for values in (model.weights, model.biases, curve)):
+        raise ValueError(f"{run} diverged at seed {seed}: a weight, bias or loss is not finite")
+
+
 def _classifier_rows(spec: ExperimentSpec, csv: Dataset | None) -> list[dict[str, dict]]:
     """Per seed, a row per arm: one lockstep call trains every (seed,
     undersample policy) stream, each the arms of one policy at one seed."""
@@ -419,6 +426,7 @@ def _classifier_rows(spec: ExperimentSpec, csv: Dataset | None) -> list[dict[str
         rows = {}
         for arms in groups.values():
             for arm, (model, curve) in zip(arms, next(trained)):
+                _check_finite(f"arm {arm.name!r}", seed, model, curve)
                 ev = evaluate_classifier(model, eval_data)
                 rows[arm.name] = {"seed": seed, "accuracy": ev.accuracy, "m_recall": ev.m_recall,
                                   "per_class_recall": dict(ev.per_class_recall),
@@ -439,6 +447,11 @@ def _two_stage_rows(spec: ExperimentSpec) -> list[dict[str, dict]]:
                              ts.stage2.config(seed + 1, int(scenes.is_object.sum()), stride),
                              ts.stage2_loss, ts.fg_bg_ratio)
         streams.append((scenes, cfg, [arm.loss for arm in spec.arms]))
+    by_seed = train_two_stage(streams)
+    for seed, trained in zip(spec.seeds, by_seed):
+        for arm, (scorer, classifier, report) in zip(spec.arms, trained):
+            _check_finite(f"arm {arm.name!r}", seed, scorer, report.stage1_curve)
+            _check_finite("stage 2", seed, classifier, report.stage2_curve)
     return [{arm.name: {
                 "seed": seed, "proposal_recall": report.proposal_recall,
                 "mean_class_proposal_recall": report.mean_class_proposal_recall,
@@ -447,7 +460,7 @@ def _two_stage_rows(spec: ExperimentSpec) -> list[dict[str, dict]]:
                 "stage2_per_class_recall": dict(report.stage2_per_class_recall),
                 "loss_curve": report.stage1_curve}
              for arm, (_, _, report) in zip(spec.arms, trained)}
-            for seed, trained in zip(spec.seeds, train_two_stage(streams))]
+            for seed, trained in zip(spec.seeds, by_seed)]
 
 
 def run_experiment(config: dict) -> dict:
@@ -456,7 +469,9 @@ def run_experiment(config: dict) -> dict:
     Raises :class:`ConfigError` for an invalid config, :class:`DatasetError`
     for a csv_path dataset that cannot be read, and ``ValueError`` for a
     run that cannot train, such as stage-1 labels left all one kind by
-    objectness noise or undersampling that empties every epoch.
+    objectness noise or undersampling that empties every epoch, or that
+    diverges: a weight, bias or loss of any arm's run, or of stage 2, that
+    is not finite once training ends.
     """
     spec = validate_config(config)
     if spec.kind == "classifier":

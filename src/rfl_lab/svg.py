@@ -2,11 +2,13 @@
 
 Plots are a viewing convenience; the JSON report is the source of
 truth.  Output is deterministic text with no timestamps or external
-dependencies.
+dependencies.  Titles, arm names and group labels are escaped, so any
+text the config accepts leaves the file well-formed XML.
 """
 
 from __future__ import annotations
 
+from html import escape
 from typing import Mapping, Sequence
 
 _PALETTE = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c")
@@ -19,7 +21,7 @@ def _header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f'<text x="{_W / 2}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W / 2}" y="18" text-anchor="middle" font-size="14">{escape(title)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="#999"/>',
     ]
@@ -49,7 +51,7 @@ def _legend(names: Sequence[str]) -> list[str]:
         parts.append(
             f'<rect x="{x}" y="{_H - 18}" width="10" height="10" fill="{color}"/>'
         )
-        parts.append(f'<text x="{x + 14}" y="{_H - 9}">{name}</text>')
+        parts.append(f'<text x="{x + 14}" y="{_H - 9}">{escape(name)}</text>')
         x += 14 + 8 * len(name) + 20
     return parts
 
@@ -68,7 +70,7 @@ def grouped_bar_chart(
         gx = _ML + gi * group_w
         parts.append(
             f'<text x="{gx + group_w / 2}" y="{_H - _MB + 16}" '
-            f'text-anchor="middle">{group}</text>'
+            f'text-anchor="middle">{escape(group)}</text>'
         )
         for si, name in enumerate(names):
             v = min(max(series[name][gi], 0.0), 1.0)

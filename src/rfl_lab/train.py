@@ -14,12 +14,13 @@ A trainer takes a list of streams: data (arrays, ``sampling.Dataset`` or
 ``sampling.SceneSet``), one :class:`TrainConfig` and a list of losses; it
 returns, per stream, one result per loss.  One SGD loop (:func:`_sgd`)
 trains the runs of all streams in lockstep as stacked linear models ``W``
-(R, K, d), ``b`` (R, K), views of one (R, K, d + 1) buffer, with K
-classes or K = 1 for a scorer, and each run ends bitwise where it would
-alone.  A :func:`step` is matmul, loss head (``losses.softmax_head`` or
-``losses.sigmoid_head``), matmul.  At the shipped sizes, a few runs of 64
-rows, numpy's call overhead sets its cost, so it works in place on
-operands planned once.
+(R, K, d), ``b`` (R, K), with K classes or K = 1 for a scorer, and each
+run ends bitwise where it would alone.  The live streams' runs fill one
+(R, K, d + 1) buffer in stream order, and a run of adjacent streams
+steps on ``W`` and ``b`` as views of one slice of it.  A :func:`step` is
+matmul, loss head (``losses.softmax_head`` or ``losses.sigmoid_head``),
+matmul.  At the shipped sizes, a few runs of 64 rows, numpy's call
+overhead sets its cost, so it works in place on operands planned once.
 
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import compress, islice
 from typing import Sequence
 
 import numpy as np
@@ -140,11 +141,12 @@ def _sgd(streams, head):
     the uniform weights in [-0.01, 0.01] that every run starts from and the
     batch order, then one update per (row indices into ``X``, targets) that
     ``batches(stream)`` yields, at most ceil(n / batch_size) an epoch, at
-    the rate of ``cfg.lr_schedule``.  At each iteration every
-    live stream takes its next batch, and the streams whose models have one
-    shape and whose batches one row count make one :func:`step` on their
-    stacked runs; a ragged batch steps with its own row count, and nothing
-    is padded.  A stream whose batches ran out drops out.
+    the rate of ``cfg.lr_schedule``.  At each iteration every live stream
+    takes its next batch, and each run of adjacent streams whose models have
+    one shape and whose batches one row count makes one :func:`step` on
+    their stacked runs; a ragged batch steps with its own row count, and
+    nothing is padded.  A stream whose batches ran out drops out, and its
+    models with it.
 
     Returns per stream one (model, curve) per loss, each bitwise what it
     trains alone.  The curve holds the pre-update mean batch loss of step 0,
@@ -162,61 +164,68 @@ def _sgd(streams, head):
     return out
 
 
-# What the steps of a group reuse: rows of the parameter buffer, (view, W, b) of them if
-# contiguous, loss columns, gradient buffer, rate(s), targets and their tiling, per-stream spans.
-_Plan = namedtuple("_Plan", "rows params columns width grad rate sources target spans")
+# What the steps of a group of adjacent live streams reuse: (block, W, b) views of its slice
+# of the parameter buffer, loss columns, gradient buffer, rate(s), targets and their tiling,
+# per-stream spans.
+_Plan = namedtuple("_Plan", "params columns width grad rate sources target spans")
 
 
 def _lockstep(streams, head):
     """:func:`_sgd` of streams whose models all have one shape: the runs of
-    every stream are the rows of one (runs, K, d + 1) buffer, W and b.  A
-    group of live streams that steps together is planned once, and again
-    when a stream drops out, a rate changes or a batch is wider; batches of
-    the planned targets (the objectness signs) take their tiling."""
+    the live streams fill one (runs, K, d + 1) buffer, W and b, in stream
+    order.  A stream that runs out hands out its models and leaves the
+    buffer, so a group, a run of adjacent live streams, steps on one slice
+    of it.  A group is planned once, and again when a stream drops out, a
+    rate changes or a batch is wider; batches of the planned targets (the
+    objectness signs) take their tiling."""
     runs = [len(losses) for _, _, losses, _, _ in streams]
-    first = np.cumsum([0] + runs).tolist()  # each stream's first row of the buffer
     K, d = streams[0][3], streams[0][0].shape[1]
-    P = np.zeros((first[-1], K, d + 1))
-    feeds = []
-    for s, (X, cfg, _, _, batches) in enumerate(streams):
+    inits, feeds = [], []
+    for X, cfg, _, _, batches in streams:
         rng_init, rng = map(np.random.default_rng,
                             np.random.SeedSequence(cfg.weight_init_seed).spawn(2))
-        P[first[s]:first[s + 1], :, :d] = rng_init.uniform(-0.01, 0.01, size=(K, d))
+        inits.append(rng_init.uniform(-0.01, 0.01, size=(K, d)))
         feeds.append(islice(batches(rng), cfg.epochs * math.ceil(len(X) / cfg.batch_size)))
+    P = np.zeros((sum(runs), K, d + 1))
+    P[:, :, :d] = np.repeat(inits, runs, axis=0)
     # The iterations at which some stream's rate moves on (lr_at is constant between).
     changes = sorted({math.ceil(t) for _, cfg, _, _, _ in streams for t, _ in cfg.lr_schedule
                       if t < math.inf})
-    curves = [[] for _ in streams]
+    curves, trained = [[] for _ in streams], [None] * len(streams)
     # By live position: the stream, its batch stream and its next batch.
     live, live_feeds, ahead = list(range(len(streams))), feeds, [next(f, None) for f in feeds]
     iteration, replan, ended = 0, 0, True
 
-    def views(block):
-        return block, block[:, :, :d], block[:, :, d]
-
     def plan(group, batches) -> _Plan:
-        """The plan of a group of live positions for ``batches``, at the current rates."""
+        """The plan of adjacent live positions for ``batches``, at the current rates."""
         ids = [live[p] for p in group]
         sizes = [runs[s] for s in ids]
-        rows = np.concatenate([np.arange(first[s], first[s + 1]) for s in ids])
-        view = P[rows[0]:rows[-1] + 1]
+        start = sum(runs[s] for s in live[:group[0]])
+        block = P[start:start + sum(sizes)]
         rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in ids]
         sources = [t for _, t in batches]
         return _Plan(
-            rows, views(view) if len(view) == len(rows) else None,
+            (block, block[:, :, :d], block[:, :, d]),
             loss_columns([p for s in ids for p in streams[s][2]], len(sources[0])),
-            len(sources[0]), np.empty((len(rows), K, d + 1)),
+            len(sources[0]), np.empty(block.shape),
             rates[0] if rates.count(rates[0]) == len(rates) else
             np.repeat(rates, sizes)[:, None, None], sources, np.repeat(sources, sizes, axis=0),
             [(p, slice(end - size, end), streams[s][0])
              for p, s, size, end in zip(group, ids, sizes, np.cumsum(sizes).tolist())])
 
     while True:
-        if ended:  # drop the streams that ran out
-            kept = [p for p, batch in enumerate(ahead) if batch is not None]
-            live, live_feeds, ahead = ([xs[p] for p in kept] for xs in (live, live_feeds, ahead))
+        if ended:  # the streams that ran out hand out their models and leave the buffer
+            sizes = [runs[s] for s in live]
+            for s, block, batch in zip(live, np.split(P, np.cumsum(sizes)[:-1]), ahead):
+                if batch is None:
+                    by_run = np.reshape(curves[s], (-1, runs[s])).T.tolist()
+                    trained[s] = [(LinearModel(w[:, :d].copy(), w[:, d].copy()), c)
+                                  for w, c in zip(block, by_run)]
+            keep = [batch is not None for batch in ahead]
+            P = P[np.repeat(keep, sizes)]
+            live, live_feeds, ahead = (list(compress(xs, keep)) for xs in (live, live_feeds, ahead))
             if not live:
-                break
+                return trained
             every = math.gcd(*(streams[s][1].curve_stride for s in live))
             whole, plans, ended = tuple(range(len(live))), {}, False
         if iteration >= replan:
@@ -227,50 +236,37 @@ def _lockstep(streams, head):
         size = len(now[0][0])
         if len(now) == 1 or all(len(idx) == size for idx, _ in now):
             parts = ((whole, now),)
-        else:  # ragged batches: one step per row count
-            by_size: dict[int, tuple[list, list]] = {}
-            for p, batch in enumerate(now):
-                group, batches = by_size.setdefault(len(batch[0]), ([], []))
-                group.append(p)
-                batches.append(batch)
-            parts = [(tuple(group), batches) for group, batches in by_size.values()]
+        else:  # ragged batches: one step per run of adjacent streams with one row count
+            cuts = [p for p in range(1, len(now)) if len(now[p][0]) != len(now[p - 1][0])]
+            parts = [(tuple(range(a, z)), now[a:z]) for a, z in zip([0, *cuts], [*cuts, len(now)])]
         for group, batches in parts:
             n, planned = len(batches[0][0]), plans.get(group)
             if planned is None or planned.width < n:
                 planned = plans[group] = plan(group, batches)
-            rows, params, columns, _, grad, rate, sources, target, spans = planned
+            (block, W, b), columns, _, grad, rate, sources, target, spans = planned
             if len(group) == 1:
                 [(idx, t)] = batches
                 Xb = spans[0][2].take(idx, axis=0)
                 target = target if t is sources[0] else t
             else:  # each run's row block of the batch its stream drew
-                Xb = np.empty((len(rows), n, d))
+                Xb = np.empty((len(block), n, d))
                 shared = all(t is u for (_, t), u in zip(batches, sources))
                 if not shared:
-                    target = np.empty((len(rows), n), batches[0][1].dtype)
+                    target = np.empty((len(block), n), batches[0][1].dtype)
                 for (_, cut, X), (idx, t) in zip(spans, batches):
                     Xb[cut] = X.take(idx, axis=0)
                     if not shared:
                         target[cut] = t
             record = recording and [p for p in group if ahead[p] is None or
                                     iteration % streams[live[p]][1].curve_stride == 0]
-            Pg, Wg, bg = params or views(P[rows])  # else a gathered copy of the rows
-            losses, _, _ = step(Xb, target, Wg, bg, head, columns, bool(record), out=grad)
-            Pg -= np.multiply(grad, rate, out=grad)
-            if not params:
-                P[rows] = Pg
+            losses, _, _ = step(Xb, target, W, b, head, columns, bool(record), out=grad)
+            block -= np.multiply(grad, rate, out=grad)
             if record:
                 means = np.add.reduce(losses, axis=1) / losses.shape[1]
                 for p, cut, _ in spans:
                     if p in record:
                         curves[live[p]].append(means[cut])
         iteration += 1
-    trained = []
-    for s, curve in enumerate(curves):
-        by_run = np.reshape(curve, (-1, runs[s])).T.tolist()
-        trained.append([(LinearModel(P[r, :, :d].copy(), P[r, :, d].copy()), c)
-                        for r, c in zip(range(first[s], first[s + 1]), by_run)])
-    return trained
 
 
 def train_classifier(streams: Sequence[tuple[Dataset, TrainConfig, Sequence[LossParams]]]):

@@ -284,6 +284,23 @@ class TestExperiment:
         assert svg.startswith("<svg") and "</svg>" in svg
         assert (plots / "loss_curves.svg").exists()
 
+    def test_plots_escape_arm_names(self, tmp_path, capsys):
+        import xml.etree.ElementTree as ET
+
+        name = 'a<b&c"'
+        cfg_data = json.loads(json.dumps(SMALL_CONFIG))
+        cfg_data["arms"][0]["name"] = name
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        plots = tmp_path / "plots"
+        code, _, _ = run(capsys, "experiment", str(cfg),
+                         "--out", str(tmp_path / "r.json"), "--plots", str(plots))
+        assert code == 0
+        for chart in ("recall_bars.svg", "loss_curves.svg"):
+            root = ET.parse(plots / chart).getroot()  # well-formed XML
+            texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert name in texts and "rfl" in texts, chart  # the legend reads the names back
+
     def test_dump_data_round_trips_through_csv(self, tmp_path, capsys):
         from rfl_lab.sampling import read_dataset_csv
 
@@ -757,6 +774,36 @@ class TestExperiment:
         assert code == 1
         assert err == f"experiment failed: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("name, stage2, run_name", [
+        ("longtail", False, "arm 'tiny_th'"), ("two_stage", False, "arm 'tiny_th'"),
+        ("two_stage", True, "stage 2")], ids=["longtail", "two_stage", "stage2"])
+    def test_diverging_run_exits_1(self, tmp_path, capsys, name, stage2, run_name):
+        # threshold**gamma is about 8.9e-308, a normal float, so the config
+        # is valid; but the loss scale overflows in training.  Unchecked, the
+        # longtail arm reports chance accuracy from a [inf, nan] curve and the
+        # two_stage arm a proposal recall of 1.0 from NaN scores.
+        tiny_th = {"kind": "RFL", "gamma": 1.0235, "threshold": 1e-300}
+        cfg_data = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                               f"{name}.json").read_text())
+        cfg_data.update(seeds=[0], arms=[{"name": "ce", "loss": {"kind": "CE"}} if stage2
+                                         else {"name": "tiny_th", "loss": tiny_th}])
+        cfg_data["train"]["epochs"] = 2
+        if name == "longtail":
+            cfg_data["dataset"]["class_counts"] = [200, 100, 50, 20]
+        if stage2:
+            cfg_data["two_stage"]["stage2_loss"] = tiny_th
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_data))
+        out, plots = tmp_path / "r.json", tmp_path / "plots"
+        code, _, err = run(capsys, "experiment", str(cfg), "--out", str(out),
+                           "--plots", str(plots))
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1] == (f"experiment failed: {run_name} diverged at seed 0: "
+                                        "a weight, bias or loss is not finite")
+        assert not out.exists() and not plots.exists()
 
     @pytest.mark.parametrize("data, message", [
         (None, "No such file or directory"),

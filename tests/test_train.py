@@ -1095,10 +1095,10 @@ class TestStreamLockstep:
         for got, call in zip(train_objectness(calls), calls, strict=True):
             assert_trained_equal(got, train_objectness([call])[0])
 
-    def test_a_middle_stream_ending_first_gathers_the_others(self):
-        # Three streams step as one group until the middle one runs out; the
-        # first and last then step on rows that are not contiguous in the
-        # parameter buffer, so their plan gathers them and writes them back.
+    def test_a_middle_stream_ending_first_leaves_the_others_adjacent(self):
+        # Three streams step as one group until the middle one runs out; its
+        # rows then leave the parameter buffer, so the first and last stream
+        # step as one group on adjacent rows.
         data = generate_synthetic(SynthDatasetSpec(class_counts=[20, 12, 8], feature_dim=3,
                                                    label_noise_rate=0.1, seed=4))
         pool = tiny_scenes(seed=1, noise=0.05)
@@ -1111,6 +1111,27 @@ class TestStreamLockstep:
                                     for cfg, arms in zip(cfgs, losses)])):
             for got, call in zip(trainer(calls), calls, strict=True):
                 assert_trained_equal(got, trainer([call])[0])
+
+    @pytest.mark.parametrize("trainer", ["classifier", "objectness"])
+    def test_equal_batches_of_streams_apart_equal_solo_calls(self, trainer):
+        # Batches of 8, 13 and 8 rows: the first and last stream's batches
+        # have one row count but the middle stream sits between them, so each
+        # steps in a group of its own.  The first stream runs out, then the
+        # middle one, and the last steps alone at the end.
+        cfgs = [TrainConfig(epochs, batch, ((7, 0.3), (10**9, 0.05)), weight_init_seed=seed,
+                            curve_stride=3)
+                for epochs, batch, seed in ((2, 8, 1), (4, 13, 2), (5, 8, 3))]
+        losses = [[CE, FL2], [RFL_HALF], [FL2, CE]]
+        if trainer == "classifier":  # 40 rows: 5 batches of 8 an epoch, or 13, 13, 13 and 1
+            data = generate_synthetic(SynthDatasetSpec(class_counts=[20, 12, 8], feature_dim=3,
+                                                       label_noise_rate=0.1, seed=5))
+            train, calls = train_classifier, [(data, cfg, arms) for cfg, arms in zip(cfgs, losses)]
+        else:  # 528 candidates: 66 batches of 8 an epoch, or 41 of 13
+            pool = tiny_scenes(seed=2, noise=0.05)
+            train, calls = train_objectness, [(pool.X, pool.is_object.astype(np.int64), cfg, arms,
+                                               0.5) for cfg, arms in zip(cfgs, losses)]
+        for got, call in zip(train(calls), calls, strict=True):
+            assert_trained_equal(got, train([call])[0])
 
     def test_two_stage_streams_equal_solo_calls(self):
         calls = [(tiny_scenes(seed=s, noise=0.05), two_stage_config(epochs=e), losses)
