@@ -474,15 +474,15 @@ def run_experiment(config: dict) -> dict:
     is not finite once training ends.
     """
     spec = validate_config(config)
-    if spec.kind == "classifier":
-        csv = None
-        if isinstance(spec.dataset, str):
-            csv = read_csv_dataset(spec.dataset)  # read once
-            _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
-            _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
-        by_seed = _classifier_rows(spec, csv)
-    else:
-        by_seed = _two_stage_rows(spec)
+    csv = None
+    if spec.kind == "classifier" and isinstance(spec.dataset, str):
+        csv = read_csv_dataset(spec.dataset)  # read once
+        _check_sizes(spec, *csv.X.shape, int(csv.y.max()) + 1)
+        _check_undersampling(spec.arms, np.bincount(csv.y).tolist())
+    # A run that diverges overflows to inf and NaN; _check_finite reports it once training ends.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        by_seed = (_classifier_rows(spec, csv) if spec.kind == "classifier"
+                   else _two_stage_rows(spec))
 
     arms_out: dict[str, Any] = {}
     for arm in spec.arms:

@@ -27,27 +27,26 @@ model, and return losses (R, n), None unless asked for, and the analytic
 logit gradients (R, n, K): :func:`softmax_head` (K classes) and
 :func:`sigmoid_head` (K = 1, pt and 1 - pt from one stacked pass of
 :func:`binary_pt`); one kernel pass serves the models of each gamma
-(:func:`loss_columns`).  ``train.step`` and :func:`run_gradcheck` call
-the heads, so ``rfl-lab gradcheck`` checks the gradient that trains.  On
-a step's small arrays numpy's per-call overhead sets the cost, so the
-heads and the kernel make few calls, in place and on equal shapes, with
-every bit of the plain spelling.  :func:`loss_at` rejects pt outside
-(0, 1); the heads
-clamp pt to [1e-12, 1 - 1e-12] so training survives saturated outputs,
-and their callers validate the logits and labels they pass.
-
-Everything here is a pure function of its arguments and safe to call
-from any number of threads.
+(:func:`loss_columns`).  On a step's small arrays numpy's per-call
+overhead sets the cost, so a head compiles once for a logits buffer: its
+buffers, views, label offsets and kernel branches are bound then, and each
+call runs only numpy's calls, with every bit of the plain spelling.  A head
+called with its targets compiles and runs once, as ``train.step`` does, so
+``rfl-lab gradcheck`` checks the gradient that trains.  :func:`loss_at`
+rejects pt outside (0, 1); the heads clamp pt to [1e-12, 1 - 1e-12] so
+training survives saturated outputs, and their callers validate the logits
+and labels they pass.  A compiled head owns its buffers, so it serves one
+thread; everything else here is safe from any number of threads.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,51 +100,50 @@ def _rfl_form(params: LossParams) -> tuple[float, float, float]:
     return params.gamma, params.threshold, params.threshold**params.gamma
 
 
-def _kernel(pt, neg_log, one_minus, gamma: float, th, scale):
-    """The one spelling of the piecewise formulas: RFL's loss (None if
-    ``neg_log`` is) and d(loss)/d(pt) at a Python-float ``gamma``, which
-    keeps numpy's scalar-power fast paths, and at threshold ``th`` and
-    divisor ``scale`` shaped as pt; x / 1.0 is x, so a scale of None (all 1)
-    or at gamma 0 (th^0 = 1) divides nothing."""
-    recip = -1.0 / pt
-    if gamma == 0.0:
-        weight, dfl = 1.0, recip
-    else:
-        weight = one_minus**gamma
-        # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt,
-        # and at g = 2, (1-pt)^1.0 is 1-pt, bitwise.
-        dfl = gamma * (one_minus if gamma == 2.0 else one_minus ** (gamma - 1.0)) * np.log(pt)
+def _kernel(gamma: float, th, scale, with_loss: bool = True, arrays: bool = True):
+    """The one spelling of the piecewise formulas, compiled for a Python-float
+    ``gamma`` (numpy keeps its scalar-power fast paths), threshold ``th`` and
+    divisor ``scale`` (None: all 1; x / 1.0 is x): a function of pt, -log(pt)
+    and 1 - pt, arrays shaped as ``th`` (scalars unless ``arrays``), that
+    returns the loss (None unless ``with_loss``) and d(loss)/d(pt)."""
+    if gamma == 0.0:  # weight and divisor th^0 are 1: either branch is CE
+        return lambda pt, neg_log, one_minus: (neg_log if with_loss else None, -1.0 / pt)
+    square, log, putmask = gamma == 2.0, np.log, np.putmask  # numpy's, looked up once
+    power = np.square if square and arrays else lambda x: x**gamma  # an array**2.0 is np.square
+
+    def kernel(pt, neg_log, one_minus):
+        recip = -1.0 / pt
+        weight = power(one_minus)
+        # d/dpt [(1-pt)^g * (-log pt)] = g*(1-pt)^(g-1)*log(pt) - (1-pt)^g/pt; (1-pt)^1.0 = 1-pt
+        dfl = gamma * (one_minus if square else one_minus ** (gamma - 1.0)) * log(pt)
         dfl -= weight / pt
         if scale is not None:
             dfl /= scale
-    flat = pt < th
-    loss = None if neg_log is None else np.where(
-        flat, neg_log, weight * neg_log if scale is None else weight * neg_log / scale)
-    if not isinstance(dfl, np.ndarray):  # scalars
-        return loss, np.where(flat, recip, dfl)
-    np.copyto(dfl, recip, where=flat)
-    return loss, dfl
+        flat = pt < th
+        loss = np.where(flat, neg_log, weight * neg_log if scale is None else
+                        weight * neg_log / scale) if with_loss else None
+        if not arrays:
+            return loss, np.where(flat, recip, dfl)
+        putmask(dfl, flat, recip)
+        return loss, dfl
+    return kernel
 
 
 def loss_and_dpt(pt, neg_log, one_minus, params: LossParams):
     """Loss and d(loss)/d(pt) from pt, -log(pt) and 1 - pt, as scalars or
-    equal-shaped arrays.  Each caller clamps pt and supplies its own stable
-    -log(pt).  At pt = th the at-or-above branch applies to value and
-    derivative alike."""
-    return _kernel(pt, neg_log, one_minus, *_rfl_form(params))
+    equal-shaped arrays; the caller clamps pt and supplies a stable -log(pt).
+    At pt = th the at-or-above branch applies to value and derivative."""
+    return _kernel(*_rfl_form(params), arrays=isinstance(pt, np.ndarray))(pt, neg_log, one_minus)
 
 
-class LossColumns(NamedTuple):
-    """:func:`loss_columns` of R stacked losses."""
-
-    groups: tuple  # (rows, gamma, th, scale or None) per distinct gamma
+# :func:`loss_columns` of R stacked losses: (rows, gamma, th, scale or None) per distinct gamma.
+LossColumns = namedtuple("LossColumns", "groups")
 
 
 def loss_columns(params: Sequence[LossParams], width: int) -> LossColumns:
     """The rows of each gamma with threshold and divisor arrays (rows, width),
-    [:, :B] views of which fit a batch of B rows (a broadcast costs numpy 1
-    µs a call), divisors all 1 as None.  CE rows join the first gamma: their
-    th = 1 puts every clamped pt on the flat branch."""
+    whose [:, :B] views fit B rows; divisors all 1 are None.  CE rows join
+    the first gamma: their th = 1 puts every clamped pt on the flat branch."""
     gammas = [p.gamma for p in params if p.kind is not LossKind.CE] or [0.0]
     keys = [gammas[0] if p.kind is LossKind.CE else p.gamma for p in params]
     groups = []
@@ -173,54 +171,57 @@ def cutoff_factor(pt: float, params: LossParams) -> float:
     return loss_at(pt, params)[0] / -math.log(pt)
 
 
-def _stacked(pt, neg_log, one_minus, params):
-    """Losses (None without ``neg_log``) and d(loss)/d(pt) of (runs, n)
-    arrays, row r under loss r of ``params`` (losses, or columns >= n wide)."""
-    n = pt.shape[1]
+def _stacked(params, R: int, n: int, with_loss: bool):
+    """The kernel of (R, n) arrays, run r under loss r of ``params`` (losses or
+    columns >= n wide): one gamma's kernel, or each gamma's on its rows."""
     groups = (params if isinstance(params, LossColumns) else loss_columns(params, n)).groups
-    if groups[0][2].shape[1] != n:  # a narrower batch: views of the columns
-        groups = [(rows, gamma, th[:, :n], None if scale is None else scale[:, :n])
-                  for rows, gamma, th, scale in groups]
-    if len(groups) == 1:
-        return _kernel(pt, neg_log, one_minus, *groups[0][1:])
-    losses, dpt = None if neg_log is None else np.empty(pt.shape), np.empty(pt.shape)
-    for rows, gamma, th, scale in groups:
-        loss, dpt[rows] = _kernel(pt[rows], None if neg_log is None else neg_log[rows],
-                                  one_minus[rows], gamma, th, scale)
-        if loss is not None:
-            losses[rows] = loss
-    return losses, dpt
+    kernels = [(rows, _kernel(gamma, th[:, :n], None if scale is None else scale[:, :n],
+                              with_loss)) for rows, gamma, th, scale in groups]
+    if len(kernels) == 1:
+        return kernels[0][1]
+
+    def stacked(pt, neg_log, one_minus):
+        losses, dpt = np.empty((R, n)) if with_loss else None, np.empty((R, n))
+        for rows, kernel in kernels:
+            loss, dpt[rows] = kernel(pt[rows], neg_log if neg_log is None else neg_log[rows],
+                                     one_minus[rows])
+            if with_loss:
+                losses[rows] = loss
+        return losses, dpt
+    return stacked
 
 
-@functools.lru_cache(maxsize=16)
-def _row_starts(S: int, n: int, C: int) -> np.ndarray:
-    """Flat offsets (S, n) of each row's first logit in a C-ordered (S, n, C) array."""
-    starts = np.arange(0, S * n * C, n * C)[:, None] + np.arange(0, n * C, C)
-    starts.flags.writeable = False  # every call of this shape shares it
-    return starts
-
-
-def softmax_head(z: np.ndarray, y: np.ndarray, params, with_loss: bool = True):
+def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = True):
     """Losses (S, n) and logit gradients (S, n, C) of S stacked softmax heads on
     the C-ordered logits ``z`` (S, n, C), which it overwrites; row i has label
     ``y[i]``, head s the loss ``params[s]`` (a list of losses or their
     :func:`loss_columns`).  Each row's max is subtracted so logits up to ~1e3
     stay finite; d(loss)/d(z_j) = dloss/dpt * pt * (delta_{j,y} - softmax_j).
     Each row is bitwise what it gives alone.  Without ``with_loss`` the
-    losses are None, and the gradients are the same bits."""
+    losses are None, and the gradients the same bits.  With ``y`` None it
+    compiles for the buffer ``z``: (run, z), run(y) returning the losses."""
     S, n, C = z.shape
-    # The max is exact in any order: reduce a (C, S*n) copy along its rows.
-    z -= np.maximum.reduce(z.reshape(-1, C).T.copy(), axis=0).reshape(S, n, 1)
-    p = np.exp(z, out=z)
-    p /= np.add.reduce(p, axis=2, keepdims=True)
-    at = _row_starts(S, n, C) + y
-    p_label = p.take(at)  # (S, n): each row's label entry, per head
-    pt = _clip(p_label, PT_CLAMP_LO, PT_CLAMP_HI)
-    losses, grad = _stacked(pt, -np.log(pt) if with_loss else None, 1.0 - pt, params)
-    direction = np.negative(p, out=p)
-    direction.put(at, 1.0 - p_label)
-    grad *= pt
-    return losses, np.multiply(direction, grad[:, :, None], out=direction)
+    kernel = _stacked(params, S, n, with_loss)
+    top, total, p_label = np.empty(S * n), np.empty((S, n, 1)), np.empty((S, n))
+    rows_T, top3, at = z.reshape(-1, C).T, top.reshape(S, n, 1), np.empty((S, n), np.intp)
+    # Flat offsets of each row's first logit; + y, of its label's.
+    starts = np.arange(0, S * n * C, n * C)[:, None] + np.arange(0, n * C, C)
+
+    def run(y):
+        # The max is exact in any order: reduce a (C, S*n) copy along its rows.
+        np.maximum.reduce(rows_T.copy(), axis=0, out=top)
+        np.subtract(z, top3, out=z)
+        np.exp(z, out=z)
+        np.divide(z, np.add.reduce(z, axis=2, keepdims=True, out=total), out=z)
+        z.take(np.add(starts, y, out=at), out=p_label, mode="clip")  # each row's label entry
+        pt = _clip(p_label, PT_CLAMP_LO, PT_CLAMP_HI)
+        losses, grad = kernel(pt, -np.log(pt) if with_loss else None, 1.0 - pt)
+        np.negative(z, out=z)
+        z.put(at, 1.0 - p_label)
+        grad *= pt
+        np.multiply(z, grad[:, :, None], out=z)
+        return losses
+    return (run, z) if y is None else (run(y), z)
 
 
 def binary_pt(both: np.ndarray, with_loss: bool = True):
@@ -236,20 +237,29 @@ def binary_pt(both: np.ndarray, with_loss: bool = True):
     return both[0], neg_log, both[1]  # pt, -log(pt), 1 - pt
 
 
-def sigmoid_head(z: np.ndarray, sign: np.ndarray, params, with_loss: bool = True):
+def sigmoid_head(z: np.ndarray, sign: np.ndarray | None, params, with_loss: bool = True):
     """Losses (R, n) and logit gradients (R, n, 1) of R stacked sigmoid heads
     on the logits ``z`` (R, n, 1); ``sign`` (R, n) (or (n,), a broadcast) is
     +1 for label 1 and -1 for label 0, and head r has the loss ``params[r]``
     (a list of losses or their :func:`loss_columns`).  pt comes from
     :func:`binary_pt`, and dpt/dz = +/- pt * (1 - pt).  Without
-    ``with_loss`` the losses are None."""
-    both = np.empty((2, *z.shape[:2]))
-    np.negative(np.multiply(z[:, :, 0], sign, out=both[1]), out=both[0])
-    pt, neg_log, one_minus = binary_pt(both, with_loss)
-    losses, grad = _stacked(pt, neg_log, one_minus, params)
-    for factor in (pt, one_minus, sign):
-        grad *= factor
-    return losses, grad[:, :, None]
+    ``with_loss`` the losses are None.  With ``sign`` None it compiles for the
+    buffer ``z``: (run, grads), run(sign) filling ``grads``, returning the losses."""
+    R, n, _ = z.shape
+    kernel = _stacked(params, R, n, with_loss)
+    both, grads = np.empty((2, R, n)), np.empty((R, n, 1))
+    logit, minus, plus, into = z[:, :, 0], both[0], both[1], grads[:, :, 0]
+    negative, multiply = np.negative, np.multiply
+
+    def run(sign):
+        negative(multiply(logit, sign, out=plus), out=minus)
+        pt, neg_log, one_minus = binary_pt(both, with_loss)
+        losses, grad = kernel(pt, neg_log, one_minus)
+        grad *= pt
+        grad *= one_minus
+        multiply(grad, sign, out=into)
+        return losses
+    return (run, grads) if sign is None else (run(sign), grads)
 
 
 # The grids of :func:`run_gradcheck`, which the identity tests share.
@@ -259,27 +269,21 @@ TH_GRID = [0.25, 0.5, 0.9]
 FD_STEP = 1e-6  # central-difference step
 
 
-def _rel_err(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(abs(numeric), 1e-12)
-
-
 def run_gradcheck(kink_band: float, negate: bool = False):
     """Central differences against the analytic gradients of :func:`loss_at`
-    and both heads, for every loss on the grids; returns (worst, sections).
-
-    ``sections`` maps "scalar", "binary" and "softmax" to the largest
-    relative error seen there; ``worst`` is a dict describing the largest
-    of all.  Grid pts within ``kink_band`` of th are skipped, and
-    ``negate`` flips every analytic gradient (a negative control).  Each
-    head runs on stacked rows: the sigmoid head once per loss on the logit
-    of every (grid pt, label) and its copies moved by +h and -h, the
-    softmax head once per loss and logit vector.
-    """
+    and both heads, for every loss on the grids; returns (worst, sections):
+    the largest relative error in "scalar", "binary" and "softmax", and a
+    dict describing the largest of all.  Grid pts within ``kink_band`` of th
+    are skipped, and ``negate`` flips every analytic gradient (a negative
+    control).  The sigmoid head runs once per loss on the logit of every
+    (grid pt, label) and its copies moved by +h and -h, the softmax head
+    once per loss and logit vector."""
     flip = -1.0 if negate else 1.0
     worst = {"rel_err": 0.0, "where": "", "at_kink": False}
     sections: dict[str, float] = {}
 
-    def record(section: str, err: float, where: str, at_kink: bool) -> None:
+    def record(section: str, analytic: float, numeric: float, where: str, at_kink: bool):
+        err = abs(analytic - numeric) / max(abs(numeric), 1e-12)  # relative error
         sections[section] = max(sections.get(section, 0.0), err)
         if err > worst["rel_err"]:
             worst.update(rel_err=err, where=where, at_kink=at_kink)
@@ -319,9 +323,9 @@ def run_gradcheck(kink_band: float, negate: bool = False):
                     ana = flip * loss_at(pt, params)[1]
                     num = (loss_at(pt + FD_STEP, params)[0]
                            - loss_at(pt - FD_STEP, params)[0]) / (2.0 * FD_STEP)
-                    record("scalar", _rel_err(ana, num), f"scalar {label} pt={pt:g}", at_kink)
+                    record("scalar", ana, num, f"scalar {label} pt={pt:g}", at_kink)
                     for y in (0, 1):
-                        record("binary", _rel_err(binary_ana[2 * i + y], binary_num[2 * i + y]),
+                        record("binary", binary_ana[2 * i + y], binary_num[2 * i + y],
                                f"binary {label} pt={pt:g} label={y}", at_kink)
 
                 for pt, z in grid_vectors:
@@ -335,6 +339,6 @@ def run_gradcheck(kink_band: float, negate: bool = False):
                     losses, grads = softmax_head(rows[None], np.zeros(2 * k + 1, int), [params])
                     num = (losses[0, 1::2] - losses[0, 2::2]) / (2.0 * FD_STEP)
                     for j in range(k):
-                        record("softmax", _rel_err(flip * grads[0, 0, j], num[j]),
+                        record("softmax", flip * grads[0, 0, j], num[j],
                                f"softmax {label} pt={pt:g} component {j}", at_kink)
     return worst, sections

@@ -14,13 +14,12 @@ A trainer takes a list of streams: data (arrays, ``sampling.Dataset`` or
 ``sampling.SceneSet``), one :class:`TrainConfig` and a list of losses; it
 returns, per stream, one result per loss.  One SGD loop (:func:`_sgd`)
 trains the runs of all streams in lockstep as stacked linear models ``W``
-(R, K, d), ``b`` (R, K), with K classes or K = 1 for a scorer, and each
-run ends bitwise where it would alone.  The live streams' runs fill one
-(R, K, d + 1) buffer in stream order, and a run of adjacent streams
-steps on ``W`` and ``b`` as views of one slice of it.  A :func:`step` is
-matmul, loss head (``losses.softmax_head`` or ``losses.sigmoid_head``),
-matmul.  At the shipped sizes, a few runs of 64 rows, numpy's call
-overhead sets its cost, so it works in place on operands planned once.
+(R, K, d), ``b`` (R, K), views of one (R, K, d + 1) buffer, with K classes
+or K = 1 for a scorer; each run ends bitwise where it would alone.  A
+:func:`step` is matmul, loss head, matmul.  At the shipped sizes, a few
+runs of 64 rows, numpy's call overhead sets its cost, so a group of
+streams compiles its step once per row count (:func:`_plan`): every view,
+buffer and branch is bound then, and an iteration runs only numpy's calls.
 
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight
@@ -30,14 +29,12 @@ policy never perturbs the batch stream, and an all-zero-skip policy
 reproduces the unconfigured trajectory bitwise.  The objectness batches
 of one epoch come from one ``Generator.integers`` call
 (:func:`stratified_batches`) that consumes the batch stream exactly as a
-``Generator.choice`` call per stratum and batch would, and array
-operations turn those draws into the same picks.
+``Generator.choice`` call per stratum and batch would.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import compress, islice
 from typing import Sequence
@@ -90,38 +87,80 @@ class LinearModel:
 
 def lr_at(schedule: Sequence[tuple[float, float]], iteration: int) -> float:
     """Rate of the first schedule threshold exceeding the iteration index."""
-    for threshold, rate in schedule:
-        if iteration < threshold:
-            return rate
-    return schedule[-1][1]
+    return next((rate for threshold, rate in schedule if iteration < threshold), schedule[-1][1])
 
 
-def step(
-    X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, params,
-    with_loss: bool = True, out: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+def step(X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, params,
+         with_loss: bool = True, out: np.ndarray | None = None):
     """Per-sample losses (R, B) and batch-mean gradients (R, K, d), (R, K) of
-    R stacked models ``W`` (R, K, d), ``b`` (R, K) on a minibatch of B rows,
-    one loss per model (``params``: a list of losses or their
-    ``loss_columns``): ``head`` is ``losses.softmax_head`` (``target`` the
-    labels) or ``losses.sigmoid_head`` (K = 1, ``target`` the label signs
-    +1/-1).  ``X`` (B, d) and ``target`` (B,) serve every model; ``X`` (R, B,
-    d) and ``target`` (R, B) give each model its own batch.  dW and db are
-    views of one (R, K, d + 1) buffer (``out`` if given), as W and b may be.
-    Each slice is bitwise what that model computes alone (matmul runs one
-    gemm or gemv per slice); the losses are C-ordered, so a reduce along
-    axis 1 sums each row as ``row.mean()`` does.  Without ``with_loss`` the
-    losses are None and the gradients the same bits."""
-    z = np.matmul(X, W.transpose(0, 2, 1))
-    z += b[:, None, :]
-    losses, glogits = head(z, target, params, with_loss)
+    R stacked models ``W`` (R, K, d), ``b`` (R, K) on B rows, one loss per
+    model (``params``: losses or their ``loss_columns``), under ``head``:
+    ``losses.softmax_head`` (``target`` the labels) or ``losses.sigmoid_head``
+    (K = 1, ``target`` the signs +1/-1).  ``X`` (B, d) and ``target`` (B,)
+    serve every model, ``X`` (R, B, d) and ``target`` (R, B) one each.  dW
+    and db are views of one (R, K, d + 1) buffer (``out`` if given), as W and
+    b may be.  Each slice is bitwise what that model computes alone (one gemm
+    or gemv per slice); the losses are C-ordered, so a reduce along axis 1
+    sums each row as ``row.mean()`` does.  Without ``with_loss`` the losses
+    are None and the gradients the same bits.  :func:`_compile`'s step, run once."""
     R, K, d = W.shape
     grad = np.empty((R, K, d + 1)) if out is None else out
-    dW, db = grad[:, :, :d], grad[:, :, d]
-    np.matmul(glogits.transpose(0, 2, 1), X, out=dW)
-    np.add.reduce(glogits, axis=1, out=db)
-    grad /= X.shape[-2]
-    return losses, dW, db
+    losses = _compile(W, b, grad, head, params, X.shape[-2], with_loss)(X, target)
+    return losses, grad[:, :, :d], grad[:, :, d]
+
+
+def _compile(W, b, grad: np.ndarray, head, params, n: int, with_loss: bool):
+    """:func:`step` on n rows, compiled: run(X, target) fills ``grad``, returns the losses."""
+    d = W.shape[2]
+    z = np.empty((len(W), n, W.shape[1]))
+    head_step, glogits = head(z, None, params, with_loss)
+    W_T, b_row, g_T = W.transpose(0, 2, 1), b[:, None, :], glogits.transpose(0, 2, 1)
+    dW, db, matmul, add, divide = grad[:, :, :d], grad[:, :, d], np.matmul, np.add, np.divide
+
+    def run(X, target):
+        matmul(X, W_T, out=z)
+        add(z, b_row, out=z)
+        losses = head_step(target)
+        matmul(g_T, X, out=dW)
+        add.reduce(glogits, axis=1, out=db)
+        divide(grad, n, out=grad)
+        return losses
+    return run
+
+
+def _plan(head, block: np.ndarray, grad: np.ndarray, members, batches):
+    """The step of a group of adjacent streams, compiled for batches like
+    ``batches`` (a (rows, target) per stream, n rows each) with the W and b
+    of ``block`` (R, K, d + 1), gradients into ``grad`` and each stream's
+    (X, losses) in ``members``: run(batches, record) gathers the rows and
+    returns the losses (None unless ``record``); a planned target is tiled."""
+    R, n, d = len(block), len(batches[0][0]), block.shape[2] - 1
+    sizes = [len(losses) for _, losses in members]
+    columns = loss_columns([p for _, losses in members for p in losses], n)
+    sources = [t for _, t in batches]
+    planned = np.repeat(sources, sizes, axis=0)
+    step_of = [_compile(block[:, :, :d], block[:, :, d], grad, head, columns, n, record)
+               for record in (False, True)]
+    if len(members) == 1:
+        [(X, _)], Xb = members, np.empty((n, d))
+
+        def run(batches, record):
+            [(idx, t)] = batches
+            X.take(idx, axis=0, out=Xb, mode="clip")  # rows are in range; clip skips a copy
+            return step_of[record](Xb, planned if t is sources[0] else t)
+        return run
+    Xb, target = np.empty((R, n, d)), np.empty((R, n), planned.dtype)
+    cuts = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+
+    def run(batches, record):  # each run's row block of the batch its stream drew
+        for cut, (X, _), (idx, _) in zip(cuts, members, batches):
+            Xb[cut] = X.take(idx, axis=0)
+        if all(t is u for (_, t), u in zip(batches, sources)):
+            return step_of[record](Xb, planned)
+        for cut, (_, t) in zip(cuts, batches):
+            target[cut] = t
+        return step_of[record](Xb, target)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +175,19 @@ def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
 
 def _sgd(streams, head):
     """Plain minibatch SGD of many streams in lockstep.  A stream ``(X, cfg,
-    losses, K, batches)`` trains one K-row linear model per loss on the
-    features ``X``: the two child streams of ``cfg.weight_init_seed`` draw
-    the uniform weights in [-0.01, 0.01] that every run starts from and the
-    batch order, then one update per (row indices into ``X``, targets) that
-    ``batches(stream)`` yields, at most ceil(n / batch_size) an epoch, at
-    the rate of ``cfg.lr_schedule``.  At each iteration every live stream
-    takes its next batch, and each run of adjacent streams whose models have
-    one shape and whose batches one row count makes one :func:`step` on
-    their stacked runs; a ragged batch steps with its own row count, and
-    nothing is padded.  A stream whose batches ran out drops out, and its
-    models with it.
-
+    losses, K, batches)`` trains one K-row linear model per loss on ``X``:
+    the two child streams of ``cfg.weight_init_seed`` draw the uniform
+    weights in [-0.01, 0.01] that every run starts from and the batch order,
+    then one update per (row indices into ``X``, targets) that
+    ``batches(rng)`` yields, at most ceil(n / batch_size) an epoch, at the
+    rate of ``cfg.lr_schedule``.  Each iteration, every run of adjacent live
+    streams whose models have one shape and whose batches one row count
+    makes one :func:`step` on their stacked runs; nothing is padded.
     Returns per stream one (model, curve) per loss, each bitwise what it
-    trains alone.  The curve holds the pre-update mean batch loss of step 0,
+    trains alone; the curve holds the pre-update mean batch loss of step 0,
     of every ``cfg.curve_stride``-th step and of the stream's last (a
-    one-batch lookahead tells it); a step computes losses only when one of
-    its streams records."""
+    one-batch lookahead tells it), and a step computes losses only when one
+    of its streams records."""
     out, shapes = [None] * len(streams), {}
     for s, (X, _, losses, K, _) in enumerate(streams):
         if not losses:
@@ -164,20 +199,12 @@ def _sgd(streams, head):
     return out
 
 
-# What the steps of a group of adjacent live streams reuse: (block, W, b) views of its slice
-# of the parameter buffer, loss columns, gradient buffer, rate(s), targets and their tiling,
-# per-stream spans.
-_Plan = namedtuple("_Plan", "params columns width grad rate sources target spans")
-
-
 def _lockstep(streams, head):
-    """:func:`_sgd` of streams whose models all have one shape: the runs of
-    the live streams fill one (runs, K, d + 1) buffer, W and b, in stream
-    order.  A stream that runs out hands out its models and leaves the
-    buffer, so a group, a run of adjacent live streams, steps on one slice
-    of it.  A group is planned once, and again when a stream drops out, a
-    rate changes or a batch is wider; batches of the planned targets (the
-    objectness signs) take their tiling."""
+    """:func:`_sgd` of streams whose models all have one shape.  The live
+    streams' runs fill one (runs, K, d + 1) buffer of W and b in stream order,
+    their gradients another, and a stream that runs out leaves both, so a
+    group of adjacent live streams steps on one slice.  :func:`_plan` compiles
+    a group's step once per row count, again after a drop or a rate change."""
     runs = [len(losses) for _, _, losses, _, _ in streams]
     K, d = streams[0][3], streams[0][0].shape[1]
     inits, feeds = [], []
@@ -196,25 +223,18 @@ def _lockstep(streams, head):
     live, live_feeds, ahead = list(range(len(streams))), feeds, [next(f, None) for f in feeds]
     iteration, replan, ended = 0, 0, True
 
-    def plan(group, batches) -> _Plan:
-        """The plan of adjacent live positions for ``batches``, at the current rates."""
+    def plan(group, batches):
+        """(step, its W and b block, its gradient block, rate(s)) of adjacent live positions."""
         ids = [live[p] for p in group]
-        sizes = [runs[s] for s in ids]
         start = sum(runs[s] for s in live[:group[0]])
-        block = P[start:start + sum(sizes)]
+        rows = slice(start, start + sum(runs[s] for s in ids))
         rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in ids]
-        sources = [t for _, t in batches]
-        return _Plan(
-            (block, block[:, :, :d], block[:, :, d]),
-            loss_columns([p for s in ids for p in streams[s][2]], len(sources[0])),
-            len(sources[0]), np.empty(block.shape),
-            rates[0] if rates.count(rates[0]) == len(rates) else
-            np.repeat(rates, sizes)[:, None, None], sources, np.repeat(sources, sizes, axis=0),
-            [(p, slice(end - size, end), streams[s][0])
-             for p, s, size, end in zip(group, ids, sizes, np.cumsum(sizes).tolist())])
+        return (_plan(head, P[rows], G[rows], [(streams[s][0], streams[s][2]) for s in ids],
+                      batches), P[rows], G[rows], rates[0] if len(set(rates)) == 1 else
+                np.repeat(rates, [runs[s] for s in ids])[:, None, None])
 
     while True:
-        if ended:  # the streams that ran out hand out their models and leave the buffer
+        if ended:  # the streams that ran out hand out their models and leave the buffers
             sizes = [runs[s] for s in live]
             for s, block, batch in zip(live, np.split(P, np.cumsum(sizes)[:-1]), ahead):
                 if batch is None:
@@ -223,6 +243,7 @@ def _lockstep(streams, head):
                                   for w, c in zip(block, by_run)]
             keep = [batch is not None for batch in ahead]
             P = P[np.repeat(keep, sizes)]
+            G = np.empty(P.shape)
             live, live_feeds, ahead = (list(compress(xs, keep)) for xs in (live, live_feeds, ahead))
             if not live:
                 return trained
@@ -240,44 +261,27 @@ def _lockstep(streams, head):
             cuts = [p for p in range(1, len(now)) if len(now[p][0]) != len(now[p - 1][0])]
             parts = [(tuple(range(a, z)), now[a:z]) for a, z in zip([0, *cuts], [*cuts, len(now)])]
         for group, batches in parts:
-            n, planned = len(batches[0][0]), plans.get(group)
-            if planned is None or planned.width < n:
-                planned = plans[group] = plan(group, batches)
-            (block, W, b), columns, _, grad, rate, sources, target, spans = planned
-            if len(group) == 1:
-                [(idx, t)] = batches
-                Xb = spans[0][2].take(idx, axis=0)
-                target = target if t is sources[0] else t
-            else:  # each run's row block of the batch its stream drew
-                Xb = np.empty((len(block), n, d))
-                shared = all(t is u for (_, t), u in zip(batches, sources))
-                if not shared:
-                    target = np.empty((len(block), n), batches[0][1].dtype)
-                for (_, cut, X), (idx, t) in zip(spans, batches):
-                    Xb[cut] = X.take(idx, axis=0)
-                    if not shared:
-                        target[cut] = t
+            if (key := (group, len(batches[0][0]))) not in plans:
+                plans[key] = plan(group, batches)
+            run, block, grad, rate = plans[key]
             record = recording and [p for p in group if ahead[p] is None or
                                     iteration % streams[live[p]][1].curve_stride == 0]
-            losses, _, _ = step(Xb, target, W, b, head, columns, bool(record), out=grad)
+            losses = run(batches, bool(record))
             block -= np.multiply(grad, rate, out=grad)
             if record:
                 means = np.add.reduce(losses, axis=1) / losses.shape[1]
-                for p, cut, _ in spans:
+                for p, at in zip(group, np.cumsum([runs[live[p]] for p in group]).tolist()):
                     if p in record:
-                        curves[live[p]].append(means[cut])
+                        curves[live[p]].append(means[at - runs[live[p]]:at])
         iteration += 1
 
 
 def train_classifier(streams: Sequence[tuple[Dataset, TrainConfig, Sequence[LossParams]]]):
     """Minibatch SGD on linear softmax models: per (data, config, losses)
-    stream, one (model, loss curve) per loss.
-
-    Each epoch optionally re-undersamples the stream's data (fresh sub-seed
-    per epoch; an emptied epoch is skipped), reshuffles, and walks the
-    batches in order.  All streams and losses train in lockstep
-    (:func:`_sgd`), each bitwise what it trains alone.
-    """
+    stream, one (model, loss curve) per loss.  Each epoch optionally
+    re-undersamples the stream's data (fresh sub-seed per epoch; an emptied
+    epoch is skipped), reshuffles, and walks the batches in order.  All
+    streams and losses train in lockstep (:func:`_sgd`)."""
     def stream(data: Dataset, cfg: TrainConfig, losses):
         X, y = data.X, data.y
         if not len(y):
@@ -450,17 +454,13 @@ def train_objectness(
 ):
     """One-row linear scorers via SGD on stratified fg/bg minibatches: per
     (X, labels, config, losses, fg_bg_ratio) stream, one (scorer, loss
-    curve) per loss.
-
-    Each batch draws round(batch * r / (1 + r)) foreground samples (at
-    least one) and fills the rest with background, sampling a stratum
-    with replacement only when it is smaller than its quota, as two
-    ``Generator.choice`` calls a batch would.  One epoch is
-    ceil(n / batch_size) batches, drawn at once by
-    :func:`stratified_batches`, which consumes the batch stream exactly
-    as those calls do.  All streams and losses train in lockstep
-    (:func:`_sgd`); streams with one batch layout share its label signs.
-    """
+    curve) per loss.  Each batch draws round(batch * r / (1 + r))
+    foreground samples (at least one) and fills the rest with background,
+    sampling a stratum with replacement only when it is smaller than its
+    quota, as two ``Generator.choice`` calls a batch would; an epoch of
+    ceil(n / batch_size) batches is drawn at once (:func:`stratified_batches`).
+    All streams and losses train in lockstep (:func:`_sgd`); streams with
+    one batch layout share its label signs."""
     signs: dict[tuple[int, int], np.ndarray] = {}
 
     def stream(X: np.ndarray, y: np.ndarray, cfg: TrainConfig, losses, fg_bg_ratio: float):
@@ -494,18 +494,14 @@ def train_two_stage(
 ):
     """Train both stages on each scene pool and evaluate top-K pass-through:
     per (scenes, config, losses) stream, one (scorer, classifier, report)
-    per loss.
-
-    Stage 1 trains on every candidate and stage 2 on the labelled
-    positives, both using the observed (possibly noise-flipped) labels.
-    Evaluation scores each scene, keeps the top proposal_budget
-    candidates (clamped to the scene size), and counts the true objects
-    that survive (label flips undone via ``true_class``); retained true
-    objects are then classified by stage 2 against their true class.
-
-    Stage 1 trains one scorer per loss of every stream in one lockstep
-    call, and stage 2 one classifier per stream in another.
-    """
+    per loss.  Stage 1 trains on every candidate, one scorer per loss of
+    every stream in one lockstep, and stage 2 on the labelled positives,
+    one classifier per stream in another; both use the observed (possibly
+    noise-flipped) labels.  Evaluation scores each scene, keeps the top
+    proposal_budget candidates (clamped to the scene size), and counts the
+    true objects that survive (label flips undone via ``true_class``);
+    retained true objects are then classified by stage 2 against their
+    true class."""
     for scenes, _, _ in streams:
         if not (scenes.true_class >= 0).any():
             raise ValueError("scenes contain no labelled objects")

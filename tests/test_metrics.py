@@ -538,9 +538,10 @@ class TestArrayMatcher:
     def test_equals_the_per_group_oracle(self, dets, gts, thresh, chunk):
         # Ties are everywhere: grid corners give duplicate boxes and equal
         # IoUs, and scores come from a few values (-0.0 among them).  Class 3
-        # and image "c" have no truths; a non-finite truth corner sends its
-        # group down the all-pairs path, and a NaN x1 must not disturb the
-        # windows of the groups after it.  A small chunk splits the pairs.
+        # and image "c" have no truths; a truth with a non-finite corner is
+        # set aside before the sweep (``_can_overlap``) and matches nothing,
+        # and a NaN x1 must not disturb the windows of the groups after it.
+        # A small chunk splits the pairs.
         # In the one-truth example, the truth's x2 lies one ulp right of the
         # detection's x1, and that x1 minus the truth's width rounds to
         # above the truth's x1.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +40,8 @@ from rfl_lab.train import (
     TwoStageConfig,
     evaluate_classifier,
     _choice_bounds,
+    _compile,
+    _plan,
     _sgd,
     lr_at,
     step,
@@ -733,6 +736,76 @@ class TestStepOracle:
                 assert loss_at(pt, params) == tuple(map(float, want))
 
 
+def label_pts(head, X, target, W, b):
+    """Each run's clamped pt (R, B) of its rows' labels, by the oracle."""
+    z = np.matmul(X, W.transpose(0, 2, 1)) + b[:, None, :]
+    if head is sigmoid_head:
+        return oracle_binary_pt(z[:, :, 0] * target)[0]
+    p = np.exp(z - z.max(axis=2, keepdims=True))
+    p = p / p.sum(axis=2, keepdims=True)
+    return np.clip(np.take_along_axis(p, np.broadcast_to(target, z.shape[:2])[:, :, None],
+                                      axis=2)[:, :, 0], PT_CLAMP_LO, PT_CLAMP_HI)
+
+
+class TestPlanReuse:
+    """A group's plans, compiled once per row count as the lockstep caches
+    them, give over a sequence of batches the bits of a fresh one-shot
+    :func:`step` at every step: full and narrower (ragged) row counts, the
+    planned targets or new arrays, steps with and without losses, one
+    gamma or several, and pt at, above and below th.  CI runs this class
+    under numpy's AVX2 loops and Haswell OpenBLAS kernels too."""
+
+    @pytest.mark.parametrize("head", HEADS, ids=["softmax", "sigmoid"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reused_plans_equal_one_shot_steps(self, head, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        B, d, C = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 6)), 4
+        K = 1 if head is sigmoid_head else C
+        Xs = [rng.normal(size=(30, d)) for _ in sizes]
+        scale = data.draw(st.sampled_from([0.3, 3.0, 30.0]))
+        block = rng.normal(size=(sum(sizes), K, d + 1)) * scale
+        grad = np.empty(block.shape)
+        sources = [draw_targets(head, rng, B, C)[1] for _ in sizes]
+
+        def gathered(batches):
+            """The batch rows and targets of the group's runs, as the one-shot step takes them."""
+            if len(sizes) == 1:
+                [(idx, t)] = batches
+                return Xs[0][idx], t
+            return (np.concatenate([np.repeat(X[idx][None], size, axis=0)
+                                    for X, size, (idx, _) in zip(Xs, sizes, batches)]),
+                    np.repeat([t for _, t in batches], sizes, axis=0))
+
+        first = [(rng.integers(0, 30, B), t) for t in sources]
+        pts = label_pts(head, *gathered(first), block[:, :, :d], block[:, :, d])
+        losses = []
+        for r in range(len(block)):  # thresholds on the grid, at a pt and just above it
+            at = float(pts[r, data.draw(st.integers(0, B - 1))])
+            th = data.draw(st.sampled_from([0.25, 0.5, 0.9, 1.0, at, float(np.nextafter(at, 1.0))]))
+            losses.append(LossParams(data.draw(st.sampled_from(list(LossKind))),
+                                     data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0])), th))
+        members = [(X, losses[end - size:end])
+                   for X, size, end in zip(Xs, sizes, np.cumsum(sizes).tolist())]
+        plans = {B: _plan(head, block, grad, members, first)}
+        sequence = data.draw(st.lists(st.tuples(st.integers(1, B), st.booleans(), st.booleans()),
+                                      min_size=1, max_size=8))
+        for step_no, (n, planned, record) in enumerate(sequence):
+            # The first step takes the planned batches; a planned target has the planned rows.
+            n = B if planned or step_no == 0 else n
+            batches = first if step_no == 0 else [
+                (rng.integers(0, 30, n), t if planned else draw_targets(head, rng, n, C)[1])
+                for t in sources]
+            if n not in plans:
+                plans[n] = _plan(head, block, grad, members, batches)
+            got = plans[n](batches, record)
+            want = step(*gathered(batches), block[:, :, :d].copy(), block[:, :, d].copy(), head,
+                        losses, record)
+            assert all(same_bits(g, w) for g, w in zip((got, grad[:, :, :d], grad[:, :, d]), want))
+            block -= np.multiply(grad, 0.1, out=grad)  # the next step sees the update
+
+
 def thinned(curve, stride):
     """Every ``stride``-th entry of a full curve, and the last."""
     last = curve[-1:] if curve and (len(curve) - 1) % stride else []
@@ -806,8 +879,16 @@ class TestCurveStride:
         asked = []
 
         def counting_head(z, target, params, with_loss=True):
-            asked.append(with_loss)
-            return head(z, target, params, with_loss)
+            # A compiled head (target None) records at each call whether it
+            # computes losses.
+            run, grads = head(z, target, params, with_loss)
+            if target is not None:
+                return run, grads
+
+            def counted(target):
+                asked.append(with_loss)
+                return run(target)
+            return counted, grads
 
         def batches(_):
             for _ in range(23):
@@ -1110,6 +1191,45 @@ class TestStreamLockstep:
                 (train_objectness, [(pool.X, pool.is_object.astype(np.int64), cfg, arms, 0.5)
                                     for cfg, arms in zip(cfgs, losses)])):
             for got, call in zip(trainer(calls), calls, strict=True):
+                assert_trained_equal(got, trainer([call])[0])
+
+    def test_no_plan_keeps_a_buffer_a_stream_left(self, monkeypatch):
+        # The three streams above: when the middle one runs out, its rows
+        # leave the parameter buffer and new parameter and gradient buffers
+        # take the others' runs.  At every step, each compiled step still
+        # alive (cached by a plan) must view the buffers that step uses.
+        data = generate_synthetic(SynthDatasetSpec(class_counts=[20, 12, 8], feature_dim=3,
+                                                   label_noise_rate=0.1, seed=4))
+        pool = tiny_scenes(seed=1, noise=0.05)
+        cfgs = [TrainConfig(epochs, 8, ((5, 0.3), (10**9, 0.05)), weight_init_seed=seed,
+                            curve_stride=3) for epochs, seed in ((4, 1), (1, 2), (3, 3))]
+        losses = [[CE, FL2], [RFL_HALF], [FL2, CE]]
+        compiled, buffers = [], set()
+
+        def checked_compile(W, b, grad, *args):
+            run = _compile(W, b, grad, *args)
+
+            def checked(X, target):
+                P, G = W.base, grad.base
+                buffers.add(id(P))
+                for alive, W_, b_, grad_ in compiled:
+                    if alive() is not None:
+                        assert np.shares_memory(W_, P) and np.shares_memory(b_, P)
+                        assert np.shares_memory(grad_[:, :, :-1], G)
+                        assert np.shares_memory(grad_[:, :, -1], G)
+                return run(X, target)
+            compiled.append((weakref.ref(checked), W, b, grad))
+            return checked
+
+        monkeypatch.setattr("rfl_lab.train._compile", checked_compile)
+        for trainer, calls in (
+                (train_classifier, [(data, cfg, arms) for cfg, arms in zip(cfgs, losses)]),
+                (train_objectness, [(pool.X, pool.is_object.astype(np.int64), cfg, arms, 0.5)
+                                    for cfg, arms in zip(cfgs, losses)])):
+            buffers.clear()
+            trained = trainer(calls)
+            assert len(buffers) == 3  # three streams, then two, then one
+            for got, call in zip(trained, calls, strict=True):
                 assert_trained_equal(got, trainer([call])[0])
 
     @pytest.mark.parametrize("trainer", ["classifier", "objectness"])
