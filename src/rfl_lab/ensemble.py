@@ -28,11 +28,16 @@ that matches in any of its lists.  A box without a positive finite area
 (``_can_overlap``) joins nothing and is joined by nothing, so it tests no
 cell and no cell lists it.
 
-The fused detection keeps the member sources joined with '+' in
-first-seen order, so a single-member cluster reproduces its detection
-exactly and fusing disjoint single-source input is a fixpoint.  Output
-is ordered by class id, then image id, then cluster creation order; for
-input from a single image that is class id, then creation order.
+The loop reads the rows of the group's float64 corner array, so it
+computes on Python floats whatever the records' corner type (the
+exactness rule is in :mod:`rfl_lab.geometry`), and a moved cluster's
+corners are Python floats.  A cluster that no join moved keeps its first
+member's box object, and the fused detection keeps the member sources
+joined with '+' in first-seen order, so a single-member cluster
+reproduces its detection exactly and fusing disjoint single-source input
+is a fixpoint.  Output is ordered by class id, then image id, then
+cluster creation order; for input from a single image that is class id,
+then creation order.
 """
 
 from __future__ import annotations
@@ -108,12 +113,13 @@ def _clusters(
 ) -> tuple[list[list[Detection]], list[tuple[float, float, float, float]]]:
     """Greedy clustering of one (image, class) group; see the module docstring.
 
-    Returns each cluster's members in joining order and its fused corners.
+    Returns each cluster's members in joining order and its fused corners:
+    Python floats, or the first member's box where no join moved it.
     """
     # Score descending, then source, then input order (both sorts are stable).
     dets = sorted(sorted(dets, key=attrgetter("source")), key=attrgetter("score"), reverse=True)
-    rows = [d.box for d in dets]
-    corners = np.fromiter(chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4)
+    corners = np.fromiter(chain.from_iterable([d.box for d in dets]), float, 4 * len(dets))
+    corners = corners.reshape(-1, 4)
     listed = _can_overlap(corners)
     boxes = corners[listed]
     extent = boxes[:, 2:] - boxes[:, :2]
@@ -127,15 +133,16 @@ def _clusters(
         boxes = corners[listed]
         for i in wide.tolist():
             kinds[i] = 2
-    index = np.zeros((len(rows), 4), np.int64)
+    index = np.zeros((len(dets), 4), np.int64)
     index[listed] = np.floor(boxes / side)
     wide_ids: list[int] = []  # ascending
-    cells: dict = {_WIDE: wide_ids, _ALL: range(len(rows))}  # cell -> ids, ascending
+    cells: dict = {_WIDE: wide_ids, _ALL: range(len(dets))}  # cell -> ids, ascending
     members: list[list[Detection]] = []
-    fused: list[tuple[float, float, float, float]] = []  # running weighted mean
+    fused: list = []  # running weighted mean: the row until a join makes it a tuple
     weights: list[float] = []  # running score sum
     spans: list = []  # the cell span each cluster was last listed for, None if wide
-    for det, (x1, y1, x2, y2), span, kind in zip(dets, rows, index.tolist(), kinds):
+    for det, row, span, kind in zip(dets, corners.tolist(), index.tolist(), kinds):
+        x1, y1, x2, y2 = row
         area = (x2 - x1) * (y2 - y1)
         best = new = len(fused)
         if kind is True:
@@ -168,7 +175,7 @@ def _clusters(
                 wide_ids.append(new)
                 span = None
             members.append([det])
-            fused.append(det.box)  # one member: its box exactly
+            fused.append(row)
             weights.append(det.score)
             spans.append(span)
             continue
@@ -197,7 +204,7 @@ def _clusters(
                 ids = cells.setdefault(cell, [])
                 if best not in ids:
                     bisect.insort(ids, best)
-    return members, fused
+    return members, [c if type(c) is tuple else m[0].box for m, c in zip(members, fused)]
 
 
 def _cells(i1: int, j1: int, i2: int, j2: int) -> Sequence[tuple[int, int]]:
@@ -238,6 +245,7 @@ def fuse(dets: Sequence[Detection], cfg: FusionConfig) -> list[Detection]:
             else:
                 score = sum(scores) / len(scores)
             first = cluster[0]
-            out.append(Detection(Box(*corners), first.class_id, score, "+".join(sources),
+            box = corners if type(corners) is Box else Box(*corners)
+            out.append(Detection(box, first.class_id, score, "+".join(sources),
                                  first.image_id))
     return out

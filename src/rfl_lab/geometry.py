@@ -22,6 +22,15 @@ inverse built from reversed inverse primitives; round trips through the
 90-degree family are exact whenever the coordinates and frame sizes are
 exactly representable (e.g. pixel-grid values), and scale round trips
 stay within a few ulp.
+
+The per-record maps (TTA, tile clip, translation) compute on ``float(v)``
+of each corner: arithmetic on numpy scalars costs several times more.
+Exactness rule, for these maps and for fusion: ``float(v)`` is exact and
+the operations are the same IEEE operations, so the bits are those of the
+corners' own arithmetic for a float, a float subclass such as
+``np.float64``, or an int while every intermediate stays within +-2**53;
+computed corners are Python floats.  A mapped ``Detection`` whose box is a
+``Box`` is built unchecked; any other record runs the constructors' checks.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .metrics import Detection, _derived
+from .metrics import Box, Detection, _tuple_new
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,15 @@ def _map_records(boxes: Sequence[Detection], steps: tuple, source: str) -> list[
     """Each detection mapped by ``steps``, in one pass; the hull keeps corner order."""
     if not steps and not source:
         return list(boxes)
-    return [_derived(d, _map_box(*d.box, steps), source or d[3]) for d in boxes]
+    out = []
+    for d in boxes:
+        x1, y1, x2, y2 = box = d.box
+        corners = _map_box(float(x1), float(y1), float(x2), float(y2), steps)
+        tag = source or d[3]
+        out.append(_tuple_new(Detection, (_tuple_new(Box, corners), d[1], d[2], tag, d[4]))
+                   if type(d) is Detection and type(box) is Box
+                   else Detection(Box(*corners), d[1], d[2], tag, d[4]))
+    return out
 
 
 def apply_tta(
@@ -285,16 +302,19 @@ def clip_boxes_to_tile(
     """
     if not (0.0 < min_visibility <= 1.0):
         raise ValueError(f"min_visibility must be in (0, 1], got {min_visibility}")
-    ox, oy = tile.origin_x, tile.origin_y
+    ox, oy = float(tile.origin_x), float(tile.origin_y)
     ex, ey = ox + tile.tile_w, oy + tile.tile_h
     out = []
     for d in boxes:
-        bx1, by1, bx2, by2 = d[0]
+        bx1, by1, bx2, by2 = box = d[0]
         # Outside the tile; a NaN corner fails these and meets the full tests.
         if (bx1 <= bx2 <= ox or ex <= bx1 <= bx2
                 or by1 <= by2 <= oy or ey <= by1 <= by2):
             continue
-        x1, y1, x2, y2 = max(bx1, ox), max(by1, oy), min(bx2, ex), min(by2, ey)
+        bx1, by1, bx2, by2 = float(bx1), float(by1), float(bx2), float(by2)
+        # max(a, b) is `b if b > a else a` and min(a, b) `b if b < a else a`, NaN too.
+        x1, y1 = ox if ox > bx1 else bx1, oy if oy > by1 else by1
+        x2, y2 = ex if ex < bx2 else bx2, ey if ey < by2 else by2
         if x2 <= x1 or y2 <= y1:
             continue
         original = (bx2 - bx1) * (by2 - by1)
@@ -303,13 +323,22 @@ def clip_boxes_to_tile(
         if (x2 - x1) * (y2 - y1) / original < min_visibility:
             continue
         # Translating keeps the order the tests above left (x1 < x2, y1 < y2).
-        out.append(_derived(d, (x1 - ox, y1 - oy, x2 - ox, y2 - oy), d[3]))
+        corners = (x1 - ox, y1 - oy, x2 - ox, y2 - oy)
+        out.append(_tuple_new(Detection, (_tuple_new(Box, corners), d[1], d[2], d[3], d[4]))
+                   if type(d) is Detection and type(box) is Box
+                   else Detection(Box(*corners), d[1], d[2], d[3], d[4]))
     return out
 
 
 def tile_to_scene(dets: Sequence[Detection], tile: TileSpec) -> list[Detection]:
     """Translate tile-local detections back into scene coordinates."""
     ox, oy = tile.origin_x, tile.origin_y
-    # Rounding is monotone, so the translated corners keep their order.
-    return [_derived(d, (x1 + ox, y1 + oy, x2 + ox, y2 + oy), d[3])
-            for d in dets for x1, y1, x2, y2 in (d[0],)]
+    out = []
+    for d in dets:
+        x1, y1, x2, y2 = box = d[0]
+        # Rounding is monotone, so the translated corners keep their order.
+        corners = (float(x1) + ox, float(y1) + oy, float(x2) + ox, float(y2) + oy)
+        out.append(_tuple_new(Detection, (_tuple_new(Box, corners), d[1], d[2], d[3], d[4]))
+                   if type(d) is Detection and type(box) is Box
+                   else Detection(Box(*corners), d[1], d[2], d[3], d[4]))
+    return out

@@ -113,19 +113,6 @@ class Detection(_DetectionFields):
     _make = _checked_make
 
 
-def _derived(det: Detection, corners: tuple, source: str) -> Detection:
-    """``det`` with new ``corners`` and ``source``, for corners that keep the
-    order of det's box (a translation, a clip or a hull does).
-
-    A ``Detection`` whose box is a ``Box`` was checked when built, so its
-    copy is built unchecked; any other record, a plain tuple say, runs the
-    public constructors' checks.
-    """
-    if type(det) is Detection and type(det[0]) is Box:
-        return _tuple_new(Detection, (_tuple_new(Box, corners), det[1], det[2], source, det[4]))
-    return Detection(Box(*corners), det[1], det[2], source, det[4])
-
-
 class GroundTruth(NamedTuple):
     box: Box
     class_id: int

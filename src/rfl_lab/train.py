@@ -18,7 +18,7 @@ trains the runs of all streams in lockstep as stacked linear models ``W``
 or K = 1 for a scorer; each run ends bitwise where it would alone.  A
 :func:`step` is matmul, loss head, matmul.  At the shipped sizes, a few
 runs of 64 rows, numpy's call overhead sets its cost, so a group of
-streams compiles its step once per row count (:func:`_plan`): every view,
+streams compiles its step per row count (:func:`_plan`): every view,
 buffer and branch is bound then, and an iteration runs only numpy's calls.
 
 Determinism: everything derives from explicit integer seeds through
@@ -204,7 +204,8 @@ def _lockstep(streams, head):
     streams' runs fill one (runs, K, d + 1) buffer of W and b in stream order,
     their gradients another, and a stream that runs out leaves both, so a
     group of adjacent live streams steps on one slice.  :func:`_plan` compiles
-    a group's step once per row count, again after a drop or a rate change."""
+    a group's step per row count, and keeps it from the second use of that
+    count until a drop or a rate change."""
     runs = [len(losses) for _, _, losses, _, _ in streams]
     K, d = streams[0][3], streams[0][0].shape[1]
     inits, feeds = [], []
@@ -261,9 +262,11 @@ def _lockstep(streams, head):
             cuts = [p for p in range(1, len(now)) if len(now[p][0]) != len(now[p - 1][0])]
             parts = [(tuple(range(a, z)), now[a:z]) for a, z in zip([0, *cuts], [*cuts, len(now)])]
         for group, batches in parts:
-            if (key := (group, len(batches[0][0]))) not in plans:
-                plans[key] = plan(group, batches)
-            run, block, grad, rate = plans[key]
+            if (compiled := plans.get(key := (group, len(batches[0][0])))) is None:
+                compiled = plan(group, batches)
+                # Kept once its key recurs: a ragged epoch end is often a one-off width.
+                plans[key] = compiled if key in plans else None
+            run, block, grad, rate = compiled
             record = recording and [p for p in group if ahead[p] is None or
                                     iteration % streams[live[p]][1].curve_stride == 0]
             losses = run(batches, bool(record))

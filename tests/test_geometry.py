@@ -391,6 +391,39 @@ class TestTileToSceneProperties:
         assert all(type(d) is Detection and type(d.box) is Box for d in out)
 
 
+def scalar_corners(dets):
+    """The detections with np.float64 corners."""
+    return [Detection(Box(*map(np.float64, d.box)), *d[1:]) for d in dets]
+
+
+class TestNumpyScalarCorners:
+    """The per-record maps compute on ``float(v)`` of each corner: np.float64
+    corners give Python-float corners of the bits that float corners give
+    (equal reprs of Python floats are equal bits)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_DETS, _SIDE, _SIDE, _TRANSFORM, _ORIGIN, _ORIGIN)
+    def test_tta_and_translation(self, dets, w, h, t, ox, oy):
+        scene, tile = SceneDims(w, h), TileSpec(ox, oy, 700.0, 700.0)
+        for f in (lambda ds: apply_tta(ds, scene, t, "x"),
+                  lambda ds: invert_tta(ds, scene, t, "x"),
+                  lambda ds: tile_to_scene(ds, tile)):
+            got = f(scalar_corners(dets))
+            assert repr(got) == repr(f(dets))
+            assert all(type(v) is float for d in got for v in d.box)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(_any_box_det, _COORD, _COORD, _COORD, _COORD, _SCORE),
+                    max_size=20),
+           st.integers(0, 10).map(float), st.integers(0, 10).map(float),
+           st.integers(1, 12).map(float), st.integers(1, 12).map(float))
+    def test_clip(self, dets, ox, oy, tw, th):
+        tile = TileSpec(ox, oy, tw, th)
+        got = clip_boxes_to_tile(scalar_corners(dets), tile)
+        assert repr(got) == repr(clip_boxes_to_tile(dets, tile))
+        assert all(type(v) is float for d in got for v in d.box)
+
+
 class TestPlainTuples:
     """A record that is not a Detection with a Box gets the constructors' checks
     (tile_to_scene, clip_boxes_to_tile), or is refused by invert_tta, which

@@ -3,6 +3,7 @@
 import json
 import math
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -804,6 +805,36 @@ class TestPlanReuse:
                         losses, record)
             assert all(same_bits(g, w) for g, w in zip((got, grad[:, :, :d], grad[:, :, d]), want))
             block -= np.multiply(grad, 0.1, out=grad)  # the next step sees the update
+
+
+class TestPlanCache:
+    def test_a_one_off_row_count_keeps_no_plan(self, monkeypatch):
+        # An undersampled stream's epochs end at row counts that mostly do
+        # not recur.  The lockstep keeps a plan only from the second use of
+        # its row count on, so while a step runs, no plan of a row count
+        # compiled just once is alive but its own; the bits stay.
+        data = generate_synthetic(SynthDatasetSpec(class_counts=[200, 120, 80], feature_dim=3,
+                                                   label_noise_rate=0.1, seed=4))
+        cfg = flat_config(epochs=30, batch=16,
+                          undersample=UndersamplePolicy({0: 0.5, 1: 0.5}, seed=2))
+        compiled = []  # (the plan's step, weakly, and its row count)
+
+        def checked_plan(head, block, grad, members, batches):
+            run, me = _plan(head, block, grad, members, batches), len(compiled)
+
+            def checked(batches, record):
+                counts = Counter(n for _, n in compiled)
+                assert [n for k, (alive, n) in enumerate(compiled)
+                        if k != me and alive() is not None and counts[n] == 1] == []
+                return run(batches, record)
+            compiled.append((weakref.ref(checked), len(batches[0][0])))
+            return checked
+
+        monkeypatch.setattr("rfl_lab.train._plan", checked_plan)
+        assert_lockstep_equals_reference(data, cfg, [CE, FL2])
+        counts = Counter(n for _, n in compiled)
+        assert sum(c == 1 for c in counts.values()) >= 5  # one-off row counts were met
+        assert counts[16] == 2  # the full batch: used once, then kept
 
 
 def thinned(curve, stride):
