@@ -306,7 +306,9 @@ def _check_sizes(spec: ExperimentSpec, n: int, d: int, classes: int) -> None:
     (the values of the stride-1 loss curves; runs = S x arms) or an array
     of one stacked SGD step: every run's batch features (runs, rows, d),
     the logits (runs, rows, K) or the parameters (runs, K, d + 1).  A
-    classifier batch holds at most n rows.  An objectness batch holds
+    classifier batch holds at most n rows, and a classifier stream an
+    epoch's order and targets, n values each (two epochs, the next drawn
+    ahead), within the features' bound.  An objectness batch holds
     max(batch, 2) rows, even more than n, as a small stratum is drawn with
     replacement; K = 1.  Each seed's epoch of ceil(n / batch) batches is
     drawn at once, fewer than two integers a row.  Stage 2 trains one run

@@ -121,16 +121,23 @@ def generate_synthetic(spec: SynthDatasetSpec) -> Dataset:
     return Dataset(X, y, noisy)
 
 
-def undersample_mask(labels: np.ndarray, policy: UndersamplePolicy) -> np.ndarray:
-    """Keep-mask that drops each example with its class's skip probability.
-
-    One uniform draw is consumed per input example, in input order, from
-    a PCG64 stream seeded with ``policy.seed``.
-    """
+def undersample_skip(labels: np.ndarray, skip_prob: Mapping[int, float]) -> np.ndarray:
+    """Each example's skip probability: its class's in ``skip_prob``, else 0."""
     classes, inverse = np.unique(labels, return_inverse=True)
-    skip = np.array([policy.skip_prob.get(int(c), 0.0) for c in classes])
-    u = np.random.default_rng(policy.seed).random(len(labels))
-    return u >= skip[inverse]
+    return np.array([skip_prob.get(int(c), 0.0) for c in classes])[inverse]
+
+
+def undersample_keep(skip: np.ndarray, seed: int) -> np.ndarray:
+    """Keep-mask of one uniform draw per example, in input order, from a
+    PCG64 stream seeded with ``seed``, against each example's ``skip``."""
+    return np.random.default_rng(seed).random(len(skip)) >= skip
+
+
+def undersample_mask(labels: np.ndarray, policy: UndersamplePolicy) -> np.ndarray:
+    """Keep-mask that drops each example with its class's skip probability:
+    :func:`undersample_keep` against :func:`undersample_skip`, which a
+    trainer computes once and draws every epoch's mask against."""
+    return undersample_keep(undersample_skip(labels, policy.skip_prob), policy.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,34 +15,35 @@ A trainer takes a list of streams: data (arrays, ``sampling.Dataset`` or
 returns, per stream, one result per loss.  One SGD loop (:func:`_sgd`)
 trains the runs of all streams in lockstep as stacked linear models ``W``
 (R, K, d), ``b`` (R, K), views of one (R, K, d + 1) buffer, with K classes
-or K = 1 for a scorer; each run ends bitwise where it would alone.  A
+or K = 1 for a scorer; each run ends bitwise where it would alone.  The
+streams hand it epochs as arrays, walked in stretches of steps.  A
 :func:`step` is matmul, loss head, matmul.  At the shipped sizes, a few
 runs of 64 rows, numpy's call overhead sets its cost, so a group of
 streams compiles its step per row count (:func:`_plan`): every view,
 buffer and branch is bound then, and an iteration runs only numpy's calls.
 
 Determinism: everything derives from explicit integer seeds through
-numpy's PCG64.  The configured seed feeds two child streams (weight
-init and batch order); per-epoch undersampling derives its own sub-seed
-from the policy seed and the epoch index, so enabling an undersample
-policy never perturbs the batch stream, and an all-zero-skip policy
-reproduces the unconfigured trajectory bitwise.  The objectness batches
-of one epoch come from one ``Generator.integers`` call
-(:func:`stratified_batches`) that consumes the batch stream exactly as a
-``Generator.choice`` call per stratum and batch would.
+numpy's PCG64.  The configured seed feeds two child streams (weight init
+and batch order); each epoch's undersample draw has its own sub-seed of
+the policy seed and the epoch index, so enabling an undersample policy
+never perturbs the batch stream, and an all-zero-skip policy reproduces
+the unconfigured trajectory bitwise.  The objectness batches of one epoch
+come from one ``Generator.integers`` call (:func:`stratified_batches`)
+that consumes the batch stream exactly as a ``Generator.choice`` call per
+stratum and batch would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from dataclasses import dataclass, field
+from itertools import accumulate, compress, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .losses import LossParams, loss_columns, sigmoid_head, softmax_head
-from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_mask
+from .sampling import Dataset, SceneSet, UndersamplePolicy, undersample_keep, undersample_skip
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -137,8 +138,8 @@ def _plan(head, block: np.ndarray, grad: np.ndarray, members, batches):
     R, n, d = len(block), len(batches[0][0]), block.shape[2] - 1
     sizes = [len(losses) for _, losses in members]
     columns = loss_columns([p for _, losses in members for p in losses], n)
-    sources = [t for _, t in batches]
-    planned = np.repeat(sources, sizes, axis=0)
+    planned = np.repeat([t for _, t in batches], sizes, axis=0)
+    sources = [None if t.base is not None else t for _, t in batches]  # a view would pin its base
     step_of = [_compile(block[:, :, :d], block[:, :, d], grad, head, columns, n, record)
                for record in (False, True)]
     if len(members) == 1:
@@ -168,26 +169,20 @@ def _plan(head, block: np.ndarray, grad: np.ndarray, members, batches):
 # ---------------------------------------------------------------------------
 
 
-def _epoch_policy(policy: UndersamplePolicy, epoch: int) -> UndersamplePolicy:
-    sub = np.random.SeedSequence(policy.seed, spawn_key=(epoch,))
-    return replace(policy, seed=int(sub.generate_state(1, np.uint64)[0]))
-
-
 def _sgd(streams, head):
     """Plain minibatch SGD of many streams in lockstep.  A stream ``(X, cfg,
-    losses, K, batches)`` trains one K-row linear model per loss on ``X``:
-    the two child streams of ``cfg.weight_init_seed`` draw the uniform
-    weights in [-0.01, 0.01] that every run starts from and the batch order,
-    then one update per (row indices into ``X``, targets) that
-    ``batches(rng)`` yields, at most ceil(n / batch_size) an epoch, at the
-    rate of ``cfg.lr_schedule``.  Each iteration, every run of adjacent live
-    streams whose models have one shape and whose batches one row count
-    makes one :func:`step` on their stacked runs; nothing is padded.
+    losses, K, epochs)`` trains one K-row linear model per loss on ``X``
+    from the uniform weights in [-0.01, 0.01] that the first child stream of
+    ``cfg.weight_init_seed`` draws; ``epochs`` of the second yields the
+    stream's epochs in order as blocks ``(rows, targets)`` of one batch
+    width: rows (batches, width) indices into ``X``, targets shaped alike or
+    one (width,) array for every batch.  Each batch is one update at the
+    rate of ``cfg.lr_schedule``; adjacent live streams whose models have one
+    shape and whose batches one width make one unpadded :func:`step`.
     Returns per stream one (model, curve) per loss, each bitwise what it
     trains alone; the curve holds the pre-update mean batch loss of step 0,
-    of every ``cfg.curve_stride``-th step and of the stream's last (a
-    one-batch lookahead tells it), and a step computes losses only when one
-    of its streams records."""
+    of every ``cfg.curve_stride``-th step and of the stream's last, and only
+    a step that one of its streams records computes losses."""
     out, shapes = [None] * len(streams), {}
     for s, (X, _, losses, K, _) in enumerate(streams):
         if not losses:
@@ -203,80 +198,87 @@ def _lockstep(streams, head):
     """:func:`_sgd` of streams whose models all have one shape.  The live
     streams' runs fill one (runs, K, d + 1) buffer of W and b in stream order,
     their gradients another, and a stream that runs out leaves both, so a
-    group of adjacent live streams steps on one slice.  :func:`_plan` compiles
-    a group's step per row count, and keeps it from the second use of that
-    count until a drop or a rate change."""
+    group of adjacent live streams steps on one slice.  Each stretch of steps
+    with the same live streams, widths and rates, inside which no block ends
+    (each stream's next block tells its last step) and no curve step falls,
+    is one tight loop per group over the blocks' rows.  :func:`_plan`
+    compiles a group's step per width, kept until a rate change or a stream
+    leaves if it serves a stretch or its width recurs (unlike most tails)."""
     runs = [len(losses) for _, _, losses, _, _ in streams]
     K, d = streams[0][3], streams[0][0].shape[1]
     inits, feeds = [], []
-    for X, cfg, _, _, batches in streams:
+    for X, cfg, _, _, epochs in streams:
         rng_init, rng = map(np.random.default_rng,
                             np.random.SeedSequence(cfg.weight_init_seed).spawn(2))
         inits.append(rng_init.uniform(-0.01, 0.01, size=(K, d)))
-        feeds.append(islice(batches(rng), cfg.epochs * math.ceil(len(X) / cfg.batch_size)))
+        feeds.append(epochs(rng))
     P = np.zeros((sum(runs), K, d + 1))
     P[:, :, :d] = np.repeat(inits, runs, axis=0)
     # The iterations at which some stream's rate moves on (lr_at is constant between).
     changes = sorted({math.ceil(t) for _, cfg, _, _, _ in streams for t, _ in cfg.lr_schedule
                       if t < math.inf})
     curves, trained = [[] for _ in streams], [None] * len(streams)
-    # By live position: the stream, its batch stream and its next batch.
-    live, live_feeds, ahead = list(range(len(streams))), feeds, [next(f, None) for f in feeds]
-    iteration, replan, ended = 0, 0, True
-
-    def plan(group, batches):
-        """(step, its W and b block, its gradient block, rate(s)) of adjacent live positions."""
-        ids = [live[p] for p in group]
-        start = sum(runs[s] for s in live[:group[0]])
-        rows = slice(start, start + sum(runs[s] for s in ids))
-        rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in ids]
-        return (_plan(head, P[rows], G[rows], [(streams[s][0], streams[s][2]) for s in ids],
-                      batches), P[rows], G[rows], rates[0] if len(set(rates)) == 1 else
-                np.repeat(rates, [runs[s] for s in ids])[:, None, None])
-
+    # By live position: the stream, its feed, its block (the batches left) and its next block.
+    live, blocks = list(range(len(streams))), [next(feed, None) for feed in feeds]
+    ahead, iteration, replan, ended = [next(feed, None) for feed in feeds], 0, 0, True
     while True:
         if ended:  # the streams that ran out hand out their models and leave the buffers
             sizes = [runs[s] for s in live]
-            for s, block, batch in zip(live, np.split(P, np.cumsum(sizes)[:-1]), ahead):
-                if batch is None:
+            for s, block, rows in zip(live, np.split(P, np.cumsum(sizes)[:-1]), blocks):
+                if rows is None:
                     by_run = np.reshape(curves[s], (-1, runs[s])).T.tolist()
                     trained[s] = [(LinearModel(w[:, :d].copy(), w[:, d].copy()), c)
                                   for w, c in zip(block, by_run)]
-            keep = [batch is not None for batch in ahead]
+            keep = [rows is not None for rows in blocks]
             P = P[np.repeat(keep, sizes)]
             G = np.empty(P.shape)
-            live, live_feeds, ahead = (list(compress(xs, keep)) for xs in (live, live_feeds, ahead))
+            live, feeds, blocks, ahead = (list(compress(xs, keep))
+                                          for xs in (live, feeds, blocks, ahead))
             if not live:
                 return trained
             every = math.gcd(*(streams[s][1].curve_stride for s in live))
-            whole, plans, ended = tuple(range(len(live))), {}, False
-        if iteration >= replan:
+            edges = [0, *accumulate(runs[s] for s in live)]  # each live stream's rows of P
+            ended, replan = False, iteration
+        if iteration >= replan:  # the rates until the next change; new plans bound memory
             replan, plans = next((c for c in changes if c > iteration), math.inf), {}
-        now, ahead = ahead, [next(feed, None) for feed in live_feeds]
-        ended = None in ahead
-        recording = ended or iteration % every == 0
-        size = len(now[0][0])
-        if len(now) == 1 or all(len(idx) == size for idx, _ in now):
-            parts = ((whole, now),)
-        else:  # ragged batches: one step per run of adjacent streams with one row count
-            cuts = [p for p in range(1, len(now)) if len(now[p][0]) != len(now[p - 1][0])]
-            parts = [(tuple(range(a, z)), now[a:z]) for a, z in zip([0, *cuts], [*cuts, len(now)])]
-        for group, batches in parts:
-            if (compiled := plans.get(key := (group, len(batches[0][0])))) is None:
-                compiled = plan(group, batches)
-                # Kept once its key recurs: a ragged epoch end is often a one-off width.
-                plans[key] = compiled if key in plans else None
-            run, block, grad, rate = compiled
-            record = recording and [p for p in group if ahead[p] is None or
-                                    iteration % streams[live[p]][1].curve_stride == 0]
+            rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in live]
+        left = [len(rows) for rows, _ in blocks]
+        # The iteration of each live stream's last step, if its block is its last.
+        last = [iteration + n - 1 if nxt is None else math.inf for n, nxt in zip(left, ahead)]
+        curve = min(-(-iteration // every) * every, *last)
+        span = 1 if curve == iteration else min(*left, replan - iteration, curve - iteration)
+        widths = [rows.shape[1] for rows, _ in blocks]
+        cuts = [p for p in range(1, len(live)) if widths[p] != widths[p - 1]]
+        for first, end in zip([0, *cuts], [*cuts, len(live)]):  # a group per run of one width
+            stretch = zip(*(zip(rows[:span],
+                                targets[:span] if targets.ndim > 1 else repeat(targets))
+                            for rows, targets in blocks[first:end]))
+            own = slice(edges[first], edges[end])  # the group's runs in P and G
+            batches, block, grad = next(stretch), P[own], G[own]
+            if (run := plans.get(key := (first, end, widths[first]))) is None:
+                run = _plan(head, block, grad, [(streams[s][0], streams[s][2])
+                                                for s in live[first:end]], batches)
+                plans[key] = run if span > 1 or key in plans else None
+            rate = rates[first] if len(set(rates[first:end])) == 1 else np.repeat(
+                rates[first:end], np.diff(edges[first:end + 1]))[:, None, None]
+            record = curve == iteration and [p for p in range(first, end) if last[p] == iteration
+                                             or iteration % streams[live[p]][1].curve_stride == 0]
             losses = run(batches, bool(record))
             block -= np.multiply(grad, rate, out=grad)
             if record:
-                means = np.add.reduce(losses, axis=1) / losses.shape[1]
-                for p, at in zip(group, np.cumsum([runs[live[p]] for p in group]).tolist()):
-                    if p in record:
-                        curves[live[p]].append(means[at - runs[live[p]]:at])
-        iteration += 1
+                means, off = np.add.reduce(losses, axis=1) / losses.shape[1], edges[first]
+                for p in record:
+                    curves[live[p]].append(means[edges[p] - off:edges[p + 1] - off])
+            for batches in stretch:  # the stretch's other steps: no curve step among them
+                run(batches, False)
+                block -= np.multiply(grad, rate, out=grad)
+        iteration += span
+        for p, (rows, targets) in enumerate(blocks):
+            if len(rows) > span:
+                blocks[p] = rows[span:], targets[span:] if targets.ndim > 1 else targets
+            else:  # the block is done: the next one follows
+                blocks[p], ahead[p] = ahead[p], next(feeds[p], None)
+        ended = None in blocks
 
 
 def train_classifier(streams: Sequence[tuple[Dataset, TrainConfig, Sequence[LossParams]]]):
@@ -292,17 +294,19 @@ def train_classifier(streams: Sequence[tuple[Dataset, TrainConfig, Sequence[Loss
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError("training data needs one feature row per label")
 
-        def batches(rng):
-            for epoch in range(cfg.epochs):
-                rows = np.arange(len(y)) if cfg.undersample is None else np.flatnonzero(
-                    undersample_mask(y, _epoch_policy(cfg.undersample, epoch)))
-                if len(rows):
-                    order = rng.permutation(rows)
-                    for start in range(0, len(order), cfg.batch_size):
-                        idx = order[start:start + cfg.batch_size]
-                        yield idx, y.take(idx)
+        skip = None if cfg.undersample is None else undersample_skip(y, cfg.undersample.skip_prob)
 
-        return X, cfg, losses, max(2, int(y.max()) + 1), batches
+        def epochs(rng):
+            for epoch in range(cfg.epochs):
+                kept = None if skip is None else undersample_keep(skip, np.random.SeedSequence(
+                    cfg.undersample.seed, spawn_key=(epoch,)).generate_state(1, np.uint64)[0])
+                order = rng.permutation(len(y) if kept is None else np.flatnonzero(kept))
+                full = len(order) - len(order) % cfg.batch_size
+                for rows in (order[:full].reshape(-1, cfg.batch_size), order[None, full:]):
+                    if rows.size:  # full batches, then the tail; an emptied epoch yields none
+                        yield rows, y.take(rows)
+
+        return X, cfg, losses, max(2, int(y.max()) + 1), epochs
 
     out = _sgd([stream(*s) for s in streams], softmax_head)
     for (_, cfg, _), trained in zip(streams, out):
@@ -430,10 +434,9 @@ def _choice_picks(draws: np.ndarray, pop: int, k: int) -> np.ndarray:
     while not np.array_equal(gave, more := gave | (earlier & gave[at, j_col])):
         gave = more
     picks[dup] = np.where(gave, np.arange(pop - k, pop), picks[dup])
-    # The Fisher-Yates swaps: each row's j through flat indices, a third the cost of (row, j).
-    flat, starts = picks.reshape(-1), np.arange(0, picks.size, k)
-    for c, i in enumerate(range(k - 1, 0, -1)):
-        at = starts + swaps[:, c]
+    # The Fisher-Yates swaps: each row's j through flat indices, a third the cost of (row, j);
+    flat = picks.reshape(-1)  # one add gives every column's, each contiguous
+    for at, i in zip(np.add(swaps.T, np.arange(0, picks.size, k), order="C"), range(k - 1, 0, -1)):
         held = flat[at]
         flat[at] = picks[:, i]
         picks[:, i] = held
@@ -476,12 +479,9 @@ def train_objectness(
         sign = signs.setdefault((n_fg, n_bg), np.repeat([1.0, -1.0], [n_fg, n_bg]))
         per_epoch = math.ceil(len(y) / cfg.batch_size)
 
-        def batches(rng):
-            for _ in range(cfg.epochs):
-                for idx in stratified_batches(rng, [(fg_idx, n_fg), (bg_idx, n_bg)], per_epoch):
-                    yield idx, sign
-
-        return X, cfg, losses, 1, batches
+        return X, cfg, losses, 1, lambda rng: (
+            (stratified_batches(rng, [(fg_idx, n_fg), (bg_idx, n_bg)], per_epoch), sign)
+            for _ in range(cfg.epochs))
 
     return _sgd([stream(*s) for s in streams], sigmoid_head)
 

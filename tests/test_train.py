@@ -6,12 +6,14 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rfl_lab import train as train_module
 from rfl_lab.experiment import Train, run_experiment
 from rfl_lab.losses import (
     PT_CLAMP_HI,
@@ -33,7 +35,9 @@ from rfl_lab.sampling import (
     UndersamplePolicy,
     generate_scenes,
     generate_synthetic,
+    undersample_keep,
     undersample_mask,
+    undersample_skip,
 )
 from rfl_lab.train import (
     LinearModel,
@@ -370,7 +374,9 @@ class TestStratifiedBatches:
                 bg = batch_rng.choice(bg_idx, size=k_bg, replace=len(bg_idx) < k_bg)
                 yield np.concatenate([fg, bg]), sign
 
-        [reference] = _sgd([(X, cfg, LOCKSTEP_ARMS, 1, choice_batches)], sigmoid_head)
+        [reference] = _sgd([(X, cfg, LOCKSTEP_ARMS, 1, lambda batch_rng: (
+            (idx[None], t) for _, (idx, t) in zip(range(cfg.epochs * math.ceil(n / batch)),
+                                                  choice_batches(batch_rng))))], sigmoid_head)
         for (model, curve), (ref, ref_curve) in zip(
                 train_objectness([(X, y, cfg, LOCKSTEP_ARMS, ratio)])[0], reference, strict=True):
             assert np.array_equal(model.weights, ref.weights)
@@ -926,7 +932,8 @@ class TestCurveStride:
                 yield np.arange(7), target
 
         cfg = TrainConfig(4, 10, FLAT, curve_stride=5)
-        [[(_, curve), _]] = _sgd([(X, cfg, [CE, FL2], K, batches)], counting_head)
+        [[(_, curve), _]] = _sgd([(X, cfg, [CE, FL2], K, lambda rng: (
+            (idx[None], t) for _, (idx, t) in zip(range(20), batches(rng))))], counting_head)
         assert len(asked) == 20 and len(curve) == 5  # steps 0, 5, 10, 15 and 19
         assert [i for i, w in enumerate(asked) if w] == [0, 5, 10, 15, 19]
 
@@ -1308,3 +1315,98 @@ class TestStreamLockstep:
             for arm, rows in together["arms"].items():
                 assert (json.dumps(rows["per_seed"][i], sort_keys=True)
                         == json.dumps(alone["arms"][arm]["per_seed"][0], sort_keys=True))
+
+
+class TestEpochFeed:
+    """A stream hands the lockstep whole epochs as arrays: a classifier
+    epoch is one permutation of the rows its undersample draw kept, with
+    their labels, cut into full batches and a tail; the per-row skip that
+    every epoch draws against gives ``undersample_mask``'s mask; and the
+    curve steps hold wherever epochs end inside a stretch of steps.  CI runs
+    this class under ``OPENBLAS_CORETYPE=Haswell`` and numpy's AVX2 loops too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(0, 12), min_size=2, max_size=4),
+           skip=st.none() | st.lists(st.sampled_from([0.0, 0.4, 0.9, 1.0]), min_size=5,
+                                     max_size=5),
+           missing=st.integers(0, 4), epochs=st.integers(0, 4), batch=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    @example(counts=[3, 2], skip=[1.0] * 5, missing=4, epochs=3, batch=2, seed=0)  # all emptied
+    def test_classifier_epochs_are_permuted_kept_rows(self, counts, skip, missing, epochs,
+                                                      batch, seed):
+        # Class `missing` has no skip (kept); class 4 has one but no rows.
+        y = np.repeat(np.arange(len(counts)), [max(1, counts[0]), *counts[1:]])
+        skip_prob = None if skip is None else {c: p for c, p in enumerate(skip) if c != missing}
+        policy = None if skip is None else UndersamplePolicy(skip_prob, seed=seed)
+        data = dataset(np.random.default_rng(seed).normal(size=(len(y), 2)), y)
+        streams, sgd = [], train_module._sgd
+        with mock.patch.object(train_module, "_sgd",
+                               lambda s, head: streams.extend(s) or sgd(s, head)):
+            try:
+                train_classifier([(data, TrainConfig(epochs, batch, FLAT, seed, policy), [CE])])
+            except ValueError as exc:
+                assert "no training iteration" in str(exc)  # every epoch emptied
+        [(_, _, _, _, feed)] = streams
+        rng, twin = (np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+                     for _ in range(2))
+        want = []
+        for epoch in range(epochs):
+            keep = np.ones(len(y), dtype=bool)
+            if policy is not None:
+                sub = np.random.SeedSequence(seed, spawn_key=(epoch,))
+                keep = undersample_mask(y, UndersamplePolicy(
+                    skip_prob, int(sub.generate_state(1, np.uint64)[0])))
+            if keep.any():
+                order = twin.permutation(np.flatnonzero(keep))
+                full = len(order) // batch * batch
+                want += [(rows.reshape(-1, batch), y[rows].reshape(-1, batch))
+                         for rows in [order[:full]] if full]
+                want += [(rows[None], y[rows][None]) for rows in [order[full:]] if len(rows)]
+        got = list(feed(rng))
+        assert len(got) == len(want)
+        for (rows, targets), (want_rows, want_targets) in zip(got, want):
+            assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+            assert targets.dtype == y.dtype and np.array_equal(targets, want_targets)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 6), min_size=0, max_size=60),
+           skip_prob=st.dictionaries(st.integers(0, 8),
+                                     st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]) | st.floats(0, 1)),
+           seed=st.integers(0, 2**64 - 1))
+    def test_split_skip_gives_the_mask(self, labels, skip_prob, seed):
+        y = np.array(labels, dtype=np.int64)
+        per_row = np.array([skip_prob.get(c, 0.0) for c in labels])
+        reference = np.random.default_rng(seed).random(len(labels)) >= per_row
+        skip = undersample_skip(y, skip_prob)
+        assert np.array_equal(skip, per_row)
+        assert np.array_equal(undersample_keep(skip, seed), reference)
+        assert np.array_equal(undersample_mask(y, UndersamplePolicy(skip_prob, seed)), reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts=st.lists(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 4),
+                                               st.booleans()), max_size=5),
+                            min_size=1, max_size=3),
+           strides=st.lists(st.integers(1, 7), min_size=3, max_size=3),
+           change=st.integers(1, 20), seed=st.integers(0, 2**16))
+    def test_curve_steps_hold_where_epochs_end_mid_stretch(self, layouts, strides, change, seed):
+        # Each stream's epochs: blocks of (batches, width), targets per row
+        # or shared; so epochs end, widths change and streams run out
+        # between one stream's curve steps and inside another's stretches.
+        rng = np.random.default_rng(seed)
+        X, y = rng.normal(size=(20, 3)), rng.integers(0, 3, size=20)
+
+        def stream(layout, stride):
+            def epochs(batch_rng):
+                for q, width, shared in layout:
+                    rows = batch_rng.integers(0, 20, size=(q, width))
+                    yield rows, y[rows[0]] if shared else y[rows]
+            cfg = TrainConfig(1, 1, ((change, 0.5), (10**9, 0.1)), weight_init_seed=seed,
+                              curve_stride=stride)
+            return X, cfg, [CE, FL2], 3, epochs
+
+        full = _sgd([stream(layout, 1) for layout in layouts], softmax_head)
+        calls = [stream(layout, stride) for layout, stride in zip(layouts, strides)]
+        for got, want, call, stride in zip(_sgd(calls, softmax_head), full, calls, strides):
+            assert_trained_equal(got, [(model, thinned(curve, stride)) for model, curve in want])
+            assert_trained_equal(got, _sgd([call], softmax_head)[0])
