@@ -30,7 +30,9 @@ logit gradients (R, n, K): :func:`softmax_head` (K classes) and
 (:func:`loss_columns`).  On a step's small arrays numpy's per-call
 overhead sets the cost, so a head compiles once for a logits buffer: its
 buffers, views, label offsets and kernel branches are bound then, and each
-call runs only numpy's calls, with every bit of the plain spelling.  A head
+call runs only numpy's calls, with every bit of the plain spelling; the
+softmax head computes class-major, adding the biases as it lays the logits
+out, and writes its gradients batch-major (:func:`softmax_head`).  A head
 called with its targets compiles and runs once, as ``train.step`` does, so
 ``rfl-lab gradcheck`` checks the gradient that trains.  :func:`loss_at`
 rejects pt outside (0, 1); the heads clamp pt to [1e-12, 1 - 1e-12] so
@@ -191,37 +193,97 @@ def _stacked(params, R: int, n: int, with_loss: bool):
     return stacked
 
 
-def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = True):
-    """Losses (S, n) and logit gradients (S, n, C) of S stacked softmax heads on
-    the C-ordered logits ``z`` (S, n, C), which it overwrites; row i has label
-    ``y[i]``, head s the loss ``params[s]`` (a list of losses or their
-    :func:`loss_columns`).  Each row's max is subtracted so logits up to ~1e3
-    stay finite; d(loss)/d(z_j) = dloss/dpt * pt * (delta_{j,y} - softmax_j).
-    Each row is bitwise what it gives alone.  Without ``with_loss`` the
-    losses are None, and the gradients the same bits.  With ``y`` None it
-    compiles for the buffer ``z``: (run, z), run(y) returning the losses."""
-    S, n, C = z.shape
-    kernel = _stacked(params, S, n, with_loss)
-    top, total, p_label = np.empty(S * n), np.empty((S, n, 1)), np.empty((S, n))
-    rows_T, top3, at = z.reshape(-1, C).T, top.reshape(S, n, 1), np.empty((S, n), np.intp)
-    # Flat offsets of each row's first logit; + y, of its label's.
-    starts = np.arange(0, S * n * C, n * C)[:, None] + np.arange(0, n * C, C)
+def _row_sum(rows: np.ndarray, out: np.ndarray):
+    """A function that sums ``rows`` (C, m) over C into ``out`` (m,), each
+    column bitwise as ``np.add.reduce`` sums a contiguous C-vector.  numpy
+    sums those pairwise from its identity 0 (0 + s is s for these sums of
+    exps): below 8 terms in sequence; up to 128, eight accumulators over
+    strides of 8, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
+    the rest in sequence; beyond, each half so, the first a multiple of 8."""
+    C, m = rows.shape
+    if C < 8:  # a reduce over the outer axis adds the rows in sequence
+        return lambda: np.add.reduce(rows, axis=0, out=out)
+    four, two, steps = np.empty((4, m)), np.empty((2, m)), []
+
+    def block(lo: int, hi: int, to: np.ndarray) -> None:
+        if hi - lo > 128:
+            half = (hi - lo) // 2 - (hi - lo) // 2 % 8
+            left, right = np.empty(m), np.empty(m)
+            block(lo, lo + half, left)
+            block(lo + half, hi, right)
+            steps.append((left, right, to))
+            return
+        end = hi - (hi - lo) % 8  # the rows that the eight accumulators take
+        eight = rows[lo:lo + 8]
+        if end - lo > 8:
+            acc = np.empty((8, m))
+            steps.append((eight, rows[lo + 8:lo + 16], acc))
+            steps.extend((acc, rows[i:i + 8], acc) for i in range(lo + 16, end, 8))
+            eight = acc
+        steps.extend([(eight[0::2], eight[1::2], four), (four[0::2], four[1::2], two),
+                      (two[0], two[1], to)])
+        steps.extend((to, row, to) for row in rows[end:hi])
+    block(0, C, out)
+    add = np.add
+
+    def row_sum():
+        for a, b, to in steps:
+            add(a, b, out=to)
+    return row_sum
+
+
+def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = True,
+                 b: np.ndarray | None = None):
+    """Losses (R, n) and logit gradients (R, n, C) of R stacked softmax heads on
+    the C-ordered logits ``z`` (R, n, C), plus the biases ``b`` (R, C) if
+    given; row i has label ``y[i]``, head r the loss ``params[r]`` (a list of
+    losses or their :func:`loss_columns`).  Each row's max is subtracted so
+    logits up to ~1e3 stay finite; d(loss)/d(z_j) = dloss/dpt * pt *
+    (delta_{j,y} - softmax_j).  Each row is bitwise what it gives alone.
+    Without ``with_loss`` the losses are None, and the gradients the same
+    bits.  With ``y`` None it compiles for the buffer ``z``: (run, grads),
+    run(y) returning the losses.
+
+    The head works class-major, on a (C, R, n) buffer of its own, since a
+    broadcast or reduce along a short class axis runs one inner loop per
+    row: one add lays the logits out and adds the biases (so a caller adds
+    none), and the row max, the shift, exp, the row sum and division, the
+    label gather at offset y * R * n + the row's index, and the gradient
+    product then run over rows of R * n entries, each row's scalars one
+    (R * n,) operand.  The row sum adds in ``np.add.reduce``'s order along C
+    (:func:`_row_sum`).  The last product writes the gradients batch-major,
+    (n, R, C), over ``z``'s memory; ``grads`` is their (R, n, C) view, so a
+    bias gradient, a sum over n, adds contiguous rows of R * C in sequence.
+    A call with ``y`` leaves those batch-major gradients in ``z``."""
+    R, n, C = z.shape
+    m = R * n
+    kernel = _stacked(params, R, n, with_loss)
+    classes = np.empty((C, R, n))
+    rows, top, total = classes.reshape(C, m), np.empty(m), np.empty(m)
+    laid, bias = z.transpose(2, 0, 1), 0.0 if b is None else b.T[:, :, None]
+    row_sum = _row_sum(rows, total)
+    p_label, at = np.empty((R, n)), np.empty((R, n), np.intp)
+    starts = np.arange(m).reshape(R, n)  # each row's first entry; + y * m, its label's
+    grads = z.reshape(n, R, C)
+    written = grads.transpose(2, 1, 0)  # the (C, R, n) view that the last product fills
 
     def run(y):
-        # The max is exact in any order: reduce a (C, S*n) copy along its rows.
-        np.maximum.reduce(rows_T.copy(), axis=0, out=top)
-        np.subtract(z, top3, out=z)
-        np.exp(z, out=z)
-        np.divide(z, np.add.reduce(z, axis=2, keepdims=True, out=total), out=z)
-        z.take(np.add(starts, y, out=at), out=p_label, mode="clip")  # each row's label entry
+        np.add(laid, bias, out=classes)  # + 0.0 turns only -0.0 to 0.0: exp(+-0) is 1
+        np.maximum.reduce(rows, axis=0, out=top)  # the max is exact in any order
+        np.subtract(rows, top, out=rows)
+        np.exp(rows, out=rows)
+        row_sum()
+        np.divide(rows, total, out=rows)
+        np.add(np.multiply(y, m, out=at), starts, out=at)
+        rows.take(at, out=p_label, mode="clip")  # each row's label entry
         pt = _clip(p_label, PT_CLAMP_LO, PT_CLAMP_HI)
         losses, grad = kernel(pt, -np.log(pt) if with_loss else None, 1.0 - pt)
-        np.negative(z, out=z)
-        z.put(at, 1.0 - p_label)
+        np.negative(rows, out=rows)
+        rows.put(at, np.subtract(1.0, p_label, out=p_label))
         grad *= pt
-        np.multiply(z, grad[:, :, None], out=z)
+        np.multiply(classes, grad, out=written)
         return losses
-    return (run, z) if y is None else (run(y), z)
+    return (run if y is None else run(y)), grads.transpose(1, 0, 2)
 
 
 def binary_pt(both: np.ndarray, with_loss: bool = True):

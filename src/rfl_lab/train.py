@@ -100,10 +100,12 @@ def step(X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, 
     (K = 1, ``target`` the signs +1/-1).  ``X`` (B, d) and ``target`` (B,)
     serve every model, ``X`` (R, B, d) and ``target`` (R, B) one each.  dW
     and db are views of one (R, K, d + 1) buffer (``out`` if given), as W and
-    b may be.  Each slice is bitwise what that model computes alone (one gemm
-    or gemv per slice); the losses are C-ordered, so a reduce along axis 1
-    sums each row as ``row.mean()`` does.  Without ``with_loss`` the losses
-    are None and the gradients the same bits.  :func:`_compile`'s step, run once."""
+    b may be.  The softmax head adds b to the logits itself, as it lays them
+    out class-major; for the sigmoid head the step adds it.  Each slice is
+    bitwise what that model computes alone (one gemm or gemv per slice); the
+    losses are C-ordered, so a reduce along axis 1 sums each row as
+    ``row.mean()`` does.  Without ``with_loss`` the losses are None and the
+    gradients the same bits.  :func:`_compile`'s step, run once."""
     R, K, d = W.shape
     grad = np.empty((R, K, d + 1)) if out is None else out
     losses = _compile(W, b, grad, head, params, X.shape[-2], with_loss)(X, target)
@@ -111,17 +113,28 @@ def step(X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, 
 
 
 def _compile(W, b, grad: np.ndarray, head, params, n: int, with_loss: bool):
-    """:func:`step` on n rows, compiled: run(X, target) fills ``grad``, returns the losses."""
+    """:func:`step` on n rows, compiled: run(X, target) fills ``grad``, returns
+    the losses.  The softmax head is compiled with b and adds it; for the
+    sigmoid head run adds b to the logits before the head."""
     d = W.shape[2]
     z = np.empty((len(W), n, W.shape[1]))
-    head_step, glogits = head(z, None, params, with_loss)
-    W_T, b_row, g_T = W.transpose(0, 2, 1), b[:, None, :], glogits.transpose(0, 2, 1)
+    if head is softmax_head:
+        (head_step, glogits), b_row = head(z, None, params, with_loss, b), None
+    else:
+        (head_step, glogits), b_row = head(z, None, params, with_loss), b[:, None, :]
+    # At d = 1 matmul is a gemv, whose sums depend on the gradients' row
+    # stride: it gets each run's (n, K) gradients as one contiguous block.
+    runs = np.empty(glogits.shape) if d == 1 and not glogits.flags.c_contiguous else None
+    W_T, g_T = W.transpose(0, 2, 1), (glogits if runs is None else runs).transpose(0, 2, 1)
     dW, db, matmul, add, divide = grad[:, :, :d], grad[:, :, d], np.matmul, np.add, np.divide
 
     def run(X, target):
         matmul(X, W_T, out=z)
-        add(z, b_row, out=z)
+        if b_row is not None:
+            add(z, b_row, out=z)
         losses = head_step(target)
+        if runs is not None:
+            runs[...] = glogits
         matmul(g_T, X, out=dW)
         add.reduce(glogits, axis=1, out=db)
         divide(grad, n, out=grad)

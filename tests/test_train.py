@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -21,6 +22,7 @@ from rfl_lab.losses import (
     LossKind,
     LossParams,
     _rfl_form,
+    _row_sum,
     binary_pt,
     loss_and_dpt,
     loss_at,
@@ -741,6 +743,69 @@ class TestStepOracle:
             for pt in [1e-12, 0.01, 0.25, 0.5, 0.9, 0.99]:
                 want = oracle_kernel(pt, -math.log(pt), 1.0 - pt, *_rfl_form(params))
                 assert loss_at(pt, params) == tuple(map(float, want))
+
+
+class TestClassMajorHead:
+    """The softmax head's class-major form past the ten classes the oracle
+    draws: its row sum adds in numpy's pairwise order along C (eight
+    accumulators from 8 classes, the tail past them, the halving split past
+    128), the compiled step gives the oracle's bits, and the step makes no
+    temporary as large as its logits.  CI runs this class under numpy's
+    AVX2 loops and Haswell OpenBLAS kernels too."""
+
+    def test_row_sums_equal_numpys_reduce(self):
+        rng = np.random.default_rng(29)
+        for C in range(2, 301):
+            # exp of shifted normal logits, from 1e-300 to 1; rounded rows repeat values.
+            z = rng.normal(size=(8, C)) * np.array([0.5, 5.0, 50.0, 200.0] * 2)[:, None]
+            z[4:] = np.round(z[4:] / 40.0)
+            p = np.exp(np.maximum(z - z.max(axis=1, keepdims=True), -690.0))
+            rows, total = p.T.copy(), np.empty(len(p))
+            _row_sum(rows, total)()
+            assert total.tobytes() == np.add.reduce(p, axis=-1).tobytes(), C
+
+    @pytest.mark.parametrize("C", [16, 17, 33, 64, 129])
+    def test_step_equals_the_oracle_past_ten_classes(self, C):
+        rng = np.random.default_rng(C)
+        losses = [CE, FL2, LossParams(LossKind.RFL, 2.0, 0.25), LossParams(LossKind.RFL, 0.5, 0.9)]
+        R = len(losses)
+        for n, d, shared, scale in ((1, 7, True, 3.0), (49, 1, False, 0.3), (64, 7, False, 3.0),
+                                    (64, 1, True, 0.3), (49, 7, True, 30.0), (1, 1, False, 3.0)):
+            X = rng.normal(size=(n, d) if shared else (R, n, d))
+            target = rng.integers(0, C, size=n if shared else (R, n))
+            W, b = rng.normal(size=(R, C, d)) * scale, rng.normal(size=(R, C)) * scale
+            for with_loss in (True, False):
+                assert_plan_steps_equal_the_oracle(softmax_head, X, target, W, b, losses,
+                                                   with_loss, n + 3)
+                for r, loss in enumerate(losses):
+                    assert_plan_steps_equal_the_oracle(
+                        softmax_head, X if shared else X[r], target if shared else target[r],
+                        W[r:r + 1], b[r:r + 1], [loss], with_loss, n + 3)
+
+    def test_a_step_makes_no_logits_sized_temporary(self):
+        # With the ufunc buffers at their minimum, the traced memory never
+        # rises by the logits' R * n * C * 8 bytes during a gradient-only
+        # step, so no block that large is made (a transposed copy of the
+        # logits for the row max would be one).
+        R, n, C, d = 3, 64, 10, 16
+        rng = np.random.default_rng(3)
+        P, grad = rng.normal(size=(R, C, d + 1)), np.empty((R, C, d + 1))
+        run = _compile(P[:, :, :d], P[:, :, d], grad, softmax_head,
+                       loss_columns([CE, FL2, LossParams(LossKind.RFL, 2.0, 0.25)], n), n, False)
+        X, y = rng.normal(size=(n, d)), rng.integers(0, C, size=(R, n))
+        rises, bufsize = [], np.setbufsize(16)
+        try:
+            run(X, y)
+            tracemalloc.start()
+            for _ in range(20):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run(X, y)
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert max(rises) < R * n * C * 8
 
 
 def label_pts(head, X, target, W, b):
