@@ -102,15 +102,15 @@ def _rfl_form(params: LossParams) -> tuple[float, float, float]:
     return params.gamma, params.threshold, params.threshold**params.gamma
 
 
-def _kernel(gamma: float, th, scale, with_loss: bool = True, arrays: bool = True):
+def _kernel(gamma: float, th, scale, arrays: bool = True):
     """The one spelling of the piecewise formulas, compiled for a Python-float
     ``gamma`` (numpy keeps its scalar-power fast paths), threshold ``th`` and
     divisor ``scale`` (None: all 1; x / 1.0 is x): a function of pt, -log(pt)
     and 1 - pt, arrays shaped as ``th`` (scalars unless ``arrays``), that
-    returns the loss (None unless ``with_loss``) and d(loss)/d(pt)."""
+    returns the loss (None if -log(pt) is) and d(loss)/d(pt)."""
     if gamma == 0.0:  # weight and divisor th^0 are 1: either branch is CE
-        return lambda pt, neg_log, one_minus: (neg_log if with_loss else None, -1.0 / pt)
-    square, log, putmask = gamma == 2.0, np.log, np.putmask  # numpy's, looked up once
+        return lambda pt, neg_log, one_minus: (neg_log, -1.0 / pt)
+    square, log, copyto = gamma == 2.0, np.log, np.copyto  # numpy's, looked up once
     power = np.square if square and arrays else lambda x: x**gamma  # an array**2.0 is np.square
 
     def kernel(pt, neg_log, one_minus):
@@ -122,11 +122,11 @@ def _kernel(gamma: float, th, scale, with_loss: bool = True, arrays: bool = True
         if scale is not None:
             dfl /= scale
         flat = pt < th
-        loss = np.where(flat, neg_log, weight * neg_log if scale is None else
-                        weight * neg_log / scale) if with_loss else None
+        loss = None if neg_log is None else np.where(
+            flat, neg_log, weight * neg_log if scale is None else weight * neg_log / scale)
         if not arrays:
             return loss, np.where(flat, recip, dfl)
-        putmask(dfl, flat, recip)
+        copyto(dfl, recip, where=flat)
         return loss, dfl
     return kernel
 
@@ -173,21 +173,21 @@ def cutoff_factor(pt: float, params: LossParams) -> float:
     return loss_at(pt, params)[0] / -math.log(pt)
 
 
-def _stacked(params, R: int, n: int, with_loss: bool):
+def _stacked(params, R: int, n: int):
     """The kernel of (R, n) arrays, run r under loss r of ``params`` (losses or
     columns >= n wide): one gamma's kernel, or each gamma's on its rows."""
     groups = (params if isinstance(params, LossColumns) else loss_columns(params, n)).groups
-    kernels = [(rows, _kernel(gamma, th[:, :n], None if scale is None else scale[:, :n],
-                              with_loss)) for rows, gamma, th, scale in groups]
+    kernels = [(rows, _kernel(gamma, th[:, :n], None if scale is None else scale[:, :n]))
+               for rows, gamma, th, scale in groups]
     if len(kernels) == 1:
         return kernels[0][1]
 
     def stacked(pt, neg_log, one_minus):
-        losses, dpt = np.empty((R, n)) if with_loss else None, np.empty((R, n))
+        losses, dpt = None if neg_log is None else np.empty((R, n)), np.empty((R, n))
         for rows, kernel in kernels:
             loss, dpt[rows] = kernel(pt[rows], neg_log if neg_log is None else neg_log[rows],
                                      one_minus[rows])
-            if with_loss:
+            if losses is not None:
                 losses[rows] = loss
         return losses, dpt
     return stacked
@@ -242,7 +242,7 @@ def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = 
     (delta_{j,y} - softmax_j).  Each row is bitwise what it gives alone.
     Without ``with_loss`` the losses are None, and the gradients the same
     bits.  With ``y`` None it compiles for the buffer ``z``: (run, grads),
-    run(y) returning the losses.
+    run(y, with_loss) returning the losses.
 
     The head works class-major, on a (C, R, n) buffer of its own, since a
     broadcast or reduce along a short class axis runs one inner loop per
@@ -257,7 +257,7 @@ def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = 
     A call with ``y`` leaves those batch-major gradients in ``z``."""
     R, n, C = z.shape
     m = R * n
-    kernel = _stacked(params, R, n, with_loss)
+    kernel = _stacked(params, R, n)
     classes = np.empty((C, R, n))
     rows, top, total = classes.reshape(C, m), np.empty(m), np.empty(m)
     laid, bias = z.transpose(2, 0, 1), 0.0 if b is None else b.T[:, :, None]
@@ -267,7 +267,7 @@ def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = 
     grads = z.reshape(n, R, C)
     written = grads.transpose(2, 1, 0)  # the (C, R, n) view that the last product fills
 
-    def run(y):
+    def run(y, with_loss):
         np.add(laid, bias, out=classes)  # + 0.0 turns only -0.0 to 0.0: exp(+-0) is 1
         np.maximum.reduce(rows, axis=0, out=top)  # the max is exact in any order
         np.subtract(rows, top, out=rows)
@@ -283,7 +283,7 @@ def softmax_head(z: np.ndarray, y: np.ndarray | None, params, with_loss: bool = 
         grad *= pt
         np.multiply(classes, grad, out=written)
         return losses
-    return (run if y is None else run(y)), grads.transpose(1, 0, 2)
+    return (run if y is None else run(y, with_loss)), grads.transpose(1, 0, 2)
 
 
 def binary_pt(both: np.ndarray, with_loss: bool = True):
@@ -304,16 +304,16 @@ def sigmoid_head(z: np.ndarray, sign: np.ndarray | None, params, with_loss: bool
     on the logits ``z`` (R, n, 1); ``sign`` (R, n) (or (n,), a broadcast) is
     +1 for label 1 and -1 for label 0, and head r has the loss ``params[r]``
     (a list of losses or their :func:`loss_columns`).  pt comes from
-    :func:`binary_pt`, and dpt/dz = +/- pt * (1 - pt).  Without
-    ``with_loss`` the losses are None.  With ``sign`` None it compiles for the
-    buffer ``z``: (run, grads), run(sign) filling ``grads``, returning the losses."""
+    :func:`binary_pt`, and dpt/dz = +/- pt * (1 - pt).  Without ``with_loss``
+    the losses are None.  With ``sign`` None it compiles for ``z``: (run,
+    grads), run(sign, with_loss) filling ``grads``, returning the losses."""
     R, n, _ = z.shape
-    kernel = _stacked(params, R, n, with_loss)
+    kernel = _stacked(params, R, n)
     both, grads = np.empty((2, R, n)), np.empty((R, n, 1))
     logit, minus, plus, into = z[:, :, 0], both[0], both[1], grads[:, :, 0]
     negative, multiply = np.negative, np.multiply
 
-    def run(sign):
+    def run(sign, with_loss):
         negative(multiply(logit, sign, out=plus), out=minus)
         pt, neg_log, one_minus = binary_pt(both, with_loss)
         losses, grad = kernel(pt, neg_log, one_minus)
@@ -321,7 +321,7 @@ def sigmoid_head(z: np.ndarray, sign: np.ndarray | None, params, with_loss: bool
         grad *= one_minus
         multiply(grad, sign, out=into)
         return losses
-    return (run, grads) if sign is None else (run(sign), grads)
+    return (run, grads) if sign is None else (run(sign, with_loss), grads)
 
 
 # The grids of :func:`run_gradcheck`, which the identity tests share.

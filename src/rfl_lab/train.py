@@ -19,8 +19,8 @@ or K = 1 for a scorer; each run ends bitwise where it would alone.  The
 streams hand it epochs as arrays, walked in stretches of steps.  A
 :func:`step` is matmul, loss head, matmul.  At the shipped sizes, a few
 runs of 64 rows, numpy's call overhead sets its cost, so a group of
-streams compiles its step per row count (:func:`_plan`): every view,
-buffer and branch is bound then, and an iteration runs only numpy's calls.
+streams compiles its step once per row count and keeps it until a stream
+leaves (:func:`_plan`); an iteration then runs only numpy's calls.
 
 Determinism: everything derives from explicit integer seeds through
 numpy's PCG64.  The configured seed feeds two child streams (weight init
@@ -108,31 +108,30 @@ def step(X: np.ndarray, target: np.ndarray, W: np.ndarray, b: np.ndarray, head, 
     gradients the same bits.  :func:`_compile`'s step, run once."""
     R, K, d = W.shape
     grad = np.empty((R, K, d + 1)) if out is None else out
-    losses = _compile(W, b, grad, head, params, X.shape[-2], with_loss)(X, target)
+    losses = _compile(W, b, grad, head, params, X.shape[-2])(X, target, with_loss)
     return losses, grad[:, :, :d], grad[:, :, d]
 
 
-def _compile(W, b, grad: np.ndarray, head, params, n: int, with_loss: bool):
-    """:func:`step` on n rows, compiled: run(X, target) fills ``grad``, returns
-    the losses.  The softmax head is compiled with b and adds it; for the
-    sigmoid head run adds b to the logits before the head."""
+def _compile(W, b, grad: np.ndarray, head, params, n: int):
+    """:func:`step` on n rows, compiled: run(X, target, with_loss) fills ``grad``
+    and returns the losses.  The softmax head is compiled with b and adds it;
+    for the sigmoid head run adds b to the logits before the head."""
     d = W.shape[2]
     z = np.empty((len(W), n, W.shape[1]))
-    if head is softmax_head:
-        (head_step, glogits), b_row = head(z, None, params, with_loss, b), None
-    else:
-        (head_step, glogits), b_row = head(z, None, params, with_loss), b[:, None, :]
+    softmax = head is softmax_head
+    head_step, glogits = head(z, None, params, b=b) if softmax else head(z, None, params)
+    b_row = None if softmax else b[:, None, :]
     # At d = 1 matmul is a gemv, whose sums depend on the gradients' row
     # stride: it gets each run's (n, K) gradients as one contiguous block.
     runs = np.empty(glogits.shape) if d == 1 and not glogits.flags.c_contiguous else None
     W_T, g_T = W.transpose(0, 2, 1), (glogits if runs is None else runs).transpose(0, 2, 1)
     dW, db, matmul, add, divide = grad[:, :, :d], grad[:, :, d], np.matmul, np.add, np.divide
 
-    def run(X, target):
+    def run(X, target, with_loss):
         matmul(X, W_T, out=z)
         if b_row is not None:
             add(z, b_row, out=z)
-        losses = head_step(target)
+        losses = head_step(target, with_loss)
         if runs is not None:
             runs[...] = glogits
         matmul(g_T, X, out=dW)
@@ -147,21 +146,21 @@ def _plan(head, block: np.ndarray, grad: np.ndarray, members, batches):
     ``batches`` (a (rows, target) per stream, n rows each) with the W and b
     of ``block`` (R, K, d + 1), gradients into ``grad`` and each stream's
     (X, losses) in ``members``: run(batches, record) gathers the rows and
-    returns the losses (None unless ``record``); a planned target is tiled."""
+    returns the losses (None unless ``record``); a planned target is tiled.
+    Its one step serves curve steps too, and applies no rate."""
     R, n, d = len(block), len(batches[0][0]), block.shape[2] - 1
     sizes = [len(losses) for _, losses in members]
     columns = loss_columns([p for _, losses in members for p in losses], n)
     planned = np.repeat([t for _, t in batches], sizes, axis=0)
     sources = [None if t.base is not None else t for _, t in batches]  # a view would pin its base
-    step_of = [_compile(block[:, :, :d], block[:, :, d], grad, head, columns, n, record)
-               for record in (False, True)]
+    step = _compile(block[:, :, :d], block[:, :, d], grad, head, columns, n)
     if len(members) == 1:
         [(X, _)], Xb = members, np.empty((n, d))
 
         def run(batches, record):
             [(idx, t)] = batches
             X.take(idx, axis=0, out=Xb, mode="clip")  # rows are in range; clip skips a copy
-            return step_of[record](Xb, planned if t is sources[0] else t)
+            return step(Xb, planned if t is sources[0] else t, record)
         return run
     Xb, target = np.empty((R, n, d)), np.empty((R, n), planned.dtype)
     cuts = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist())]
@@ -170,10 +169,10 @@ def _plan(head, block: np.ndarray, grad: np.ndarray, members, batches):
         for cut, (X, _), (idx, _) in zip(cuts, members, batches):
             Xb[cut] = X.take(idx, axis=0)
         if all(t is u for (_, t), u in zip(batches, sources)):
-            return step_of[record](Xb, planned)
+            return step(Xb, planned, record)
         for cut, (_, t) in zip(cuts, batches):
             target[cut] = t
-        return step_of[record](Xb, target)
+        return step(Xb, target, record)
     return run
 
 
@@ -215,8 +214,8 @@ def _lockstep(streams, head):
     with the same live streams, widths and rates, inside which no block ends
     (each stream's next block tells its last step) and no curve step falls,
     is one tight loop per group over the blocks' rows.  :func:`_plan`
-    compiles a group's step per width, kept until a rate change or a stream
-    leaves if it serves a stretch or its width recurs (unlike most tails)."""
+    compiles a group's step once per width, kept until a stream leaves and
+    the buffers it views are rebuilt; a rate change needs no new plan."""
     runs = [len(losses) for _, _, losses, _, _ in streams]
     K, d = streams[0][3], streams[0][0].shape[1]
     inits, feeds = [], []
@@ -251,9 +250,9 @@ def _lockstep(streams, head):
                 return trained
             every = math.gcd(*(streams[s][1].curve_stride for s in live))
             edges = [0, *accumulate(runs[s] for s in live)]  # each live stream's rows of P
-            ended, replan = False, iteration
-        if iteration >= replan:  # the rates until the next change; new plans bound memory
-            replan, plans = next((c for c in changes if c > iteration), math.inf), {}
+            ended, replan, plans = False, iteration, {}
+        if iteration >= replan:  # the rates until the next change
+            replan = next((c for c in changes if c > iteration), math.inf)
             rates = [lr_at(streams[s][1].lr_schedule, iteration) for s in live]
         left = [len(rows) for rows, _ in blocks]
         # The iteration of each live stream's last step, if its block is its last.
@@ -269,9 +268,8 @@ def _lockstep(streams, head):
             own = slice(edges[first], edges[end])  # the group's runs in P and G
             batches, block, grad = next(stretch), P[own], G[own]
             if (run := plans.get(key := (first, end, widths[first]))) is None:
-                run = _plan(head, block, grad, [(streams[s][0], streams[s][2])
-                                                for s in live[first:end]], batches)
-                plans[key] = run if span > 1 or key in plans else None
+                run = plans[key] = _plan(head, block, grad, [(streams[s][0], streams[s][2])
+                                                             for s in live[first:end]], batches)
             rate = rates[first] if len(set(rates[first:end])) == 1 else np.repeat(
                 rates[first:end], np.diff(edges[first:end + 1]))[:, None, None]
             record = curve == iteration and [p for p in range(first, end) if last[p] == iteration

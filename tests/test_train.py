@@ -791,16 +791,16 @@ class TestClassMajorHead:
         rng = np.random.default_rng(3)
         P, grad = rng.normal(size=(R, C, d + 1)), np.empty((R, C, d + 1))
         run = _compile(P[:, :, :d], P[:, :, d], grad, softmax_head,
-                       loss_columns([CE, FL2, LossParams(LossKind.RFL, 2.0, 0.25)], n), n, False)
+                       loss_columns([CE, FL2, LossParams(LossKind.RFL, 2.0, 0.25)], n), n)
         X, y = rng.normal(size=(n, d)), rng.integers(0, C, size=(R, n))
         rises, bufsize = [], np.setbufsize(16)
         try:
-            run(X, y)
+            run(X, y, False)
             tracemalloc.start()
             for _ in range(20):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                run(X, y)
+                run(X, y, False)
                 rises.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
@@ -879,33 +879,42 @@ class TestPlanReuse:
 
 
 class TestPlanCache:
-    def test_a_one_off_row_count_keeps_no_plan(self, monkeypatch):
-        # An undersampled stream's epochs end at row counts that mostly do
-        # not recur.  The lockstep keeps a plan only from the second use of
-        # its row count on, so while a step runs, no plan of a row count
-        # compiled just once is alive but its own; the bits stay.
+    def test_a_group_compiles_one_step_per_width_until_a_stream_leaves(self, monkeypatch):
+        # Undersampled epochs end at many row counts, the rate changes at
+        # iteration 40, and the shorter stream leaves after three epochs,
+        # which gives the other new parameter and gradient buffers.  Between
+        # those buffers, a group compiles one step per row count, across the
+        # rate change, and its curve and plain steps run that one step; the
+        # bits stay each stream's alone.
         data = generate_synthetic(SynthDatasetSpec(class_counts=[200, 120, 80], feature_dim=3,
                                                    label_noise_rate=0.1, seed=4))
-        cfg = flat_config(epochs=30, batch=16,
-                          undersample=UndersamplePolicy({0: 0.5, 1: 0.5}, seed=2))
-        compiled = []  # (the plan's step, weakly, and its row count)
+        calls = [(data, TrainConfig(epochs, 16, ((40, 0.3), (10**9, 0.05)), weight_init_seed=seed,
+                                    undersample=UndersamplePolicy({0: 0.5, 1: 0.5}, seed=seed),
+                                    curve_stride=5), [CE, FL2])
+                 for epochs, seed in ((6, 1), (3, 2))]
+        compiled = []  # per compile: its W (which keeps its buffer alive), n and each call's losses
 
-        def checked_plan(head, block, grad, members, batches):
-            run, me = _plan(head, block, grad, members, batches), len(compiled)
+        def counted_compile(W, b, grad, head, params, n):
+            run, asked = _compile(W, b, grad, head, params, n), []
+            compiled.append((W, n, asked))
 
-            def checked(batches, record):
-                counts = Counter(n for _, n in compiled)
-                assert [n for k, (alive, n) in enumerate(compiled)
-                        if k != me and alive() is not None and counts[n] == 1] == []
-                return run(batches, record)
-            compiled.append((weakref.ref(checked), len(batches[0][0])))
-            return checked
+            def counted(X, target, with_loss):
+                asked.append(with_loss)
+                return run(X, target, with_loss)
+            return counted
 
-        monkeypatch.setattr("rfl_lab.train._plan", checked_plan)
-        assert_lockstep_equals_reference(data, cfg, [CE, FL2])
-        counts = Counter(n for _, n in compiled)
-        assert sum(c == 1 for c in counts.values()) >= 5  # one-off row counts were met
-        assert counts[16] == 2  # the full batch: used once, then kept
+        monkeypatch.setattr("rfl_lab.train._compile", counted_compile)
+        trained = train_classifier(calls)
+        assert len({id(W.base) for W, _, _ in compiled}) == 2  # two streams, then one
+        # A group is its rows of the parameter buffer.
+        counts = Counter((id(W.base), W.ctypes.data, len(W), n) for W, n, _ in compiled)
+        assert max(counts.values()) == 1
+        assert sum(n != 16 for _, n, _ in compiled) >= 5  # ragged row counts were met
+        full = [asked for W, n, asked in compiled if n == 16 and len(W) == len(W.base)]
+        assert len(full) == 2 and all(True in asked and False in asked for asked in full)
+        monkeypatch.undo()
+        for got, call in zip(trained, calls, strict=True):
+            assert_trained_equal(got, train_classifier([call])[0])
 
 
 def thinned(curve, stride):
@@ -980,16 +989,16 @@ class TestCurveStride:
         _, target, K = draw_targets(head, rng, 7, 3)
         asked = []
 
-        def counting_head(z, target, params, with_loss=True):
+        def counting_head(z, target, params):
             # A compiled head (target None) records at each call whether it
             # computes losses.
-            run, grads = head(z, target, params, with_loss)
+            run, grads = head(z, target, params)
             if target is not None:
                 return run, grads
 
-            def counted(target):
+            def counted(target, with_loss):
                 asked.append(with_loss)
-                return run(target)
+                return run(target, with_loss)
             return counted, grads
 
         def batches(_):
@@ -1312,7 +1321,7 @@ class TestStreamLockstep:
         def checked_compile(W, b, grad, *args):
             run = _compile(W, b, grad, *args)
 
-            def checked(X, target):
+            def checked(X, target, with_loss):
                 P, G = W.base, grad.base
                 buffers.add(id(P))
                 for alive, W_, b_, grad_ in compiled:
@@ -1320,7 +1329,7 @@ class TestStreamLockstep:
                         assert np.shares_memory(W_, P) and np.shares_memory(b_, P)
                         assert np.shares_memory(grad_[:, :, :-1], G)
                         assert np.shares_memory(grad_[:, :, -1], G)
-                return run(X, target)
+                return run(X, target, with_loss)
             compiled.append((weakref.ref(checked), W, b, grad))
             return checked
 
